@@ -4,7 +4,12 @@ Windows of log templates become token sequences ([CLS], then each template
 token followed by its quantized frequency token). A small bidirectional
 transformer is trained to regress the golden-signal anomaly label from the
 [CLS] position, and the trained [CLS] embeddings are projected onto their
-first principal component to yield one time series per entity.
+first principal component to yield one time series per entity. Training runs
+the network once per distinct (token sequence, label) row and embedding once
+per distinct token sequence. At a fixed padded length a row's forward pass
+does not depend on the other rows of its batch, and the distinct sequences
+pad to the same length as all windows, so identical windows share one result
+that is bit-identical to embedding every window.
 
 The network is plain numpy with hand-derived gradients so that training is
 bit-deterministic and the analytic gradients can be checked against finite
@@ -125,6 +130,17 @@ def tokenize(window: LogSequenceWindow, config: EncoderConfig, vocab_size: int) 
     return LogTokenizer(vocab_size, config).tokenize(window)
 
 
+def pad_tokens(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token sequences to the longest one: (ids, mask), mask 1.0 on real tokens."""
+    length = max(len(seq) for seq in sequences)
+    ids = np.full((len(sequences), length), PAD_TOKEN, dtype=int)
+    mask = np.zeros((len(sequences), length))
+    for i, seq in enumerate(sequences):
+        ids[i, : len(seq)] = seq
+        mask[i, : len(seq)] = 1.0
+    return ids, mask
+
+
 class LogSequenceEncoder:
     """Bidirectional transformer with a sigmoid regression head on [CLS]."""
 
@@ -168,14 +184,7 @@ class LogSequenceEncoder:
     # -- batching -------------------------------------------------------------
 
     def batch(self, windows: list[LogSequenceWindow]) -> tuple[np.ndarray, np.ndarray]:
-        sequences = [self.tokenizer.tokenize(w).tokens for w in windows]
-        length = max(len(s) for s in sequences)
-        ids = np.full((len(sequences), length), PAD_TOKEN, dtype=int)
-        mask = np.zeros((len(sequences), length))
-        for i, seq in enumerate(sequences):
-            ids[i, : len(seq)] = seq
-            mask[i, : len(seq)] = 1.0
-        return ids, mask
+        return pad_tokens([self.tokenizer.tokenize(w).tokens for w in windows])
 
     # -- forward --------------------------------------------------------------
 
@@ -204,13 +213,13 @@ class LogSequenceEncoder:
             r1 = x + att_out
             h1, ln1_cache = layer_norm(r1, p[pre + "ln1_g"], p[pre + "ln1_b"])
             u = h1 @ p[pre + "wf1"] + p[pre + "bf1"]
-            a = gelu(u)
+            a, gelu_t = gelu(u)
             f_out = a @ p[pre + "wf2"] + p[pre + "bf2"]
             r2 = h1 + f_out
             out, ln2_cache = layer_norm(r2, p[pre + "ln2_g"], p[pre + "ln2_b"])
             caches.append(
                 {"x": x, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
-                 "h1": h1, "u": u, "a": a, "ln1": ln1_cache, "ln2": ln2_cache}
+                 "h1": h1, "u": u, "a": a, "gelu_t": gelu_t, "ln1": ln1_cache, "ln2": ln2_cache}
             )
             x = out
         return x, caches
@@ -268,7 +277,7 @@ class LogSequenceEncoder:
             da = df_out @ p[pre + "wf2"].T
             grads[pre + "wf2"] += c["a"].reshape(-1, c["a"].shape[-1]).T @ df_out.reshape(-1, cfg.d_model)
             grads[pre + "bf2"] += df_out.sum(axis=(0, 1))
-            du = da * gelu_grad(c["u"])
+            du = da * gelu_grad(c["u"], c["gelu_t"])
             grads[pre + "wf1"] += c["h1"].reshape(-1, cfg.d_model).T @ du.reshape(-1, du.shape[-1])
             grads[pre + "bf1"] += du.sum(axis=(0, 1))
             dh1 += du @ p[pre + "wf1"].T
@@ -305,9 +314,14 @@ class LogSequenceEncoder:
     # -- embeddings -------------------------------------------------------------
 
     def embed(self, windows: list[LogSequenceWindow]) -> np.ndarray:
-        ids, mask = self.batch(windows)
-        hidden, _ = self._forward(ids, mask)
-        return hidden[:, 0, :].copy()
+        """[CLS] hidden state per window, running each distinct token sequence once."""
+        row_of: dict[tuple, int] = {}
+        rows = [
+            row_of.setdefault(tuple(self.tokenizer.tokenize(w).tokens), len(row_of))
+            for w in windows
+        ]
+        hidden, _ = self._forward(*pad_tokens(list(row_of)))
+        return hidden[rows, 0, :]
 
 
 def train_log_encoder(
@@ -333,12 +347,7 @@ def train_log_encoder(
         tokens = tuple(encoder.tokenizer.tokenize(window).tokens)
         groups[(tokens, window.label)] = groups.get((tokens, window.label), 0) + 1
     keys = list(groups)
-    length = max(len(tokens) for tokens, _ in keys)
-    ids = np.full((len(keys), length), PAD_TOKEN, dtype=int)
-    mask = np.zeros((len(keys), length))
-    for i, (tokens, _) in enumerate(keys):
-        ids[i, : len(tokens)] = tokens
-        mask[i, : len(tokens)] = 1.0
+    ids, mask = pad_tokens([tokens for tokens, _ in keys])
     labels = np.array([label for _, label in keys], dtype=float)
     weights = np.array([groups[key] for key in keys], dtype=float)
 
@@ -366,7 +375,11 @@ def train_log_encoder(
 
 
 def embed_windows(encoder: LogSequenceEncoder, windows: list[LogSequenceWindow]) -> np.ndarray:
-    """[CLS] hidden state per window; shape (n_windows, d_model), no gradients kept."""
+    """[CLS] hidden state per window; shape (n_windows, d_model), no gradients kept.
+
+    Windows with identical token sequences are embedded once and share the
+    resulting row, bit-identical to running every window in one padded batch.
+    """
     return encoder.embed(windows)
 
 

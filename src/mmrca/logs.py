@@ -135,7 +135,8 @@ def window_sequences(
     order with their occurrence counts. Every (entity, window) cell of the
     full grid is emitted; cells with no events carry the reserved empty
     template with frequency 1. n_windows extends the grid beyond the last
-    event (needed to align with a KPI series covering the full horizon).
+    event (needed to align with a KPI series covering the full horizon); an
+    event whose window falls outside [0, n_windows) raises ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -154,7 +155,13 @@ def window_sequences(
             raise ValueError(f"template id {template_id} not present in the vocabulary")
         if not 0 <= entity < n_entities:
             raise ValueError(f"entity index {entity} out of range")
-        key = (entity, ts // window_size)
+        window_index = ts // window_size
+        if not 0 <= window_index < n_windows:
+            raise ValueError(
+                f"log event of entity {entity} at ts {ts} falls outside the grid of "
+                f"{n_windows} windows of size {window_size}"
+            )
+        key = (entity, window_index)
         cell_first = first_seen.setdefault(key, {})
         if template_id not in cell_first:
             cell_first[template_id] = position

@@ -13,14 +13,19 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximation GELU (smooth, so finite-difference checks stay clean)."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximation GELU (smooth, so finite-difference checks stay clean).
+
+    Returns the activation and its cache: the tanh term, which gelu_grad needs
+    and would otherwise compute a second time.
+    """
+    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    return 0.5 * x * (1.0 + t), t
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    return 0.5 * (1.0 + u) + 0.5 * x * (1.0 - u * u) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of gelu at x, given the tanh cache that gelu(x) returned."""
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

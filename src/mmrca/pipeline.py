@@ -112,20 +112,35 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
+def _reject_unknown_keys(override, defaults: dict, prefix: str = "") -> None:
+    """ValueError naming the first section or field of override that defaults lacks."""
+    if not isinstance(override, dict):
+        raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
+    for key, value in override.items():
+        if key not in defaults:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+        if isinstance(defaults[key], dict):
+            _reject_unknown_keys(value, defaults[key], f"{prefix}{key}.")
+
+
 def load_config(
     path=None, seed: int | None = None, out_dir: str | None = None, environ=None
 ) -> dict:
     """Resolve the pipeline config: defaults <- file <- env vars <- CLI flags.
 
-    Environment variables override only paths and the seed. Component seeds
-    left null derive from the global seed (scenario: seed, encoder: seed+1,
-    learner: seed+2) so one flag reseeds the whole pipeline.
+    A file may set only the sections and fields DEFAULT_CONFIG has; any other
+    name raises ValueError. Environment variables override only paths and the
+    seed. Component seeds left null derive from the global seed (scenario:
+    seed, encoder: seed+1, learner: seed+2) so one flag reseeds the whole
+    pipeline.
     """
     environ = os.environ if environ is None else environ
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
-            config = _deep_merge(config, json.load(fh))
+            loaded = json.load(fh)
+        _reject_unknown_keys(loaded, DEFAULT_CONFIG)
+        config = _deep_merge(config, loaded)
     if environ.get(ENV_DATA_DIR):
         config["paths"]["data_dir"] = environ[ENV_DATA_DIR]
     if environ.get(ENV_OUT_DIR):

@@ -586,6 +586,9 @@ def save_structure(structure: LearnedStructure, path) -> None:
     arrays["A_log"] = structure.A_log
     for key, values in structure.loss_history.items():
         arrays[f"history:{key}"] = np.asarray(values)
+    for modality, stats in structure.standardization.items():
+        for stat, values in stats.items():
+            arrays[f"standardization:{modality}:{stat}"] = values
     arrays["meta"] = np.frombuffer(
         json.dumps(
             {
@@ -606,6 +609,11 @@ def load_structure(path) -> LearnedStructure:
     meta = json.loads(bytes(data["meta"]).decode())
     params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
     history = {k[len("history:"):]: data[k].tolist() for k in data.files if k.startswith("history:")}
+    standardization: dict = {}
+    for key in data.files:
+        if key.startswith("standardization:"):
+            _, modality, stat = key.split(":")
+            standardization.setdefault(modality, {})[stat] = data[key]
     return LearnedStructure(
         A_metric=data["A_metric"],
         A_log=data["A_log"],
@@ -616,4 +624,5 @@ def load_structure(path) -> LearnedStructure:
         converged=meta["converged"],
         config=LearnerConfig(**meta["config"]),
         node_names=meta["node_names"],
+        standardization=standardization,
     )

@@ -17,6 +17,7 @@ from mmrca.encoder import (
     vocabulary_hash,
 )
 from mmrca.logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate
+from mmrca.nn import gelu, gelu_grad
 
 
 def toy_config(**overrides):
@@ -198,6 +199,23 @@ class TestGradients:
             assert rel < 1e-3, f"{key}: rel err {rel}"
 
 
+class TestGelu:
+    X = np.linspace(-6.0, 6.0, 241)
+
+    def test_output_matches_the_closed_form_bitwise(self):
+        x = self.X
+        c, a = np.sqrt(2.0 / np.pi), 0.044715
+        out, t = gelu(x)
+        assert np.array_equal(out, 0.5 * x * (1.0 + np.tanh(c * (x + a * x**3))))
+        assert np.array_equal(t, np.tanh(c * (x + a * x**3)))
+
+    def test_grad_from_cached_tanh_matches_finite_differences(self):
+        x, eps = self.X, 1e-6
+        _, t = gelu(x)
+        numeric = (gelu(x + eps)[0] - gelu(x - eps)[0]) / (2 * eps)
+        assert np.allclose(gelu_grad(x, t), numeric, rtol=1e-7, atol=1e-9)
+
+
 class TestEmbeddings:
     def test_identical_windows_identical_rows(self):
         windows = [window([0], [2]), window([0], [2])]
@@ -220,6 +238,28 @@ class TestEmbeddings:
         neg = emb[labels == 0.0].mean(axis=0)
         cos = pos @ neg / (np.linalg.norm(pos) * np.linalg.norm(neg))
         assert cos < 0.99
+
+    def test_distinct_sequences_embed_like_every_window_run_alone(self):
+        enc = LogSequenceEncoder(toy_config(seed=4), vocab_size=8)
+        windows = [
+            window([0], [1]),
+            window([1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+            window([0], [1]),
+            window([EMPTY_TEMPLATE_ID], [1]),
+            window([3, 2], [9, 1]),
+            window([1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+            window(list(range(8)), [1] * 8),
+        ]
+        emb = enc.embed(windows)
+        # the reference runs each window by itself, padded to the batch's length:
+        # padding to a different length moves the last bits of the result
+        ids, mask = enc.batch(windows)
+        alone = np.vstack([enc._forward(ids[i : i + 1], mask[i : i + 1])[0][:, 0, :]
+                           for i in range(len(windows))])
+        assert emb.shape == (len(windows), enc.config.d_model)
+        assert np.array_equal(emb, alone)
+        order = np.random.default_rng(0).permutation(len(windows))
+        assert np.array_equal(enc.embed([windows[i] for i in order]), alone[order])
 
     def test_order_sensitivity_at_random_init(self):
         cfg = toy_config(seed=9)

@@ -136,6 +136,12 @@ class TestWindowSequences:
         with pytest.raises(ValueError, match="99"):
             window_sequences([(0, 0, 99)], vocab, window_size=5, n_entities=1)
 
+    @pytest.mark.parametrize("ts", [-1, 10])
+    def test_event_outside_the_grid_rejected(self, ts):
+        vocab, events = parse_templates(records((0, 0, "inside"), (ts, 1, "outside")))
+        with pytest.raises(ValueError, match=rf"entity 1 at ts {ts}\b"):
+            window_sequences(events, vocab, window_size=5, n_entities=2, n_windows=2)
+
     def test_event_conservation(self):
         import numpy as np
 

@@ -10,12 +10,15 @@ from mmrca.structure import (
     adjacency_from_free,
     build_lagged,
     encode,
+    fit,
     init_params,
+    load_structure,
     loss_edge,
     loss_node,
     loss_orth,
     loss_var,
     objective_gradients,
+    save_structure,
     total_objective,
 )
 
@@ -433,3 +436,32 @@ class TestConfigValidation:
     def test_lag_must_be_positive(self):
         with pytest.raises(ValueError):
             LearnerConfig(p=0)
+
+
+class TestPersistence:
+    def test_round_trip_keeps_every_field(self, tmp_path):
+        rng = np.random.default_rng(0)
+        names = ["a", "b"]
+        metric = ModalityPanel(3.0 + 2.0 * rng.standard_normal((3, 12)), names)
+        log = ModalityPanel(rng.standard_normal((3, 12)) - 1.0, names)
+        cfg = LearnerConfig(p=2, d1=4, d2=3, epochs=3, seed=1)
+        structure = fit(metric, log, (0.4, 0.6), cfg)
+        save_structure(structure, tmp_path / "structure.npz")
+        restored = load_structure(tmp_path / "structure.npz")
+
+        assert restored.config == structure.config
+        assert restored.node_names == structure.node_names
+        assert (restored.h_metric, restored.h_log, restored.converged) == (
+            structure.h_metric, structure.h_log, structure.converged
+        )
+        assert restored.loss_history == structure.loss_history
+        for name in ("A_metric", "A_log"):
+            assert np.array_equal(getattr(restored, name), getattr(structure, name))
+        assert restored.params.keys() == structure.params.keys()
+        for key, value in structure.params.items():
+            assert np.array_equal(restored.params[key], value)
+        assert set(restored.standardization) == {"metric", "log"}
+        for modality, stats in structure.standardization.items():
+            assert set(restored.standardization[modality]) == {"mean", "std"}
+            for stat, values in stats.items():
+                assert np.array_equal(restored.standardization[modality][stat], values)
