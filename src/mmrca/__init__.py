@@ -34,7 +34,6 @@ from .panel import ModalityPanel, aggregate_windows
 from .rca import RankedRootCauses, rank_root_causes, rwr, transition_matrix
 from .simulate import IncidentDataset, ScenarioSpec, generate_incident, sample_scenario
 from .structure import (
-    AdjacencyParam,
     LaggedBatch,
     LearnedStructure,
     LearnerConfig,
@@ -46,13 +45,11 @@ from .structure import (
     loss_node,
     loss_orth,
     loss_var,
-    total_objective,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyParam",
     "EncoderConfig",
     "EvaluationCase",
     "FusedCausalGraph",
@@ -93,7 +90,6 @@ __all__ = [
     "sample_scenario",
     "structural_hamming",
     "tokenize",
-    "total_objective",
     "train_log_encoder",
     "transition_matrix",
     "window_sequences",

@@ -10,9 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import pipeline
+
+# subcommand -> name of its stage in pipeline.PIPELINE_STAGES
+_STAGE_OF_COMMAND = {
+    "parse": "log_ingest",
+    "encode": "log_encoder",
+    "learn": "causal_learner",
+    "localize": "rca",
+    "evaluate": "metrics",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, doc in (
         ("simulate", "generate a synthetic incident into the data directory"),
         ("parse", "mine log templates, window and label the sequences"),
-        ("encode", "train the log encoder and emit the log modality panel"),
+        ("encode", "train the log encoder and emit the log and metric modality panels"),
         ("learn", "compute modality attention and fit the causal structure"),
         ("localize", "fuse the graphs and rank root causes by random walk"),
         ("evaluate", "score the ranking against the ground truth"),
@@ -47,16 +57,8 @@ def _dispatch(command: str, config: dict) -> None:
         manifest = pipeline.run_pipeline(config)
         print(json.dumps(manifest, indent=2, sort_keys=True))
     else:
-        stage_by_command = {
-            "parse": ("log_ingest", pipeline.stage_ingest),
-            "encode": ("log_encoder", pipeline.stage_encode),
-            "learn": ("causal_learner", pipeline.stage_learn),
-            "localize": ("rca", pipeline.stage_localize),
-            "evaluate": ("metrics", pipeline.stage_evaluate),
-        }
-        name, stage = stage_by_command[command]
-        import os
-
+        name = _STAGE_OF_COMMAND[command]
+        stage = dict(pipeline.PIPELINE_STAGES)[name]
         os.makedirs(config["paths"]["out_dir"], exist_ok=True)
         try:
             result = stage(config)

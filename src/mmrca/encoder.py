@@ -86,7 +86,6 @@ class LogTokenizer:
     def __init__(self, vocab_size: int, config: EncoderConfig):
         self.vocab_size = vocab_size
         self.config = config
-        self.truncation_count = 0
 
     @property
     def total_tokens(self) -> int:
@@ -117,7 +116,6 @@ class LogTokenizer:
         max_pairs = (self.config.max_len - 1) // 2
         truncated = len(pairs) > max_pairs
         if truncated:
-            self.truncation_count += 1
             pairs = pairs[:max_pairs]
         tokens = [CLS_TOKEN]
         for template_token, bucket_token in pairs:
@@ -343,8 +341,11 @@ def train_log_encoder(
     encoder = LogSequenceEncoder(config, vocab_size)
 
     groups: dict[tuple, int] = {}
+    truncated = 0
     for window in windows:
-        tokens = tuple(encoder.tokenizer.tokenize(window).tokens)
+        sequence = encoder.tokenizer.tokenize(window)
+        truncated += sequence.truncated
+        tokens = tuple(sequence.tokens)
         groups[(tokens, window.label)] = groups.get((tokens, window.label), 0) + 1
     keys = list(groups)
     ids, mask = pad_tokens([tokens for tokens, _ in keys])
@@ -369,7 +370,7 @@ def train_log_encoder(
             raise FloatingPointError(f"training loss became non-finite at epoch {epoch}")
         encoder.history.append(loss)
         optimizer.step(grads)
-    encoder.diagnostics["truncated_windows"] = encoder.tokenizer.truncation_count
+    encoder.diagnostics["truncated_windows"] = truncated
     encoder.diagnostics["unique_sequences"] = len(keys)
     return encoder
 

@@ -108,14 +108,15 @@ def modality_attention(
     return float(weights[0]), float(weights[1])
 
 
-def fuse(structure, weights: tuple[float, float], node_names: list[str]) -> FusedCausalGraph:
-    """Convex combination A = a_log * A_log + a_metric * A_metric with zeroed diagonal.
+def fuse(
+    a_log: np.ndarray, a_metric: np.ndarray, weights: tuple[float, float], node_names: list[str]
+) -> FusedCausalGraph:
+    """Convex combination A = w_log * A_log + w_metric * A_metric with zeroed diagonal.
 
-    `structure` is anything exposing A_log and A_metric matrices (normally a
-    LearnedStructure).
+    weights is (w_log, w_metric), the modality attention, and must sum to 1.
     """
-    a_log_matrix = np.asarray(structure.A_log, dtype=float)
-    a_metric_matrix = np.asarray(structure.A_metric, dtype=float)
+    a_log_matrix = np.asarray(a_log, dtype=float)
+    a_metric_matrix = np.asarray(a_metric, dtype=float)
     if a_log_matrix.shape != a_metric_matrix.shape:
         raise ValueError("modality adjacencies must share a shape")
     w_log, w_metric = weights

@@ -59,9 +59,8 @@ def layer_norm_backward(dy: np.ndarray, cache):
 class Adam:
     """Adaptive-moment gradient descent over a dict of parameter arrays (in place).
 
-    weight_decay is decoupled (AdamW style) and applied only to keys accepted
-    by decay_filter; it gives saturated sigmoid heads a restoring force that
-    plain gradients cannot provide once their derivative underflows.
+    step(grads) updates every key of grads with bias-corrected first and second
+    moment estimates; there is no weight decay.
     """
 
     def __init__(
@@ -71,16 +70,12 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        decay_filter=None,
     ):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
-        self.decay_filter = decay_filter or (lambda key: True)
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -94,6 +89,4 @@ class Adam:
             m_hat = self.m[key] / (1 - b1**self.t)
             v_hat = self.v[key] / (1 - b2**self.t)
             update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and self.decay_filter(key):
-                update = update + self.weight_decay * self.params[key]
             self.params[key] -= self.lr * update

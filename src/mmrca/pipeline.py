@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import time
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,12 +76,10 @@ DEFAULT_CONFIG: dict = {
         "epochs": 600,
         "seed": None,
         "temperature": 0.5,
-        "contrastive_mode": "infonce",
         "acyclicity_base": 1.0,
         "acyclicity_factor": 2.0,
         "acyclicity_every": 100,
         "h_tol": 1e-3,
-        "standardize": True,
     },
     "fusion": {"max_lag": None, "top_k": 3, "edge_threshold": 0.3},
     "rca": {"beta": 0.1, "restart": 0.15, "tol": 1e-10, "max_iter": 10000},
@@ -299,12 +296,12 @@ def stage_encode(config: dict) -> None:
     )
     encoder_mod.save_encoder(trained, paths["encoder"], paths["encoder_manifest"], vocabulary, pca)
     write_panel_csv(panel, paths["log_panel"], "log_pc1")
+    write_panel_csv(metric_panel, paths["metric_panel"], config["metric_kind"])
 
 
 def stage_learn(config: dict) -> None:
     paths = _paths(config)
-    metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
-    metric_panel = aggregate_windows(metric_native, config["window_size"])
+    metric_panel = read_panel_csv(paths["metric_panel"], metric_name=config["metric_kind"])
     log_panel = read_panel_csv(paths["log_panel"], metric_name="log_pc1")
 
     max_lag = config["fusion"]["max_lag"]
@@ -332,7 +329,6 @@ def stage_learn(config: dict) -> None:
 
     learner_config = learner_config_from(config)
     structure = structure_mod.fit(metric_panel, log_panel, (a_log, a_metric), learner_config)
-    write_panel_csv(metric_panel, paths["metric_panel"], config["metric_kind"])
     structure_mod.save_structure(structure, paths["structure"])
     _write_text(paths["adjacency"], structure_mod.structure_to_adjacency_json(structure))
 
@@ -345,11 +341,11 @@ def stage_localize(config: dict) -> None:
         attention = json.load(fh)
     truth = read_ground_truth(paths["ground_truth"])
 
-    mats = SimpleNamespace(
-        A_metric=np.asarray(adjacency["A_metric"]), A_log=np.asarray(adjacency["A_log"])
-    )
     graph = fusion_mod.fuse(
-        mats, (attention["a_log"], attention["a_metric"]), adjacency["node_names"]
+        np.asarray(adjacency["A_log"]),
+        np.asarray(adjacency["A_metric"]),
+        (attention["a_log"], attention["a_metric"]),
+        adjacency["node_names"],
     )
     _write_text(paths["fused_graph"], fusion_mod.graph_to_json(graph))
     _write_text(

@@ -39,3 +39,31 @@ class TestConfigKeys:
         assert config["encoder"]["epochs"] == 3
         assert config["encoder"]["d_model"] == pipeline.DEFAULT_CONFIG["encoder"]["d_model"]
         assert config["scenario"]["dag"] == [[0, 1], [0, 0]]
+
+
+class TestStageCommands:
+    TINY = {
+        "scenario": {"n_entities": 3, "horizon_T": 40},
+        "encoder": {"epochs": 2, "d_model": 8},
+        "learner": {"epochs": 2},
+    }
+
+    def run(self, tmp_path, command, out):
+        payload = dict(self.TINY, paths={"data_dir": str(tmp_path / "data"), "out_dir": str(out)})
+        return cli.main(["--config", write_config(tmp_path, payload), "--seed", "3", command])
+
+    def test_stage_by_stage_matches_run_pipeline(self, tmp_path):
+        staged, full = tmp_path / "staged", tmp_path / "full"
+        assert self.run(tmp_path, "simulate", staged) == 0
+        for command in ("parse", "encode", "learn", "localize", "evaluate"):
+            assert self.run(tmp_path, command, staged) == 0, command
+        assert self.run(tmp_path, "run-pipeline", full) == 0
+        for name in ("ranking.json", "adjacency.json"):
+            assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_learn_before_encode_is_a_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        assert self.run(tmp_path, "parse", out) == 0
+        assert self.run(tmp_path, "learn", out) == 1
+        assert "stage causal_learner failed" in capsys.readouterr().err

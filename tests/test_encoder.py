@@ -84,7 +84,6 @@ class TestTokenizer:
     def test_truncation_counted_and_pairs_kept_whole(self):
         tok = LogTokenizer(vocab_size=50, config=toy_config(max_len=8))
         seq = tok.tokenize(window(list(range(10)), [1] * 10))
-        assert tok.truncation_count == 1
         assert len(seq.tokens) == 1 + 2 * 3  # CLS + 3 whole pairs
         assert seq.truncated
 
@@ -139,6 +138,14 @@ class TestTraining:
 
         encoder = train_log_encoder(windows, toy_config(epochs=250))
         assert encoder.history[-1] <= 1e-2
+
+    def test_truncated_windows_counted_once_each(self):
+        windows = [window(list(range(10)), [1] * 10, index=i) for i in range(3)]
+        windows += [window([i % 3], [1], index=3 + i) for i in range(5)]
+        encoder = train_log_encoder(windows, toy_config(max_len=8, epochs=2), vocab_size=10)
+        assert encoder.diagnostics["truncated_windows"] == 3
+        embed_windows(encoder, windows)
+        assert encoder.diagnostics["truncated_windows"] == 3
 
     def test_same_seed_identical_parameters(self):
         windows = separable_corpus(10)

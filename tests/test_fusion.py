@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,25 +119,22 @@ class TestModalityAttention:
 
 
 class TestFuse:
-    def structure(self, a_log, a_metric):
-        return SimpleNamespace(A_log=np.asarray(a_log, float), A_metric=np.asarray(a_metric, float))
-
     def test_identical_inputs_are_fixed_point(self):
         a = np.array([[0.0, 0.7], [0.2, 0.0]])
-        graph = fuse(self.structure(a, a), (0.3, 0.7), ["e0", "kpi"])
+        graph = fuse(a, a, (0.3, 0.7), ["e0", "kpi"])
         assert np.allclose(graph.adjacency, a)
 
     def test_degenerate_weight_selects_one_modality(self):
         a_log = np.array([[0.0, 0.9], [0.1, 0.0]])
         a_metric = np.array([[0.0, 0.2], [0.8, 0.0]])
-        graph = fuse(self.structure(a_log, a_metric), (1.0, 0.0), ["e0", "kpi"])
+        graph = fuse(a_log, a_metric, (1.0, 0.0), ["e0", "kpi"])
         assert np.allclose(graph.adjacency, a_log)
 
     def test_entrywise_hand_evaluation(self):
         a_log = np.array([[0.0, 0.4], [0.6, 0.0]])
         a_metric = np.array([[0.0, 0.8], [0.1, 0.0]])
         w = (0.7311, 0.2689)
-        graph = fuse(self.structure(a_log, a_metric), w, ["e0", "kpi"])
+        graph = fuse(a_log, a_metric, w, ["e0", "kpi"])
         expected_01 = 0.7311 * 0.4 + 0.2689 * 0.8
         expected_10 = 0.7311 * 0.6 + 0.2689 * 0.1
         assert graph.adjacency[0, 1] == pytest.approx(expected_01)
@@ -153,7 +149,7 @@ class TestFuse:
             np.fill_diagonal(a_metric, 0.0)
             w_log = float(rng.uniform())
             graph = fuse(
-                self.structure(a_log, a_metric), (w_log, 1.0 - w_log), list("abcd")
+                a_log, a_metric, (w_log, 1.0 - w_log), list("abcd")
             )
             lo = np.minimum(a_log, a_metric)
             hi = np.maximum(a_log, a_metric)
@@ -162,20 +158,20 @@ class TestFuse:
 
     def test_diagonal_rezeroed(self):
         a = np.full((3, 3), 0.5)
-        graph = fuse(self.structure(a, a), (0.5, 0.5), ["a", "b", "kpi"])
+        graph = fuse(a, a, (0.5, 0.5), ["a", "b", "kpi"])
         assert np.all(np.diag(graph.adjacency) == 0.0)
 
     def test_weights_must_sum_to_one(self):
         a = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            fuse(self.structure(a, a), (0.6, 0.6), ["a", "kpi"])
+            fuse(a, a, (0.6, 0.6), ["a", "kpi"])
 
 
 class TestExports:
     def graph(self):
         a_log = np.array([[0.0, 0.9], [0.05, 0.0]])
         a_metric = np.array([[0.0, 0.5], [0.1, 0.0]])
-        return fuse(SimpleNamespace(A_log=a_log, A_metric=a_metric), (0.5, 0.5), ["e0", "kpi"])
+        return fuse(a_log, a_metric, (0.5, 0.5), ["e0", "kpi"])
 
     def test_json_round_trip(self):
         graph = self.graph()
