@@ -57,13 +57,8 @@ def _dispatch(command: str, config: dict) -> None:
         manifest = pipeline.run_pipeline(config)
         print(json.dumps(manifest, indent=2, sort_keys=True))
     else:
-        name = _STAGE_OF_COMMAND[command]
-        stage = dict(pipeline.PIPELINE_STAGES)[name]
         os.makedirs(config["paths"]["out_dir"], exist_ok=True)
-        try:
-            result = stage(config)
-        except Exception as exc:
-            raise pipeline.StageError(name, exc) from exc
+        result = pipeline.run_stage(_STAGE_OF_COMMAND[command], config)
         if command == "evaluate" and result is not None:
             print(json.dumps(result, indent=2, sort_keys=True))
 

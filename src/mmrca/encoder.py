@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate, vocabulary_to_json
 from .nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
 from .panel import ModalityPanel
@@ -486,7 +487,8 @@ def save_encoder(
         arrays["pca_direction"] = pca.direction
         arrays["pca_mean"] = pca.mean
         arrays["pca_explained_variance"] = np.array([pca.explained_variance])
-    np.savez(checkpoint_path, **arrays)
+    with atomic_open(checkpoint_path, "wb") as fh:
+        np.savez(fh, **arrays)
     manifest = {
         "config": encoder.config.__dict__,
         "vocab_size": encoder.vocab_size,
@@ -494,7 +496,7 @@ def save_encoder(
         "final_loss": encoder.history[-1] if encoder.history else None,
         "diagnostics": encoder.diagnostics,
     }
-    with open(manifest_path, "w") as fh:
+    with atomic_open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

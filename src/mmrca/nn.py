@@ -19,7 +19,7 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the activation and its cache: the tanh term, which gelu_grad needs
     and would otherwise compute a second time.
     """
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
 
 

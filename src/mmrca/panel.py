@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
+
 
 @dataclass
 class ModalityPanel:
@@ -73,7 +75,7 @@ KPI_ENTITY = "kpi"
 
 def write_panel_csv(panel: ModalityPanel, path, metric_name: str) -> None:
     """Write a panel in the long metric CSV schema (timestamp, entity, metric_name, value)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "entity", "metric_name", "value"])
         names = panel.entity_names

@@ -2,20 +2,37 @@
 
 Stage order: ingest logs -> train the log encoder and reduce to a series ->
 KPI-aware attention -> joint structure learning -> fuse -> random walk ->
-rank -> evaluate. Every stage writes its artifact (atomically: a .partial
-file is renamed on success, so failures leave a .partial behind) and a
-manifest records the resolved config hash, seed and stage timings.
+rank -> evaluate. Every stage writes each of its artifacts atomically
+(atomic.atomic_open: the bytes go to a .partial file that is renamed onto
+the final name once complete, so a failed write leaves the earlier artifact
+intact and a .partial behind), and a manifest records the resolved config
+hash, seed and stage timings.
+
+Every stage runs through run_stage, which sets each OpenBLAS library that
+numpy and scipy bundle to one thread for the stage and restores the previous
+counts afterwards. This is a fixed policy, not an option, for two reasons.
+The matrices are tiny (n x n adjacencies with n <= 41, 16-wide hidden
+layers), so a second thread costs more than it saves: at n=41 with 24
+learner epochs, structure.fit took 5.36 s on 2 OpenBLAS threads (burning
+9.4 s of CPU) and 3.38 s on one, and scipy's expm was 11x slower on two
+threads. And a product split across threads sums in another order, so with
+the library default the artifacts of the same seed changed with the
+machine's core count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import glob
 import hashlib
 import json
 import os
 import time
 
 import numpy as np
+import scipy
 
 from . import encoder as encoder_mod
 from . import fusion as fusion_mod
@@ -23,6 +40,7 @@ from . import logs as logs_mod
 from . import metrics as metrics_mod
 from . import rca as rca_mod
 from . import structure as structure_mod
+from .atomic import atomic_open
 from .panel import aggregate_windows, read_panel_csv, write_panel_csv
 from .simulate import (
     ScenarioSpec,
@@ -208,10 +226,8 @@ def learner_config_from(config: dict) -> structure_mod.LearnerConfig:
 
 
 def _write_text(path: str, text: str) -> None:
-    partial = path + ".partial"
-    with open(partial, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
-    os.replace(partial, path)
 
 
 def _paths(config: dict) -> dict:
@@ -392,19 +408,71 @@ PIPELINE_STAGES = (
 )
 
 
+# --- BLAS threads ------------------------------------------------------------------
+
+
+# (getter, setter) symbol pairs: scipy-openblas builds prefix the OpenBLAS names,
+# and builds with 64-bit integer indices add a 64_ suffix
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS that numpy and scipy bundle."""
+    controls = []
+    for package in (np, scipy):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for lib in sorted(glob.glob(os.path.join(site, package.__name__ + ".libs", "*openblas*"))):
+            handle = ctypes.CDLL(lib)
+            for get_name, set_name in _OPENBLAS_SYMBOLS:
+                get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every bundled OpenBLAS on one thread; restore the counts after."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
+def run_stage(name: str, config: dict):
+    """Run the stage called name in PIPELINE_STAGES on one BLAS thread; return its result.
+
+    The stage is looked up at call time. Any failure is raised as StageError.
+    """
+    stage = dict(PIPELINE_STAGES)[name]
+    try:
+        with _one_blas_thread():
+            return stage(config)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def run_pipeline(config: dict) -> dict:
     """Run ingest -> encode -> learn -> localize -> evaluate, with a manifest."""
     paths = _paths(config)
     os.makedirs(config["paths"]["out_dir"], exist_ok=True)
     timings = []
-    for name, stage in PIPELINE_STAGES:
+    for name, _ in PIPELINE_STAGES:
         start = time.perf_counter()
-        try:
-            stage(config)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
+        run_stage(name, config)
         timings.append({"name": name, "seconds": time.perf_counter() - start})
     manifest = {
         "config_hash": config_hash(config),

@@ -31,6 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 from scipy.special import expit
 
+from .atomic import atomic_open
 from .nn import Adam
 from .panel import ModalityPanel
 
@@ -133,7 +134,8 @@ def _mp_forward(x, a, w, b, activation):
     return out, (x, a, z, out, activation)
 
 
-def _mp_backward(dout, cache, w):
+def _mp_backward(dout, cache, w, input_grad=True):
+    """-> (dx, dA, dw, db); dx is None when input_grad is false."""
     x, a, z, out, activation = cache
     dpre = dout * (1.0 - out * out) if activation == "tanh" else dout
     n, f = x.shape[0], x.shape[-1]
@@ -142,7 +144,7 @@ def _mp_backward(dout, cache, w):
     dz = dpre @ w.T
     dx_self, dagg = dz[..., :f], dz[..., f:]
     dagg_flat = dagg.reshape(n, -1)
-    dx = dx_self + (a @ dagg_flat).reshape(x.shape)
+    dx = dx_self + (a @ dagg_flat).reshape(x.shape) if input_grad else None
     da = x.reshape(n, -1) @ dagg_flat.T
     return dx, da, dw, db
 
@@ -154,11 +156,13 @@ def _mp2_forward(x, a, params, prefix, out_activation):
     return out, (c1, c2)
 
 
-def _mp2_backward(dout, caches, params, grads, prefix):
-    """Store the weight gradients in grads; return (dx, dA)."""
+def _mp2_backward(dout, caches, params, grads, prefix, input_grad=True):
+    """Store the weight gradients in grads; return (dx, dA), dx None unless input_grad."""
     c1, c2 = caches
     dh1, da2, grads[prefix + "w2"], grads[prefix + "b2"] = _mp_backward(dout, c2, params[prefix + "w2"])
-    dx, da1, grads[prefix + "w1"], grads[prefix + "b1"] = _mp_backward(dh1, c1, params[prefix + "w1"])
+    dx, da1, grads[prefix + "w1"], grads[prefix + "b1"] = _mp_backward(
+        dh1, c1, params[prefix + "w1"], input_grad
+    )
     return dx, da1 + da2
 
 
@@ -226,8 +230,9 @@ def encode_backward(d_out, cache):
     c_cache, s_cache, mlp_cache, params = cache
     grads: dict[str, np.ndarray] = {}
     d_r_c += _mlp_backward(d_h, mlp_cache, params, grads, "mlp.")
-    _, da_c = _mp2_backward(d_r_c, c_cache, params, grads, "enc_c.")
-    _, da_s = _mp2_backward(d_r_s, s_cache, params, grads, "enc_s.")
+    # the encoders' input is the fixed lagged history: no gradient flows into it
+    _, da_c = _mp2_backward(d_r_c, c_cache, params, grads, "enc_c.", input_grad=False)
+    _, da_s = _mp2_backward(d_r_s, s_cache, params, grads, "enc_s.", input_grad=False)
     return da_c + da_s, grads
 
 
@@ -563,7 +568,8 @@ def save_structure(structure: LearnedStructure, path) -> None:
         ).encode(),
         dtype=np.uint8,
     )
-    np.savez(path, **arrays)
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_structure(path) -> LearnedStructure:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mmrca import cli, pipeline
@@ -67,3 +68,35 @@ class TestStageCommands:
         assert self.run(tmp_path, "parse", out) == 0
         assert self.run(tmp_path, "learn", out) == 1
         assert "stage causal_learner failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,artifact", [("encode", "encoder.npz"), ("learn", "structure.npz")]
+    )
+    def test_failed_save_exits_2_and_keeps_the_earlier_artifact(
+        self, tmp_path, monkeypatch, capsys, command, artifact
+    ):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        assert self.run(tmp_path, "run-pipeline", out) == 0
+        before = (out / artifact).read_bytes()
+
+        def savez_until_the_disk_fills(file, **arrays):
+            file.write(b"PK\x03\x04")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", savez_until_the_disk_fills)
+        assert self.run(tmp_path, command, out) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out / artifact).read_bytes() == before
+        assert (out / (artifact + ".partial")).read_bytes() == b"PK\x03\x04"
+
+    def test_runtime_failure_in_a_stage_exits_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("loss is NaN")
+
+        monkeypatch.setattr(pipeline.structure_mod, "fit", diverge)
+        assert self.run(tmp_path, "run-pipeline", out) == 2
+        assert "stage causal_learner failed: loss is NaN" in capsys.readouterr().err

@@ -1,0 +1,87 @@
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import mmrca
+from mmrca import pipeline
+from mmrca.panel import ModalityPanel, write_panel_csv
+
+
+def thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def controls(self):
+        controls = pipeline._openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy bundle no OpenBLAS library here")
+        before = thread_counts(controls)
+        for _, set_ in controls:
+            set_(2)
+        yield controls
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+    def test_one_thread_inside_and_previous_count_after(self, controls):
+        with pipeline._one_blas_thread():
+            assert thread_counts(controls) == [1] * len(controls)
+        assert thread_counts(controls) == [2] * len(controls)
+
+    def test_previous_count_restored_when_the_block_raises(self, controls):
+        with pytest.raises(RuntimeError, match="boom"):
+            with pipeline._one_blas_thread():
+                assert thread_counts(controls) == [1] * len(controls)
+                raise RuntimeError("boom")
+        assert thread_counts(controls) == [2] * len(controls)
+
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # big enough (6 entities, d_model 64) that, left at the library's
+        # thread count, these artifacts differ in bytes between 1 and 2 threads
+        if not pipeline._openblas_thread_controls():
+            pytest.skip("numpy and scipy bundle no OpenBLAS library here")
+        payload = {
+            "paths": {"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path / "out")},
+            "seed": 3,
+            "scenario": {"n_entities": 6, "horizon_T": 100},
+            "encoder": {"epochs": 2},
+            "learner": {"epochs": 4},
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        pipeline.stage_simulate(pipeline.load_config(str(config_path), environ={}))
+
+        src_dir = os.path.dirname(os.path.dirname(mmrca.__file__))
+        outs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+            command = [sys.executable, "-m", "mmrca.cli", "--config", str(config_path)]
+            subprocess.run(command + ["--out", str(out), "run-pipeline"], env=env, check=True,
+                           capture_output=True, timeout=300)
+            outs[threads] = out
+        names = sorted(p.name for p in outs["1"].iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in outs["2"].iterdir() if p.name != "manifest.json")
+        assert "encoder.npz" in names and "ranking.json" in names
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+class TestAtomicWrites:
+    def test_failed_panel_write_leaves_the_earlier_panel_and_a_partial(self, tmp_path):
+        path = tmp_path / "log_panel.csv"
+        panel = ModalityPanel(np.arange(6.0).reshape(2, 3), ["e0"])
+        write_panel_csv(panel, path, "log_pc1")
+        before = path.read_bytes()
+        panel.values = np.array([[1.0, 2.0, "not a number"], [0.0, 0.0, 0.0]], dtype=object)
+        with pytest.raises(ValueError):
+            write_panel_csv(panel, path, "log_pc1")
+        assert path.read_bytes() == before
+        partial = (tmp_path / "log_panel.csv.partial").read_text()
+        assert partial.startswith("timestamp,entity,metric_name,value\n0,e0,log_pc1,1.0\n")
