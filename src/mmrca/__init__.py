@@ -12,7 +12,6 @@ from .encoder import (
     TokenSequence,
     embed_windows,
     reduce_to_series,
-    tokenize,
     train_log_encoder,
 )
 from .fusion import (
@@ -89,7 +88,6 @@ __all__ = [
     "rwr",
     "sample_scenario",
     "structural_hamming",
-    "tokenize",
     "train_log_encoder",
     "transition_matrix",
     "window_sequences",

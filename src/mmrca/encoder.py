@@ -1,15 +1,21 @@
-"""Regression-trained log sequence encoder.
+"""Regression-trained log sequence encoder, and the log series it yields.
 
 Windows of log templates become token sequences ([CLS], then each template
 token followed by its quantized frequency token). A small bidirectional
-transformer is trained to regress the golden-signal anomaly label from the
-[CLS] position, and the trained [CLS] embeddings are projected onto their
-first principal component to yield one time series per entity. Training runs
-the network once per distinct (token sequence, label) row and embedding once
-per distinct token sequence. At a fixed padded length a row's forward pass
-does not depend on the other rows of its batch, and the distinct sequences
-pad to the same length as all windows, so identical windows share one result
-that is bit-identical to embedding every window.
+transformer is trained to regress the golden-signal anomaly label of each
+window from the [CLS] position. Its sigmoid head (LogSequenceEncoder.score)
+maps a [CLS] state to an anomaly score in (0, 1), and the score of each
+(entity, window) cell is the entity's log series (reduce_to_series). When
+every window carries the same label there is nothing to regress, and the
+pipeline scores with an untrained encoder instead: its head weights are zero,
+so every window scores exactly 0.5, a constant series that says the logs hold
+no evidence.
+
+Training runs the network once per distinct (token sequence, label) row and
+embedding once per distinct token sequence. At a fixed padded length a row's
+forward pass does not depend on the other rows of its batch, and the distinct
+sequences pad to the same length as all windows, so identical windows share
+one result that is bit-identical to embedding every window.
 
 The network is plain numpy with hand-derived gradients so that training is
 bit-deterministic and the analytic gradients can be checked against finite
@@ -20,8 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,11 +129,6 @@ class LogTokenizer:
         return TokenSequence(tokens=tokens, max_len=self.config.max_len, truncated=truncated)
 
 
-def tokenize(window: LogSequenceWindow, config: EncoderConfig, vocab_size: int) -> TokenSequence:
-    """One-off tokenization helper mirroring LogTokenizer.tokenize."""
-    return LogTokenizer(vocab_size, config).tokenize(window)
-
-
 def pad_tokens(sequences) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad token sequences to the longest one: (ids, mask), mask 1.0 on real tokens."""
     length = max(len(seq) for seq in sequences)
@@ -223,9 +223,9 @@ class LogSequenceEncoder:
             x = out
         return x, caches
 
-    def predict(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        hidden, _ = self._forward(ids, mask)
-        logits = (hidden[:, 0, :] @ self.params["head_w"]).ravel() + self.params["head_b"][0]
+    def score(self, cls: np.ndarray) -> np.ndarray:
+        """Anomaly score of each [CLS] row: sigmoid(cls @ head_w + head_b), shape (n,)."""
+        logits = (cls @ self.params["head_w"]).ravel() + self.params["head_b"][0]
         return 1.0 / (1.0 + np.exp(-logits))
 
     # -- loss and gradients -----------------------------------------------------
@@ -253,8 +253,7 @@ class LogSequenceEncoder:
 
         hidden, caches = self._forward(ids, mask)
         cls = hidden[:, 0, :]
-        logits = (cls @ p["head_w"]).ravel() + p["head_b"][0]
-        pred = 1.0 / (1.0 + np.exp(-logits))
+        pred = self.score(cls)
         residual = pred - labels
         loss = float((weights * residual**2).sum() / total_weight)
 
@@ -385,87 +384,44 @@ def embed_windows(encoder: LogSequenceEncoder, windows: list[LogSequenceWindow])
     return encoder.embed(windows)
 
 
-# --- PCA reduction to a one-dimensional series --------------------------------
-
-
-@dataclass
-class PcaProjection:
-    direction: np.ndarray
-    mean: np.ndarray
-    explained_variance: float
-
-
-def fit_pca(embeddings: np.ndarray, labels: np.ndarray | None = None) -> PcaProjection:
-    """First principal component (unit norm), sign aligned with the anomaly labels.
-
-    Degenerate (zero-variance) embeddings yield a zero direction and a warning
-    so the projected series is all zeros rather than an error.
-    """
-    embeddings = np.asarray(embeddings, dtype=float)
-    mean = embeddings.mean(axis=0)
-    centered = embeddings - mean
-    cov = centered.T @ centered / max(len(embeddings), 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    top = eigvals[-1]
-    if top <= 1e-15:
-        warnings.warn("embeddings have zero variance; log series will be all zeros")
-        return PcaProjection(direction=np.zeros(embeddings.shape[1]), mean=mean,
-                             explained_variance=0.0)
-    direction = eigvecs[:, -1]
-    # eigh sign is arbitrary: fix a deterministic convention first, then align
-    # with the labels so anomalies point in the positive direction
-    if direction[np.argmax(np.abs(direction))] < 0:
-        direction = -direction
-    if labels is not None:
-        proj = centered @ direction
-        centered_labels = np.asarray(labels, dtype=float) - np.mean(labels)
-        if float(proj @ centered_labels) < 0:
-            direction = -direction
-    return PcaProjection(direction=direction, mean=mean, explained_variance=float(top))
+# --- the log series --------------------------------------------------------------
 
 
 def reduce_to_series(
-    embeddings: np.ndarray,
+    scores: np.ndarray,
     window_index_map,
     n_entities: int,
     kpi: np.ndarray,
-    labels: np.ndarray | None = None,
     entity_names: list[str] | None = None,
-    return_projection: bool = False,
-):
-    """Project embeddings on the first principal component and assemble the log panel.
+) -> ModalityPanel:
+    """Place one anomaly score per (entity, window) cell and assemble the log panel.
 
-    window_index_map holds one (entity, window_index) pair per embedding row;
-    together they must cover the full n_entities x len(kpi) grid exactly once.
-    The KPI series becomes the last panel row.
+    window_index_map holds one (entity, window_index) pair per score; together
+    they must cover the full n_entities x len(kpi) grid exactly once. The KPI
+    series becomes the last panel row.
     """
-    embeddings = np.asarray(embeddings, dtype=float)
+    scores = np.asarray(scores, dtype=float)
     kpi = np.asarray(kpi, dtype=float)
     n_windows = len(kpi)
-    if len(window_index_map) != len(embeddings):
-        raise ValueError("window_index_map must align with the embedding rows")
+    if len(window_index_map) != len(scores):
+        raise ValueError("window_index_map must align with the scores")
     seen = set()
     for entity, window in window_index_map:
         if not (0 <= entity < n_entities and 0 <= window < n_windows):
             raise ValueError(f"window map entry ({entity}, {window}) outside the grid")
         if (entity, window) in seen:
-            raise ValueError(f"duplicate embedding for entity {entity}, window {window}")
+            raise ValueError(f"duplicate score for entity {entity}, window {window}")
         seen.add((entity, window))
     if len(seen) != n_entities * n_windows:
         raise ValueError("window map does not cover every (entity, window) cell")
 
-    pca = fit_pca(embeddings, labels)
-    proj = (embeddings - pca.mean) @ pca.direction
     values = np.zeros((n_entities + 1, n_windows))
     for row, (entity, window) in enumerate(window_index_map):
-        values[entity, window] = proj[row]
+        values[entity, window] = scores[row]
     values[-1] = kpi
     if entity_names is None:
         entity_names = [entity_name(i) for i in range(n_entities)]
-    panel = ModalityPanel(values, entity_names, "kpi")
-    if return_projection:
-        return panel, pca
-    return panel
+    return ModalityPanel(values, entity_names, "kpi")
 
 
 # --- persistence ----------------------------------------------------------------
@@ -480,19 +436,14 @@ def save_encoder(
     checkpoint_path,
     manifest_path,
     vocabulary: list[LogTemplate],
-    pca: PcaProjection | None = None,
 ) -> None:
-    arrays = dict(encoder.params)
-    if pca is not None:
-        arrays["pca_direction"] = pca.direction
-        arrays["pca_mean"] = pca.mean
-        arrays["pca_explained_variance"] = np.array([pca.explained_variance])
     with atomic_open(checkpoint_path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **encoder.params)
     manifest = {
         "config": encoder.config.__dict__,
         "vocab_size": encoder.vocab_size,
         "vocabulary_sha256": vocabulary_hash(vocabulary),
+        "epochs_run": len(encoder.history),
         "final_loss": encoder.history[-1] if encoder.history else None,
         "diagnostics": encoder.diagnostics,
     }
@@ -501,19 +452,23 @@ def save_encoder(
         fh.write("\n")
 
 
-def load_encoder(checkpoint_path, manifest_path) -> tuple[LogSequenceEncoder, PcaProjection | None]:
+def load_encoder(checkpoint_path, manifest_path) -> LogSequenceEncoder:
+    """Rebuild the encoder the manifest describes and load the checkpoint's parameters.
+
+    Raises ValueError naming the first parameter that the checkpoint lacks or
+    holds in another shape, as when the two files come from different saves.
+    """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     config = EncoderConfig(**manifest["config"])
     encoder = LogSequenceEncoder(config, manifest["vocab_size"])
-    data = np.load(checkpoint_path)
-    for key in encoder.params:
-        encoder.params[key] = data[key]
-    pca = None
-    if "pca_direction" in data:
-        pca = PcaProjection(
-            direction=data["pca_direction"],
-            mean=data["pca_mean"],
-            explained_variance=float(data["pca_explained_variance"][0]),
-        )
-    return encoder, pca
+    with np.load(checkpoint_path) as data:
+        for key, param in encoder.params.items():
+            shape = data[key].shape if key in data else None
+            if shape != param.shape:
+                raise ValueError(
+                    f"checkpoint array {key!r} has shape {shape}, "
+                    f"but the manifest's config builds {param.shape}"
+                )
+            encoder.params[key] = data[key]
+    return encoder

@@ -75,13 +75,8 @@ def structural_hamming(a: np.ndarray, b: np.ndarray) -> int:
     b = np.asarray(b).astype(bool)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency matrices must share a square shape")
-    n = a.shape[0]
-    shd = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (a[i, j], a[j, i]) != (b[i, j], b[j, i]):
-                shd += 1
-    return shd
+    differs = (a != b) | (a.T != b.T)
+    return int(np.count_nonzero(np.triu(differs, k=1)))
 
 
 def evaluate_cases(cases: list[EvaluationCase], k_values: list[int]) -> dict:

@@ -1,12 +1,13 @@
 """End-to-end pipeline wiring with persisted stage artifacts.
 
-Stage order: ingest logs -> train the log encoder and reduce to a series ->
-KPI-aware attention -> joint structure learning -> fuse -> random walk ->
-rank -> evaluate. Every stage writes each of its artifacts atomically
-(atomic.atomic_open: the bytes go to a .partial file that is renamed onto
-the final name once complete, so a failed write leaves the earlier artifact
-intact and a .partial behind), and a manifest records the resolved config
-hash, seed and stage timings.
+Stage order: ingest logs -> score every window with the log encoder's
+regression head and place the scores into one series per entity (the encoder
+is trained unless every window label is the same) -> KPI-aware attention ->
+joint structure learning -> fuse -> random walk -> rank -> evaluate. Every
+stage writes each of its artifacts atomically (atomic.atomic_open: the bytes
+go to a .partial file that is renamed onto the final name once complete, so a
+failed write leaves the earlier artifact intact and a .partial behind), and a
+manifest records the resolved config hash, seed and stage timings.
 
 Every stage runs through run_stage, which sets each OpenBLAS library that
 numpy and scipy bundle to one thread for the stage and restores the previous
@@ -295,30 +296,32 @@ def stage_encode(config: dict) -> None:
     truth = read_ground_truth(paths["ground_truth"])
 
     enc_config = encoder_config_from(config)
-    trained = encoder_mod.train_log_encoder(windows, enc_config, vocab_size=len(vocabulary))
-    embeddings = encoder_mod.embed_windows(trained, windows)
+    if len({w.label for w in windows}) > 1:
+        encoder = encoder_mod.train_log_encoder(windows, enc_config, vocab_size=len(vocabulary))
+    else:
+        # one label value leaves nothing to regress: the untrained head's zero
+        # weights score every window alike, so the log series is constant
+        encoder = encoder_mod.LogSequenceEncoder(enc_config, len(vocabulary))
+    scores = encoder.score(encoder_mod.embed_windows(encoder, windows))
 
     metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
     metric_panel = aggregate_windows(metric_native, config["window_size"])
-    labels = np.array([w.label for w in windows])
-    panel, pca = encoder_mod.reduce_to_series(
-        embeddings,
+    panel = encoder_mod.reduce_to_series(
+        scores,
         [(w.entity, w.window_index) for w in windows],
         n_entities=truth["n_entities"],
         kpi=metric_panel.kpi,
-        labels=labels,
         entity_names=truth["entity_names"],
-        return_projection=True,
     )
-    encoder_mod.save_encoder(trained, paths["encoder"], paths["encoder_manifest"], vocabulary, pca)
-    write_panel_csv(panel, paths["log_panel"], "log_pc1")
+    encoder_mod.save_encoder(encoder, paths["encoder"], paths["encoder_manifest"], vocabulary)
+    write_panel_csv(panel, paths["log_panel"], "log_score")
     write_panel_csv(metric_panel, paths["metric_panel"], config["metric_kind"])
 
 
 def stage_learn(config: dict) -> None:
     paths = _paths(config)
     metric_panel = read_panel_csv(paths["metric_panel"], metric_name=config["metric_kind"])
-    log_panel = read_panel_csv(paths["log_panel"], metric_name="log_pc1")
+    log_panel = read_panel_csv(paths["log_panel"], metric_name="log_score")
 
     max_lag = config["fusion"]["max_lag"]
     score_metric = fusion_mod.cross_correlation_scores(metric_panel, max_lag, "metric")

@@ -45,13 +45,10 @@ def transition_matrix(adjacency: np.ndarray, beta: float = 0.1) -> np.ndarray:
         raise ValueError("beta must lie in [0, 1]")
     n = a.shape[0]
     incoming = a.sum(axis=0)  # incoming[i] = sum_k A[k, i]
+    caused = incoming > 0
     p = np.zeros((n, n))
-    for i in range(n):
-        if incoming[i] > 0:
-            p[i, :] = (1.0 - beta) * a[:, i] / incoming[i]
-            p[i, i] += beta
-        else:
-            p[i, i] = 1.0
+    p[caused] = (1.0 - beta) * a.T[caused] / incoming[caused, None]
+    p[np.diag_indices(n)] += np.where(caused, beta, 1.0)
     return p
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from mmrca.encoder import (
     LogSequenceEncoder,
     LogTokenizer,
     embed_windows,
-    fit_pca,
     freq_bucket,
     load_encoder,
     reduce_to_series,
@@ -275,99 +276,74 @@ class TestEmbeddings:
         assert not np.allclose(fwd[0], fwd[1])
 
 
-class TestPca:
-    def test_rank_one_embeddings_recover_axis(self):
-        rng = np.random.default_rng(0)
-        coords = rng.standard_normal(40)
-        axis = np.zeros(6)
-        axis[1] = 1.0
-        emb = np.outer(coords, axis)
-        pca = fit_pca(emb)
-        proj = (emb - pca.mean) @ pca.direction
-        assert np.allclose(np.abs(pca.direction), axis)
-        assert np.allclose(proj, np.sign(pca.direction[1]) * (coords - coords.mean()))
-
-    def test_unit_norm_direction(self):
-        rng = np.random.default_rng(1)
-        pca = fit_pca(rng.standard_normal((30, 5)))
-        assert np.linalg.norm(pca.direction) == pytest.approx(1.0)
-
-    def test_translation_invariance(self):
-        rng = np.random.default_rng(2)
-        emb = rng.standard_normal((25, 4))
-        base = fit_pca(emb)
-        shifted = fit_pca(emb + 7.5)
-        proj_a = (emb - base.mean) @ base.direction
-        proj_b = (emb + 7.5 - shifted.mean) @ shifted.direction
-        assert np.allclose(np.abs(proj_a), np.abs(proj_b), atol=1e-10)
-
-    def test_variance_matches_eigendecomposition_oracle(self):
-        rng = np.random.default_rng(3)
-        emb = rng.standard_normal((60, 7)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2, 0.1, 0.05])
-        pca = fit_pca(emb)
-        proj = (emb - pca.mean) @ pca.direction
-        centered = emb - emb.mean(axis=0)
-        top_eig = np.linalg.eigvalsh(centered.T @ centered / len(emb))[-1]
-        assert proj.var() == pytest.approx(top_eig, abs=1e-8)
-        assert pca.explained_variance == pytest.approx(top_eig, abs=1e-8)
-
-    def test_sign_follows_labels(self):
-        rng = np.random.default_rng(4)
-        coords = rng.standard_normal(50)
-        emb = np.outer(coords, [1.0, 0.0, 0.0])
-        labels = coords  # anomaly grows with the coordinate
-        pca = fit_pca(emb, labels)
-        proj = (emb - pca.mean) @ pca.direction
-        assert np.corrcoef(proj, labels)[0, 1] > 0
-
-    def test_zero_variance_warns_and_zeroes(self):
-        emb = np.ones((10, 3))
-        with pytest.warns(UserWarning):
-            pca = fit_pca(emb)
-        assert np.all(pca.direction == 0.0)
-
-
 class TestReduceToSeries:
     def make_inputs(self):
         rng = np.random.default_rng(5)
-        n_entities, n_windows, d = 3, 8, 4
+        n_entities, n_windows = 3, 8
         windows = [(e, w) for e in range(n_entities) for w in range(n_windows)]
-        emb = rng.standard_normal((len(windows), d))
+        scores = rng.standard_normal(len(windows))
         kpi = rng.standard_normal(n_windows)
-        return emb, windows, n_entities, kpi
+        return scores, windows, n_entities, kpi
 
     def test_panel_shape(self):
-        emb, window_map, n_entities, kpi = self.make_inputs()
-        panel = reduce_to_series(emb, window_map, n_entities, kpi)
+        scores, window_map, n_entities, kpi = self.make_inputs()
+        panel = reduce_to_series(scores, window_map, n_entities, kpi)
         assert panel.values.shape == (n_entities + 1, len(kpi))
         assert np.allclose(panel.values[-1], kpi)
 
+    def test_each_cell_holds_the_score_of_its_window(self):
+        scores, window_map, n_entities, kpi = self.make_inputs()
+        order = np.random.default_rng(6).permutation(len(window_map))
+        panel = reduce_to_series(scores[order], [window_map[i] for i in order], n_entities, kpi)
+        for score, (entity, index) in zip(scores, window_map):
+            assert panel.values[entity, index] == score
+
     def test_grid_must_be_covered(self):
-        emb, window_map, n_entities, kpi = self.make_inputs()
+        scores, window_map, n_entities, kpi = self.make_inputs()
         with pytest.raises(ValueError):
-            reduce_to_series(emb[:-1], window_map[:-1], n_entities, kpi)
+            reduce_to_series(scores[:-1], window_map[:-1], n_entities, kpi)
 
     def test_duplicates_rejected(self):
-        emb, window_map, n_entities, kpi = self.make_inputs()
+        scores, window_map, n_entities, kpi = self.make_inputs()
         window_map[1] = window_map[0]
         with pytest.raises(ValueError):
-            reduce_to_series(emb, window_map, n_entities, kpi)
+            reduce_to_series(scores, window_map, n_entities, kpi)
 
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         windows = separable_corpus(6)
         encoder = train_log_encoder(windows, toy_config(epochs=20))
-        emb = embed_windows(encoder, windows)
-        pca = fit_pca(emb, np.array([w.label for w in windows]))
         vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
         ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
-        save_encoder(encoder, ckpt, manifest, vocabulary, pca)
-        restored, restored_pca = load_encoder(ckpt, manifest)
+        save_encoder(encoder, ckpt, manifest, vocabulary)
+        restored = load_encoder(ckpt, manifest)
         for key in encoder.params:
             assert np.array_equal(restored.params[key], encoder.params[key])
-        assert np.array_equal(restored_pca.direction, pca.direction)
         assert restored.config == encoder.config
+
+    def test_checkpoint_from_another_save_is_rejected(self, tmp_path, monkeypatch):
+        # a save that fails between its two files leaves the new checkpoint
+        # beside the manifest of the save before it
+        windows = separable_corpus(3)
+        vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
+        ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
+        save_encoder(train_log_encoder(windows, toy_config(d_model=8, epochs=2)),
+                     ckpt, manifest, vocabulary)
+
+        def dump_fails(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_fails)
+        with pytest.raises(OSError):
+            save_encoder(train_log_encoder(windows, toy_config(d_model=16, epochs=2)),
+                         ckpt, manifest, vocabulary)
+        monkeypatch.undo()
+        with np.load(ckpt) as checkpoint:
+            assert checkpoint["tok_emb"].shape[1] == 16
+        assert json.loads(manifest.read_text())["config"]["d_model"] == 8
+        with pytest.raises(ValueError, match="'tok_emb'"):
+            load_encoder(ckpt, manifest)
 
     def test_vocabulary_hash_changes_with_content(self):
         a = [LogTemplate(0, "x")]

@@ -110,6 +110,17 @@ class TestCaseValidation:
             case(["a", "a"], {"a"})
 
 
+def structural_hamming_loop(a, b):
+    """Pair-by-pair reference for structural_hamming."""
+    a, b = np.asarray(a).astype(bool), np.asarray(b).astype(bool)
+    shd = 0
+    for i in range(a.shape[0]):
+        for j in range(i + 1, a.shape[0]):
+            if (a[i, j], a[j, i]) != (b[i, j], b[j, i]):
+                shd += 1
+    return shd
+
+
 class TestStructuralHamming:
     def test_identical(self):
         a = np.array([[0, 1], [0, 0]])
@@ -124,6 +135,15 @@ class TestStructuralHamming:
         a = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         b = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
         assert structural_hamming(a, b) == 2
+
+    def test_equal_to_the_pair_loop(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 45):
+            a = rng.random((n, n)) < rng.uniform(0.0, 0.5)
+            b = rng.random((n, n)) < rng.uniform(0.0, 0.5)
+            a[:, rng.random(n) < 0.3] = False  # nodes with no incoming edge
+            for x, y in ((a, b), (a, a), (a, a.T), (a.astype(int), b.astype(float))):
+                assert structural_hamming(x, y) == structural_hamming_loop(x, y), n
 
 
 def test_evaluate_cases_report():

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 import mmrca
-from mmrca import pipeline
-from mmrca.panel import ModalityPanel, write_panel_csv
+from mmrca import cli, pipeline
+from mmrca import encoder as encoder_mod
+from mmrca.logs import windows_from_jsonl
+from mmrca.panel import ModalityPanel, read_panel_csv, write_panel_csv
 
 
 def thread_counts(controls):
@@ -85,3 +88,63 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         partial = (tmp_path / "log_panel.csv.partial").read_text()
         assert partial.startswith("timestamp,entity,metric_name,value\n0,e0,log_pc1,1.0\n")
+
+
+class TestLogSeries:
+    TINY = {"encoder": {"epochs": 2, "d_model": 8}, "learner": {"epochs": 2}}
+
+    def run(self, tmp_path, fault_type, command):
+        payload = dict(
+            self.TINY,
+            scenario={"n_entities": 3, "horizon_T": 40, "fault_type": fault_type},
+            paths={"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path / "out")},
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        return cli.main(["--config", str(config), "--seed", "3", command])
+
+    def outputs(self, tmp_path):
+        out = tmp_path / "out"
+        windows = windows_from_jsonl((out / "windows.jsonl").read_text())
+        panel = read_panel_csv(out / "log_panel.csv", metric_name="log_score")
+        manifest = json.loads((out / "encoder_manifest.json").read_text())
+        return windows, panel, manifest
+
+    def test_each_cell_is_the_head_score_of_its_window(self, tmp_path):
+        for command in ("simulate", "parse", "encode"):
+            assert self.run(tmp_path, "both", command) == 0, command
+        windows, panel, manifest = self.outputs(tmp_path)
+        assert len({w.label for w in windows}) > 1
+        assert manifest["epochs_run"] == 2
+
+        out = tmp_path / "out"
+        encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
+        with pipeline._one_blas_thread():
+            cls = encoder_mod.embed_windows(encoder, windows)
+        logits = (cls @ encoder.params["head_w"]).ravel() + encoder.params["head_b"][0]
+        expected = 1.0 / (1.0 + np.exp(-logits))
+        values_of = defaultdict(set)
+        for w, score in zip(windows, expected):
+            value = panel.values[w.entity, w.window_index]
+            assert value == score, (w.entity, w.window_index)
+            values_of[tuple(encoder.tokenizer.tokenize(w).tokens)].add(value)
+        assert len(values_of) < len(windows)
+        assert all(len(values) == 1 for values in values_of.values())
+
+    def test_constant_labels_train_nothing_and_give_a_constant_series(
+        self, tmp_path, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_log_encoder called on constant labels")
+
+        monkeypatch.setattr(encoder_mod, "train_log_encoder", no_training)
+        for command in ("simulate", "parse", "encode"):
+            assert self.run(tmp_path, "metric_only", command) == 0, command
+        windows, panel, manifest = self.outputs(tmp_path)
+        assert len({w.label for w in windows}) == 1
+        for row in panel.values[:-1]:
+            assert np.all(row == row[0])
+        assert manifest["epochs_run"] == 0
+        assert manifest["final_loss"] is None
+        for command in ("learn", "localize", "evaluate"):
+            assert self.run(tmp_path, "metric_only", command) == 0, command

@@ -10,6 +10,20 @@ def solve_fixed_point(p, p0, c):
     return np.linalg.solve(np.eye(n) - (1.0 - c) * p.T, c * p0)
 
 
+def transition_matrix_loop(a, beta):
+    """Row-by-row reference for transition_matrix."""
+    n = a.shape[0]
+    incoming = a.sum(axis=0)
+    p = np.zeros((n, n))
+    for i in range(n):
+        if incoming[i] > 0:
+            p[i, :] = (1.0 - beta) * a[:, i] / incoming[i]
+            p[i, i] += beta
+        else:
+            p[i, i] = 1.0
+    return p
+
+
 class TestTransitionMatrix:
     def test_two_node_chain(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])  # edge 0 -> 1
@@ -33,6 +47,14 @@ class TestTransitionMatrix:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             transition_matrix(np.array([[0.0, -1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.37, 1.0])
+    def test_bitwise_equal_to_the_row_loop(self, beta):
+        rng = np.random.default_rng(2)
+        for n in range(1, 45):
+            a = rng.uniform(size=(n, n)) * (rng.random((n, n)) < 0.4)
+            a[:, rng.random(n) < 0.3] = 0.0  # nodes with no incoming weight
+            assert np.array_equal(transition_matrix(a, beta), transition_matrix_loop(a, beta)), n
 
 
 class TestRwr:
