@@ -8,8 +8,9 @@ maps a [CLS] state to an anomaly score in (0, 1), and the score of each
 (entity, window) cell is the entity's log series (reduce_to_series). When
 every window carries the same label there is nothing to regress, and the
 pipeline scores with an untrained encoder instead: its head weights are zero,
-so every window scores exactly 0.5, a constant series that says the logs hold
-no evidence.
+so any [CLS] state scores exactly 0.5, and the pipeline skips running the
+transformer over the windows. The result is a constant series that says the
+logs hold no evidence.
 
 Training runs the network once per distinct (token sequence, label) row and
 embedding once per distinct token sequence. At a fixed padded length a row's
@@ -340,13 +341,7 @@ def train_log_encoder(
         ) + 1
     encoder = LogSequenceEncoder(config, vocab_size)
 
-    groups: dict[tuple, int] = {}
-    truncated = 0
-    for window in windows:
-        sequence = encoder.tokenizer.tokenize(window)
-        truncated += sequence.truncated
-        tokens = tuple(sequence.tokens)
-        groups[(tokens, window.label)] = groups.get((tokens, window.label), 0) + 1
+    groups, diagnostics = group_windows(encoder.tokenizer, windows)
     keys = list(groups)
     ids, mask = pad_tokens([tokens for tokens, _ in keys])
     labels = np.array([label for _, label in keys], dtype=float)
@@ -370,9 +365,24 @@ def train_log_encoder(
             raise FloatingPointError(f"training loss became non-finite at epoch {epoch}")
         encoder.history.append(loss)
         optimizer.step(grads)
-    encoder.diagnostics["truncated_windows"] = truncated
-    encoder.diagnostics["unique_sequences"] = len(keys)
+    encoder.diagnostics = diagnostics
     return encoder
+
+
+def group_windows(tokenizer: LogTokenizer, windows: list[LogSequenceWindow]) -> tuple[dict, dict]:
+    """Count the windows of each distinct (token sequence, label) pair, in first-seen order.
+
+    Returns the counts and the diagnostics the encoder manifest reports: the
+    windows whose sequence was truncated and the number of distinct pairs.
+    """
+    groups: dict[tuple, int] = {}
+    truncated = 0
+    for window in windows:
+        sequence = tokenizer.tokenize(window)
+        truncated += sequence.truncated
+        key = (tuple(sequence.tokens), window.label)
+        groups[key] = groups.get(key, 0) + 1
+    return groups, {"truncated_windows": truncated, "unique_sequences": len(groups)}
 
 
 def embed_windows(encoder: LogSequenceEncoder, windows: list[LogSequenceWindow]) -> np.ndarray:

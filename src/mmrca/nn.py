@@ -60,7 +60,9 @@ class Adam:
     """Adaptive-moment gradient descent over a dict of parameter arrays (in place).
 
     step(grads) updates every key of grads with bias-corrected first and second
-    moment estimates; there is no weight decay.
+    moment estimates; there is no weight decay. The moments, the parameters and
+    two per-key work arrays are updated in place, in the order of operations of
+    the textbook expressions, so the result is the same to the bit.
     """
 
     def __init__(
@@ -79,14 +81,27 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._work = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, grads: dict) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for key, g in grads.items():
-            self.m[key] = b1 * self.m[key] + (1 - b1) * g
-            self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
-            m_hat = self.m[key] / (1 - b1**self.t)
-            v_hat = self.v[key] / (1 - b2**self.t)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            self.params[key] -= self.lr * update
+            m, v = self.m[key], self.v[key]
+            update, denom = self._work[key]
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            m += np.multiply(1 - b1, g, out=update)
+            # v = b2 * v + (1 - b2) * g * g
+            v *= b2
+            np.multiply(1 - b2, g, out=update)
+            update *= g
+            v += update
+            # params -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+            np.divide(m, 1 - b1**self.t, out=update)
+            np.divide(v, 1 - b2**self.t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            update *= self.lr
+            self.params[key] -= update

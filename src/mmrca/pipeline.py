@@ -1,8 +1,9 @@
 """End-to-end pipeline wiring with persisted stage artifacts.
 
 Stage order: ingest logs -> score every window with the log encoder's
-regression head and place the scores into one series per entity (the encoder
-is trained unless every window label is the same) -> KPI-aware attention ->
+regression head and place the scores into one series per entity (when every
+window label is the same, the encoder is neither trained nor run over the
+windows: its untrained head scores every window 0.5) -> KPI-aware attention ->
 joint structure learning -> fuse -> random walk -> rank -> evaluate. Every
 stage writes each of its artifacts atomically (atomic.atomic_open: the bytes
 go to a .partial file that is renamed onto the final name once complete, so a
@@ -298,11 +299,14 @@ def stage_encode(config: dict) -> None:
     enc_config = encoder_config_from(config)
     if len({w.label for w in windows}) > 1:
         encoder = encoder_mod.train_log_encoder(windows, enc_config, vocab_size=len(vocabulary))
+        cls = encoder_mod.embed_windows(encoder, windows)
     else:
         # one label value leaves nothing to regress: the untrained head's zero
-        # weights score every window alike, so the log series is constant
+        # weights score any [CLS] state 0.5, so the transformer need not run
         encoder = encoder_mod.LogSequenceEncoder(enc_config, len(vocabulary))
-    scores = encoder.score(encoder_mod.embed_windows(encoder, windows))
+        _, encoder.diagnostics = encoder_mod.group_windows(encoder.tokenizer, windows)
+        cls = np.zeros((len(windows), enc_config.d_model))
+    scores = encoder.score(cls)
 
     metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
     metric_panel = aggregate_windows(metric_native, config["window_size"])

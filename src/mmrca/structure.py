@@ -19,6 +19,16 @@ into gradients of the term's inputs and parameters. `acyclicity` returns
 (h, expm(A * A)), which the gradient reuses. `objective_gradients` composes
 these pairs, and is what both `fit` and the finite-difference checks call;
 all gradients are hand-derived.
+
+The arrays that grow with the series length (every (n, m, .) forward cache
+and backward temporary) live in a `Workspace`, keyed by modality and layer,
+and are overwritten in place on every call. The caller owns the workspace:
+`fit` creates one per run and passes it to every epoch, and a forward or
+`objective_gradients` called without one creates a fresh one. What a forward
+returns and caches refers to workspace arrays, so it is valid only until the
+next call on the same workspace. What `objective_gradients` returns (the
+total, the breakdown and the gradient arrays, which are parameter-sized and
+allocated per call) stays valid after the next call.
 """
 
 from __future__ import annotations
@@ -103,6 +113,36 @@ class LearnedStructure:
     standardization: dict = field(default_factory=dict)
 
 
+class Workspace:
+    """Named arrays that the learner writes on every epoch instead of allocating anew.
+
+    `array(name, shape)` makes an array on the first request and hands the same
+    one out on every later request of that name and shape. `scope(name)` is a
+    view of the same store whose names carry the prefix `name.`; `scratch(shape)`
+    is one temporary per shape shared by every scope, valid until the next
+    scratch request of that shape.
+    """
+
+    def __init__(self, _store: dict | None = None, _prefix: str = ""):
+        self._store = {} if _store is None else _store
+        self._prefix = _prefix
+
+    def scope(self, name: str) -> Workspace:
+        return Workspace(self._store, f"{self._prefix}{name}.")
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        return self._get(self._prefix + name, shape)
+
+    def scratch(self, shape: tuple) -> np.ndarray:
+        return self._get(f"scratch{shape}", shape)
+
+    def _get(self, key: str, shape: tuple) -> np.ndarray:
+        arr = self._store.get(key)
+        if arr is None or arr.shape != shape:
+            arr = self._store[key] = np.empty(shape)
+        return arr
+
+
 def adjacency_from_free(free_weights: np.ndarray) -> np.ndarray:
     a = expit(free_weights)
     a = a * (1.0 - np.eye(a.shape[0]))
@@ -124,35 +164,57 @@ def build_lagged(panel, p: int) -> LaggedBatch:
 # --- message passing primitives -------------------------------------------------
 
 
-def _mp_forward(x, a, w, b, activation):
-    # agg[i] = sum_j A[j, i] x[j]: nodes aggregate their causes
-    n = x.shape[0]
-    agg = (a.T @ x.reshape(n, -1)).reshape(x.shape)
-    z = np.concatenate([x, agg], axis=-1)
-    pre = z @ w + b
-    out = np.tanh(pre) if activation == "tanh" else pre
-    return out, (x, a, z, out, activation)
+def _linear(x, w, out):
+    """out = x @ w over the last axis of x, as one 2-D product written into out."""
+    np.matmul(x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, w.shape[-1]))
+    return out
+
+
+def _mp_forward(x, a, w, b, activation, ws):
+    """act(x @ w[:f] + agg @ w[f:] + b), where agg[i] = sum_j A[j, i] x[j] aggregates i's causes."""
+    n, f = x.shape[0], x.shape[-1]
+    agg = ws.array("agg", x.shape)
+    np.matmul(a.T, x.reshape(n, -1), out=agg.reshape(n, -1))
+    out = _linear(x, w[:f], ws.array("out", x.shape[:-1] + (w.shape[1],)))
+    out += _linear(agg, w[f:], ws.scratch(out.shape))
+    out += b
+    if activation == "tanh":
+        np.tanh(out, out=out)
+    return out, (x, a, agg, out, activation, ws)
 
 
 def _mp_backward(dout, cache, w, input_grad=True):
     """-> (dx, dA, dw, db); dx is None when input_grad is false."""
-    x, a, z, out, activation = cache
-    dpre = dout * (1.0 - out * out) if activation == "tanh" else dout
+    x, a, agg, out, activation, ws = cache
     n, f = x.shape[0], x.shape[-1]
-    dw = z.reshape(-1, z.shape[-1]).T @ dpre.reshape(-1, dpre.shape[-1])
+    if activation == "tanh":
+        dpre = np.multiply(out, out, out=ws.array("dpre", out.shape))
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= dout
+    else:
+        dpre = dout
+    dpre_flat = dpre.reshape(-1, dpre.shape[-1])
+    dw = np.empty(w.shape)
+    np.matmul(x.reshape(-1, f).T, dpre_flat, out=dw[:f])
+    np.matmul(agg.reshape(-1, f).T, dpre_flat, out=dw[f:])
     db = dpre.sum(axis=(0, 1))
-    dz = dpre @ w.T
-    dx_self, dagg = dz[..., :f], dz[..., f:]
-    dagg_flat = dagg.reshape(n, -1)
-    dx = dx_self + (a @ dagg_flat).reshape(x.shape) if input_grad else None
-    da = x.reshape(n, -1) @ dagg_flat.T
+    dagg = _linear(dpre, w[f:].T, ws.array("dagg", x.shape))
+    da = x.reshape(n, -1) @ dagg.reshape(n, -1).T
+    if not input_grad:
+        return None, da, dw, db
+    dx = _linear(dpre, w[:f].T, ws.array("dx", x.shape))
+    dx_agg = ws.scratch(x.shape)
+    np.matmul(a, dagg.reshape(n, -1), out=dx_agg.reshape(n, -1))
+    dx += dx_agg
     return dx, da, dw, db
 
 
-def _mp2_forward(x, a, params, prefix, out_activation):
+def _mp2_forward(x, a, params, prefix, out_activation, ws):
     """Two message-passing layers (tanh, then out_activation) with weights prefix+w1/b1/w2/b2."""
-    h1, c1 = _mp_forward(x, a, params[prefix + "w1"], params[prefix + "b1"], "tanh")
-    out, c2 = _mp_forward(h1, a, params[prefix + "w2"], params[prefix + "b2"], out_activation)
+    h1, c1 = _mp_forward(x, a, params[prefix + "w1"], params[prefix + "b1"], "tanh", ws.scope("1"))
+    out, c2 = _mp_forward(
+        h1, a, params[prefix + "w2"], params[prefix + "b2"], out_activation, ws.scope("2")
+    )
     return out, (c1, c2)
 
 
@@ -208,15 +270,18 @@ def _normalize_rows_backward(d_hat, h_hat, norms, floored, eps: float = 1e-8):
 # --- objective terms: each forward returns (value, cache) ---------------------------
 
 
-def encode(batch: LaggedBatch, adjacency: np.ndarray, params: dict):
+def encode(
+    batch: LaggedBatch, adjacency: np.ndarray, params: dict, workspace: Workspace | None = None
+):
     """Run both encoders plus the entity MLP for one modality.
 
     `params` holds prefix-free keys (enc_c.w1, enc_s.w1, mlp.w1, ...). Returns
     ((R_c, R_s, H), cache): shared representation, private representation and
     pooled entity representation.
     """
-    r_c, c_cache = _mp2_forward(batch.history, adjacency, params, "enc_c.", "tanh")
-    r_s, s_cache = _mp2_forward(batch.history, adjacency, params, "enc_s.", "tanh")
+    ws = Workspace() if workspace is None else workspace
+    r_c, c_cache = _mp2_forward(batch.history, adjacency, params, "enc_c.", "tanh", ws.scope("enc_c"))
+    r_s, s_cache = _mp2_forward(batch.history, adjacency, params, "enc_s.", "tanh", ws.scope("enc_s"))
     h, mlp_cache = _mlp_forward(r_c, params, "mlp.")
     return (r_c, r_s, h), (c_cache, s_cache, mlp_cache, params)
 
@@ -236,9 +301,18 @@ def encode_backward(d_out, cache):
     return da_c + da_s, grads
 
 
-def loss_var(target: np.ndarray, r_c: np.ndarray, r_s: np.ndarray, adjacency: np.ndarray, decoder_params: dict):
+def loss_var(
+    target: np.ndarray,
+    r_c: np.ndarray,
+    r_s: np.ndarray,
+    adjacency: np.ndarray,
+    decoder_params: dict,
+    workspace: Workspace | None = None,
+):
     """Squared prediction error of the message-passing decoder on R_c + R_s."""
-    out, caches = _mp2_forward(r_c + r_s, adjacency, decoder_params, "", "linear")
+    ws = Workspace() if workspace is None else workspace
+    x = np.add(r_c, r_s, out=ws.array("input", r_c.shape))
+    out, caches = _mp2_forward(x, adjacency, decoder_params, "", "linear", ws)
     out = out[..., 0]
     return float(((target - out) ** 2).sum()), (target, out, caches, decoder_params)
 
@@ -251,21 +325,23 @@ def loss_var_backward(scale: float, cache):
     return d_r, d_a, grads
 
 
-def loss_orth(r_c: np.ndarray, r_s: np.ndarray):
+def loss_orth(r_c: np.ndarray, r_s: np.ndarray, workspace: Workspace | None = None):
     """Sum over entities of the squared Frobenius cross-product of shared/private."""
     if r_c.shape != r_s.shape:
         raise ValueError("shared and private representations must share a shape")
     cross = np.matmul(r_s.transpose(0, 2, 1), r_c)
-    return float((cross**2).sum()), (r_c, r_s, cross)
+    ws = Workspace() if workspace is None else workspace
+    return float((cross**2).sum()), (r_c, r_s, cross, ws)
 
 
 def loss_orth_backward(scale: float, cache):
     """-> (dR_c, dR_s)."""
-    r_c, r_s, cross = cache
-    return (
-        scale * 2.0 * np.matmul(r_s, cross),
-        scale * 2.0 * np.matmul(r_c, cross.transpose(0, 2, 1)),
-    )
+    r_c, r_s, cross, ws = cache
+    d_r_c = np.matmul(r_s, cross, out=ws.array("d_r_c", r_c.shape))
+    d_r_c *= scale * 2.0
+    d_r_s = np.matmul(r_c, cross.transpose(0, 2, 1), out=ws.array("d_r_s", r_s.shape))
+    d_r_s *= scale * 2.0
+    return d_r_c, d_r_s
 
 
 def loss_node(h_metric: np.ndarray, h_log: np.ndarray, temperature: float = 0.5):
@@ -296,28 +372,32 @@ def loss_node_backward(scale: float, cache):
 
 
 def loss_edge(h: np.ndarray, adjacency: np.ndarray, edge_params: dict):
-    """Squared error of the sigmoid edge head against the adjacency, diagonal excluded."""
-    n = h.shape[0]
-    e = np.concatenate(
-        [np.repeat(h[:, None, :], n, axis=1), np.repeat(h[None, :, :], n, axis=0)], axis=-1
-    )
-    g = expit((e @ edge_params["w"]).squeeze(-1) + edge_params["b"][0])
+    """Squared error of the sigmoid edge head against the adjacency, diagonal excluded.
+
+    The head reads the pair [h_i, h_j], so its logit splits into a source and
+    a target part: (h @ w[:d2])[i] + (h @ w[d2:])[j] + b.
+    """
+    n, d2 = h.shape
+    w = edge_params["w"].ravel()
+    g = expit((h @ w[:d2])[:, None] + (h @ w[d2:])[None, :] + edge_params["b"][0])
     mask = 1.0 - np.eye(n)
-    return float((mask * (g - adjacency) ** 2).sum()), (e, g, adjacency, mask, edge_params)
+    return float((mask * (g - adjacency) ** 2).sum()), (h, g, adjacency, mask, edge_params)
 
 
 def loss_edge_backward(scale: float, cache):
     """-> (dH, dA, edge-head gradients keyed w and b)."""
-    e, g, adjacency, mask, params = cache
+    h, g, adjacency, mask, params = cache
+    d2 = h.shape[1]
     dg = scale * mask * 2.0 * (g - adjacency)
     dz = dg * g * (1.0 - g)
+    # each node's logit gradient as the source (rows) and as the target (columns) of an edge
+    dz_source, dz_target = dz.sum(axis=1), dz.sum(axis=0)
     grads = {
-        "w": (e.reshape(-1, e.shape[-1]).T @ dz.ravel())[:, None],
+        "w": np.concatenate([h.T @ dz_source, h.T @ dz_target])[:, None],
         "b": np.array([dz.sum()]),
     }
-    de = dz[:, :, None] * params["w"].ravel()[None, None, :]
-    d2 = e.shape[-1] // 2
-    return de[:, :, :d2].sum(axis=1) + de[:, :, d2:].sum(axis=0), -dg, grads
+    w = params["w"].ravel()
+    return dz_source[:, None] * w[:d2] + dz_target[:, None] * w[d2:], -dg, grads
 
 
 def acyclicity(adjacency: np.ndarray):
@@ -369,6 +449,7 @@ def objective_gradients(
     attention: tuple[float, float],
     config: LearnerConfig,
     multiplier: float = 1.0,
+    workspace: Workspace | None = None,
 ):
     """Objective value, per-term weighted breakdown, and analytic gradients.
 
@@ -376,6 +457,8 @@ def objective_gradients(
     plus its own R_s. The backward pass hands each term's weight to the term's
     backward function and sums the gradients reaching each representation and
     adjacency in a fixed order, so results are reproducible bit for bit.
+    Intermediates are written into `workspace` (a fresh one when None); the
+    returned values do not refer to it.
     """
     a_log, a_metric = attention
     if not np.isclose(a_log + a_metric, 1.0):
@@ -386,18 +469,23 @@ def objective_gradients(
     mask = 1.0 - np.eye(n)
     sub = {v: _subparams(params, f"{v}.") for v in MODALITIES}
     adj = {v: adjacency_from_free(params[f"{v}.adj"]) for v in MODALITIES}
+    ws = Workspace() if workspace is None else workspace
 
     rep, enc = {}, {}
     for v in MODALITIES:
-        rep[v], enc[v] = encode(batches[v], adj[v], sub[v])
-    r_combined = weights["log"] * rep["log"][0] + weights["metric"] * rep["metric"][0]
+        rep[v], enc[v] = encode(batches[v], adj[v], sub[v], ws.scope(v))
+    shape = rep["metric"][0].shape
+    r_combined = np.multiply(rep["log"][0], weights["log"], out=ws.array("r_combined", shape))
+    r_combined += np.multiply(rep["metric"][0], weights["metric"], out=ws.scratch(shape))
 
     # each term: (value, cache) per modality
     var, orth, edge, acyc = {}, {}, {}, {}
     for v in MODALITIES:
         _, r_s, h = rep[v]
-        var[v] = loss_var(batches[v].target, r_combined, r_s, adj[v], _subparams(sub[v], "dec."))
-        orth[v] = loss_orth(rep[v][0], r_s)
+        var[v] = loss_var(
+            batches[v].target, r_combined, r_s, adj[v], _subparams(sub[v], "dec."), ws.scope(f"{v}.dec")
+        )
+        orth[v] = loss_orth(rep[v][0], r_s, ws.scope(f"{v}.orth"))
         edge[v] = loss_edge(h, adj[v], _subparams(sub[v], "edge."))
         acyc[v] = acyclicity(adj[v])
     node_term, node_cache = loss_node(rep["metric"][2], rep["log"][2], config.temperature)
@@ -423,13 +511,12 @@ def objective_gradients(
     )
     breakdown["total"] = total
 
-    # ---- backward
-    # The gradients reaching R_c accumulate in place, in buffers allocated
-    # before any backward temporaries: built from fresh sums instead, the
-    # backward pass ran about 5% slower (n = 7 and 41, one BLAS thread).
+    # ---- backward: the gradients reaching R_c accumulate in place
     grads: dict[str, np.ndarray] = {}
-    d_r_c = {v: np.zeros_like(rep[v][0]) for v in MODALITIES}
-    d_combined = np.zeros_like(r_combined)
+    d_r_c = {v: ws.array(f"{v}.d_r_c", shape) for v in MODALITIES}
+    d_combined = ws.array("d_combined", shape)
+    for accumulator in (*d_r_c.values(), d_combined):
+        accumulator.fill(0.0)
     d_r_s, d_a_var = {}, {}
     for v in MODALITIES:
         d_r_s[v], d_a_var[v], dec_grads = loss_var_backward(config.lambda1, var[v][1])
@@ -438,7 +525,7 @@ def objective_gradients(
     d_h_node = dict(zip(MODALITIES, loss_node_backward(config.lambda3, node_cache)))
 
     for v in MODALITIES:
-        d_r_c[v] += weights[v] * d_combined
+        d_r_c[v] += np.multiply(d_combined, weights[v], out=ws.scratch(shape))
         d_r_c_orth, d_r_s_orth = loss_orth_backward(config.lambda2, orth[v][1])
         d_r_c[v] += d_r_c_orth
         d_r_s[v] += d_r_s_orth
@@ -500,11 +587,12 @@ def fit(
 
     params = init_params(n, config)
     optimizer = Adam(params, lr=config.lr)
+    workspace = Workspace()
     history: dict[str, list] = {}
     for epoch in range(config.epochs):
         multiplier = config.acyclicity_multiplier(epoch)
         total, breakdown, grads = objective_gradients(
-            params, batch_metric, batch_log, attention, config, multiplier
+            params, batch_metric, batch_log, attention, config, multiplier, workspace
         )
         if not np.isfinite(total):
             raise FloatingPointError(f"objective became non-finite at epoch {epoch}")

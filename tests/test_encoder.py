@@ -18,7 +18,7 @@ from mmrca.encoder import (
     vocabulary_hash,
 )
 from mmrca.logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate
-from mmrca.nn import gelu, gelu_grad
+from mmrca.nn import Adam, gelu, gelu_grad
 
 
 def toy_config(**overrides):
@@ -222,6 +222,30 @@ class TestGelu:
         _, t = gelu(x)
         numeric = (gelu(x + eps)[0] - gelu(x - eps)[0]) / (2 * eps)
         assert np.allclose(gelu_grad(x, t), numeric, rtol=1e-7, atol=1e-9)
+
+
+class TestAdam:
+    def test_in_place_steps_equal_the_textbook_expressions_bitwise(self):
+        rng = np.random.default_rng(0)
+        shapes = {"w": (5, 3), "b": (3,), "s": (1,)}
+        params = {key: rng.standard_normal(shape) for key, shape in shapes.items()}
+        expected = {key: value.copy() for key, value in params.items()}
+        optimizer = Adam(params, lr=0.02)
+        lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
+        m = {key: np.zeros(shape) for key, shape in shapes.items()}
+        v = {key: np.zeros(shape) for key, shape in shapes.items()}
+        for t in range(1, 6):
+            grads = {key: rng.standard_normal(shape) for key, shape in shapes.items()}
+            optimizer.step(grads)
+            for key, g in grads.items():
+                m[key] = b1 * m[key] + (1 - b1) * g
+                v[key] = b2 * v[key] + (1 - b2) * g * g
+                m_hat = m[key] / (1 - b1**t)
+                v_hat = v[key] / (1 - b2**t)
+                expected[key] -= lr * (m_hat / (np.sqrt(v_hat) + eps))
+                assert np.array_equal(params[key], expected[key]), (t, key)
+                assert np.array_equal(optimizer.m[key], m[key]), (t, key)
+                assert np.array_equal(optimizer.v[key], v[key]), (t, key)
 
 
 class TestEmbeddings:

@@ -134,10 +134,14 @@ class TestLogSeries:
     def test_constant_labels_train_nothing_and_give_a_constant_series(
         self, tmp_path, monkeypatch
     ):
-        def no_training(*args, **kwargs):
-            raise AssertionError("train_log_encoder called on constant labels")
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called on constant labels")
 
-        monkeypatch.setattr(encoder_mod, "train_log_encoder", no_training)
+            return call
+
+        for name in ("train_log_encoder", "embed_windows"):
+            monkeypatch.setattr(encoder_mod, name, refuse(name))
         for command in ("simulate", "parse", "encode"):
             assert self.run(tmp_path, "metric_only", command) == 0, command
         windows, panel, manifest = self.outputs(tmp_path)
@@ -146,5 +150,26 @@ class TestLogSeries:
             assert np.all(row == row[0])
         assert manifest["epochs_run"] == 0
         assert manifest["final_loss"] is None
+
+        out = tmp_path / "out"
+        encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
+        sequences = [encoder.tokenizer.tokenize(w) for w in windows]
+        assert manifest["diagnostics"] == {
+            "truncated_windows": sum(s.truncated for s in sequences),
+            "unique_sequences": len({tuple(s.tokens) for s in sequences}),
+        }
+        # reference: the panel that embedding every window with the untrained encoder gives
+        with pipeline._one_blas_thread():
+            scores = encoder.score(encoder.embed(windows))
+        truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
+        reference = encoder_mod.reduce_to_series(
+            scores,
+            [(w.entity, w.window_index) for w in windows],
+            n_entities=truth["n_entities"],
+            kpi=read_panel_csv(out / "metric_panel.csv").kpi,
+            entity_names=truth["entity_names"],
+        )
+        write_panel_csv(reference, tmp_path / "reference.csv", "log_score")
+        assert (out / "log_panel.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         for command in ("learn", "localize", "evaluate"):
             assert self.run(tmp_path, "metric_only", command) == 0, command

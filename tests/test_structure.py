@@ -5,6 +5,7 @@ from mmrca.panel import ModalityPanel
 from mmrca.simulate import topological_order
 from mmrca.structure import (
     LearnerConfig,
+    Workspace,
     acyclicity,
     adjacency_from_free,
     build_lagged,
@@ -13,6 +14,7 @@ from mmrca.structure import (
     init_params,
     load_structure,
     loss_edge,
+    loss_edge_backward,
     loss_node,
     loss_orth,
     loss_var,
@@ -239,6 +241,35 @@ class TestLossEdge:
         value = loss_edge(h, adjacency, self.head(2))[0]  # G == 0.5
         assert value == pytest.approx((0.5 - 0.0) ** 2 + (0.5 - 1.0) ** 2)
 
+    @pytest.mark.parametrize("n,seed", [(2, 0), (6, 1), (41, 2)])
+    def test_factorised_head_matches_the_pair_tensor(self, n, seed):
+        rng = np.random.default_rng(seed)
+        d2 = 5
+        h = rng.standard_normal((n, d2))
+        adjacency = rng.uniform(size=(n, n))
+        np.fill_diagonal(adjacency, 0.0)
+        head = {"w": rng.standard_normal((2 * d2, 1)), "b": np.array([0.3])}
+        value, cache = loss_edge(h, adjacency, head)
+        d_h, d_a, grads = loss_edge_backward(20.0, cache)
+
+        # reference: the head applied to the explicit (n, n, 2 * d2) tensor of pairs [h_i, h_j]
+        from scipy.special import expit
+
+        e = np.concatenate(
+            [np.repeat(h[:, None, :], n, axis=1), np.repeat(h[None, :, :], n, axis=0)], axis=-1
+        )
+        g = expit((e @ head["w"]).squeeze(-1) + head["b"][0])
+        mask = 1.0 - np.eye(n)
+        dg = 20.0 * mask * 2.0 * (g - adjacency)
+        dz = dg * g * (1.0 - g)
+        de = dz[:, :, None] * head["w"].ravel()[None, None, :]
+        close = dict(rtol=0.0, atol=1e-12)
+        assert abs(value - float((mask * (g - adjacency) ** 2).sum())) <= 1e-12
+        assert np.allclose(d_h, de[:, :, :d2].sum(axis=1) + de[:, :, d2:].sum(axis=0), **close)
+        assert np.allclose(d_a, -dg, **close)
+        assert np.allclose(grads["w"], (e.reshape(-1, 2 * d2).T @ dz.ravel())[:, None], **close)
+        assert np.allclose(grads["b"], [dz.sum()], **close)
+
     def test_pair_terms_are_order_sensitive(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((2, 3))
@@ -354,9 +385,19 @@ class TestTotalObjective:
 
 class TestObjectiveGradients:
     def test_matches_central_differences_all_groups(self):
+        self.check_central_differences(workspace=None)
+
+    def test_matches_central_differences_with_a_reused_workspace(self):
+        self.check_central_differences(workspace=Workspace())
+
+    def check_central_differences(self, workspace):
         cfg, batch_m, batch_l, params = toy_setup()
         attention = (0.4, 0.6)
-        _, _, grads = objective_gradients(params, batch_m, batch_l, attention, cfg, 1.7)
+
+        def objective():
+            return objective_gradients(params, batch_m, batch_l, attention, cfg, 1.7, workspace)
+
+        _, _, grads = objective()
         eps = 1e-4
         for key, arr in params.items():
             numeric = np.zeros_like(arr)
@@ -365,9 +406,9 @@ class TestObjectiveGradients:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                plus = objective_gradients(params, batch_m, batch_l, attention, cfg, 1.7)[0]
+                plus = objective()[0]
                 arr[idx] = orig - eps
-                minus = objective_gradients(params, batch_m, batch_l, attention, cfg, 1.7)[0]
+                minus = objective()[0]
                 arr[idx] = orig
                 numeric[idx] = (plus - minus) / (2 * eps)
                 it.iternext()
@@ -376,6 +417,41 @@ class TestObjectiveGradients:
                 continue
             rel = np.linalg.norm(grads[key] - numeric) / max(a_norm, n_norm)
             assert rel < 1e-3, f"{key}: rel err {rel}"
+
+
+class TestWorkspace:
+    def test_results_survive_a_second_call_on_the_same_workspace(self):
+        cfg, batch_m, batch_l, params = toy_setup(n=4, t_len=9)
+        other = init_params(4, LearnerConfig(p=2, d1=4, d2=3, seed=99))
+        workspace = Workspace()
+        total, breakdown, grads = objective_gradients(
+            params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7, workspace
+        )
+        kept = (total, dict(breakdown), {key: g.copy() for key, g in grads.items()})
+        other_total = objective_gradients(other, batch_m, batch_l, (0.4, 0.6), cfg, 1.7, workspace)[0]
+        assert other_total != total
+        assert (total, breakdown) == kept[:2]
+        for key, g in grads.items():
+            assert np.array_equal(g, kept[2][key]), key
+        # the workspace carries nothing from one call into the next
+        again = objective_gradients(params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7, workspace)
+        fresh = objective_gradients(params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7)
+        for result in (again, fresh):
+            assert result[:2] == kept[:2]
+            for key, g in result[2].items():
+                assert np.array_equal(g, kept[2][key]), key
+
+    def test_two_fits_in_one_process_are_bitwise_equal(self):
+        rng = np.random.default_rng(4)
+        names = ["a", "b", "c", "d"]
+        metric = ModalityPanel(rng.standard_normal((5, 30)), names)
+        log = ModalityPanel(rng.standard_normal((5, 30)), names)
+        cfg = LearnerConfig(p=2, d1=4, d2=3, epochs=6, acyclicity_every=2, seed=2)
+        first, second = (fit(metric, log, (0.3, 0.7), cfg) for _ in range(2))
+        for name in ("A_metric", "A_log"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        assert first.loss_history == second.loss_history
+        assert (first.h_metric, first.h_log) == (second.h_metric, second.h_log)
 
 
 class TestSchedule:
