@@ -13,10 +13,13 @@ transformer over the windows. The result is a constant series that says the
 logs hold no evidence.
 
 Training runs the network once per distinct (token sequence, label) row and
-embedding once per distinct token sequence. At a fixed padded length a row's
-forward pass does not depend on the other rows of its batch, and the distinct
-sequences pad to the same length as all windows, so identical windows share
-one result that is bit-identical to embedding every window.
+embedding once per distinct token sequence, in length groups: batches whose
+sequences all have one token length, shortest first. Nothing is padded, so
+no position is masked, and a row's forward pass depends only on its own
+tokens. Identical windows share one result, bit-identical to running each
+window alone. Training stays full-batch: every length group adds into one
+gradient, normalised by the total weight of all rows, and Adam steps once an
+epoch, so the loss is the plain mean over all windows.
 
 The network is plain numpy with hand-derived gradients so that training is
 bit-deterministic and the analytic gradients can be checked against finite
@@ -37,7 +40,7 @@ from .nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
 from .panel import ModalityPanel
 from .simulate import entity_name
 
-PAD_TOKEN = 0
+PAD_TOKEN = 0  # reserved (tok_emb keeps its row) but never emitted: nothing is padded
 CLS_TOKEN = 1
 EMPTY_TOKEN = 2
 N_RESERVED = 3
@@ -130,15 +133,19 @@ class LogTokenizer:
         return TokenSequence(tokens=tokens, max_len=self.config.max_len, truncated=truncated)
 
 
-def pad_tokens(sequences) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad token sequences to the longest one: (ids, mask), mask 1.0 on real tokens."""
-    length = max(len(seq) for seq in sequences)
-    ids = np.full((len(sequences), length), PAD_TOKEN, dtype=int)
-    mask = np.zeros((len(sequences), length))
-    for i, seq in enumerate(sequences):
-        ids[i, : len(seq)] = seq
-        mask[i, : len(seq)] = 1.0
-    return ids, mask
+def length_groups(sequences) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split token sequences into groups of one length, in ascending length.
+
+    Each group is (rows, ids): the indices of its sequences in input order and
+    their token ids, shape (len(rows), length).
+    """
+    rows_of: dict[int, list[int]] = {}
+    for row, seq in enumerate(sequences):
+        rows_of.setdefault(len(seq), []).append(row)
+    return [
+        (np.array(rows), np.array([sequences[row] for row in rows], dtype=int))
+        for _, rows in sorted(rows_of.items())
+    ]
 
 
 class LogSequenceEncoder:
@@ -181,14 +188,10 @@ class LogSequenceEncoder:
                 p[pre + name] = np.zeros(d)
         self.params = p
 
-    # -- batching -------------------------------------------------------------
-
-    def batch(self, windows: list[LogSequenceWindow]) -> tuple[np.ndarray, np.ndarray]:
-        return pad_tokens([self.tokenizer.tokenize(w).tokens for w in windows])
-
     # -- forward --------------------------------------------------------------
 
-    def _forward(self, ids: np.ndarray, mask: np.ndarray):
+    def _forward(self, ids: np.ndarray):
+        """Hidden states of a batch of sequences that all have one length, and the caches."""
         p = self.params
         cfg = self.config
         n_heads = cfg.n_heads
@@ -205,9 +208,7 @@ class LogSequenceEncoder:
             q = heads(x @ p[pre + "wq"] + p[pre + "bq"])
             k = heads(x @ p[pre + "wk"] + p[pre + "bk"])
             v = heads(x @ p[pre + "wv"] + p[pre + "bv"])
-            scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(d_head)
-            scores = np.where(mask[:, None, None, :] > 0, scores, -1e30)
-            attn = softmax(scores, axis=-1)
+            attn = softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(d_head), axis=-1)
             ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, l, d)
             att_out = ctx @ p[pre + "wo"] + p[pre + "bo"]
             r1 = x + att_out
@@ -231,39 +232,49 @@ class LogSequenceEncoder:
 
     # -- loss and gradients -----------------------------------------------------
 
-    def loss_and_grads(
-        self,
-        ids: np.ndarray,
-        mask: np.ndarray,
-        labels: np.ndarray,
-        weights: np.ndarray | None = None,
-    ):
-        """Weighted mean squared error and its gradients.
+    def loss_and_grads(self, groups):
+        """Weighted mean squared error over length groups, and its gradients.
 
-        weights lets identical windows be collapsed into one row with a count;
-        the weighted loss equals the plain mean over the expanded batch.
+        groups holds (ids, labels, weights) per token length. weights lets
+        identical windows be collapsed into one row with a count. Every group
+        runs forward and backward once and adds into one gradient dict, and
+        the loss and gradients are normalised by the total weight of all rows,
+        so the loss equals the plain mean over the expanded windows.
         """
+        p = self.params
+        total_weight = sum(weights.sum() for _, _, weights in groups)
+        grads = {key: np.zeros_like(val) for key, val in p.items()}
+        weighted_sse = 0.0
+        for ids, labels, weights in groups:
+            hidden, caches = self._forward(ids)
+            cls = hidden[:, 0, :]
+            pred = self.score(cls)
+            residual = pred - labels
+            weighted_sse += (weights * residual**2).sum()
+            dlogits = 2.0 * weights * residual / total_weight * pred * (1.0 - pred)
+            grads["head_w"] += cls.T @ dlogits[:, None]
+            grads["head_b"] += dlogits.sum()
+            dx = np.zeros_like(hidden)
+            dx[:, 0, :] = dlogits[:, None] * p["head_w"].ravel()[None, :]
+            self._backward(ids, caches, dx, grads)
+        return float(weighted_sse / total_weight), grads
+
+    def _backward(self, ids: np.ndarray, caches, dx: np.ndarray, grads: dict) -> None:
+        """Add to grads the parameter gradients of one length group, given d(loss)/d(hidden)."""
         p = self.params
         cfg = self.config
         n_heads = cfg.n_heads
         d_head = cfg.d_model // n_heads
         b, l = ids.shape
-        if weights is None:
-            weights = np.ones(b)
-        total_weight = weights.sum()
+        # a bias gradient sums over every position: one BLAS product is faster than
+        # numpy's sum over the two leading axes
+        ones = np.ones(b * l)
 
-        hidden, caches = self._forward(ids, mask)
-        cls = hidden[:, 0, :]
-        pred = self.score(cls)
-        residual = pred - labels
-        loss = float((weights * residual**2).sum() / total_weight)
+        def rows(m):
+            return m.reshape(b * l, m.shape[-1])
 
-        grads = {key: np.zeros_like(val) for key, val in p.items()}
-        dlogits = 2.0 * weights * residual / total_weight * pred * (1.0 - pred)
-        grads["head_w"] += cls.T @ dlogits[:, None]
-        grads["head_b"] += np.array([dlogits.sum()])
-        dx = np.zeros_like(hidden)
-        dx[:, 0, :] = dlogits[:, None] * p["head_w"].ravel()[None, :]
+        def merge(m):
+            return m.transpose(0, 2, 1, 3).reshape(b, l, cfg.d_model)
 
         for layer in reversed(range(cfg.n_layers)):
             pre = f"l{layer}."
@@ -274,11 +285,11 @@ class LogSequenceEncoder:
             dh1 = dr2.copy()
             df_out = dr2
             da = df_out @ p[pre + "wf2"].T
-            grads[pre + "wf2"] += c["a"].reshape(-1, c["a"].shape[-1]).T @ df_out.reshape(-1, cfg.d_model)
-            grads[pre + "bf2"] += df_out.sum(axis=(0, 1))
+            grads[pre + "wf2"] += rows(c["a"]).T @ rows(df_out)
+            grads[pre + "bf2"] += ones @ rows(df_out)
             du = da * gelu_grad(c["u"], c["gelu_t"])
-            grads[pre + "wf1"] += c["h1"].reshape(-1, cfg.d_model).T @ du.reshape(-1, du.shape[-1])
-            grads[pre + "bf1"] += du.sum(axis=(0, 1))
+            grads[pre + "wf1"] += rows(c["h1"]).T @ rows(du)
+            grads[pre + "bf1"] += ones @ rows(du)
             dh1 += du @ p[pre + "wf1"].T
             dr1, dg, db = layer_norm_backward(dh1, c["ln1"])
             grads[pre + "ln1_g"] += dg
@@ -286,8 +297,8 @@ class LogSequenceEncoder:
             dx = dr1.copy()
             datt_out = dr1
             dctx = datt_out @ p[pre + "wo"].T
-            grads[pre + "wo"] += c["ctx"].reshape(-1, cfg.d_model).T @ datt_out.reshape(-1, cfg.d_model)
-            grads[pre + "bo"] += datt_out.sum(axis=(0, 1))
+            grads[pre + "wo"] += rows(c["ctx"]).T @ rows(datt_out)
+            grads[pre + "bo"] += ones @ rows(datt_out)
             dctx = dctx.reshape(b, l, n_heads, d_head).transpose(0, 2, 1, 3)
             dattn = dctx @ c["v"].transpose(0, 1, 3, 2)
             dv = c["attn"].transpose(0, 1, 3, 2) @ dctx
@@ -297,30 +308,32 @@ class LogSequenceEncoder:
             dq = dscores @ c["k"]
             dk = dscores.transpose(0, 1, 3, 2) @ c["q"]
 
-            def merge(m):
-                return m.transpose(0, 2, 1, 3).reshape(b, l, cfg.d_model)
-
-            x_in = c["x"].reshape(-1, cfg.d_model)
+            x_in = rows(c["x"])
             for name, dm in (("wq", merge(dq)), ("wk", merge(dk)), ("wv", merge(dv))):
-                grads[pre + name] += x_in.T @ dm.reshape(-1, cfg.d_model)
-                grads[pre + name.replace("w", "b")] += dm.sum(axis=(0, 1))
+                grads[pre + name] += x_in.T @ rows(dm)
+                grads[pre + name.replace("w", "b")] += ones @ rows(dm)
                 dx += dm @ p[pre + name].T
 
         np.add.at(grads["tok_emb"], ids, dx)
         grads["pos_emb"][:l] += dx.sum(axis=0)
-        return loss, grads
 
     # -- embeddings -------------------------------------------------------------
 
     def embed(self, windows: list[LogSequenceWindow]) -> np.ndarray:
-        """[CLS] hidden state per window, running each distinct token sequence once."""
+        """[CLS] hidden state per window, running each distinct token sequence once.
+
+        The distinct sequences run in length groups, so a window's row depends
+        only on its own tokens: it is bit-identical to running the window alone.
+        """
         row_of: dict[tuple, int] = {}
         rows = [
             row_of.setdefault(tuple(self.tokenizer.tokenize(w).tokens), len(row_of))
             for w in windows
         ]
-        hidden, _ = self._forward(*pad_tokens(list(row_of)))
-        return hidden[rows, 0, :]
+        cls = np.empty((len(row_of), self.config.d_model))
+        for group_rows, ids in length_groups(list(row_of)):
+            cls[group_rows] = self._forward(ids)[0][:, 0, :]
+        return cls[rows]
 
 
 def train_log_encoder(
@@ -330,8 +343,11 @@ def train_log_encoder(
 ) -> LogSequenceEncoder:
     """Fit the anomaly-score regression by full-batch Adam; deterministic per seed.
 
-    Duplicate (token sequence, label) windows collapse into weighted rows, so
-    the per-epoch loss still equals the plain mean over all windows.
+    Duplicate (token sequence, label) windows collapse into weighted rows,
+    which run in length groups: ascending token length, first-seen order
+    within a length. Each epoch runs every group forward and backward into one
+    gradient and takes one Adam step, so the per-epoch loss still equals the
+    plain mean over all windows.
     """
     if not windows:
         raise ValueError("no windows to train on")
@@ -342,10 +358,8 @@ def train_log_encoder(
     encoder = LogSequenceEncoder(config, vocab_size)
 
     groups, diagnostics = group_windows(encoder.tokenizer, windows)
-    keys = list(groups)
-    ids, mask = pad_tokens([tokens for tokens, _ in keys])
-    labels = np.array([label for _, label in keys], dtype=float)
-    weights = np.array([groups[key] for key in keys], dtype=float)
+    labels = np.array([label for _, label in groups], dtype=float)
+    weights = np.array(list(groups.values()), dtype=float)
 
     # smoothed targets keep the optimum away from the sigmoid boundary, where
     # a vanished derivative would otherwise make collapsed predictions
@@ -358,9 +372,13 @@ def train_log_encoder(
     base_rate = np.clip((weights * targets).sum() / weights.sum(), 0.05, 0.95)
     encoder.params["head_b"][0] = np.log(base_rate / (1.0 - base_rate))
 
+    by_length = [
+        (ids, targets[rows], weights[rows])
+        for rows, ids in length_groups([tokens for tokens, _ in groups])
+    ]
     optimizer = Adam(encoder.params, lr=config.lr)
     for epoch in range(config.epochs):
-        loss, grads = encoder.loss_and_grads(ids, mask, targets, weights)
+        loss, grads = encoder.loss_and_grads(by_length)
         if not np.isfinite(loss):
             raise FloatingPointError(f"training loss became non-finite at epoch {epoch}")
         encoder.history.append(loss)
@@ -388,8 +406,9 @@ def group_windows(tokenizer: LogTokenizer, windows: list[LogSequenceWindow]) -> 
 def embed_windows(encoder: LogSequenceEncoder, windows: list[LogSequenceWindow]) -> np.ndarray:
     """[CLS] hidden state per window; shape (n_windows, d_model), no gradients kept.
 
-    Windows with identical token sequences are embedded once and share the
-    resulting row, bit-identical to running every window in one padded batch.
+    Windows with identical token sequences are embedded once, in length
+    groups, and share the resulting row, bit-identical to running each window
+    alone.
     """
     return encoder.embed(windows)
 

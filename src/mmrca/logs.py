@@ -193,25 +193,35 @@ def window_sequences(
     return windows
 
 
+def _golden_flags(vocabulary: list[LogTemplate], golden_signals) -> dict[int, bool]:
+    """Whether each template's pattern contains a golden-signal keyword, by template id."""
+    if not golden_signals:
+        raise ValueError("golden_signals must be non-empty")
+    signals = [s.lower() for s in golden_signals]
+    return {
+        t.template_id: any(s in t.pattern.lower() for s in signals) for t in vocabulary
+    }
+
+
+def _flagged_fraction(window: LogSequenceWindow, flags: dict[int, bool]) -> float:
+    if window.is_empty:
+        return 0.0
+    flagged = 0
+    total = 0
+    for template_id, freq in zip(window.templates, window.frequencies):
+        total += freq
+        if flags[template_id]:
+            flagged += freq
+    return flagged / total if total else 0.0
+
+
 def label_anomaly(
     window: LogSequenceWindow,
     vocabulary: list[LogTemplate],
     golden_signals=DEFAULT_GOLDEN_SIGNALS,
 ) -> float:
     """Frequency-weighted fraction of window events with a golden-signal template."""
-    if not golden_signals:
-        raise ValueError("golden_signals must be non-empty")
-    if window.is_empty:
-        return 0.0
-    patterns = {t.template_id: t.pattern.lower() for t in vocabulary}
-    signals = [s.lower() for s in golden_signals]
-    flagged = 0
-    total = 0
-    for template_id, freq in zip(window.templates, window.frequencies):
-        total += freq
-        if any(s in patterns[template_id] for s in signals):
-            flagged += freq
-    return flagged / total if total else 0.0
+    return _flagged_fraction(window, _golden_flags(vocabulary, golden_signals))
 
 
 def label_windows(
@@ -219,9 +229,13 @@ def label_windows(
     vocabulary: list[LogTemplate],
     golden_signals=DEFAULT_GOLDEN_SIGNALS,
 ) -> list[LogSequenceWindow]:
-    """Assign golden-signal labels to every window in place and return the list."""
+    """Assign golden-signal labels to every window in place and return the list.
+
+    Each template is tested for the keywords once, not once per window.
+    """
+    flags = _golden_flags(vocabulary, golden_signals)
     for window in windows:
-        window.label = label_anomaly(window, vocabulary, golden_signals)
+        window.label = _flagged_fraction(window, flags)
     return windows
 
 

@@ -197,7 +197,8 @@ def _mp_backward(dout, cache, w, input_grad=True):
     dw = np.empty(w.shape)
     np.matmul(x.reshape(-1, f).T, dpre_flat, out=dw[:f])
     np.matmul(agg.reshape(-1, f).T, dpre_flat, out=dw[f:])
-    db = dpre.sum(axis=(0, 1))
+    # one BLAS product; numpy's sum over the two leading axes is several times slower
+    db = np.ones(dpre_flat.shape[0]) @ dpre_flat
     dagg = _linear(dpre, w[f:].T, ws.array("dagg", x.shape))
     da = x.reshape(n, -1) @ dagg.reshape(n, -1).T
     if not input_grad:

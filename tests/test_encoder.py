@@ -11,6 +11,7 @@ from mmrca.encoder import (
     LogTokenizer,
     embed_windows,
     freq_bucket,
+    length_groups,
     load_encoder,
     reduce_to_series,
     save_encoder,
@@ -18,7 +19,7 @@ from mmrca.encoder import (
     vocabulary_hash,
 )
 from mmrca.logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate
-from mmrca.nn import Adam, gelu, gelu_grad
+from mmrca.nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
 
 
 def toy_config(**overrides):
@@ -165,25 +166,114 @@ class TestTraining:
             train_log_encoder([], toy_config())
 
 
+def alone(enc, w):
+    """[CLS] state of one window run by itself, at its own length."""
+    return enc._forward(np.array([enc.tokenizer.tokenize(w).tokens]))[0][0, 0, :]
+
+
+def padded_loss_and_grads(enc, sequences, labels, weights):
+    """Reference: the weighted MSE and its gradients over one batch padded to the
+    longest sequence, with padded keys masked out of attention."""
+    p, cfg = enc.params, enc.config
+    n_heads, d = cfg.n_heads, cfg.d_model
+    d_head = d // n_heads
+    b, l = len(sequences), max(len(seq) for seq in sequences)
+    ids = np.zeros((b, l), dtype=int)
+    mask = np.zeros((b, l))
+    for i, seq in enumerate(sequences):
+        ids[i, : len(seq)] = seq
+        mask[i, : len(seq)] = 1.0
+
+    def heads(m):
+        return m.reshape(b, l, n_heads, d_head).transpose(0, 2, 1, 3)
+
+    def merge(m):
+        return m.transpose(0, 2, 1, 3).reshape(b, l, d)
+
+    x = p["tok_emb"][ids] + p["pos_emb"][:l][None, :, :]
+    caches = []
+    for layer in range(cfg.n_layers):
+        pre = f"l{layer}."
+        q = heads(x @ p[pre + "wq"] + p[pre + "bq"])
+        k = heads(x @ p[pre + "wk"] + p[pre + "bk"])
+        v = heads(x @ p[pre + "wv"] + p[pre + "bv"])
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(d_head)
+        attn = softmax(np.where(mask[:, None, None, :] > 0, scores, -1e30), axis=-1)
+        ctx = merge(attn @ v)
+        h1, ln1 = layer_norm(x + ctx @ p[pre + "wo"] + p[pre + "bo"], p[pre + "ln1_g"], p[pre + "ln1_b"])
+        u = h1 @ p[pre + "wf1"] + p[pre + "bf1"]
+        a, t = gelu(u)
+        out, ln2 = layer_norm(h1 + a @ p[pre + "wf2"] + p[pre + "bf2"], p[pre + "ln2_g"], p[pre + "ln2_b"])
+        caches.append((x, q, k, v, attn, ctx, h1, u, a, t, ln1, ln2))
+        x = out
+    cls = x[:, 0, :]
+    pred = 1.0 / (1.0 + np.exp(-((cls @ p["head_w"]).ravel() + p["head_b"][0])))
+    residual = pred - labels
+    loss = float((weights * residual**2).sum() / weights.sum())
+
+    grads = {key: np.zeros_like(val) for key, val in p.items()}
+    dlogits = 2.0 * weights * residual / weights.sum() * pred * (1.0 - pred)
+    grads["head_w"] += cls.T @ dlogits[:, None]
+    grads["head_b"] += dlogits.sum()
+    dx = np.zeros_like(x)
+    dx[:, 0, :] = dlogits[:, None] * p["head_w"].ravel()[None, :]
+    for layer in reversed(range(cfg.n_layers)):
+        pre = f"l{layer}."
+        x_in, q, k, v, attn, ctx, h1, u, a, t, ln1, ln2 = caches[layer]
+        dr2, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = layer_norm_backward(dx, ln2)
+        grads[pre + "wf2"] = a.reshape(-1, a.shape[-1]).T @ dr2.reshape(-1, d)
+        grads[pre + "bf2"] = dr2.sum(axis=(0, 1))
+        du = (dr2 @ p[pre + "wf2"].T) * gelu_grad(u, t)
+        grads[pre + "wf1"] = h1.reshape(-1, d).T @ du.reshape(-1, du.shape[-1])
+        grads[pre + "bf1"] = du.sum(axis=(0, 1))
+        dr1, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = layer_norm_backward(
+            dr2 + du @ p[pre + "wf1"].T, ln1
+        )
+        grads[pre + "wo"] = ctx.reshape(-1, d).T @ dr1.reshape(-1, d)
+        grads[pre + "bo"] = dr1.sum(axis=(0, 1))
+        dctx = heads(dr1 @ p[pre + "wo"].T)
+        dattn = dctx @ v.transpose(0, 1, 3, 2)
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) / np.sqrt(d_head)
+        dx = dr1.copy()
+        for name, dm in (("wq", merge(dscores @ k)),
+                         ("wk", merge(dscores.transpose(0, 1, 3, 2) @ q)),
+                         ("wv", merge(attn.transpose(0, 1, 3, 2) @ dctx))):
+            grads[pre + name] = x_in.reshape(-1, d).T @ dm.reshape(-1, d)
+            grads[pre + name.replace("w", "b")] = dm.sum(axis=(0, 1))
+            dx += dm @ p[pre + name].T
+    np.add.at(grads["tok_emb"], ids, dx)
+    grads["pos_emb"][:l] += dx.sum(axis=0)
+    return loss, grads
+
+
+def scaled_encoder():
+    """A toy encoder with weights scaled up so that gradients are well conditioned."""
+    cfg = toy_config(d_model=8, n_layers=2, n_heads=2, max_len=12, freq_buckets=4, seed=3)
+    enc = LogSequenceEncoder(cfg, vocab_size=3)
+    rng = np.random.default_rng(0)
+    for key, value in enc.params.items():
+        if "ln" not in key:
+            enc.params[key] = value * 20.0 if value.size > 1 else value
+    enc.params["head_w"] = 0.5 * rng.standard_normal((8, 1))
+    return enc
+
+
+def by_length(enc, windows, weights):
+    labels = np.array([w.label for w in windows])
+    return [(ids, labels[rows], weights[rows])
+            for rows, ids in length_groups([enc.tokenizer.tokenize(w).tokens for w in windows])]
+
+
 class TestGradients:
     def test_analytic_matches_finite_differences(self):
-        # 2-window toy; weights scaled up so gradients are well conditioned
-        cfg = toy_config(d_model=8, n_layers=2, n_heads=2, max_len=12, freq_buckets=4, seed=3)
-        enc = LogSequenceEncoder(cfg, vocab_size=3)
-        rng = np.random.default_rng(0)
-        for key, value in enc.params.items():
-            if "ln" not in key:
-                enc.params[key] = value * 20.0 if value.size > 1 else value
-        enc.params["head_w"] = 0.5 * rng.standard_normal((8, 1))
+        # two windows of different lengths, so two length groups add into the gradient
+        enc = scaled_encoder()
         windows = [window([0, 2], [3, 1], label=0.25), window([1], [5], label=0.9)]
-        ids, mask = enc.batch(windows)
+        _, grads = enc.loss_and_grads(by_length(enc, windows, np.ones(len(windows))))
         y = np.array([w.label for w in windows])
-        _, grads = enc.loss_and_grads(ids, mask, y)
 
         def loss_only():
-            hidden, _ = enc._forward(ids, mask)
-            logits = (hidden[:, 0, :] @ enc.params["head_w"]).ravel() + enc.params["head_b"][0]
-            pred = 1.0 / (1.0 + np.exp(-logits))
+            pred = enc.score(np.vstack([alone(enc, w) for w in windows]))
             return float(np.mean((pred - y) ** 2))
 
         eps = 1e-4
@@ -205,6 +295,29 @@ class TestGradients:
                 continue  # structurally zero gradient (e.g. key bias: softmax shift invariance)
             rel = np.linalg.norm(grads[key] - numeric) / max(a_norm, n_norm)
             assert rel < 1e-3, f"{key}: rel err {rel}"
+
+    def test_length_groups_match_one_padded_batch(self):
+        enc = scaled_encoder()
+        windows = [
+            window([0, 1, 2], [1, 4, 9], label=0.3),
+            window([1], [2], label=0.9),
+            window([2, 0], [5, 1], label=0.1),
+            window([EMPTY_TEMPLATE_ID], [1], label=0.0),
+            window([0], [3], label=0.6),
+            window([1, 2], [1, 1], label=0.45),
+        ]
+        weights = np.array([3.0, 1.0, 7.0, 2.0, 5.0, 1.0])
+        groups = by_length(enc, windows, weights)
+        assert [ids.shape[1] for ids, _, _ in groups] == [3, 5, 7]
+        loss, grads = enc.loss_and_grads(groups)
+        ref_loss, ref_grads = padded_loss_and_grads(
+            enc, [enc.tokenizer.tokenize(w).tokens for w in windows],
+            np.array([w.label for w in windows]), weights,
+        )
+        assert abs(loss - ref_loss) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            assert np.max(np.abs(grads[key] - ref_grads[key])) <= 1e-12, key
 
 
 class TestGelu:
@@ -281,17 +394,22 @@ class TestEmbeddings:
             window([3, 2], [9, 1]),
             window([1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
             window(list(range(8)), [1] * 8),
+            window([4, 6], [2, 2]),
         ]
         emb = enc.embed(windows)
-        # the reference runs each window by itself, padded to the batch's length:
-        # padding to a different length moves the last bits of the result
-        ids, mask = enc.batch(windows)
-        alone = np.vstack([enc._forward(ids[i : i + 1], mask[i : i + 1])[0][:, 0, :]
-                           for i in range(len(windows))])
+        # the reference runs each window by itself, at its own length
+        reference = np.vstack([alone(enc, w) for w in windows])
         assert emb.shape == (len(windows), enc.config.d_model)
-        assert np.array_equal(emb, alone)
+        assert np.array_equal(emb, reference)
         order = np.random.default_rng(0).permutation(len(windows))
-        assert np.array_equal(enc.embed([windows[i] for i in order]), alone[order])
+        assert np.array_equal(enc.embed([windows[i] for i in order]), reference[order])
+
+    def test_a_window_embeds_the_same_beside_a_longer_one(self):
+        enc = LogSequenceEncoder(toy_config(seed=4), vocab_size=8)
+        short = [window([0], [1]), window([3, 2], [9, 1]), window([EMPTY_TEMPLATE_ID], [1])]
+        longest = window(list(range(8)), [1] * 8)
+        for w in short:
+            assert np.array_equal(enc.embed([w])[0], enc.embed([w, longest])[0])
 
     def test_order_sensitivity_at_random_init(self):
         cfg = toy_config(seed=9)

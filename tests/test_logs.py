@@ -14,6 +14,7 @@ from mmrca.logs import (
     windows_from_jsonl,
     windows_to_jsonl,
 )
+from mmrca.simulate import generate_incident, sample_scenario
 
 
 def records(*triples):
@@ -196,6 +197,16 @@ class TestLabelAnomaly:
         w = LogSequenceWindow(0, 0, templates=[0], frequencies=[1])
         with pytest.raises(ValueError):
             label_anomaly(w, self.vocab(), golden_signals=[])
+
+    def test_label_windows_labels_each_window_like_label_anomaly(self):
+        spec = sample_scenario(6, "both", horizon_T=300, noise_std=0.1, seed=1)
+        vocab, events = parse_templates(generate_incident(spec).raw_logs)
+        windows = window_sequences(events, vocab, window_size=2, n_entities=6, n_windows=150)
+        expected = [label_anomaly(w, vocab) for w in windows]
+        label_windows(windows, vocab)
+        assert [w.label for w in windows] == expected
+        assert any(w.is_empty for w in windows)
+        assert 0.0 < max(expected) and len(set(expected)) > 2
 
     def test_default_signals_have_no_digits(self):
         # masking strips digits, so digit-bearing keywords could never match
