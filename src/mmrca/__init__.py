@@ -9,6 +9,7 @@ with restart.
 from .encoder import (
     EncoderConfig,
     LogSequenceEncoder,
+    LogTokenizer,
     TokenSequence,
     embed_windows,
     reduce_to_series,
@@ -59,6 +60,7 @@ __all__ = [
     "LogSequenceEncoder",
     "LogSequenceWindow",
     "LogTemplate",
+    "LogTokenizer",
     "ModalityPanel",
     "ModalityScore",
     "RankedRootCauses",

@@ -21,18 +21,32 @@ window alone. Training stays full-batch: every length group adds into one
 gradient, normalised by the total weight of all rows, and Adam steps once an
 epoch, so the loss is the plain mean over all windows.
 
+The pipeline tokenizes each window once (LogTokenizer.tokenize) and hands
+the same token sequences to training and to embedding.
+
 The network is plain numpy with hand-derived gradients so that training is
 bit-deterministic and the analytic gradients can be checked against finite
 differences.
+
+Precision: every layer computes in the dtype of the parameters it holds. A
+LogSequenceEncoder is built in float64, which is what the finite-difference
+checks run, and train_log_encoder casts the parameters, the targets and the
+weights to float32 once the seed's draws and the head bias are set. Single
+precision halves the memory traffic and numpy's float32 tanh is several times
+faster than its float64 one; on one thread the encoder is bound by those, not
+by arithmetic. A checkpoint keeps the dtype it was saved in, so embed runs a
+float64 checkpoint in float64.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .atomic import atomic_open
 from .logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate, vocabulary_to_json
@@ -56,7 +70,7 @@ class EncoderConfig:
     n_heads: int = 4
     max_len: int = 128
     lr: float = 0.03
-    epochs: int = 200
+    epochs: int = 150
     freq_buckets: int = 16
     seed: int = 0
 
@@ -84,10 +98,14 @@ class TokenSequence:
 
 
 def freq_bucket(frequency: int, n_buckets: int) -> int:
-    """Log2 quantization; bucket 0 is reserved for the empty-window marker."""
+    """Log2 quantization; bucket 0 is reserved for the empty-window marker.
+
+    Bucket b >= 1 holds the frequencies in [2**(b-1), 2**b), so a frequency's
+    bucket is its bit length, capped at the top bucket: exact for every int.
+    """
     if frequency < 1:
         raise ValueError("frequencies must be positive")
-    return min(n_buckets - 1, int(np.floor(np.log2(frequency))) + 1)
+    return min(n_buckets - 1, int(frequency).bit_length())
 
 
 class LogTokenizer:
@@ -208,7 +226,7 @@ class LogSequenceEncoder:
             q = heads(x @ p[pre + "wq"] + p[pre + "bq"])
             k = heads(x @ p[pre + "wk"] + p[pre + "bk"])
             v = heads(x @ p[pre + "wv"] + p[pre + "bv"])
-            attn = softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(d_head), axis=-1)
+            attn = softmax(q @ k.transpose(0, 1, 3, 2) / math.sqrt(d_head), axis=-1)
             ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, l, d)
             att_out = ctx @ p[pre + "wo"] + p[pre + "bo"]
             r1 = x + att_out
@@ -227,8 +245,7 @@ class LogSequenceEncoder:
 
     def score(self, cls: np.ndarray) -> np.ndarray:
         """Anomaly score of each [CLS] row: sigmoid(cls @ head_w + head_b), shape (n,)."""
-        logits = (cls @ self.params["head_w"]).ravel() + self.params["head_b"][0]
-        return 1.0 / (1.0 + np.exp(-logits))
+        return expit((cls @ self.params["head_w"]).ravel() + self.params["head_b"][0])
 
     # -- loss and gradients -----------------------------------------------------
 
@@ -268,7 +285,7 @@ class LogSequenceEncoder:
         b, l = ids.shape
         # a bias gradient sums over every position: one BLAS product is faster than
         # numpy's sum over the two leading axes
-        ones = np.ones(b * l)
+        ones = np.ones(b * l, dtype=dx.dtype)
 
         def rows(m):
             return m.reshape(b * l, m.shape[-1])
@@ -304,7 +321,7 @@ class LogSequenceEncoder:
             dv = c["attn"].transpose(0, 1, 3, 2) @ dctx
             attn = c["attn"]
             dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-            dscores /= np.sqrt(d_head)
+            dscores /= math.sqrt(d_head)
             dq = dscores @ c["k"]
             dk = dscores.transpose(0, 1, 3, 2) @ c["q"]
 
@@ -319,52 +336,52 @@ class LogSequenceEncoder:
 
     # -- embeddings -------------------------------------------------------------
 
-    def embed(self, windows: list[LogSequenceWindow]) -> np.ndarray:
-        """[CLS] hidden state per window, running each distinct token sequence once.
+    def embed(self, sequences: list[TokenSequence]) -> np.ndarray:
+        """[CLS] hidden state per token sequence, running each distinct sequence once.
 
-        The distinct sequences run in length groups, so a window's row depends
-        only on its own tokens: it is bit-identical to running the window alone.
+        The distinct sequences run in length groups, so a row depends only on
+        its own tokens: it is bit-identical to running the sequence alone. The
+        rows have the dtype of the parameters.
         """
         row_of: dict[tuple, int] = {}
-        rows = [
-            row_of.setdefault(tuple(self.tokenizer.tokenize(w).tokens), len(row_of))
-            for w in windows
-        ]
-        cls = np.empty((len(row_of), self.config.d_model))
+        rows = [row_of.setdefault(tuple(s.tokens), len(row_of)) for s in sequences]
+        cls = np.empty((len(row_of), self.config.d_model), dtype=self.params["tok_emb"].dtype)
         for group_rows, ids in length_groups(list(row_of)):
             cls[group_rows] = self._forward(ids)[0][:, 0, :]
         return cls[rows]
 
 
 def train_log_encoder(
-    windows: list[LogSequenceWindow],
+    sequences: list[TokenSequence],
+    labels: list[float],
     config: EncoderConfig,
-    vocab_size: int | None = None,
+    vocab_size: int,
 ) -> LogSequenceEncoder:
     """Fit the anomaly-score regression by full-batch Adam; deterministic per seed.
 
-    Duplicate (token sequence, label) windows collapse into weighted rows,
-    which run in length groups: ascending token length, first-seen order
-    within a length. Each epoch runs every group forward and backward into one
-    gradient and takes one Adam step, so the per-epoch loss still equals the
-    plain mean over all windows.
+    sequences holds each window's tokens, as a LogTokenizer over vocab_size
+    templates and config made them, and labels each window's label. Duplicate
+    (token sequence, label) windows collapse into weighted rows, which run in
+    length groups: ascending token length, first-seen order within a length.
+    Each epoch runs every group forward and backward into one gradient and
+    takes one Adam step, so the per-epoch loss still equals the plain mean over
+    all windows. Training runs in float32: the returned encoder's parameters
+    are float32.
     """
-    if not windows:
+    if not sequences:
         raise ValueError("no windows to train on")
-    if vocab_size is None:
-        vocab_size = max(
-            (t for w in windows for t in w.templates if t != EMPTY_TEMPLATE_ID), default=-1
-        ) + 1
+    if len(labels) != len(sequences):
+        raise ValueError("labels must align with the token sequences")
     encoder = LogSequenceEncoder(config, vocab_size)
 
-    groups, diagnostics = group_windows(encoder.tokenizer, windows)
-    labels = np.array([label for _, label in groups], dtype=float)
+    groups, diagnostics = group_windows(sequences, labels)
+    row_labels = np.array([label for _, label in groups], dtype=float)
     weights = np.array(list(groups.values()), dtype=float)
 
     # smoothed targets keep the optimum away from the sigmoid boundary, where
     # a vanished derivative would otherwise make collapsed predictions
     # absorbing
-    targets = labels * (1.0 - 2.0 * LABEL_SMOOTHING) + LABEL_SMOOTHING
+    targets = row_labels * (1.0 - 2.0 * LABEL_SMOOTHING) + LABEL_SMOOTHING
 
     # the head starts at the label base rate with zero weights, so descent
     # first grows the head along whatever feature direction separates the
@@ -372,6 +389,8 @@ def train_log_encoder(
     base_rate = np.clip((weights * targets).sum() / weights.sum(), 0.05, 0.95)
     encoder.params["head_b"][0] = np.log(base_rate / (1.0 - base_rate))
 
+    encoder.params = {key: value.astype(np.float32) for key, value in encoder.params.items()}
+    targets, weights = targets.astype(np.float32), weights.astype(np.float32)
     by_length = [
         (ids, targets[rows], weights[rows])
         for rows, ids in length_groups([tokens for tokens, _ in groups])
@@ -387,30 +406,29 @@ def train_log_encoder(
     return encoder
 
 
-def group_windows(tokenizer: LogTokenizer, windows: list[LogSequenceWindow]) -> tuple[dict, dict]:
+def group_windows(sequences: list[TokenSequence], labels) -> tuple[dict, dict]:
     """Count the windows of each distinct (token sequence, label) pair, in first-seen order.
 
-    Returns the counts and the diagnostics the encoder manifest reports: the
-    windows whose sequence was truncated and the number of distinct pairs.
+    sequences and labels hold one entry per window. Returns the counts and the
+    diagnostics the encoder manifest reports: the windows whose sequence was
+    truncated and the number of distinct pairs.
     """
     groups: dict[tuple, int] = {}
-    truncated = 0
-    for window in windows:
-        sequence = tokenizer.tokenize(window)
-        truncated += sequence.truncated
-        key = (tuple(sequence.tokens), window.label)
+    for sequence, label in zip(sequences, labels):
+        key = (tuple(sequence.tokens), label)
         groups[key] = groups.get(key, 0) + 1
+    truncated = sum(sequence.truncated for sequence in sequences)
     return groups, {"truncated_windows": truncated, "unique_sequences": len(groups)}
 
 
-def embed_windows(encoder: LogSequenceEncoder, windows: list[LogSequenceWindow]) -> np.ndarray:
-    """[CLS] hidden state per window; shape (n_windows, d_model), no gradients kept.
+def embed_windows(encoder: LogSequenceEncoder, sequences: list[TokenSequence]) -> np.ndarray:
+    """[CLS] hidden state per window, given each window's token sequence.
 
-    Windows with identical token sequences are embedded once, in length
-    groups, and share the resulting row, bit-identical to running each window
-    alone.
+    Shape (n_windows, d_model), no gradients kept. Windows with identical
+    token sequences are embedded once, in length groups, and share the
+    resulting row, bit-identical to running each window alone.
     """
-    return encoder.embed(windows)
+    return encoder.embed(sequences)
 
 
 # --- the log series --------------------------------------------------------------

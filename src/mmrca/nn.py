@@ -3,13 +3,21 @@
 Everything here is functional: forward passes return caches and the matching
 backward functions consume them so gradients stay hand-derived and checkable
 against finite differences.
+
+Precision: every function computes in the dtype of the arrays it is given.
+The trained models run in float32 and the finite-difference checks call the
+same functions in float64. The constants are Python floats, because a numpy
+float64 scalar would silently upcast a whole float32 array, and Adam's
+moments and work arrays take the dtype of the parameters they update.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 

@@ -20,6 +20,18 @@ learner epochs, structure.fit took 5.36 s on 2 OpenBLAS threads (burning
 threads. And a product split across threads sums in another order, so with
 the library default the artifacts of the same seed changed with the
 machine's core count.
+
+Precision is also a fixed policy: the two trained models, the log encoder
+(encoder.train_log_encoder) and the structure learner (structure.fit), train
+and run in float32, because on one thread both are bound by memory traffic
+and by numpy's tanh, not by arithmetic, and single precision halves the
+first and speeds up the second several times. Everything else, the
+z-scoring, the panels, the attention, the fused graph and the random walk,
+stays in float64, and so do the artifacts on disk: log_panel.csv and
+adjacency.json hold float64 values, while encoder.npz and structure.npz hold
+the trained float32 parameters (the untrained encoder of a constant-label
+incident stays float64). The encode stage tokenizes each window once and
+hands the same token sequences to training and to embedding.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import ctypes
+import dataclasses
 import glob
 import hashlib
 import json
@@ -56,6 +69,12 @@ ENV_DATA_DIR = "MMRCA_DATA_DIR"
 ENV_OUT_DIR = "MMRCA_OUT_DIR"
 ENV_SEED = "MMRCA_SEED"
 
+
+def _defaults(config_class) -> dict:
+    """The default fields of a config dataclass, with the seed left to the global seed."""
+    return dict(dataclasses.asdict(config_class()), seed=None)
+
+
 DEFAULT_CONFIG: dict = {
     "paths": {"data_dir": "data", "out_dir": "out"},
     "seed": 7,
@@ -73,34 +92,9 @@ DEFAULT_CONFIG: dict = {
         "root_cause": None,
         "seed": None,
     },
-    "encoder": {
-        "d_model": 64,
-        "n_layers": 2,
-        "n_heads": 4,
-        "max_len": 128,
-        "lr": 0.03,
-        "epochs": 150,
-        "freq_buckets": 16,
-        "seed": None,
-    },
-    "learner": {
-        "p": 3,
-        "d1": 16,
-        "d2": 16,
-        "lambda1": 50.0,
-        "lambda2": 1.0,
-        "lambda3": 20.0,
-        "lambda4": 20.0,
-        "lambda5": 0.1,
-        "lr": 0.02,
-        "epochs": 600,
-        "seed": None,
-        "temperature": 0.5,
-        "acyclicity_base": 1.0,
-        "acyclicity_factor": 2.0,
-        "acyclicity_every": 100,
-        "h_tol": 1e-3,
-    },
+    # the trained models' defaults live in their config classes
+    "encoder": _defaults(encoder_mod.EncoderConfig),
+    "learner": _defaults(structure_mod.LearnerConfig),
     "fusion": {"max_lag": None, "top_k": 3, "edge_threshold": 0.3},
     "rca": {"beta": 0.1, "restart": 0.15, "tol": 1e-10, "max_iter": 10000},
     "evaluation": {"k_values": [1, 3, 5]},
@@ -297,14 +291,17 @@ def stage_encode(config: dict) -> None:
     truth = read_ground_truth(paths["ground_truth"])
 
     enc_config = encoder_config_from(config)
-    if len({w.label for w in windows}) > 1:
-        encoder = encoder_mod.train_log_encoder(windows, enc_config, vocab_size=len(vocabulary))
-        cls = encoder_mod.embed_windows(encoder, windows)
+    tokenizer = encoder_mod.LogTokenizer(len(vocabulary), enc_config)
+    sequences = [tokenizer.tokenize(w) for w in windows]
+    labels = [w.label for w in windows]
+    if len(set(labels)) > 1:
+        encoder = encoder_mod.train_log_encoder(sequences, labels, enc_config, len(vocabulary))
+        cls = encoder_mod.embed_windows(encoder, sequences)
     else:
         # one label value leaves nothing to regress: the untrained head's zero
         # weights score any [CLS] state 0.5, so the transformer need not run
         encoder = encoder_mod.LogSequenceEncoder(enc_config, len(vocabulary))
-        _, encoder.diagnostics = encoder_mod.group_windows(encoder.tokenizer, windows)
+        _, encoder.diagnostics = encoder_mod.group_windows(sequences, labels)
         cls = np.zeros((len(windows), enc_config.d_model))
     scores = encoder.score(cls)
 

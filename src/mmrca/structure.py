@@ -29,6 +29,16 @@ returns and caches refers to workspace arrays, so it is valid only until the
 next call on the same workspace. What `objective_gradients` returns (the
 total, the breakdown and the gradient arrays, which are parameter-sized and
 allocated per call) stays valid after the next call.
+
+Precision: every function computes in the dtype of the parameters and
+batches it is given, and so does the workspace. `fit` z-scores the panels in
+float64, then casts the lagged batches and the initial parameters to float32,
+so training, every gradient and the learned adjacencies are float32; the
+finite-difference checks call the same functions in float64. On one thread
+the learner is bound by memory traffic and by numpy's tanh, not by
+arithmetic: float32 halves the first, and a (41, 297, 16) tanh takes about
+0.07 ms in float32 against 0.3-0.5 ms in float64. Constants stay Python
+floats, since a numpy float64 scalar would silently upcast a float32 array.
 """
 
 from __future__ import annotations
@@ -116,11 +126,11 @@ class LearnedStructure:
 class Workspace:
     """Named arrays that the learner writes on every epoch instead of allocating anew.
 
-    `array(name, shape)` makes an array on the first request and hands the same
-    one out on every later request of that name and shape. `scope(name)` is a
-    view of the same store whose names carry the prefix `name.`; `scratch(shape)`
-    is one temporary per shape shared by every scope, valid until the next
-    scratch request of that shape.
+    `array(name, shape, dtype)` makes an array on the first request and hands
+    the same one out on every later request of that name, shape and dtype.
+    `scope(name)` is a view of the same store whose names carry the prefix
+    `name.`; `scratch(shape, dtype)` is one temporary per shape shared by every
+    scope, valid until the next scratch request of that shape.
     """
 
     def __init__(self, _store: dict | None = None, _prefix: str = ""):
@@ -130,22 +140,22 @@ class Workspace:
     def scope(self, name: str) -> Workspace:
         return Workspace(self._store, f"{self._prefix}{name}.")
 
-    def array(self, name: str, shape: tuple) -> np.ndarray:
-        return self._get(self._prefix + name, shape)
+    def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        return self._get(self._prefix + name, shape, dtype)
 
-    def scratch(self, shape: tuple) -> np.ndarray:
-        return self._get(f"scratch{shape}", shape)
+    def scratch(self, shape: tuple, dtype) -> np.ndarray:
+        return self._get(f"scratch{shape}", shape, dtype)
 
-    def _get(self, key: str, shape: tuple) -> np.ndarray:
+    def _get(self, key: str, shape: tuple, dtype) -> np.ndarray:
         arr = self._store.get(key)
-        if arr is None or arr.shape != shape:
-            arr = self._store[key] = np.empty(shape)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self._store[key] = np.empty(shape, dtype)
         return arr
 
 
 def adjacency_from_free(free_weights: np.ndarray) -> np.ndarray:
     a = expit(free_weights)
-    a = a * (1.0 - np.eye(a.shape[0]))
+    a = a * (1.0 - np.eye(a.shape[0], dtype=a.dtype))
     return a
 
 
@@ -173,10 +183,10 @@ def _linear(x, w, out):
 def _mp_forward(x, a, w, b, activation, ws):
     """act(x @ w[:f] + agg @ w[f:] + b), where agg[i] = sum_j A[j, i] x[j] aggregates i's causes."""
     n, f = x.shape[0], x.shape[-1]
-    agg = ws.array("agg", x.shape)
+    agg = ws.array("agg", x.shape, x.dtype)
     np.matmul(a.T, x.reshape(n, -1), out=agg.reshape(n, -1))
-    out = _linear(x, w[:f], ws.array("out", x.shape[:-1] + (w.shape[1],)))
-    out += _linear(agg, w[f:], ws.scratch(out.shape))
+    out = _linear(x, w[:f], ws.array("out", x.shape[:-1] + (w.shape[1],), x.dtype))
+    out += _linear(agg, w[f:], ws.scratch(out.shape, out.dtype))
     out += b
     if activation == "tanh":
         np.tanh(out, out=out)
@@ -188,23 +198,23 @@ def _mp_backward(dout, cache, w, input_grad=True):
     x, a, agg, out, activation, ws = cache
     n, f = x.shape[0], x.shape[-1]
     if activation == "tanh":
-        dpre = np.multiply(out, out, out=ws.array("dpre", out.shape))
+        dpre = np.multiply(out, out, out=ws.array("dpre", out.shape, out.dtype))
         np.subtract(1.0, dpre, out=dpre)
         dpre *= dout
     else:
         dpre = dout
     dpre_flat = dpre.reshape(-1, dpre.shape[-1])
-    dw = np.empty(w.shape)
+    dw = np.empty(w.shape, dpre.dtype)
     np.matmul(x.reshape(-1, f).T, dpre_flat, out=dw[:f])
     np.matmul(agg.reshape(-1, f).T, dpre_flat, out=dw[f:])
     # one BLAS product; numpy's sum over the two leading axes is several times slower
-    db = np.ones(dpre_flat.shape[0]) @ dpre_flat
-    dagg = _linear(dpre, w[f:].T, ws.array("dagg", x.shape))
+    db = np.ones(dpre_flat.shape[0], dpre.dtype) @ dpre_flat
+    dagg = _linear(dpre, w[f:].T, ws.array("dagg", x.shape, dpre.dtype))
     da = x.reshape(n, -1) @ dagg.reshape(n, -1).T
     if not input_grad:
         return None, da, dw, db
-    dx = _linear(dpre, w[:f].T, ws.array("dx", x.shape))
-    dx_agg = ws.scratch(x.shape)
+    dx = _linear(dpre, w[:f].T, ws.array("dx", x.shape, dpre.dtype))
+    dx_agg = ws.scratch(x.shape, dpre.dtype)
     np.matmul(a, dagg.reshape(n, -1), out=dx_agg.reshape(n, -1))
     dx += dx_agg
     return dx, da, dw, db
@@ -312,7 +322,7 @@ def loss_var(
 ):
     """Squared prediction error of the message-passing decoder on R_c + R_s."""
     ws = Workspace() if workspace is None else workspace
-    x = np.add(r_c, r_s, out=ws.array("input", r_c.shape))
+    x = np.add(r_c, r_s, out=ws.array("input", r_c.shape, r_c.dtype))
     out, caches = _mp2_forward(x, adjacency, decoder_params, "", "linear", ws)
     out = out[..., 0]
     return float(((target - out) ** 2).sum()), (target, out, caches, decoder_params)
@@ -338,9 +348,9 @@ def loss_orth(r_c: np.ndarray, r_s: np.ndarray, workspace: Workspace | None = No
 def loss_orth_backward(scale: float, cache):
     """-> (dR_c, dR_s)."""
     r_c, r_s, cross, ws = cache
-    d_r_c = np.matmul(r_s, cross, out=ws.array("d_r_c", r_c.shape))
+    d_r_c = np.matmul(r_s, cross, out=ws.array("d_r_c", r_c.shape, cross.dtype))
     d_r_c *= scale * 2.0
-    d_r_s = np.matmul(r_c, cross.transpose(0, 2, 1), out=ws.array("d_r_s", r_s.shape))
+    d_r_s = np.matmul(r_c, cross.transpose(0, 2, 1), out=ws.array("d_r_s", r_s.shape, cross.dtype))
     d_r_s *= scale * 2.0
     return d_r_c, d_r_s
 
@@ -365,7 +375,7 @@ def loss_node_backward(scale: float, cache):
     metric, log, exp_shift, temperature = cache
     n = exp_shift.shape[0]
     p_soft = exp_shift / exp_shift.sum(axis=1, keepdims=True)
-    ds = (p_soft - np.eye(n)) / (n * temperature)
+    ds = (p_soft - np.eye(n, dtype=p_soft.dtype)) / (n * temperature)
     return (
         scale * _normalize_rows_backward(ds @ log[0], *metric),
         scale * _normalize_rows_backward(ds.T @ metric[0], *log),
@@ -381,7 +391,7 @@ def loss_edge(h: np.ndarray, adjacency: np.ndarray, edge_params: dict):
     n, d2 = h.shape
     w = edge_params["w"].ravel()
     g = expit((h @ w[:d2])[:, None] + (h @ w[d2:])[None, :] + edge_params["b"][0])
-    mask = 1.0 - np.eye(n)
+    mask = 1.0 - np.eye(n, dtype=g.dtype)
     return float((mask * (g - adjacency) ** 2).sum()), (h, g, adjacency, mask, edge_params)
 
 
@@ -405,8 +415,9 @@ def acyclicity(adjacency: np.ndarray):
     """Trace-exponential penalty h, zero exactly when the weighted graph is acyclic.
 
     Returns (h, expm(A * A)); the exponential is what the gradient 2 A * expm(A * A)^T needs.
+    Both are computed in the dtype of the adjacency.
     """
-    a = np.asarray(adjacency, dtype=float)
+    a = np.asarray(adjacency)
     if not np.all(np.isfinite(a)):
         raise ValueError("adjacency entries must be finite")
     e = expm(a * a)
@@ -467,7 +478,7 @@ def objective_gradients(
     batches = {"metric": batch_metric, "log": batch_log}
     weights = {"metric": a_metric, "log": a_log}
     n = batch_metric.history.shape[0]
-    mask = 1.0 - np.eye(n)
+    mask = 1.0 - np.eye(n, dtype=params["metric.adj"].dtype)
     sub = {v: _subparams(params, f"{v}.") for v in MODALITIES}
     adj = {v: adjacency_from_free(params[f"{v}.adj"]) for v in MODALITIES}
     ws = Workspace() if workspace is None else workspace
@@ -476,8 +487,10 @@ def objective_gradients(
     for v in MODALITIES:
         rep[v], enc[v] = encode(batches[v], adj[v], sub[v], ws.scope(v))
     shape = rep["metric"][0].shape
-    r_combined = np.multiply(rep["log"][0], weights["log"], out=ws.array("r_combined", shape))
-    r_combined += np.multiply(rep["metric"][0], weights["metric"], out=ws.scratch(shape))
+    dtype = rep["metric"][0].dtype
+    r_combined = ws.array("r_combined", shape, dtype)
+    np.multiply(rep["log"][0], weights["log"], out=r_combined)
+    r_combined += np.multiply(rep["metric"][0], weights["metric"], out=ws.scratch(shape, dtype))
 
     # each term: (value, cache) per modality
     var, orth, edge, acyc = {}, {}, {}, {}
@@ -514,8 +527,8 @@ def objective_gradients(
 
     # ---- backward: the gradients reaching R_c accumulate in place
     grads: dict[str, np.ndarray] = {}
-    d_r_c = {v: ws.array(f"{v}.d_r_c", shape) for v in MODALITIES}
-    d_combined = ws.array("d_combined", shape)
+    d_r_c = {v: ws.array(f"{v}.d_r_c", shape, dtype) for v in MODALITIES}
+    d_combined = ws.array("d_combined", shape, dtype)
     for accumulator in (*d_r_c.values(), d_combined):
         accumulator.fill(0.0)
     d_r_s, d_a_var = {}, {}
@@ -526,7 +539,7 @@ def objective_gradients(
     d_h_node = dict(zip(MODALITIES, loss_node_backward(config.lambda3, node_cache)))
 
     for v in MODALITIES:
-        d_r_c[v] += np.multiply(d_combined, weights[v], out=ws.scratch(shape))
+        d_r_c[v] += np.multiply(d_combined, weights[v], out=ws.scratch(shape, dtype))
         d_r_c_orth, d_r_s_orth = loss_orth_backward(config.lambda2, orth[v][1])
         d_r_c[v] += d_r_c_orth
         d_r_s[v] += d_r_s_orth
@@ -567,9 +580,11 @@ def fit(
 
     attention is (a_log, a_metric) and must sum to 1. Rows are z-scored before
     slicing into lagged batches (recorded in the result) so heterogeneous
-    scales do not dominate the shared decoder. The acyclicity multiplier
-    follows the configured geometric, monotone non-decreasing schedule; if the
-    final penalties exceed h_tol the structure is flagged non-converged.
+    scales do not dominate the shared decoder. The z-scoring runs in float64
+    and training in float32, so the parameters and adjacencies of the result
+    are float32. The acyclicity multiplier follows the configured geometric,
+    monotone non-decreasing schedule; if the final penalties exceed h_tol the
+    structure is flagged non-converged.
     """
     if metric_panel.values.shape != log_panel.values.shape:
         raise ValueError("metric and log panels must share n and T")
@@ -582,11 +597,14 @@ def fit(
         values[name], mean, std = _zscore(panel.values)
         standardization[name] = {"mean": mean, "std": std}
 
-    batch_metric = build_lagged(values["metric"], config.p)
-    batch_log = build_lagged(values["log"], config.p)
+    # training runs in float32: see the module docstring
+    batch_metric, batch_log = (
+        LaggedBatch(batch.history.astype(np.float32), batch.target.astype(np.float32))
+        for batch in (build_lagged(values[name], config.p) for name in ("metric", "log"))
+    )
     n = batch_metric.history.shape[0]
 
-    params = init_params(n, config)
+    params = {key: value.astype(np.float32) for key, value in init_params(n, config).items()}
     optimizer = Adam(params, lr=config.lr)
     workspace = Workspace()
     history: dict[str, list] = {}

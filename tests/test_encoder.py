@@ -34,6 +34,21 @@ def window(templates, frequencies, label=0.0, entity=0, index=0):
                              frequencies=frequencies, label=label)
 
 
+def sequences_of(enc, windows):
+    return [enc.tokenizer.tokenize(w) for w in windows]
+
+
+def train(windows, config, vocab_size=None):
+    """train_log_encoder on windows tokenized as the pipeline does; by default the
+    vocabulary is the templates the windows use."""
+    if vocab_size is None:
+        vocab_size = 1 + max(
+            (t for w in windows for t in w.templates if t != EMPTY_TEMPLATE_ID), default=-1
+        )
+    sequences = [LogTokenizer(vocab_size, config).tokenize(w) for w in windows]
+    return train_log_encoder(sequences, [w.label for w in windows], config, vocab_size)
+
+
 class TestConfigValidation:
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ValueError):
@@ -53,6 +68,13 @@ class TestFreqBuckets:
 
     def test_saturation_at_top_bucket(self):
         assert freq_bucket(2**40, 16) == 15
+
+    def test_exact_on_both_sides_of_every_power_of_two(self):
+        # np.log2 rounds 2**49 - 1 up to 49.0, which put it one bucket too high
+        assert freq_bucket(2**49 - 1, 64) == 49
+        for k in range(1, 63):
+            assert freq_bucket(2**k - 1, 64) == k
+            assert freq_bucket(2**k, 64) == k + 1
 
     def test_monotone(self):
         buckets = [freq_bucket(f, 16) for f in range(1, 200)]
@@ -121,7 +143,7 @@ def separable_corpus(n_each=30):
 class TestTraining:
     def test_constant_zero_labels_reach_tiny_mse(self):
         windows = [window([i % 3], [1 + i % 5], label=0.0, entity=0, index=i) for i in range(40)]
-        encoder = train_log_encoder(windows, toy_config(epochs=200))
+        encoder = train(windows, toy_config(epochs=200))
         assert encoder.history[-1] <= 1e-3
 
     def test_separable_labels_reach_low_mse(self):
@@ -138,32 +160,32 @@ class TestTraining:
         probe_mse = float(np.mean((np.hstack([feats, np.ones((len(windows), 1))]) @ coef - labels) ** 2))
         assert probe_mse < 1e-20  # confirms separability independently
 
-        encoder = train_log_encoder(windows, toy_config(epochs=250))
+        encoder = train(windows, toy_config(epochs=250))
         assert encoder.history[-1] <= 1e-2
 
     def test_truncated_windows_counted_once_each(self):
         windows = [window(list(range(10)), [1] * 10, index=i) for i in range(3)]
         windows += [window([i % 3], [1], index=3 + i) for i in range(5)]
-        encoder = train_log_encoder(windows, toy_config(max_len=8, epochs=2), vocab_size=10)
+        encoder = train(windows, toy_config(max_len=8, epochs=2), vocab_size=10)
         assert encoder.diagnostics["truncated_windows"] == 3
-        embed_windows(encoder, windows)
+        embed_windows(encoder, sequences_of(encoder, windows))
         assert encoder.diagnostics["truncated_windows"] == 3
 
     def test_same_seed_identical_parameters(self):
         windows = separable_corpus(10)
-        a = train_log_encoder(windows, toy_config(epochs=30))
-        b = train_log_encoder(windows, toy_config(epochs=30))
+        a = train(windows, toy_config(epochs=30))
+        b = train(windows, toy_config(epochs=30))
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key])
 
     def test_loss_history_recorded(self):
         windows = separable_corpus(5)
-        encoder = train_log_encoder(windows, toy_config(epochs=25))
+        encoder = train(windows, toy_config(epochs=25))
         assert len(encoder.history) == 25
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ValueError):
-            train_log_encoder([], toy_config())
+            train_log_encoder([], [], toy_config(), vocab_size=1)
 
 
 def alone(enc, w):
@@ -320,6 +342,64 @@ class TestGradients:
             assert np.max(np.abs(grads[key] - ref_grads[key])) <= 1e-12, key
 
 
+class TestPrecision:
+    WINDOWS = [
+        window([0, 1, 2], [1, 4, 9], label=0.3),
+        window([1], [2], label=0.9),
+        window([2, 0], [5, 1], label=0.1),
+        window([EMPTY_TEMPLATE_ID], [1], label=0.0),
+        window([0], [3], label=0.6),
+        window([1, 2], [1, 1], label=0.45),
+    ]
+    WEIGHTS = np.array([3.0, 1.0, 7.0, 2.0, 5.0, 1.0])
+
+    def encoder(self):
+        enc = LogSequenceEncoder(toy_config(seed=4), vocab_size=3)
+        enc.params["head_w"] = 0.5 * np.random.default_rng(0).standard_normal((16, 1))
+        return enc
+
+    @staticmethod
+    def as_float32(enc, groups):
+        enc.params = {key: value.astype(np.float32) for key, value in enc.params.items()}
+        return [(ids, y.astype(np.float32), w.astype(np.float32)) for ids, y, w in groups]
+
+    def test_float32_gradients_agree_with_float64(self):
+        enc = self.encoder()
+        groups = by_length(enc, self.WINDOWS, self.WEIGHTS)
+        loss, grads = enc.loss_and_grads(groups)
+        loss32, grads32 = enc.loss_and_grads(self.as_float32(enc, groups))
+        # float32 keeps about 7 digits; 1e-3 is the finite-difference checks' tolerance
+        assert abs(loss32 - loss) <= 1e-3 * loss
+        for key, g in grads.items():
+            if np.linalg.norm(g) < 1e-7:
+                continue  # structurally zero (the key biases): float32 leaves rounding noise
+            rel = np.linalg.norm(grads32[key] - g) / np.linalg.norm(g)
+            assert rel < 1e-3, f"{key}: rel err {rel}"
+
+    def test_a_float32_pass_keeps_every_array_in_float32(self):
+        enc = self.encoder()
+        groups = self.as_float32(enc, by_length(enc, self.WINDOWS, self.WEIGHTS))
+        _, grads = enc.loss_and_grads(groups)
+        assert {key: g.dtype for key, g in grads.items()} == {key: np.float32 for key in grads}
+        hidden, caches = enc._forward(groups[-1][0])
+        cached = [a for cache in caches for value in cache.values()
+                  for a in (value if isinstance(value, tuple) else (value,))]
+        assert {a.dtype for a in [hidden, *cached]} == {np.dtype(np.float32)}
+        emb = enc.embed(sequences_of(enc, self.WINDOWS))
+        assert emb.dtype == enc.score(emb).dtype == np.float32
+
+    def test_training_runs_in_float32(self):
+        encoder = train(separable_corpus(4), toy_config(epochs=3))
+        assert {value.dtype for value in encoder.params.values()} == {np.dtype(np.float32)}
+
+    def test_score_saturates_without_overflow(self):
+        # 1 / (1 + exp(-x)) overflows in float32 below about -88
+        enc = self.encoder()
+        enc.params = {key: value.astype(np.float32) for key, value in enc.params.items()}
+        enc.params["head_b"][0] = -200.0
+        assert np.array_equal(enc.score(np.zeros((2, 16), np.float32)), [0.0, 0.0])
+
+
 class TestGelu:
     X = np.linspace(-6.0, 6.0, 241)
 
@@ -364,20 +444,20 @@ class TestAdam:
 class TestEmbeddings:
     def test_identical_windows_identical_rows(self):
         windows = [window([0], [2]), window([0], [2])]
-        encoder = train_log_encoder(windows + [window([1], [1], label=1.0)], toy_config(epochs=10))
-        emb = embed_windows(encoder, windows)
+        encoder = train(windows + [window([1], [1], label=1.0)], toy_config(epochs=10))
+        emb = embed_windows(encoder, sequences_of(encoder, windows))
         assert np.array_equal(emb[0], emb[1])
 
     def test_shape_contract(self):
         windows = separable_corpus(4)
-        encoder = train_log_encoder(windows, toy_config(epochs=5))
-        emb = embed_windows(encoder, windows)
+        encoder = train(windows, toy_config(epochs=5))
+        emb = embed_windows(encoder, sequences_of(encoder, windows))
         assert emb.shape == (len(windows), encoder.config.d_model)
 
     def test_trained_embeddings_separate_keyword_windows(self):
         windows = separable_corpus()
-        encoder = train_log_encoder(windows, toy_config(epochs=250))
-        emb = embed_windows(encoder, windows)
+        encoder = train(windows, toy_config(epochs=250))
+        emb = embed_windows(encoder, sequences_of(encoder, windows))
         labels = np.array([w.label for w in windows])
         pos = emb[labels == 1.0].mean(axis=0)
         neg = emb[labels == 0.0].mean(axis=0)
@@ -396,25 +476,27 @@ class TestEmbeddings:
             window(list(range(8)), [1] * 8),
             window([4, 6], [2, 2]),
         ]
-        emb = enc.embed(windows)
+        emb = enc.embed(sequences_of(enc, windows))
         # the reference runs each window by itself, at its own length
         reference = np.vstack([alone(enc, w) for w in windows])
         assert emb.shape == (len(windows), enc.config.d_model)
         assert np.array_equal(emb, reference)
         order = np.random.default_rng(0).permutation(len(windows))
-        assert np.array_equal(enc.embed([windows[i] for i in order]), reference[order])
+        shuffled = sequences_of(enc, [windows[i] for i in order])
+        assert np.array_equal(enc.embed(shuffled), reference[order])
 
     def test_a_window_embeds_the_same_beside_a_longer_one(self):
         enc = LogSequenceEncoder(toy_config(seed=4), vocab_size=8)
         short = [window([0], [1]), window([3, 2], [9, 1]), window([EMPTY_TEMPLATE_ID], [1])]
         longest = window(list(range(8)), [1] * 8)
         for w in short:
-            assert np.array_equal(enc.embed([w])[0], enc.embed([w, longest])[0])
+            beside = enc.embed(sequences_of(enc, [w, longest]))[0]
+            assert np.array_equal(enc.embed(sequences_of(enc, [w]))[0], beside)
 
     def test_order_sensitivity_at_random_init(self):
         cfg = toy_config(seed=9)
         enc = LogSequenceEncoder(cfg, vocab_size=5)
-        fwd = enc.embed([window([0, 1], [1, 1]), window([1, 0], [1, 1])])
+        fwd = enc.embed(sequences_of(enc, [window([0, 1], [1, 1]), window([1, 0], [1, 1])]))
         assert not np.allclose(fwd[0], fwd[1])
 
 
@@ -455,7 +537,7 @@ class TestReduceToSeries:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         windows = separable_corpus(6)
-        encoder = train_log_encoder(windows, toy_config(epochs=20))
+        encoder = train(windows, toy_config(epochs=20))
         vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
         ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
         save_encoder(encoder, ckpt, manifest, vocabulary)
@@ -464,13 +546,24 @@ class TestPersistence:
             assert np.array_equal(restored.params[key], encoder.params[key])
         assert restored.config == encoder.config
 
+    def test_a_float64_checkpoint_loads_and_embeds_in_float64(self, tmp_path):
+        encoder = LogSequenceEncoder(toy_config(), vocab_size=4)
+        vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
+        ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
+        save_encoder(encoder, ckpt, manifest, vocabulary)
+        restored = load_encoder(ckpt, manifest)
+        sequences = sequences_of(restored, separable_corpus(2))
+        emb = restored.embed(sequences)
+        assert emb.dtype == np.float64
+        assert np.array_equal(emb, encoder.embed(sequences))
+
     def test_checkpoint_from_another_save_is_rejected(self, tmp_path, monkeypatch):
         # a save that fails between its two files leaves the new checkpoint
         # beside the manifest of the save before it
         windows = separable_corpus(3)
         vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
         ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
-        save_encoder(train_log_encoder(windows, toy_config(d_model=8, epochs=2)),
+        save_encoder(train(windows, toy_config(d_model=8, epochs=2)),
                      ckpt, manifest, vocabulary)
 
         def dump_fails(*args, **kwargs):
@@ -478,7 +571,7 @@ class TestPersistence:
 
         monkeypatch.setattr(json, "dump", dump_fails)
         with pytest.raises(OSError):
-            save_encoder(train_log_encoder(windows, toy_config(d_model=16, epochs=2)),
+            save_encoder(train(windows, toy_config(d_model=16, epochs=2)),
                          ckpt, manifest, vocabulary)
         monkeypatch.undo()
         with np.load(ckpt) as checkpoint:

@@ -6,10 +6,12 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import mmrca
 from mmrca import cli, pipeline
 from mmrca import encoder as encoder_mod
+from mmrca import structure as structure_mod
 from mmrca.logs import windows_from_jsonl
 from mmrca.panel import ModalityPanel, read_panel_csv, write_panel_csv
 
@@ -76,6 +78,17 @@ class TestOneBlasThread:
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "section,config_class",
+        [("encoder", encoder_mod.EncoderConfig), ("learner", structure_mod.LearnerConfig)],
+    )
+    def test_config_classes_default_to_the_pipeline_defaults(self, section, config_class):
+        # the pipeline's section leaves the seed to the global seed
+        defaults = dict(pipeline.DEFAULT_CONFIG[section], seed=config_class().seed)
+        assert config_class(**defaults) == config_class()
+
+
 class TestAtomicWrites:
     def test_failed_panel_write_leaves_the_earlier_panel_and_a_partial(self, tmp_path):
         path = tmp_path / "log_panel.csv"
@@ -119,15 +132,16 @@ class TestLogSeries:
 
         out = tmp_path / "out"
         encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
+        sequences = [encoder.tokenizer.tokenize(w) for w in windows]
         with pipeline._one_blas_thread():
-            cls = encoder_mod.embed_windows(encoder, windows)
+            cls = encoder_mod.embed_windows(encoder, sequences)
         logits = (cls @ encoder.params["head_w"]).ravel() + encoder.params["head_b"][0]
-        expected = 1.0 / (1.0 + np.exp(-logits))
+        expected = expit(logits)
         values_of = defaultdict(set)
-        for w, score in zip(windows, expected):
+        for w, sequence, score in zip(windows, sequences, expected):
             value = panel.values[w.entity, w.window_index]
             assert value == score, (w.entity, w.window_index)
-            values_of[tuple(encoder.tokenizer.tokenize(w).tokens)].add(value)
+            values_of[tuple(sequence.tokens)].add(value)
         assert len(values_of) < len(windows)
         assert all(len(values) == 1 for values in values_of.values())
 
@@ -160,7 +174,7 @@ class TestLogSeries:
         }
         # reference: the panel that embedding every window with the untrained encoder gives
         with pipeline._one_blas_thread():
-            scores = encoder.score(encoder.embed(windows))
+            scores = encoder.score(encoder.embed(sequences))
         truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
         reference = encoder_mod.reduce_to_series(
             scores,

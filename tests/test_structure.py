@@ -4,6 +4,7 @@ import pytest
 from mmrca.panel import ModalityPanel
 from mmrca.simulate import topological_order
 from mmrca.structure import (
+    LaggedBatch,
     LearnerConfig,
     Workspace,
     acyclicity,
@@ -35,6 +36,14 @@ def toy_setup(n=3, t_len=6, seed=0, **cfg_overrides):
     batch_l = build_lagged(rng.standard_normal((n, t_len)), cfg.p)
     params = init_params(n, cfg)
     return cfg, batch_m, batch_l, params
+
+
+def as_float32(params, *batches):
+    """The parameters and batches cast to float32, as fit casts them."""
+    return (
+        {key: value.astype(np.float32) for key, value in params.items()},
+        *(LaggedBatch(b.history.astype(np.float32), b.target.astype(np.float32)) for b in batches),
+    )
 
 
 class TestBuildLagged:
@@ -452,6 +461,41 @@ class TestWorkspace:
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.loss_history == second.loss_history
         assert (first.h_metric, first.h_log) == (second.h_metric, second.h_log)
+
+
+class TestPrecision:
+    def test_float32_gradients_agree_with_float64(self):
+        cfg, batch_m, batch_l, params = toy_setup()
+        total, _, grads = objective_gradients(params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7)
+        total32, _, grads32 = objective_gradients(
+            *as_float32(params, batch_m, batch_l), (0.4, 0.6), cfg, 1.7
+        )
+        # float32 keeps about 7 digits; 1e-3 is the finite-difference checks' tolerance
+        assert abs(total32 - total) <= 1e-3 * abs(total)
+        for key, g in grads.items():
+            rel = np.linalg.norm(grads32[key] - g) / np.linalg.norm(g)
+            assert rel < 1e-3, f"{key}: rel err {rel}"
+
+    def test_a_float32_call_keeps_every_array_in_float32(self):
+        cfg, batch_m, batch_l, params = toy_setup(n=4, t_len=9)
+        params, batch_m, batch_l = as_float32(params, batch_m, batch_l)
+        workspace = Workspace()
+        _, _, grads = objective_gradients(params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7, workspace)
+        assert {key: g.dtype for key, g in grads.items()} == {key: np.float32 for key in params}
+        assert workspace._store
+        assert {key: a.dtype for key, a in workspace._store.items()} == {
+            key: np.float32 for key in workspace._store
+        }
+
+    def test_fit_trains_in_float32(self):
+        rng = np.random.default_rng(4)
+        names = ["a", "b", "c", "d"]
+        metric = ModalityPanel(rng.standard_normal((5, 30)), names)
+        log = ModalityPanel(rng.standard_normal((5, 30)), names)
+        structure = fit(metric, log, (0.3, 0.7), LearnerConfig(p=2, d1=4, d2=3, epochs=2, seed=2))
+        assert {value.dtype for value in structure.params.values()} == {np.dtype(np.float32)}
+        assert structure.A_metric.dtype == structure.A_log.dtype == np.float32
+        assert structure.standardization["metric"]["mean"].dtype == np.float64
 
 
 class TestSchedule:
