@@ -46,12 +46,10 @@ class FusedCausalGraph:
             raise ValueError("adjacency shape does not match node_names")
 
 
-def _lagged_correlation(x: np.ndarray, y: np.ndarray, lag: int, normalized: bool) -> float:
+def _lagged_correlation(x: np.ndarray, y: np.ndarray, lag: int) -> float:
     # pairs (x[t+lag], y[t]) over the overlapping support
     a = x[lag:]
     b = y[: len(y) - lag] if lag > 0 else y
-    if not normalized:
-        return float(np.dot(a, b))
     ca = a - a.mean()
     cb = b - b.mean()
     denom = np.linalg.norm(ca) * np.linalg.norm(cb)
@@ -61,14 +59,13 @@ def _lagged_correlation(x: np.ndarray, y: np.ndarray, lag: int, normalized: bool
 
 
 def cross_correlation_scores(
-    panel: ModalityPanel, max_lag: int, modality: str = "metric", normalized: bool = True
+    panel: ModalityPanel, max_lag: int, modality: str = "metric"
 ) -> ModalityScore:
-    """Per-entity max lagged correlation with the KPI over lags 0..max_lag.
+    """Per-entity max lagged Pearson correlation with the KPI over lags 0..max_lag.
 
     The entity series leads the KPI: at lag p the pairs are (x_i(t+p), y(t)).
-    Normalized mode mean-centers both series over the overlap and divides by
-    their norms (Pearson); raw mode keeps the plain inner product. Entities
-    with zero variance at every lag score 0.
+    Both series are mean-centered over the overlap and divided by their
+    norms. Entities with zero variance at every lag score 0.
     """
     if max_lag >= panel.n_timesteps:
         raise ValueError(
@@ -79,7 +76,7 @@ def cross_correlation_scores(
     for i in range(panel.n_nodes - 1):
         best = -np.inf
         for lag in range(max_lag + 1):
-            best = max(best, _lagged_correlation(panel.values[i], kpi, lag, normalized))
+            best = max(best, _lagged_correlation(panel.values[i], kpi, lag))
         scores[i] = best
     return ModalityScore(scores=scores, modality=modality, max_lag=max_lag)
 

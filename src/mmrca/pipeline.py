@@ -143,7 +143,8 @@ def load_config(
     name raises ValueError. Environment variables override only paths and the
     seed. Component seeds left null derive from the global seed (scenario:
     seed, encoder: seed+1, learner: seed+2) so one flag reseeds the whole
-    pipeline.
+    pipeline. The encoder and learner sections are checked by building their
+    config classes, so a bad value fails here, before any stage runs.
     """
     environ = os.environ if environ is None else environ
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -174,6 +175,8 @@ def load_config(
         config["metric_kind"] = config["scenario"]["metric_kinds"][0]
     if config["fusion"].get("max_lag") is None:
         config["fusion"]["max_lag"] = config["learner"]["p"]
+    encoder_config_from(config)
+    learner_config_from(config)
     return config
 
 

@@ -8,6 +8,16 @@ p-lagged history; contrastive, orthogonality and edge-reconstruction terms
 couple the two modalities; an entrywise L1 penalty and the trace-exponential
 acyclicity penalty shape the adjacencies.
 
+Both modalities run the same architecture, so the learner holds them as one
+stack: every parameter block, batch, representation and gradient has a
+leading modality axis (0 = metric, 1 = log), and each term runs once for both
+modalities. The blocks are `adj` (2, n, n), `enc_c.*`, `enc_s.*`, `mlp.*`,
+`dec.*` and `edge.*`. Only two places mix the slices: the decoders both read
+the attention-weighted sum of the two shared representations, and
+`loss_node` pairs the metric entities with the log entities. Every term also
+accepts arrays without the leading axis, which is how the tests check one
+modality at a time.
+
 Adjacency orientation: A[i, j] is the weight of edge i -> j (i causes j), so
 message passing aggregates each node's in-neighbors via A^T.
 
@@ -15,15 +25,16 @@ Each term of the objective is defined once, as a pair of functions: the
 forward (`encode`, `loss_var`, `loss_orth`, `loss_node`, `loss_edge`) returns
 (value, cache), and the matching `*_backward(scale, cache)` turns the weight
 of that value in the objective (for `encode`, the gradients of its outputs)
-into gradients of the term's inputs and parameters. `acyclicity` returns
+into gradients of the term's inputs and parameters. The values of the
+stacked terms are arrays over the leading axes. `acyclicity` returns
 (h, expm(A * A)), which the gradient reuses. `objective_gradients` composes
 these pairs, and is what both `fit` and the finite-difference checks call;
 all gradients are hand-derived.
 
-The arrays that grow with the series length (every (n, m, .) forward cache
-and backward temporary) live in a `Workspace`, keyed by modality and layer,
-and are overwritten in place on every call. The caller owns the workspace:
-`fit` creates one per run and passes it to every epoch, and a forward or
+The arrays that grow with the series length (every (2, n, m, .) forward
+cache and backward temporary) live in a `Workspace`, keyed by layer, and are
+overwritten in place on every call. The caller owns the workspace: `fit`
+creates one per run and passes it to every epoch, and a forward or
 `objective_gradients` called without one creates a fresh one. What a forward
 returns and caches refers to workspace arrays, so it is valid only until the
 next call on the same workspace. What `objective_gradients` returns (the
@@ -32,13 +43,16 @@ allocated per call) stays valid after the next call.
 
 Precision: every function computes in the dtype of the parameters and
 batches it is given, and so does the workspace. `fit` z-scores the panels in
-float64, then casts the lagged batches and the initial parameters to float32,
+float64, then casts the lagged batch and the initial parameters to float32,
 so training, every gradient and the learned adjacencies are float32; the
 finite-difference checks call the same functions in float64. On one thread
 the learner is bound by memory traffic and by numpy's tanh, not by
 arithmetic: float32 halves the first, and a (41, 297, 16) tanh takes about
 0.07 ms in float32 against 0.3-0.5 ms in float64. Constants stay Python
 floats, since a numpy float64 scalar would silently upcast a float32 array.
+Each product over the modality axis is one BLAS call per slice with the
+slice's own strides, so the stack computes the same bits as two separate
+modalities would.
 """
 
 from __future__ import annotations
@@ -54,8 +68,6 @@ from scipy.special import expit
 from .atomic import atomic_open
 from .nn import Adam
 from .panel import ModalityPanel
-
-MODALITIES = ("metric", "log")
 
 
 # --- configuration and containers ---------------------------------------------
@@ -88,6 +100,10 @@ class LearnerConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("hidden dimensions must be positive")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.acyclicity_factor < 1.0 or self.acyclicity_base <= 0 or self.acyclicity_every < 1:
@@ -99,18 +115,26 @@ class LearnerConfig:
 
 @dataclass
 class LaggedBatch:
-    history: np.ndarray  # (n, m, p)
-    target: np.ndarray  # (n, m)
+    history: np.ndarray  # (..., n, m, p)
+    target: np.ndarray  # (..., n, m)
 
     def __post_init__(self):
-        if self.history.ndim != 3 or self.target.ndim != 2:
-            raise ValueError("history must be (n, m, p) and target (n, m)")
-        if self.history.shape[:2] != self.target.shape:
-            raise ValueError("history and target disagree on (n, m)")
+        if self.target.ndim < 2 or self.history.ndim != self.target.ndim + 1:
+            raise ValueError("history must be (..., n, m, p) and target (..., n, m)")
+        if self.history.shape[:-1] != self.target.shape:
+            raise ValueError("history and target disagree on (..., n, m)")
 
 
 @dataclass
 class LearnedStructure:
+    """The learned adjacencies and the state they came from.
+
+    `params` holds the learner's parameter blocks (`adj`, `enc_c.w1`, ...),
+    each stacked over a leading modality axis: [0] is the metric block and
+    [1] the log block. `A_metric` and `A_log` are the two slices of the
+    learned adjacency.
+    """
+
     A_metric: np.ndarray
     A_log: np.ndarray
     params: dict
@@ -155,39 +179,45 @@ class Workspace:
 
 def adjacency_from_free(free_weights: np.ndarray) -> np.ndarray:
     a = expit(free_weights)
-    a = a * (1.0 - np.eye(a.shape[0], dtype=a.dtype))
+    a = a * (1.0 - np.eye(a.shape[-1], dtype=a.dtype))
     return a
 
 
-def build_lagged(panel, p: int) -> LaggedBatch:
-    """Slice a panel into p-lagged histories and next-step targets (m = T - p)."""
-    values = panel.values if isinstance(panel, ModalityPanel) else np.asarray(panel, dtype=float)
-    _, t_len = values.shape
+def build_lagged(values, p: int) -> LaggedBatch:
+    """Slice (..., n, T) series into p-lagged histories and next-step targets (m = T - p)."""
+    values = np.asarray(values, dtype=float)
+    t_len = values.shape[-1]
     if t_len <= p:
         raise ValueError(f"series length T={t_len} must exceed the lag order p={p}")
     m = t_len - p
-    history = sliding_window_view(values, p, axis=1)[:, :m, :].copy()
-    target = values[:, p:].copy()
+    history = sliding_window_view(values, p, axis=-1)[..., :m, :].copy()
+    target = values[..., p:].copy()
     return LaggedBatch(history=history, target=target)
 
 
 # --- message passing primitives -------------------------------------------------
 
 
+def _by_node(x):
+    """(..., n, m, f) -> (..., n, m * f): one row per node."""
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
 def _linear(x, w, out):
-    """out = x @ w over the last axis of x, as one 2-D product written into out."""
-    np.matmul(x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, w.shape[-1]))
+    """out = x @ w over the last axis of x, as one 2-D product per leading index of w."""
+    lead = w.shape[:-2]
+    np.matmul(x.reshape(lead + (-1, x.shape[-1])), w, out=out.reshape(lead + (-1, w.shape[-1])))
     return out
 
 
 def _mp_forward(x, a, w, b, activation, ws):
     """act(x @ w[:f] + agg @ w[f:] + b), where agg[i] = sum_j A[j, i] x[j] aggregates i's causes."""
-    n, f = x.shape[0], x.shape[-1]
+    f = x.shape[-1]
     agg = ws.array("agg", x.shape, x.dtype)
-    np.matmul(a.T, x.reshape(n, -1), out=agg.reshape(n, -1))
-    out = _linear(x, w[:f], ws.array("out", x.shape[:-1] + (w.shape[1],), x.dtype))
-    out += _linear(agg, w[f:], ws.scratch(out.shape, out.dtype))
-    out += b
+    np.matmul(a.swapaxes(-1, -2), _by_node(x), out=_by_node(agg))
+    out = _linear(x, w[..., :f, :], ws.array("out", x.shape[:-1] + w.shape[-1:], x.dtype))
+    out += _linear(agg, w[..., f:, :], ws.scratch(out.shape, out.dtype))
+    out += b[..., None, None, :]
     if activation == "tanh":
         np.tanh(out, out=out)
     return out, (x, a, agg, out, activation, ws)
@@ -196,26 +226,27 @@ def _mp_forward(x, a, w, b, activation, ws):
 def _mp_backward(dout, cache, w, input_grad=True):
     """-> (dx, dA, dw, db); dx is None when input_grad is false."""
     x, a, agg, out, activation, ws = cache
-    n, f = x.shape[0], x.shape[-1]
+    f = x.shape[-1]
     if activation == "tanh":
         dpre = np.multiply(out, out, out=ws.array("dpre", out.shape, out.dtype))
         np.subtract(1.0, dpre, out=dpre)
         dpre *= dout
     else:
         dpre = dout
-    dpre_flat = dpre.reshape(-1, dpre.shape[-1])
+    lead = w.shape[:-2]
+    dpre_flat = dpre.reshape(lead + (-1, dpre.shape[-1]))
     dw = np.empty(w.shape, dpre.dtype)
-    np.matmul(x.reshape(-1, f).T, dpre_flat, out=dw[:f])
-    np.matmul(agg.reshape(-1, f).T, dpre_flat, out=dw[f:])
+    np.matmul(x.reshape(lead + (-1, f)).swapaxes(-1, -2), dpre_flat, out=dw[..., :f, :])
+    np.matmul(agg.reshape(lead + (-1, f)).swapaxes(-1, -2), dpre_flat, out=dw[..., f:, :])
     # one BLAS product; numpy's sum over the two leading axes is several times slower
-    db = np.ones(dpre_flat.shape[0], dpre.dtype) @ dpre_flat
-    dagg = _linear(dpre, w[f:].T, ws.array("dagg", x.shape, dpre.dtype))
-    da = x.reshape(n, -1) @ dagg.reshape(n, -1).T
+    db = np.ones(dpre_flat.shape[-2], dpre.dtype) @ dpre_flat
+    dagg = _linear(dpre, w[..., f:, :].swapaxes(-1, -2), ws.array("dagg", x.shape, dpre.dtype))
+    da = _by_node(x) @ _by_node(dagg).swapaxes(-1, -2)
     if not input_grad:
         return None, da, dw, db
-    dx = _linear(dpre, w[:f].T, ws.array("dx", x.shape, dpre.dtype))
+    dx = _linear(dpre, w[..., :f, :].swapaxes(-1, -2), ws.array("dx", x.shape, dpre.dtype))
     dx_agg = ws.scratch(x.shape, dpre.dtype)
-    np.matmul(a, dagg.reshape(n, -1), out=dx_agg.reshape(n, -1))
+    np.matmul(a, _by_node(dagg), out=_by_node(dx_agg))
     dx += dx_agg
     return dx, da, dw, db
 
@@ -240,24 +271,25 @@ def _mp2_backward(dout, caches, params, grads, prefix, input_grad=True):
 
 
 def _mlp_forward(r_c, params, prefix):
-    pooled = r_c.mean(axis=1)  # (n, d1)
-    pre = pooled @ params[prefix + "w1"] + params[prefix + "b1"]
+    pooled = r_c.mean(axis=-2)  # (..., n, d1)
+    pre = pooled @ params[prefix + "w1"] + params[prefix + "b1"][..., None, :]
     hidden = np.tanh(pre)
-    h = hidden @ params[prefix + "w2"] + params[prefix + "b2"]
-    return h, (pooled, hidden, r_c.shape[1])
+    h = hidden @ params[prefix + "w2"] + params[prefix + "b2"][..., None, :]
+    return h, (pooled, hidden, r_c.shape[-2])
 
 
 def _mlp_backward(dh, cache, params, grads, prefix):
     pooled, hidden, m = cache
-    grads[prefix + "w2"] = hidden.T @ dh
-    grads[prefix + "b2"] = dh.sum(axis=0)
-    dhidden = dh @ params[prefix + "w2"].T
+    grads[prefix + "w2"] = hidden.swapaxes(-1, -2) @ dh
+    grads[prefix + "b2"] = dh.sum(axis=-2)
+    dhidden = dh @ params[prefix + "w2"].swapaxes(-1, -2)
     dpre = dhidden * (1.0 - hidden * hidden)
-    grads[prefix + "w1"] = pooled.T @ dpre
-    grads[prefix + "b1"] = dpre.sum(axis=0)
-    dpooled = dpre @ params[prefix + "w1"].T
+    grads[prefix + "w1"] = pooled.swapaxes(-1, -2) @ dpre
+    grads[prefix + "b1"] = dpre.sum(axis=-2)
+    dpooled = dpre @ params[prefix + "w1"].swapaxes(-1, -2)
     # the mean over m spreads dpooled / m to every step; a read-only view, not a copy
-    return np.broadcast_to((dpooled / m)[:, None, :], (dpooled.shape[0], m, dpooled.shape[1]))
+    shape = dpooled.shape[:-1] + (m, dpooled.shape[-1])
+    return np.broadcast_to((dpooled / m)[..., None, :], shape)
 
 
 def _normalize_rows(h: np.ndarray, eps: float = 1e-8):
@@ -284,9 +316,9 @@ def _normalize_rows_backward(d_hat, h_hat, norms, floored, eps: float = 1e-8):
 def encode(
     batch: LaggedBatch, adjacency: np.ndarray, params: dict, workspace: Workspace | None = None
 ):
-    """Run both encoders plus the entity MLP for one modality.
+    """Run both encoders plus the entity MLP.
 
-    `params` holds prefix-free keys (enc_c.w1, enc_s.w1, mlp.w1, ...). Returns
+    Reads the `enc_c.*`, `enc_s.*` and `mlp.*` blocks of `params`. Returns
     ((R_c, R_s, H), cache): shared representation, private representation and
     pooled entity representation.
     """
@@ -298,7 +330,7 @@ def encode(
 
 
 def encode_backward(d_out, cache):
-    """d_out = (dR_c, dR_s, dH) -> (dA, parameter gradients keyed like encode's params).
+    """d_out = (dR_c, dR_s, dH) -> (dA, parameter gradients keyed like encode's blocks).
 
     The gradient that H passes back to R_c is added into dR_c in place.
     """
@@ -317,22 +349,25 @@ def loss_var(
     r_c: np.ndarray,
     r_s: np.ndarray,
     adjacency: np.ndarray,
-    decoder_params: dict,
+    params: dict,
     workspace: Workspace | None = None,
 ):
-    """Squared prediction error of the message-passing decoder on R_c + R_s."""
+    """Squared prediction error of the message-passing decoder (`dec.*` blocks) on R_c + R_s.
+
+    R_c may lack the leading axes of R_s: the stacked decoders read one R_c.
+    """
     ws = Workspace() if workspace is None else workspace
-    x = np.add(r_c, r_s, out=ws.array("input", r_c.shape, r_c.dtype))
-    out, caches = _mp2_forward(x, adjacency, decoder_params, "", "linear", ws)
+    x = np.add(r_c, r_s, out=ws.array("input", r_s.shape, r_s.dtype))
+    out, caches = _mp2_forward(x, adjacency, params, "dec.", "linear", ws)
     out = out[..., 0]
-    return float(((target - out) ** 2).sum()), (target, out, caches, decoder_params)
+    return ((target - out) ** 2).sum(axis=(-2, -1)), (target, out, caches, params)
 
 
 def loss_var_backward(scale: float, cache):
     """-> (dR, dA, decoder gradients); dR is the gradient for R_c and for R_s alike."""
     target, out, caches, params = cache
     grads: dict[str, np.ndarray] = {}
-    d_r, d_a = _mp2_backward((scale * 2.0 * (out - target))[..., None], caches, params, grads, "")
+    d_r, d_a = _mp2_backward((scale * 2.0 * (out - target))[..., None], caches, params, grads, "dec.")
     return d_r, d_a, grads
 
 
@@ -340,9 +375,9 @@ def loss_orth(r_c: np.ndarray, r_s: np.ndarray, workspace: Workspace | None = No
     """Sum over entities of the squared Frobenius cross-product of shared/private."""
     if r_c.shape != r_s.shape:
         raise ValueError("shared and private representations must share a shape")
-    cross = np.matmul(r_s.transpose(0, 2, 1), r_c)
+    cross = np.matmul(r_s.swapaxes(-1, -2), r_c)
     ws = Workspace() if workspace is None else workspace
-    return float((cross**2).sum()), (r_c, r_s, cross, ws)
+    return (cross**2).sum(axis=(-3, -2, -1)), (r_c, r_s, cross, ws)
 
 
 def loss_orth_backward(scale: float, cache):
@@ -350,7 +385,7 @@ def loss_orth_backward(scale: float, cache):
     r_c, r_s, cross, ws = cache
     d_r_c = np.matmul(r_s, cross, out=ws.array("d_r_c", r_c.shape, cross.dtype))
     d_r_c *= scale * 2.0
-    d_r_s = np.matmul(r_c, cross.transpose(0, 2, 1), out=ws.array("d_r_s", r_s.shape, cross.dtype))
+    d_r_s = np.matmul(r_c, cross.swapaxes(-1, -2), out=ws.array("d_r_s", r_s.shape, cross.dtype))
     d_r_s *= scale * 2.0
     return d_r_c, d_r_s
 
@@ -382,82 +417,93 @@ def loss_node_backward(scale: float, cache):
     )
 
 
-def loss_edge(h: np.ndarray, adjacency: np.ndarray, edge_params: dict):
-    """Squared error of the sigmoid edge head against the adjacency, diagonal excluded.
+def loss_edge(h: np.ndarray, adjacency: np.ndarray, params: dict):
+    """Squared error of the sigmoid edge head (`edge.*` blocks) against the adjacency, diagonal excluded.
 
     The head reads the pair [h_i, h_j], so its logit splits into a source and
     a target part: (h @ w[:d2])[i] + (h @ w[d2:])[j] + b.
     """
-    n, d2 = h.shape
-    w = edge_params["w"].ravel()
-    g = expit((h @ w[:d2])[:, None] + (h @ w[d2:])[None, :] + edge_params["b"][0])
+    n, d2 = h.shape[-2:]
+    w = params["edge.w"]
+    source = h @ w[..., :d2, :]  # (..., n, 1)
+    target = (h @ w[..., d2:, :]).swapaxes(-1, -2)  # (..., 1, n)
+    g = expit(source + target + params["edge.b"][..., None])
     mask = 1.0 - np.eye(n, dtype=g.dtype)
-    return float((mask * (g - adjacency) ** 2).sum()), (h, g, adjacency, mask, edge_params)
+    return (mask * (g - adjacency) ** 2).sum(axis=(-2, -1)), (h, g, adjacency, mask, params)
 
 
 def loss_edge_backward(scale: float, cache):
-    """-> (dH, dA, edge-head gradients keyed w and b)."""
+    """-> (dH, dA, edge-head gradients keyed edge.w and edge.b)."""
     h, g, adjacency, mask, params = cache
-    d2 = h.shape[1]
+    d2 = h.shape[-1]
     dg = scale * mask * 2.0 * (g - adjacency)
     dz = dg * g * (1.0 - g)
     # each node's logit gradient as the source (rows) and as the target (columns) of an edge
-    dz_source, dz_target = dz.sum(axis=1), dz.sum(axis=0)
+    dz_source, dz_target = dz.sum(axis=-1), dz.sum(axis=-2)
+    h_t = h.swapaxes(-1, -2)
     grads = {
-        "w": np.concatenate([h.T @ dz_source, h.T @ dz_target])[:, None],
-        "b": np.array([dz.sum()]),
+        "edge.w": np.concatenate([h_t @ dz_source[..., None], h_t @ dz_target[..., None]], axis=-2),
+        "edge.b": dz.sum(axis=(-2, -1))[..., None],
     }
-    w = params["w"].ravel()
-    return dz_source[:, None] * w[:d2] + dz_target[:, None] * w[d2:], -dg, grads
+    w = params["edge.w"][..., None, :, 0]  # (..., 1, 2 * d2)
+    d_h = dz_source[..., None] * w[..., :d2] + dz_target[..., None] * w[..., d2:]
+    return d_h, -dg, grads
 
 
 def acyclicity(adjacency: np.ndarray):
     """Trace-exponential penalty h, zero exactly when the weighted graph is acyclic.
 
-    Returns (h, expm(A * A)); the exponential is what the gradient 2 A * expm(A * A)^T needs.
-    Both are computed in the dtype of the adjacency.
+    Returns (h, expm(A * A)), one h per leading index; the exponential is what
+    the gradient 2 A * expm(A * A)^T needs. Both are computed in the dtype of
+    the adjacency.
     """
     a = np.asarray(adjacency)
     if not np.all(np.isfinite(a)):
         raise ValueError("adjacency entries must be finite")
     e = expm(a * a)
-    return float(np.trace(e) - a.shape[0]), e
+    return np.trace(e, axis1=-2, axis2=-1) - a.shape[-1], e
 
 
 # --- full objective ---------------------------------------------------------------
 
 
 def init_params(n: int, config: LearnerConfig) -> dict:
+    """Every parameter block, stacked over the modality axis.
+
+    The metric blocks are drawn first, then the log blocks, each in the order
+    below, so a seed gives the same values as two modalities drawn one after
+    the other.
+    """
     rng = np.random.default_rng(config.seed)
-    params: dict[str, np.ndarray] = {}
-    for v in MODALITIES:
-        params[f"{v}.adj"] = 0.1 * rng.standard_normal((n, n))
+    d1, d2, p = config.d1, config.d2, config.p
+
+    def draw() -> dict:
+        block = {"adj": 0.1 * rng.standard_normal((n, n))}
         for enc in ("enc_c", "enc_s"):
-            params[f"{v}.{enc}.w1"] = rng.standard_normal((2 * config.p, config.d1)) / np.sqrt(2 * config.p)
-            params[f"{v}.{enc}.b1"] = np.zeros(config.d1)
-            params[f"{v}.{enc}.w2"] = rng.standard_normal((2 * config.d1, config.d1)) / np.sqrt(2 * config.d1)
-            params[f"{v}.{enc}.b2"] = np.zeros(config.d1)
-        params[f"{v}.mlp.w1"] = rng.standard_normal((config.d1, config.d2)) / np.sqrt(config.d1)
-        params[f"{v}.mlp.b1"] = np.zeros(config.d2)
-        params[f"{v}.mlp.w2"] = rng.standard_normal((config.d2, config.d2)) / np.sqrt(config.d2)
-        params[f"{v}.mlp.b2"] = np.zeros(config.d2)
-        params[f"{v}.dec.w1"] = rng.standard_normal((2 * config.d1, config.d1)) / np.sqrt(2 * config.d1)
-        params[f"{v}.dec.b1"] = np.zeros(config.d1)
-        params[f"{v}.dec.w2"] = rng.standard_normal((2 * config.d1, 1)) / np.sqrt(2 * config.d1)
-        params[f"{v}.dec.b2"] = np.zeros(1)
-        params[f"{v}.edge.w"] = rng.standard_normal((2 * config.d2, 1)) / np.sqrt(2 * config.d2)
-        params[f"{v}.edge.b"] = np.zeros(1)
-    return params
+            block[f"{enc}.w1"] = rng.standard_normal((2 * p, d1)) / np.sqrt(2 * p)
+            block[f"{enc}.b1"] = np.zeros(d1)
+            block[f"{enc}.w2"] = rng.standard_normal((2 * d1, d1)) / np.sqrt(2 * d1)
+            block[f"{enc}.b2"] = np.zeros(d1)
+        block["mlp.w1"] = rng.standard_normal((d1, d2)) / np.sqrt(d1)
+        block["mlp.b1"] = np.zeros(d2)
+        block["mlp.w2"] = rng.standard_normal((d2, d2)) / np.sqrt(d2)
+        block["mlp.b2"] = np.zeros(d2)
+        block["dec.w1"] = rng.standard_normal((2 * d1, d1)) / np.sqrt(2 * d1)
+        block["dec.b1"] = np.zeros(d1)
+        block["dec.w2"] = rng.standard_normal((2 * d1, 1)) / np.sqrt(2 * d1)
+        block["dec.b2"] = np.zeros(1)
+        block["edge.w"] = rng.standard_normal((2 * d2, 1)) / np.sqrt(2 * d2)
+        block["edge.b"] = np.zeros(1)
+        return block
 
-
-def _subparams(params: dict, prefix: str) -> dict:
-    return {key[len(prefix):]: value for key, value in params.items() if key.startswith(prefix)}
+    metric = draw()
+    log = draw()
+    return {key: np.stack([metric[key], log[key]]) for key in metric}
 
 
 def objective_gradients(
     params: dict,
-    batch_metric: LaggedBatch,
-    batch_log: LaggedBatch,
+    batch: LaggedBatch,
     attention: tuple[float, float],
     config: LearnerConfig,
     multiplier: float = 1.0,
@@ -465,97 +511,68 @@ def objective_gradients(
 ):
     """Objective value, per-term weighted breakdown, and analytic gradients.
 
-    The decoder of each modality reads a_log * R_c[log] + a_metric * R_c[metric]
-    plus its own R_s. The backward pass hands each term's weight to the term's
-    backward function and sums the gradients reaching each representation and
-    adjacency in a fixed order, so results are reproducible bit for bit.
-    Intermediates are written into `workspace` (a fresh one when None); the
-    returned values do not refer to it.
+    `params` and `batch` are stacked over the modality axis. Both decoders
+    read a_metric * R_c[metric] + a_log * R_c[log] plus their own R_s. The
+    backward pass hands each term's weight to the term's backward function
+    and sums the gradients reaching each representation and adjacency in a
+    fixed order, so results are reproducible bit for bit. Intermediates are
+    written into `workspace` (a fresh one when None); the returned values do
+    not refer to it.
     """
     a_log, a_metric = attention
     if not np.isclose(a_log + a_metric, 1.0):
         raise ValueError("attention weights must sum to 1")
-    batches = {"metric": batch_metric, "log": batch_log}
-    weights = {"metric": a_metric, "log": a_log}
-    n = batch_metric.history.shape[0]
-    mask = 1.0 - np.eye(n, dtype=params["metric.adj"].dtype)
-    sub = {v: _subparams(params, f"{v}.") for v in MODALITIES}
-    adj = {v: adjacency_from_free(params[f"{v}.adj"]) for v in MODALITIES}
+    adj = adjacency_from_free(params["adj"])
+    mask = 1.0 - np.eye(adj.shape[-1], dtype=adj.dtype)
     ws = Workspace() if workspace is None else workspace
 
-    rep, enc = {}, {}
-    for v in MODALITIES:
-        rep[v], enc[v] = encode(batches[v], adj[v], sub[v], ws.scope(v))
-    shape = rep["metric"][0].shape
-    dtype = rep["metric"][0].dtype
-    r_combined = ws.array("r_combined", shape, dtype)
-    np.multiply(rep["log"][0], weights["log"], out=r_combined)
-    r_combined += np.multiply(rep["metric"][0], weights["metric"], out=ws.scratch(shape, dtype))
+    (r_c, r_s, h), enc_cache = encode(batch, adj, params, ws)
+    shape, dtype = r_c.shape, r_c.dtype
+    # both decoders read the one attention-weighted sum of the shared representations
+    weights = np.array([a_metric, a_log], dtype)[:, None, None, None]
+    weighted = np.multiply(r_c, weights, out=ws.scratch(shape, dtype))
+    r_combined = np.add(weighted[0], weighted[1], out=ws.array("r_combined", shape[1:], dtype))
 
-    # each term: (value, cache) per modality
-    var, orth, edge, acyc = {}, {}, {}, {}
-    for v in MODALITIES:
-        _, r_s, h = rep[v]
-        var[v] = loss_var(
-            batches[v].target, r_combined, r_s, adj[v], _subparams(sub[v], "dec."), ws.scope(f"{v}.dec")
-        )
-        orth[v] = loss_orth(rep[v][0], r_s, ws.scope(f"{v}.orth"))
-        edge[v] = loss_edge(h, adj[v], _subparams(sub[v], "edge."))
-        acyc[v] = acyclicity(adj[v])
-    node_term, node_cache = loss_node(rep["metric"][2], rep["log"][2], config.temperature)
+    var, var_cache = loss_var(batch.target, r_combined, r_s, adj, params, ws.scope("dec"))
+    orth, orth_cache = loss_orth(r_c, r_s, ws.scope("orth"))
+    edge, edge_cache = loss_edge(h, adj, params)
+    h_acyc, expm_sq = acyclicity(adj)
+    node_term, node_cache = loss_node(h[0], h[1], config.temperature)
 
+    # a term's two modality values are added as Python floats, metric first
+    h_metric, h_log = h_acyc.tolist()
     breakdown = {
-        "var": config.lambda1 * sum(var[v][0] for v in MODALITIES),
-        "orth": config.lambda2 * sum(orth[v][0] for v in MODALITIES),
+        "var": config.lambda1 * sum(var.tolist()),
+        "orth": config.lambda2 * sum(orth.tolist()),
         "node": config.lambda3 * node_term,
-        "edge": config.lambda4 * sum(edge[v][0] for v in MODALITIES),
-        "sparsity": config.lambda5 * sum(float(adj[v].sum()) for v in MODALITIES),
-        "acyclicity": multiplier * sum(acyc[v][0] for v in MODALITIES),
-        "h_metric": acyc["metric"][0],
-        "h_log": acyc["log"][0],
+        "edge": config.lambda4 * sum(edge.tolist()),
+        "sparsity": config.lambda5 * sum(adj.sum(axis=(-2, -1)).tolist()),
+        "acyclicity": multiplier * sum(h_acyc.tolist()),
+        "h_metric": h_metric,
+        "h_log": h_log,
         "multiplier": multiplier,
     }
-    total = (
-        breakdown["var"]
-        + breakdown["orth"]
-        + breakdown["node"]
-        + breakdown["edge"]
-        + breakdown["sparsity"]
-        + breakdown["acyclicity"]
-    )
+    total = sum(breakdown[term] for term in ("var", "orth", "node", "edge", "sparsity", "acyclicity"))
     breakdown["total"] = total
 
     # ---- backward: the gradients reaching R_c accumulate in place
     grads: dict[str, np.ndarray] = {}
-    d_r_c = {v: ws.array(f"{v}.d_r_c", shape, dtype) for v in MODALITIES}
-    d_combined = ws.array("d_combined", shape, dtype)
-    for accumulator in (*d_r_c.values(), d_combined):
-        accumulator.fill(0.0)
-    d_r_s, d_a_var = {}, {}
-    for v in MODALITIES:
-        d_r_s[v], d_a_var[v], dec_grads = loss_var_backward(config.lambda1, var[v][1])
-        grads.update((f"{v}.dec.{key}", g) for key, g in dec_grads.items())
-        d_combined += d_r_s[v]
-    d_h_node = dict(zip(MODALITIES, loss_node_backward(config.lambda3, node_cache)))
-
-    for v in MODALITIES:
-        d_r_c[v] += np.multiply(d_combined, weights[v], out=ws.scratch(shape, dtype))
-        d_r_c_orth, d_r_s_orth = loss_orth_backward(config.lambda2, orth[v][1])
-        d_r_c[v] += d_r_c_orth
-        d_r_s[v] += d_r_s_orth
-        d_h_edge, d_a_edge, edge_grads = loss_edge_backward(config.lambda4, edge[v][1])
-        grads.update((f"{v}.edge.{key}", g) for key, g in edge_grads.items())
-        d_a_enc, enc_grads = encode_backward((d_r_c[v], d_r_s[v], d_h_node[v] + d_h_edge), enc[v])
-        grads.update((f"{v}.{key}", g) for key, g in enc_grads.items())
-        d_adj = (
-            d_a_var[v]
-            + d_a_edge
-            + d_a_enc
-            + config.lambda5
-            + multiplier * acyc[v][1].T * 2.0 * adj[v]
-        )
-        # off the diagonal A is the sigmoid of the free weights
-        grads[f"{v}.adj"] = d_adj * adj[v] * (1.0 - adj[v]) * mask
+    d_r_s, d_a_var, dec_grads = loss_var_backward(config.lambda1, var_cache)
+    grads.update(dec_grads)
+    d_combined = np.add(d_r_s[0], d_r_s[1], out=ws.array("d_combined", shape[1:], dtype))
+    d_r_c = np.multiply(d_combined, weights, out=ws.array("d_r_c", shape, dtype))
+    d_r_c_orth, d_r_s_orth = loss_orth_backward(config.lambda2, orth_cache)
+    d_r_c += d_r_c_orth
+    d_r_s += d_r_s_orth
+    d_h_edge, d_a_edge, edge_grads = loss_edge_backward(config.lambda4, edge_cache)
+    grads.update(edge_grads)
+    d_h = np.stack(loss_node_backward(config.lambda3, node_cache)) + d_h_edge
+    d_a_enc, enc_grads = encode_backward((d_r_c, d_r_s, d_h), enc_cache)
+    grads.update(enc_grads)
+    d_a_acyc = multiplier * expm_sq.swapaxes(-1, -2) * 2.0 * adj
+    d_adj = d_a_var + d_a_edge + d_a_enc + config.lambda5 + d_a_acyc
+    # off the diagonal A is the sigmoid of the free weights
+    grads["adj"] = d_adj * adj * (1.0 - adj) * mask
 
     return total, breakdown, {key: grads[key] for key in params}
 
@@ -564,10 +581,10 @@ def objective_gradients(
 
 
 def _zscore(values: np.ndarray):
-    mean = values.mean(axis=1, keepdims=True)
-    std = values.std(axis=1, keepdims=True)
+    mean = values.mean(axis=-1, keepdims=True)
+    std = values.std(axis=-1, keepdims=True)
     std = np.where(std > 0, std, 1.0)
-    return (values - mean) / std, mean.ravel(), std.ravel()
+    return (values - mean) / std, mean[..., 0], std[..., 0]
 
 
 def fit(
@@ -578,31 +595,35 @@ def fit(
 ) -> LearnedStructure:
     """Full-batch Adam on the joint objective; deterministic for a fixed seed.
 
-    attention is (a_log, a_metric) and must sum to 1. Rows are z-scored before
-    slicing into lagged batches (recorded in the result) so heterogeneous
-    scales do not dominate the shared decoder. The z-scoring runs in float64
-    and training in float32, so the parameters and adjacencies of the result
-    are float32. The acyclicity multiplier follows the configured geometric,
-    monotone non-decreasing schedule; if the final penalties exceed h_tol the
-    structure is flagged non-converged.
+    attention is (a_log, a_metric) and must sum to 1. The two panels must
+    name the same nodes in the same order, since row i of each is entity i of
+    both graphs. Rows are z-scored before slicing into lagged batches
+    (recorded in the result) so heterogeneous scales do not dominate the
+    shared decoder. The z-scoring runs in float64 and training in float32, so
+    the parameters and adjacencies of the result are float32. The acyclicity
+    multiplier follows the configured geometric, monotone non-decreasing
+    schedule; if the final penalties exceed h_tol the structure is flagged
+    non-converged.
     """
     if metric_panel.values.shape != log_panel.values.shape:
         raise ValueError("metric and log panels must share n and T")
+    if metric_panel.node_names != log_panel.node_names:
+        raise ValueError(
+            "metric and log panels must list the same nodes in the same order: "
+            f"{metric_panel.node_names} != {log_panel.node_names}"
+        )
     if metric_panel.n_timesteps < 2 * config.p:
         raise ValueError("panel length must be at least twice the lag order")
 
-    standardization = {}
-    values = {}
-    for name, panel in (("metric", metric_panel), ("log", log_panel)):
-        values[name], mean, std = _zscore(panel.values)
-        standardization[name] = {"mean": mean, "std": std}
-
+    values, mean, std = _zscore(np.stack([metric_panel.values, log_panel.values]))
+    standardization = {
+        "metric": {"mean": mean[0], "std": std[0]},
+        "log": {"mean": mean[1], "std": std[1]},
+    }
+    lagged = build_lagged(values, config.p)
     # training runs in float32: see the module docstring
-    batch_metric, batch_log = (
-        LaggedBatch(batch.history.astype(np.float32), batch.target.astype(np.float32))
-        for batch in (build_lagged(values[name], config.p) for name in ("metric", "log"))
-    )
-    n = batch_metric.history.shape[0]
+    batch = LaggedBatch(lagged.history.astype(np.float32), lagged.target.astype(np.float32))
+    n = batch.target.shape[-2]
 
     params = {key: value.astype(np.float32) for key, value in init_params(n, config).items()}
     optimizer = Adam(params, lr=config.lr)
@@ -611,7 +632,7 @@ def fit(
     for epoch in range(config.epochs):
         multiplier = config.acyclicity_multiplier(epoch)
         total, breakdown, grads = objective_gradients(
-            params, batch_metric, batch_log, attention, config, multiplier, workspace
+            params, batch, attention, config, multiplier, workspace
         )
         if not np.isfinite(total):
             raise FloatingPointError(f"objective became non-finite at epoch {epoch}")
@@ -619,13 +640,11 @@ def fit(
             history.setdefault(key, []).append(value)
         optimizer.step(grads)
 
-    a_metric_final = adjacency_from_free(params["metric.adj"])
-    a_log_final = adjacency_from_free(params["log.adj"])
-    h_metric, _ = acyclicity(a_metric_final)
-    h_log, _ = acyclicity(a_log_final)
+    adjacency = adjacency_from_free(params["adj"])
+    h_metric, h_log = acyclicity(adjacency)[0].tolist()
     return LearnedStructure(
-        A_metric=a_metric_final,
-        A_log=a_log_final,
+        A_metric=adjacency[0],
+        A_log=adjacency[1],
         params=params,
         loss_history=history,
         h_metric=h_metric,
@@ -655,6 +674,13 @@ def structure_to_adjacency_json(structure: LearnedStructure) -> str:
 
 
 def save_structure(structure: LearnedStructure, path) -> None:
+    """Write the structure as one .npz.
+
+    `param:<block>` holds a parameter block stacked over the modality axis
+    ([0] metric, [1] log), `A_metric`/`A_log` the adjacencies,
+    `history:<term>` the per-epoch breakdown, `standardization:<modality>:<stat>`
+    the z-scoring, and `meta` the config, node names and final penalties as JSON.
+    """
     arrays = {f"param:{k}": v for k, v in structure.params.items()}
     arrays["A_metric"] = structure.A_metric
     arrays["A_log"] = structure.A_log

@@ -34,6 +34,27 @@ class TestConfigKeys:
         with pytest.raises(ValueError, match="must be a JSON object"):
             pipeline.load_config(write_config(tmp_path, payload), environ={})
 
+    @pytest.mark.parametrize(
+        "payload,named",
+        [
+            ({"learner": {"lr": 0}}, "lr must be positive"),
+            ({"learner": {"epochs": 0}}, "epochs must be >= 1"),
+            ({"encoder": {"epochs": 0}}, "epochs must be positive"),
+            ({"learner": {"lr": "fast"}}, "not supported"),
+        ],
+    )
+    def test_a_bad_model_value_exits_as_invalid_configuration_before_any_stage(
+        self, tmp_path, capsys, payload, named
+    ):
+        paths = {"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path / "out")}
+        config = write_config(tmp_path, dict(payload, paths=paths))
+        code = cli.main(["--config", config, "run-pipeline"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("invalid configuration:")
+        assert named in err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
+
     def test_known_keys_load(self, tmp_path):
         payload = {"encoder": {"epochs": 3}, "scenario": {"dag": [[0, 1], [0, 0]], "root_cause": 0}}
         config = pipeline.load_config(write_config(tmp_path, payload), environ={})
@@ -68,6 +89,18 @@ class TestStageCommands:
         assert self.run(tmp_path, "parse", out) == 0
         assert self.run(tmp_path, "learn", out) == 1
         assert "stage causal_learner failed" in capsys.readouterr().err
+
+    def test_a_metrics_file_in_another_entity_order_is_a_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        metrics = tmp_path / "data" / "metrics.csv"
+        header, first, second, *rest = metrics.read_text().splitlines()
+        assert first.split(",")[:2] == ["0", "svc-0"] and second.split(",")[:2] == ["0", "svc-1"]
+        # svc-1 now appears first, so the metric panel lists it first; the log panel does not
+        metrics.write_text("\n".join([header, second, first, *rest]) + "\n")
+        assert self.run(tmp_path, "run-pipeline", out) == 1
+        assert "same nodes in the same order" in capsys.readouterr().err
+        assert not (out / "adjacency.json").exists()
 
     @pytest.mark.parametrize(
         "command,artifact", [("encode", "encoder.npz"), ("learn", "structure.npz")]

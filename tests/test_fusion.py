@@ -67,14 +67,6 @@ class TestCrossCorrelation:
         with pytest.raises(ValueError):
             cross_correlation_scores(panel, max_lag=5)
 
-    def test_raw_mode_is_plain_inner_product(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        y = np.array([0.5, 1.0, -1.0, 2.0])
-        panel = make_panel([x, y])
-        score = cross_correlation_scores(panel, max_lag=1, normalized=False)
-        expected = max(float(x @ y), float(x[1:] @ y[:3]))
-        assert score.scores[0] == pytest.approx(expected)
-
 
 class TestModalityAttention:
     def score(self, values):

@@ -11,39 +11,45 @@ from mmrca.structure import (
     adjacency_from_free,
     build_lagged,
     encode,
+    encode_backward,
     fit,
     init_params,
     load_structure,
     loss_edge,
     loss_edge_backward,
     loss_node,
+    loss_node_backward,
     loss_orth,
+    loss_orth_backward,
     loss_var,
+    loss_var_backward,
     objective_gradients,
     save_structure,
 )
 
-
-def subparams(params, modality):
-    prefix = modality + "."
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+MODALITIES = ("metric", "log")  # the order of the leading axis of every stacked array
 
 
 def toy_setup(n=3, t_len=6, seed=0, **cfg_overrides):
+    """A config, a lagged batch stacked over (metric, log) and the initial parameters."""
     rng = np.random.default_rng(seed)
     cfg = LearnerConfig(p=2, d1=4, d2=3, seed=seed + 1, **cfg_overrides)
-    batch_m = build_lagged(rng.standard_normal((n, t_len)), cfg.p)
-    batch_l = build_lagged(rng.standard_normal((n, t_len)), cfg.p)
+    batch = build_lagged(rng.standard_normal((2, n, t_len)), cfg.p)
     params = init_params(n, cfg)
-    return cfg, batch_m, batch_l, params
+    return cfg, batch, params
 
 
-def as_float32(params, *batches):
-    """The parameters and batches cast to float32, as fit casts them."""
+def as_float32(params, batch):
+    """The parameters and the batch cast to float32, as fit casts them."""
     return (
         {key: value.astype(np.float32) for key, value in params.items()},
-        *(LaggedBatch(b.history.astype(np.float32), b.target.astype(np.float32)) for b in batches),
+        LaggedBatch(batch.history.astype(np.float32), batch.target.astype(np.float32)),
     )
+
+
+def modality(params, v):
+    """The parameter blocks of modality v (0 = metric, 1 = log)."""
+    return {key: value[v] for key, value in params.items()}
 
 
 class TestBuildLagged:
@@ -70,10 +76,15 @@ class TestBuildLagged:
         with pytest.raises(ValueError, match="T=3.*p=3"):
             build_lagged(np.zeros((2, 3)), p=3)
 
-    def test_accepts_panel(self):
-        panel = ModalityPanel(np.arange(8.0).reshape(2, 4), ["e0"])
-        batch = build_lagged(panel, p=1)
-        assert batch.target.shape == (2, 3)
+    def test_stacked_series_lag_each_slice(self):
+        values = np.random.default_rng(0).standard_normal((2, 3, 7))
+        batch = build_lagged(values, p=2)
+        assert batch.history.shape == (2, 3, 5, 2)
+        assert batch.target.shape == (2, 3, 5)
+        for v in range(2):
+            single = build_lagged(values[v], p=2)
+            assert np.array_equal(batch.history[v], single.history)
+            assert np.array_equal(batch.target[v], single.target)
 
 
 class TestAdjacencyParam:
@@ -88,9 +99,8 @@ class TestAdjacencyParam:
 
 class TestEncode:
     def test_zero_adjacency_isolates_self_features(self):
-        cfg, batch, _, params = toy_setup()
-        mod = subparams(params, "metric")
-        (r_c, r_s, h), _ = encode(batch, np.zeros((3, 3)), mod)
+        cfg, batch, params = toy_setup()
+        (r_c, r_s, h), _ = encode(batch, np.zeros((2, 3, 3)), params)
 
         # oracle: a self-only forward pass (aggregated part identically zero)
         def self_only(x, w1, b1, w2, b2):
@@ -99,59 +109,57 @@ class TestEncode:
             z2 = np.concatenate([h1, np.zeros_like(h1)], axis=-1)
             return np.tanh(z2 @ w2 + b2)
 
-        expected = self_only(batch.history, mod["enc_c.w1"], mod["enc_c.b1"],
-                             mod["enc_c.w2"], mod["enc_c.b2"])
-        assert np.allclose(r_c, expected)
+        for v in range(2):
+            mod = modality(params, v)
+            expected = self_only(batch.history[v], mod["enc_c.w1"], mod["enc_c.b1"],
+                                 mod["enc_c.w2"], mod["enc_c.b2"])
+            assert np.allclose(r_c[v], expected)
 
     def test_permutation_equivariance(self):
-        cfg, batch, _, params = toy_setup(n=4, t_len=7)
-        mod = subparams(params, "metric")
+        cfg, batch, params = toy_setup(n=4, t_len=7)
         rng = np.random.default_rng(3)
-        adjacency = rng.uniform(size=(4, 4))
-        np.fill_diagonal(adjacency, 0.0)
-        (r_c, r_s, h), _ = encode(batch, adjacency, mod)
+        adjacency = rng.uniform(size=(2, 4, 4)) * (1.0 - np.eye(4))
+        (r_c, r_s, h), _ = encode(batch, adjacency, params)
 
         perm = np.array([2, 0, 3, 1])
-        from mmrca.structure import LaggedBatch
-
-        permuted_batch = LaggedBatch(history=batch.history[perm], target=batch.target[perm])
-        permuted_adj = adjacency[np.ix_(perm, perm)]
-        (r_c_p, r_s_p, h_p), _ = encode(permuted_batch, permuted_adj, mod)
-        assert np.allclose(r_c_p, r_c[perm])
-        assert np.allclose(r_s_p, r_s[perm])
-        assert np.allclose(h_p, h[perm])
+        permuted_batch = LaggedBatch(history=batch.history[:, perm], target=batch.target[:, perm])
+        permuted_adj = adjacency[:, perm][:, :, perm]
+        (r_c_p, r_s_p, h_p), _ = encode(permuted_batch, permuted_adj, params)
+        assert np.allclose(r_c_p, r_c[:, perm])
+        assert np.allclose(r_s_p, r_s[:, perm])
+        assert np.allclose(h_p, h[:, perm])
 
     def test_output_shapes(self):
-        cfg, batch, _, params = toy_setup()
-        (r_c, r_s, h), _ = encode(batch, np.zeros((3, 3)), subparams(params, "metric"))
-        m = batch.target.shape[1]
-        assert r_c.shape == (3, m, cfg.d1)
-        assert r_s.shape == (3, m, cfg.d1)
-        assert h.shape == (3, cfg.d2)
+        cfg, batch, params = toy_setup()
+        (r_c, r_s, h), _ = encode(batch, np.zeros((2, 3, 3)), params)
+        m = batch.target.shape[-1]
+        assert r_c.shape == (2, 3, m, cfg.d1)
+        assert r_s.shape == (2, 3, m, cfg.d1)
+        assert h.shape == (2, 3, cfg.d2)
 
 
 class TestLossVar:
     def decoder(self, seed=0, d1=4):
         rng = np.random.default_rng(seed)
         return {
-            "w1": rng.standard_normal((2 * d1, d1)),
-            "b1": np.zeros(d1),
-            "w2": rng.standard_normal((2 * d1, 1)),
-            "b2": np.zeros(1),
+            "dec.w1": rng.standard_normal((2 * d1, d1)),
+            "dec.b1": np.zeros(d1),
+            "dec.w2": rng.standard_normal((2 * d1, 1)),
+            "dec.b2": np.zeros(1),
         }
 
     def test_zero_when_output_matches(self):
         # force the decoder to output zero and pass a zero target
         dec = self.decoder()
-        dec["w1"][:] = 0.0
-        dec["w2"][:] = 0.0
+        dec["dec.w1"][:] = 0.0
+        dec["dec.w2"][:] = 0.0
         r = np.random.default_rng(1).standard_normal((2, 5, 4))
         assert loss_var(np.zeros((2, 5)), r, np.zeros_like(r), np.zeros((2, 2)), dec)[0] == 0.0
 
     def test_zero_output_gives_squared_norm(self):
         dec = self.decoder()
-        dec["w1"][:] = 0.0
-        dec["w2"][:] = 0.0
+        dec["dec.w1"][:] = 0.0
+        dec["dec.w2"][:] = 0.0
         target = np.random.default_rng(2).standard_normal((2, 5))
         r = np.random.default_rng(3).standard_normal((2, 5, 4))
         value = loss_var(target, r, np.zeros_like(r), np.zeros((2, 2)), dec)[0]
@@ -173,9 +181,9 @@ class TestLossVar:
         for t in range(2):
             x = r[:, t, :]
             agg = adjacency.T @ x
-            h1 = np.tanh(np.concatenate([x, agg], axis=1) @ dec["w1"] + dec["b1"])
+            h1 = np.tanh(np.concatenate([x, agg], axis=1) @ dec["dec.w1"] + dec["dec.b1"])
             agg2 = adjacency.T @ h1
-            out = np.concatenate([h1, agg2], axis=1) @ dec["w2"] + dec["b2"]
+            out = np.concatenate([h1, agg2], axis=1) @ dec["dec.w2"] + dec["dec.b2"]
             for i in range(2):
                 total += (target[i, t] - out[i, 0]) ** 2
         assert value == pytest.approx(total)
@@ -235,7 +243,7 @@ class TestLossOrth:
 
 class TestLossEdge:
     def head(self, d2, value=0.0):
-        return {"w": np.zeros((2 * d2, 1)), "b": np.array([value])}
+        return {"edge.w": np.zeros((2 * d2, 1)), "edge.b": np.array([value])}
 
     def test_perfect_prediction_is_zero(self):
         # G outputs 0.5 everywhere; set A to 0.5 off-diagonal
@@ -257,7 +265,7 @@ class TestLossEdge:
         h = rng.standard_normal((n, d2))
         adjacency = rng.uniform(size=(n, n))
         np.fill_diagonal(adjacency, 0.0)
-        head = {"w": rng.standard_normal((2 * d2, 1)), "b": np.array([0.3])}
+        head = {"edge.w": rng.standard_normal((2 * d2, 1)), "edge.b": np.array([0.3])}
         value, cache = loss_edge(h, adjacency, head)
         d_h, d_a, grads = loss_edge_backward(20.0, cache)
 
@@ -267,17 +275,17 @@ class TestLossEdge:
         e = np.concatenate(
             [np.repeat(h[:, None, :], n, axis=1), np.repeat(h[None, :, :], n, axis=0)], axis=-1
         )
-        g = expit((e @ head["w"]).squeeze(-1) + head["b"][0])
+        g = expit((e @ head["edge.w"]).squeeze(-1) + head["edge.b"][0])
         mask = 1.0 - np.eye(n)
         dg = 20.0 * mask * 2.0 * (g - adjacency)
         dz = dg * g * (1.0 - g)
-        de = dz[:, :, None] * head["w"].ravel()[None, None, :]
+        de = dz[:, :, None] * head["edge.w"].ravel()[None, None, :]
         close = dict(rtol=0.0, atol=1e-12)
         assert abs(value - float((mask * (g - adjacency) ** 2).sum())) <= 1e-12
         assert np.allclose(d_h, de[:, :, :d2].sum(axis=1) + de[:, :, d2:].sum(axis=0), **close)
         assert np.allclose(d_a, -dg, **close)
-        assert np.allclose(grads["w"], (e.reshape(-1, 2 * d2).T @ dz.ravel())[:, None], **close)
-        assert np.allclose(grads["b"], [dz.sum()], **close)
+        assert np.allclose(grads["edge.w"], (e.reshape(-1, 2 * d2).T @ dz.ravel())[:, None], **close)
+        assert np.allclose(grads["edge.b"], [dz.sum()], **close)
 
     def test_pair_terms_are_order_sensitive(self):
         rng = np.random.default_rng(2)
@@ -345,18 +353,113 @@ def _truncated_series_oracle(b: np.ndarray, terms: int) -> float:
     return float(np.trace(total) - b.shape[0])
 
 
+def per_modality_objective(params, batch, attention, cfg, multiplier):
+    """The objective of two modalities held apart, composed from the term functions.
+
+    Every term runs on one modality slice at a time, and the sums accumulate
+    in the order the stacked objective promises: d_combined = metric + log,
+    d_r_c = w * d_combined, then + orth, then + mlp, and d_adj = var + edge +
+    enc + lambda5 + acyclicity. Each per-modality sum starts from zero, as
+    when every gradient was a separate array.
+    """
+    a_log, a_metric = attention
+    weights = (a_metric, a_log)
+    sub = [modality(params, v) for v in range(2)]
+    batches = [LaggedBatch(batch.history[v], batch.target[v]) for v in range(2)]
+    adj = [adjacency_from_free(s["adj"]) for s in sub]
+    mask = 1.0 - np.eye(adj[0].shape[0], dtype=adj[0].dtype)
+    rep, enc = zip(*(encode(batches[v], adj[v], sub[v]) for v in range(2)))
+    r_combined = rep[1][0] * a_log
+    r_combined += rep[0][0] * a_metric
+    var = [loss_var(batches[v].target, r_combined, rep[v][1], adj[v], sub[v]) for v in range(2)]
+    orth = [loss_orth(rep[v][0], rep[v][1]) for v in range(2)]
+    edge = [loss_edge(rep[v][2], adj[v], sub[v]) for v in range(2)]
+    acyc = [acyclicity(adj[v]) for v in range(2)]
+    node, node_cache = loss_node(rep[0][2], rep[1][2], cfg.temperature)
+
+    breakdown = {
+        "var": cfg.lambda1 * sum(float(var[v][0]) for v in range(2)),
+        "orth": cfg.lambda2 * sum(float(orth[v][0]) for v in range(2)),
+        "node": cfg.lambda3 * node,
+        "edge": cfg.lambda4 * sum(float(edge[v][0]) for v in range(2)),
+        "sparsity": cfg.lambda5 * sum(float(adj[v].sum()) for v in range(2)),
+        "acyclicity": multiplier * sum(float(acyc[v][0]) for v in range(2)),
+        "h_metric": float(acyc[0][0]),
+        "h_log": float(acyc[1][0]),
+        "multiplier": multiplier,
+    }
+    breakdown["total"] = (
+        breakdown["var"]
+        + breakdown["orth"]
+        + breakdown["node"]
+        + breakdown["edge"]
+        + breakdown["sparsity"]
+        + breakdown["acyclicity"]
+    )
+
+    grads = {key: np.empty_like(value) for key, value in params.items()}
+    d_combined = np.zeros_like(r_combined)
+    d_r_s, d_a_var = [], []
+    for v in range(2):
+        d_r, d_a, dec_grads = loss_var_backward(cfg.lambda1, var[v][1])
+        d_r_s.append(d_r)
+        d_a_var.append(d_a)
+        for key, g in dec_grads.items():
+            grads[key][v] = g
+        d_combined += d_r
+    d_h_node = loss_node_backward(cfg.lambda3, node_cache)
+    for v in range(2):
+        d_r_c = np.zeros_like(r_combined)
+        d_r_c += d_combined * weights[v]
+        d_r_c_orth, d_r_s_orth = loss_orth_backward(cfg.lambda2, orth[v][1])
+        d_r_c += d_r_c_orth
+        d_r_s[v] += d_r_s_orth
+        d_h_edge, d_a_edge, edge_grads = loss_edge_backward(cfg.lambda4, edge[v][1])
+        d_a_enc, enc_grads = encode_backward((d_r_c, d_r_s[v], d_h_node[v] + d_h_edge), enc[v])
+        for key, g in {**edge_grads, **enc_grads}.items():
+            grads[key][v] = g
+        d_adj = d_a_var[v] + d_a_edge + d_a_enc + cfg.lambda5 + multiplier * acyc[v][1].T * 2.0 * adj[v]
+        grads["adj"][v] = d_adj * adj[v] * (1.0 - adj[v]) * mask
+    return breakdown["total"], breakdown, grads
+
+
+class TestStackedModalities:
+    def test_every_block_is_stacked_over_the_two_modalities(self):
+        cfg, batch, params = toy_setup()
+        assert len(params) == 19
+        assert params["adj"].shape == (2, 3, 3)
+        assert all(value.shape[0] == 2 for value in params.values())
+        # the metric blocks are drawn first, so the metric adjacency is the seed's first draw
+        first = 0.1 * np.random.default_rng(cfg.seed).standard_normal((3, 3))
+        assert np.array_equal(params["adj"][0], first)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n,t_len", [(3, 6), (4, 9), (7, 30)])
+    def test_stack_matches_the_per_modality_objective_bitwise(self, dtype, n, t_len):
+        cfg, batch, params = toy_setup(n=n, t_len=t_len)
+        params = {key: value.astype(dtype) for key, value in params.items()}
+        batch = LaggedBatch(batch.history.astype(dtype), batch.target.astype(dtype))
+        total, breakdown, grads = objective_gradients(params, batch, (0.3, 0.7), cfg, 1.7)
+        ref_total, ref_breakdown, ref_grads = per_modality_objective(params, batch, (0.3, 0.7), cfg, 1.7)
+        assert total == ref_total
+        assert breakdown == ref_breakdown
+        assert grads.keys() == ref_grads.keys()
+        for key, g in grads.items():
+            assert g.dtype == ref_grads[key].dtype == dtype, key
+            assert g.shape == ref_grads[key].shape, key
+            assert g.tobytes() == ref_grads[key].tobytes(), key
+
+
 class TestTotalObjective:
     def test_all_zero_components(self):
-        cfg, batch_m, batch_l, params = toy_setup()
+        cfg, batch, params = toy_setup()
         # zero every parameter: encoders/decoders output zero, targets zero
         for key in params:
             params[key] = np.zeros_like(params[key])
-        zero_batch_m = build_lagged(np.zeros((3, 6)), cfg.p)
-        zero_batch_l = build_lagged(np.zeros((3, 6)), cfg.p)
+        zero_batch = build_lagged(np.zeros((2, 3, 6)), cfg.p)
         # free weights 0 -> A entries 0.5: blank them via large negative weights
-        params["metric.adj"] = np.full((3, 3), -60.0)
-        params["log.adj"] = np.full((3, 3), -60.0)
-        total, breakdown, _ = objective_gradients(params, zero_batch_m, zero_batch_l, (0.5, 0.5), cfg)
+        params["adj"] = np.full((2, 3, 3), -60.0)
+        total, breakdown, _ = objective_gradients(params, zero_batch, (0.5, 0.5), cfg)
         # node loss of identical zero-ish rows is log(n)-like but H is exactly
         # zero here so cosine floors kick in; check the other terms instead
         assert breakdown["var"] == pytest.approx(0.0, abs=1e-20)
@@ -365,31 +468,31 @@ class TestTotalObjective:
         assert breakdown["acyclicity"] == pytest.approx(0.0, abs=1e-10)
 
     def test_sparsity_hand_value(self):
-        cfg, batch_m, batch_l, params = toy_setup(n=3)
-        params["metric.adj"] = np.zeros((3, 3))  # sigmoid -> 0.5 off-diagonal
-        params["log.adj"] = np.full((3, 3), -60.0)
-        _, breakdown, _ = objective_gradients(params, batch_m, batch_l, (0.5, 0.5), cfg)
+        cfg, batch, params = toy_setup(n=3)
+        params["adj"][0] = 0.0  # sigmoid -> 0.5 off-diagonal
+        params["adj"][1] = -60.0
+        _, breakdown, _ = objective_gradients(params, batch, (0.5, 0.5), cfg)
         # 6 off-diagonal entries at 0.5 in the metric adjacency only
         assert breakdown["sparsity"] == pytest.approx(cfg.lambda5 * 3.0, abs=1e-8)
 
     def test_doubling_lambda1_doubles_var_contribution(self):
-        cfg, batch_m, batch_l, params = toy_setup()
-        _, base, _ = objective_gradients(params, batch_m, batch_l, (0.5, 0.5), cfg)
+        cfg, batch, params = toy_setup()
+        _, base, _ = objective_gradients(params, batch, (0.5, 0.5), cfg)
         cfg2 = LearnerConfig(p=2, d1=4, d2=3, seed=cfg.seed, lambda1=2 * cfg.lambda1)
-        _, doubled, _ = objective_gradients(params, batch_m, batch_l, (0.5, 0.5), cfg2)
+        _, doubled, _ = objective_gradients(params, batch, (0.5, 0.5), cfg2)
         assert doubled["var"] == pytest.approx(2.0 * base["var"], rel=1e-12)
 
     def test_breakdown_total_is_sum_of_terms(self):
-        cfg, batch_m, batch_l, params = toy_setup()
-        total, b, _ = objective_gradients(params, batch_m, batch_l, (0.3, 0.7), cfg, multiplier=3.0)
+        cfg, batch, params = toy_setup()
+        total, b, _ = objective_gradients(params, batch, (0.3, 0.7), cfg, multiplier=3.0)
         assert total == pytest.approx(
             b["var"] + b["orth"] + b["node"] + b["edge"] + b["sparsity"] + b["acyclicity"]
         )
 
     def test_attention_must_sum_to_one(self):
-        cfg, batch_m, batch_l, params = toy_setup()
+        cfg, batch, params = toy_setup()
         with pytest.raises(ValueError):
-            objective_gradients(params, batch_m, batch_l, (0.6, 0.6), cfg)
+            objective_gradients(params, batch, (0.6, 0.6), cfg)
 
 
 class TestObjectiveGradients:
@@ -400,11 +503,11 @@ class TestObjectiveGradients:
         self.check_central_differences(workspace=Workspace())
 
     def check_central_differences(self, workspace):
-        cfg, batch_m, batch_l, params = toy_setup()
+        cfg, batch, params = toy_setup()
         attention = (0.4, 0.6)
 
         def objective():
-            return objective_gradients(params, batch_m, batch_l, attention, cfg, 1.7, workspace)
+            return objective_gradients(params, batch, attention, cfg, 1.7, workspace)
 
         _, _, grads = objective()
         eps = 1e-4
@@ -421,30 +524,30 @@ class TestObjectiveGradients:
                 arr[idx] = orig
                 numeric[idx] = (plus - minus) / (2 * eps)
                 it.iternext()
-            a_norm, n_norm = np.linalg.norm(grads[key]), np.linalg.norm(numeric)
-            if max(a_norm, n_norm) < 1e-7:
-                continue
-            rel = np.linalg.norm(grads[key] - numeric) / max(a_norm, n_norm)
-            assert rel < 1e-3, f"{key}: rel err {rel}"
+            # each modality's block is checked on its own, as when they were separate arrays
+            for v, name in enumerate(MODALITIES):
+                a_norm, n_norm = np.linalg.norm(grads[key][v]), np.linalg.norm(numeric[v])
+                if max(a_norm, n_norm) < 1e-7:
+                    continue
+                rel = np.linalg.norm(grads[key][v] - numeric[v]) / max(a_norm, n_norm)
+                assert rel < 1e-3, f"{name}.{key}: rel err {rel}"
 
 
 class TestWorkspace:
     def test_results_survive_a_second_call_on_the_same_workspace(self):
-        cfg, batch_m, batch_l, params = toy_setup(n=4, t_len=9)
+        cfg, batch, params = toy_setup(n=4, t_len=9)
         other = init_params(4, LearnerConfig(p=2, d1=4, d2=3, seed=99))
         workspace = Workspace()
-        total, breakdown, grads = objective_gradients(
-            params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7, workspace
-        )
+        total, breakdown, grads = objective_gradients(params, batch, (0.4, 0.6), cfg, 1.7, workspace)
         kept = (total, dict(breakdown), {key: g.copy() for key, g in grads.items()})
-        other_total = objective_gradients(other, batch_m, batch_l, (0.4, 0.6), cfg, 1.7, workspace)[0]
+        other_total = objective_gradients(other, batch, (0.4, 0.6), cfg, 1.7, workspace)[0]
         assert other_total != total
         assert (total, breakdown) == kept[:2]
         for key, g in grads.items():
             assert np.array_equal(g, kept[2][key]), key
         # the workspace carries nothing from one call into the next
-        again = objective_gradients(params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7, workspace)
-        fresh = objective_gradients(params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7)
+        again = objective_gradients(params, batch, (0.4, 0.6), cfg, 1.7, workspace)
+        fresh = objective_gradients(params, batch, (0.4, 0.6), cfg, 1.7)
         for result in (again, fresh):
             assert result[:2] == kept[:2]
             for key, g in result[2].items():
@@ -465,22 +568,21 @@ class TestWorkspace:
 
 class TestPrecision:
     def test_float32_gradients_agree_with_float64(self):
-        cfg, batch_m, batch_l, params = toy_setup()
-        total, _, grads = objective_gradients(params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7)
-        total32, _, grads32 = objective_gradients(
-            *as_float32(params, batch_m, batch_l), (0.4, 0.6), cfg, 1.7
-        )
+        cfg, batch, params = toy_setup()
+        total, _, grads = objective_gradients(params, batch, (0.4, 0.6), cfg, 1.7)
+        total32, _, grads32 = objective_gradients(*as_float32(params, batch), (0.4, 0.6), cfg, 1.7)
         # float32 keeps about 7 digits; 1e-3 is the finite-difference checks' tolerance
         assert abs(total32 - total) <= 1e-3 * abs(total)
         for key, g in grads.items():
-            rel = np.linalg.norm(grads32[key] - g) / np.linalg.norm(g)
-            assert rel < 1e-3, f"{key}: rel err {rel}"
+            for v, name in enumerate(MODALITIES):
+                rel = np.linalg.norm(grads32[key][v] - g[v]) / np.linalg.norm(g[v])
+                assert rel < 1e-3, f"{name}.{key}: rel err {rel}"
 
     def test_a_float32_call_keeps_every_array_in_float32(self):
-        cfg, batch_m, batch_l, params = toy_setup(n=4, t_len=9)
-        params, batch_m, batch_l = as_float32(params, batch_m, batch_l)
+        cfg, batch, params = toy_setup(n=4, t_len=9)
+        params, batch = as_float32(params, batch)
         workspace = Workspace()
-        _, _, grads = objective_gradients(params, batch_m, batch_l, (0.4, 0.6), cfg, 1.7, workspace)
+        _, _, grads = objective_gradients(params, batch, (0.4, 0.6), cfg, 1.7, workspace)
         assert {key: g.dtype for key, g in grads.items()} == {key: np.float32 for key in params}
         assert workspace._store
         assert {key: a.dtype for key, a in workspace._store.items()} == {
@@ -520,6 +622,20 @@ class TestConfigValidation:
     def test_lag_must_be_positive(self):
         with pytest.raises(ValueError):
             LearnerConfig(p=0)
+
+    @pytest.mark.parametrize("field,value", [("lr", 0.0), ("lr", -0.02), ("epochs", 0)])
+    def test_learning_rate_and_epochs_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearnerConfig(**{field: value})
+
+
+class TestFitInputs:
+    def test_panels_must_list_the_same_nodes_in_the_same_order(self):
+        rng = np.random.default_rng(0)
+        metric = ModalityPanel(rng.standard_normal((3, 12)), ["a", "b"])
+        log = ModalityPanel(rng.standard_normal((3, 12)), ["b", "a"])
+        with pytest.raises(ValueError, match="same nodes in the same order"):
+            fit(metric, log, (0.5, 0.5), LearnerConfig(p=2, d1=4, d2=3, epochs=1))
 
 
 class TestPersistence:
