@@ -21,6 +21,14 @@ window alone. Training stays full-batch: every length group adds into one
 gradient, normalised by the total weight of all rows, and Adam steps once an
 epoch, so the loss is the plain mean over all windows.
 
+The head reads only the final [CLS] state, so the last layer runs at the
+[CLS] position alone: it computes keys and values at every position, because
+[CLS] attends to all of them, but its query, attention row, output
+projection, layer norms and feed-forward block only at position 0, and the
+backward pass follows the same rows. Every earlier layer runs at every
+position. A sequence of l tokens thus costs the last layer two d x d
+projections of l rows plus one row of the rest, not the whole layer at l rows.
+
 The pipeline tokenizes each window once (LogTokenizer.tokenize) and hands
 the same token sequences to training and to embedding.
 
@@ -50,7 +58,7 @@ from scipy.special import expit
 
 from .atomic import atomic_open
 from .logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate, vocabulary_to_json
-from .nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
+from .nn import Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
 from .panel import ModalityPanel
 from .simulate import entity_name
 
@@ -75,6 +83,7 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("d_model", "n_layers", "n_heads", "max_len", "epochs", "freq_buckets"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -209,27 +218,37 @@ class LogSequenceEncoder:
     # -- forward --------------------------------------------------------------
 
     def _forward(self, ids: np.ndarray):
-        """Hidden states of a batch of sequences that all have one length, and the caches."""
+        """[CLS] hidden states of a batch of sequences that all have one length, and the caches.
+
+        Every layer but the last runs at every position. The head reads only
+        the [CLS] state, so the last layer computes keys and values at every
+        position but its query, attention row, output projection, layer norms
+        and feed-forward block only at position 0: each layer computes its
+        first lq query rows, lq = l on every layer but the last and 1 on it.
+        The result has shape (b, 1, d_model).
+        """
         p = self.params
         cfg = self.config
         n_heads = cfg.n_heads
         d_head = cfg.d_model // n_heads
-        x = p["tok_emb"][ids] + p["pos_emb"][: ids.shape[1]][None, :, :]
+        b, l = ids.shape
+        x = p["tok_emb"][ids] + p["pos_emb"][:l][None, :, :]
+
+        def heads(m):
+            return m.reshape(b, -1, n_heads, d_head).transpose(0, 2, 1, 3)
+
         caches = []
         for layer in range(cfg.n_layers):
             pre = f"l{layer}."
-            b, l, d = x.shape
-
-            def heads(m):
-                return m.reshape(b, l, n_heads, d_head).transpose(0, 2, 1, 3)
-
-            q = heads(x @ p[pre + "wq"] + p[pre + "bq"])
+            lq = 1 if layer == cfg.n_layers - 1 else l
+            xq = x[:, :lq]
+            q = heads(xq @ p[pre + "wq"] + p[pre + "bq"])
             k = heads(x @ p[pre + "wk"] + p[pre + "bk"])
             v = heads(x @ p[pre + "wv"] + p[pre + "bv"])
             attn = softmax(q @ k.transpose(0, 1, 3, 2) / math.sqrt(d_head), axis=-1)
-            ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, l, d)
+            ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, lq, cfg.d_model)
             att_out = ctx @ p[pre + "wo"] + p[pre + "bo"]
-            r1 = x + att_out
+            r1 = xq + att_out
             h1, ln1_cache = layer_norm(r1, p[pre + "ln1_g"], p[pre + "ln1_b"])
             u = h1 @ p[pre + "wf1"] + p[pre + "bf1"]
             a, gelu_t = gelu(u)
@@ -271,31 +290,39 @@ class LogSequenceEncoder:
             dlogits = 2.0 * weights * residual / total_weight * pred * (1.0 - pred)
             grads["head_w"] += cls.T @ dlogits[:, None]
             grads["head_b"] += dlogits.sum()
-            dx = np.zeros_like(hidden)
-            dx[:, 0, :] = dlogits[:, None] * p["head_w"].ravel()[None, :]
+            dx = (dlogits[:, None] * p["head_w"].ravel()[None, :])[:, None, :]
             self._backward(ids, caches, dx, grads)
         return float(weighted_sse / total_weight), grads
 
     def _backward(self, ids: np.ndarray, caches, dx: np.ndarray, grads: dict) -> None:
-        """Add to grads the parameter gradients of one length group, given d(loss)/d(hidden)."""
+        """Add to grads the parameter gradients of one length group, given d(loss)/d(hidden).
+
+        dx has the shape of _forward's result, (b, 1, d_model), and each layer
+        takes the query row count of its forward pass from its cache.
+        """
         p = self.params
         cfg = self.config
         n_heads = cfg.n_heads
         d_head = cfg.d_model // n_heads
         b, l = ids.shape
-        # a bias gradient sums over every position: one BLAS product is faster than
-        # numpy's sum over the two leading axes
         ones = np.ones(b * l, dtype=dx.dtype)
 
         def rows(m):
-            return m.reshape(b * l, m.shape[-1])
+            return m.reshape(-1, m.shape[-1])
+
+        def position_sum(m):
+            # a bias gradient sums over every position: one BLAS product is faster
+            # than numpy's sum over the two leading axes
+            m = rows(m)
+            return ones[: len(m)] @ m
 
         def merge(m):
-            return m.transpose(0, 2, 1, 3).reshape(b, l, cfg.d_model)
+            return m.transpose(0, 2, 1, 3).reshape(b, -1, cfg.d_model)
 
         for layer in reversed(range(cfg.n_layers)):
             pre = f"l{layer}."
             c = caches[layer]
+            lq = c["h1"].shape[1]
             dr2, dg, db = layer_norm_backward(dx, c["ln2"])
             grads[pre + "ln2_g"] += dg
             grads[pre + "ln2_b"] += db
@@ -303,20 +330,19 @@ class LogSequenceEncoder:
             df_out = dr2
             da = df_out @ p[pre + "wf2"].T
             grads[pre + "wf2"] += rows(c["a"]).T @ rows(df_out)
-            grads[pre + "bf2"] += ones @ rows(df_out)
+            grads[pre + "bf2"] += position_sum(df_out)
             du = da * gelu_grad(c["u"], c["gelu_t"])
             grads[pre + "wf1"] += rows(c["h1"]).T @ rows(du)
-            grads[pre + "bf1"] += ones @ rows(du)
+            grads[pre + "bf1"] += position_sum(du)
             dh1 += du @ p[pre + "wf1"].T
             dr1, dg, db = layer_norm_backward(dh1, c["ln1"])
             grads[pre + "ln1_g"] += dg
             grads[pre + "ln1_b"] += db
-            dx = dr1.copy()
             datt_out = dr1
             dctx = datt_out @ p[pre + "wo"].T
             grads[pre + "wo"] += rows(c["ctx"]).T @ rows(datt_out)
-            grads[pre + "bo"] += ones @ rows(datt_out)
-            dctx = dctx.reshape(b, l, n_heads, d_head).transpose(0, 2, 1, 3)
+            grads[pre + "bo"] += position_sum(datt_out)
+            dctx = dctx.reshape(b, lq, n_heads, d_head).transpose(0, 2, 1, 3)
             dattn = dctx @ c["v"].transpose(0, 1, 3, 2)
             dv = c["attn"].transpose(0, 1, 3, 2) @ dctx
             attn = c["attn"]
@@ -325,11 +351,15 @@ class LogSequenceEncoder:
             dq = dscores @ c["k"]
             dk = dscores.transpose(0, 1, 3, 2) @ c["q"]
 
-            x_in = rows(c["x"])
+            # the query reads the first lq positions, the key and value all l
+            x_in = c["x"]
+            dx = np.zeros_like(x_in)
+            dx[:, :lq] = dr1
             for name, dm in (("wq", merge(dq)), ("wk", merge(dk)), ("wv", merge(dv))):
-                grads[pre + name] += x_in.T @ rows(dm)
-                grads[pre + name.replace("w", "b")] += ones @ rows(dm)
-                dx += dm @ p[pre + name].T
+                m = dm.shape[1]
+                grads[pre + name] += rows(x_in[:, :m]).T @ rows(dm)
+                grads[pre + name.replace("w", "b")] += position_sum(dm)
+                dx[:, :m] += dm @ p[pre + name].T
 
         np.add.at(grads["tok_emb"], ids, dx)
         grads["pos_emb"][:l] += dx.sum(axis=0)

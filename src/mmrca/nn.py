@@ -1,4 +1,5 @@
-"""Small numpy building blocks shared by the trained models.
+"""Small numpy building blocks shared by the trained models, and the type check
+of their config fields.
 
 Everything here is functional: forward passes return caches and the matching
 backward functions consume them so gradients stay hand-derived and checkable
@@ -13,12 +14,34 @@ moments and work arrays take the dtype of the parameters they update.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
+import typing
 
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+
+_FIELD_KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a number")}
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass whose value has the wrong type.
+
+    An int field takes an integer and a float field any real number, an int
+    included. A bool is neither, though Python counts it as an int.
+    """
+    hints = typing.get_type_hints(type(config))
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        kind, wanted = _FIELD_KINDS[hints[field.name]]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(
+                f"{field.name} must be {wanted}; {type(value).__name__} {value!r} is not supported"
+            )
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,10 +66,17 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+    """Normalise over the last axis, then scale and shift; returns the output and its cache.
+
+    The centred input is computed once and serves both the variance and xhat:
+    np.var would take the mean and subtract it a second time. The result is
+    the same to the bit.
+    """
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    xhat = xc * inv_std
     return gamma * xhat + beta, (xhat, inv_std, gamma)
 
 

@@ -292,6 +292,14 @@ def stage_encode(config: dict) -> None:
     with open(paths["windows"]) as fh:
         windows = logs_mod.windows_from_jsonl(fh.read())
     truth = read_ground_truth(paths["ground_truth"])
+    metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
+    # structure.fit checks this too, since learn can run alone; checking here
+    # fails the run before the encoder trains or any artifact is written
+    if metric_native.entity_names != truth["entity_names"]:
+        raise ValueError(
+            "metric and log panels must list the same nodes in the same order: the "
+            f"metrics list {metric_native.entity_names}, the logs {truth['entity_names']}"
+        )
 
     enc_config = encoder_config_from(config)
     tokenizer = encoder_mod.LogTokenizer(len(vocabulary), enc_config)
@@ -308,7 +316,6 @@ def stage_encode(config: dict) -> None:
         cls = np.zeros((len(windows), enc_config.d_model))
     scores = encoder.score(cls)
 
-    metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
     metric_panel = aggregate_windows(metric_native, config["window_size"])
     panel = encoder_mod.reduce_to_series(
         scores,

@@ -66,7 +66,7 @@ from scipy.linalg import expm
 from scipy.special import expit
 
 from .atomic import atomic_open
-from .nn import Adam
+from .nn import Adam, check_field_types
 from .panel import ModalityPanel
 
 
@@ -93,6 +93,7 @@ class LearnerConfig:
     h_tol: float = 1e-3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.p < 1:
             raise ValueError("lag order p must be >= 1")
         for name in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"):

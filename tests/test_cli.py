@@ -41,6 +41,9 @@ class TestConfigKeys:
             ({"learner": {"epochs": 0}}, "epochs must be >= 1"),
             ({"encoder": {"epochs": 0}}, "epochs must be positive"),
             ({"learner": {"lr": "fast"}}, "not supported"),
+            ({"learner": {"epochs": 2.5}}, "epochs must be an int; float 2.5"),
+            ({"encoder": {"d_model": 8.0}}, "d_model must be an int; float 8.0"),
+            ({"learner": {"lr": True}}, "lr must be a number; bool True"),
         ],
     )
     def test_a_bad_model_value_exits_as_invalid_configuration_before_any_stage(
@@ -54,6 +57,12 @@ class TestConfigKeys:
         assert err.startswith("invalid configuration:")
         assert named in err
         assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
+
+    def test_an_int_is_a_valid_float(self, tmp_path):
+        payload = {"learner": {"lambda1": 50}, "encoder": {"lr": 1}}
+        config = pipeline.load_config(write_config(tmp_path, payload), environ={})
+        assert pipeline.learner_config_from(config).lambda1 == 50
+        assert pipeline.encoder_config_from(config).lr == 1
 
     def test_known_keys_load(self, tmp_path):
         payload = {"encoder": {"epochs": 3}, "scenario": {"dag": [[0, 1], [0, 0]], "root_cause": 0}}
@@ -101,6 +110,9 @@ class TestStageCommands:
         assert self.run(tmp_path, "run-pipeline", out) == 1
         assert "same nodes in the same order" in capsys.readouterr().err
         assert not (out / "adjacency.json").exists()
+        # the encode stage fails before it trains or writes anything
+        assert not (out / "encoder.npz").exists()
+        assert not (out / "log_panel.csv").exists()
 
     @pytest.mark.parametrize(
         "command,artifact", [("encode", "encoder.npz"), ("learn", "structure.npz")]

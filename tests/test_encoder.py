@@ -268,6 +268,67 @@ def padded_loss_and_grads(enc, sequences, labels, weights):
     return loss, grads
 
 
+def all_positions_forward(enc, ids):
+    """Reference: every layer, the last one included, run at every position; the
+    hidden states of all positions, shape (b, l, d_model)."""
+    p, cfg = enc.params, enc.config
+    n_heads, d = cfg.n_heads, cfg.d_model
+    d_head = d // n_heads
+    b, l = ids.shape
+
+    def heads(m):
+        return m.reshape(b, l, n_heads, d_head).transpose(0, 2, 1, 3)
+
+    x = p["tok_emb"][ids] + p["pos_emb"][:l][None, :, :]
+    for layer in range(cfg.n_layers):
+        pre = f"l{layer}."
+        q, k, v = (heads(x @ p[pre + "w" + name] + p[pre + "b" + name]) for name in "qkv")
+        attn = softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(d_head), axis=-1)
+        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, l, d)
+        h1, _ = layer_norm(x + ctx @ p[pre + "wo"] + p[pre + "bo"], p[pre + "ln1_g"], p[pre + "ln1_b"])
+        a, _ = gelu(h1 @ p[pre + "wf1"] + p[pre + "bf1"])
+        x, _ = layer_norm(h1 + a @ p[pre + "wf2"] + p[pre + "bf2"], p[pre + "ln2_g"], p[pre + "ln2_b"])
+    return x
+
+
+class TestLastLayer:
+    @staticmethod
+    def encoder(n_layers):
+        enc = LogSequenceEncoder(toy_config(n_layers=n_layers, seed=5), vocab_size=4)
+        for key in enc.params:
+            if key.endswith((".wq", ".wk")):
+                enc.params[key] *= 25.0  # attention far from uniform
+        return enc
+
+    @staticmethod
+    def ids(enc, b, length, seed=0):
+        ids = np.random.default_rng(seed).integers(0, enc.tokenizer.total_tokens, size=(b, length))
+        ids[:, 0] = CLS_TOKEN
+        return ids
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_cls_row_matches_an_all_positions_forward(self, n_layers):
+        enc = self.encoder(n_layers)
+        for length in (1, 3, 7, 12, 31):
+            ids = self.ids(enc, 5, length, seed=length)
+            hidden, _ = enc._forward(ids)
+            assert hidden.shape == (5, 1, enc.config.d_model)
+            reference = all_positions_forward(enc, ids)
+            assert np.max(np.abs(hidden[:, 0] - reference[:, 0])) <= 1e-12, length
+
+    def test_only_the_last_layer_runs_at_the_cls_row_alone(self):
+        enc = self.encoder(3)
+        b, l, n_heads, d = 4, 9, enc.config.n_heads, enc.config.d_model
+        _, caches = enc._forward(self.ids(enc, b, l))
+        for cache in caches[:-1]:
+            assert cache["attn"].shape == (b, n_heads, l, l)
+            assert cache["h1"].shape == (b, l, d)
+        last = caches[-1]
+        assert last["attn"].shape == (b, n_heads, 1, l)
+        assert last["h1"].shape == (b, 1, d)
+        assert last["k"].shape == last["v"].shape == (b, n_heads, l, d // n_heads)
+
+
 def scaled_encoder():
     """A toy encoder with weights scaled up so that gradients are well conditioned."""
     cfg = toy_config(d_model=8, n_layers=2, n_heads=2, max_len=12, freq_buckets=4, seed=3)
@@ -398,6 +459,24 @@ class TestPrecision:
         enc.params = {key: value.astype(np.float32) for key, value in enc.params.items()}
         enc.params["head_b"][0] = -200.0
         assert np.array_equal(enc.score(np.zeros((2, 16), np.float32)), [0.0, 0.0])
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_np_var_form_bitwise(self, dtype):
+        rng = np.random.default_rng(0)
+        for shape in [(167, 7, 64), (167, 1, 64), (5, 3, 16), (4, 33), (2, 9, 128)]:
+            x = (3.0 * rng.standard_normal(shape) + 1.5).astype(dtype)
+            gamma = rng.standard_normal(shape[-1]).astype(dtype)
+            beta = rng.standard_normal(shape[-1]).astype(dtype)
+            mu = x.mean(axis=-1, keepdims=True)
+            inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+            xhat = (x - mu) * inv_std
+            out, cache = layer_norm(x, gamma, beta)
+            assert out.dtype == dtype
+            assert np.array_equal(out, gamma * xhat + beta), shape
+            for got, want in zip(cache, (xhat, inv_std, gamma)):
+                assert got.dtype == dtype and np.array_equal(got, want), shape
 
 
 class TestGelu:
