@@ -60,7 +60,6 @@ from .atomic import atomic_open
 from .logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate, vocabulary_to_json
 from .nn import Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
 from .panel import ModalityPanel
-from .simulate import entity_name
 
 PAD_TOKEN = 0  # reserved (tok_emb keeps its row) but never emitted: nothing is padded
 CLS_TOKEN = 1
@@ -469,7 +468,7 @@ def reduce_to_series(
     window_index_map,
     n_entities: int,
     kpi: np.ndarray,
-    entity_names: list[str] | None = None,
+    entity_names: list[str],
 ) -> ModalityPanel:
     """Place one anomaly score per (entity, window) cell and assemble the log panel.
 
@@ -496,9 +495,7 @@ def reduce_to_series(
     for row, (entity, window) in enumerate(window_index_map):
         values[entity, window] = scores[row]
     values[-1] = kpi
-    if entity_names is None:
-        entity_names = [entity_name(i) for i in range(n_entities)]
-    return ModalityPanel(values, entity_names, "kpi")
+    return ModalityPanel(values, entity_names)
 
 
 # --- persistence ----------------------------------------------------------------

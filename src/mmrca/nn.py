@@ -25,23 +25,31 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-_FIELD_KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a number")}
+_KINDS = {
+    int: (numbers.Integral, "an int"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+}
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """Raise ValueError naming name unless value is of kind (int, float or str).
+
+    An int takes an integer and a float any real number, an int included. A
+    bool is neither, though Python counts it as an int.
+    """
+    abstract, wanted = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, abstract):
+        raise ValueError(
+            f"{name} must be {wanted}; {type(value).__name__} {value!r} is not supported"
+        )
 
 
 def check_field_types(config) -> None:
-    """Raise ValueError naming the first field of a config dataclass whose value has the wrong type.
-
-    An int field takes an integer and a float field any real number, an int
-    included. A bool is neither, though Python counts it as an int.
-    """
+    """Raise ValueError naming the first field of a config dataclass whose value has the wrong type."""
     hints = typing.get_type_hints(type(config))
     for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        kind, wanted = _FIELD_KINDS[hints[field.name]]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(
-                f"{field.name} must be {wanted}; {type(value).__name__} {value!r} is not supported"
-            )
+        check_type(field.name, getattr(config, field.name), hints[field.name])
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

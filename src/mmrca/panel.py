@@ -13,6 +13,8 @@ import numpy as np
 
 from .atomic import atomic_open
 
+KPI_ENTITY = "kpi"
+
 
 @dataclass
 class ModalityPanel:
@@ -20,7 +22,6 @@ class ModalityPanel:
 
     values: np.ndarray
     entity_names: list[str]
-    kpi_name: str = "kpi"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -44,7 +45,7 @@ class ModalityPanel:
 
     @property
     def node_names(self) -> list[str]:
-        return list(self.entity_names) + [self.kpi_name]
+        return list(self.entity_names) + [KPI_ENTITY]
 
     @property
     def kpi(self) -> np.ndarray:
@@ -61,16 +62,13 @@ def aggregate_windows(panel: ModalityPanel, window_size: int) -> ModalityPanel:
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     if window_size == 1:
-        return ModalityPanel(panel.values.copy(), list(panel.entity_names), panel.kpi_name)
+        return ModalityPanel(panel.values.copy(), list(panel.entity_names))
     n, t = panel.values.shape
     n_windows = -(-t // window_size)
     out = np.empty((n, n_windows))
     for w in range(n_windows):
         out[:, w] = panel.values[:, w * window_size:(w + 1) * window_size].mean(axis=1)
-    return ModalityPanel(out, list(panel.entity_names), panel.kpi_name)
-
-
-KPI_ENTITY = "kpi"
+    return ModalityPanel(out, list(panel.entity_names))
 
 
 def write_panel_csv(panel: ModalityPanel, path, metric_name: str) -> None:
@@ -110,4 +108,4 @@ def read_panel_csv(path, metric_name: str | None = None) -> ModalityPanel:
     for i, name in enumerate(entity_order):
         values[i] = [series[name][t] for t in timestamps]
     values[-1] = [series[KPI_ENTITY][t] for t in timestamps]
-    return ModalityPanel(values, entity_order, KPI_ENTITY)
+    return ModalityPanel(values, entity_order)

@@ -1,5 +1,7 @@
 """End-to-end pipeline wiring with persisted stage artifacts.
 
+The simulate command writes one metric panel to metrics.csv under the name
+config["metric_kind"], and the encode stage reads the rows of that name.
 Stage order: ingest logs -> score every window with the log encoder's
 regression head and place the scores into one series per entity (when every
 window label is the same, the encoder is neither trained nor run over the
@@ -43,6 +45,7 @@ import dataclasses
 import glob
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -56,6 +59,7 @@ from . import metrics as metrics_mod
 from . import rca as rca_mod
 from . import structure as structure_mod
 from .atomic import atomic_open
+from .nn import check_type
 from .panel import aggregate_windows, read_panel_csv, write_panel_csv
 from .simulate import (
     ScenarioSpec,
@@ -79,14 +83,13 @@ DEFAULT_CONFIG: dict = {
     "paths": {"data_dir": "data", "out_dir": "out"},
     "seed": 7,
     "window_size": 1,
-    "metric_kind": None,
+    "metric_kind": "cpu",
     "scenario": {
         "n_entities": 6,
         "fault_type": "both",
         "horizon_T": 300,
         "noise_std": 0.05,
         "edge_prob": 0.35,
-        "metric_kinds": ["cpu"],
         "log_lag": 1,
         "dag": None,
         "root_cause": None,
@@ -144,7 +147,8 @@ def load_config(
     seed. Component seeds left null derive from the global seed (scenario:
     seed, encoder: seed+1, learner: seed+2) so one flag reseeds the whole
     pipeline. The encoder and learner sections are checked by building their
-    config classes, so a bad value fails here, before any stage runs.
+    config classes, and the settings the stages read besides them by
+    _check_stage_settings, so a bad value fails here, before any stage runs.
     """
     environ = os.environ if environ is None else environ
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -171,13 +175,40 @@ def load_config(
         config["encoder"]["seed"] = base_seed + 1
     if config["learner"].get("seed") is None:
         config["learner"]["seed"] = base_seed + 2
-    if config.get("metric_kind") is None:
-        config["metric_kind"] = config["scenario"]["metric_kinds"][0]
     if config["fusion"].get("max_lag") is None:
         config["fusion"]["max_lag"] = config["learner"]["p"]
     encoder_config_from(config)
     learner_config_from(config)
+    _check_stage_settings(config)
     return config
+
+
+def _check_stage_settings(config: dict) -> None:
+    """ValueError naming the first of window_size, metric_kind and the fusion, rca and
+    evaluation fields that has the wrong type or lies out of range."""
+    fusion, rca = config["fusion"], config["rca"]
+    k_values = config["evaluation"]["k_values"]
+    if not isinstance(k_values, list):
+        got = f"{type(k_values).__name__} {k_values!r}"
+        raise ValueError(f"evaluation.k_values must be a list; {got} is not supported")
+    checks = [
+        ("window_size", config["window_size"], int, lambda v: v >= 1, ">= 1"),
+        ("metric_kind", config["metric_kind"], str, bool, "non-empty"),
+        ("fusion.max_lag", fusion["max_lag"], int, lambda v: v >= 0, ">= 0"),
+        ("fusion.top_k", fusion["top_k"], int, lambda v: v >= 1, ">= 1"),
+        ("fusion.edge_threshold", fusion["edge_threshold"], float, math.isfinite, "finite"),
+        ("rca.beta", rca["beta"], float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+        ("rca.restart", rca["restart"], float, lambda v: 0 < v <= 1, "in (0, 1]"),
+        ("rca.tol", rca["tol"], float, lambda v: v > 0, "positive"),
+        ("rca.max_iter", rca["max_iter"], int, lambda v: v >= 1, ">= 1"),
+    ] + [
+        (f"evaluation.k_values[{i}]", k, int, lambda v: v >= 1, ">= 1")
+        for i, k in enumerate(k_values)
+    ]
+    for name, value, kind, in_range, requirement in checks:
+        check_type(name, value, kind)
+        if not in_range(value):
+            raise ValueError(f"{name} must be {requirement}; {value!r} is not")
 
 
 def config_hash(config: dict) -> str:
@@ -198,7 +229,6 @@ def scenario_from_config(config: dict) -> ScenarioSpec:
             horizon_T=sc["horizon_T"],
             noise_std=sc["noise_std"],
             seed=sc["seed"],
-            metric_kinds=tuple(sc["metric_kinds"]),
             log_lag=sc["log_lag"],
         )
     return sample_scenario(
@@ -208,7 +238,6 @@ def scenario_from_config(config: dict) -> ScenarioSpec:
         noise_std=sc["noise_std"],
         seed=sc["seed"],
         edge_prob=sc["edge_prob"],
-        metric_kinds=tuple(sc["metric_kinds"]),
         log_lag=sc["log_lag"],
     )
 
@@ -264,7 +293,7 @@ def _n_windows(horizon: int, window_size: int) -> int:
 def stage_simulate(config: dict) -> dict:
     spec = scenario_from_config(config)
     dataset = generate_incident(spec)
-    return write_incident(dataset, config["paths"]["data_dir"])
+    return write_incident(dataset, config["paths"]["data_dir"], config["metric_kind"])
 
 
 def stage_ingest(config: dict) -> None:

@@ -1,22 +1,25 @@
 """Synthetic incidents with known causal structure and planted root causes.
 
-Entity metrics follow a lag-1 linear structural process along a ground-truth
-DAG; the KPI is an extra node fed by the DAG's sink entities. A fault injects
-a sustained shock at the root-cause entity (metric faults), a burst of
-golden-signal log messages propagating along the DAG (log faults), or both.
-Faults that are invisible in metrics still degrade the KPI directly, since
-the KPI is the symptom that defines the incident.
+An incident is one metric panel (a series per entity, with the KPI as the
+last row) and a raw log stream. Entity metrics follow a lag-1 linear
+structural process along a ground-truth DAG; the KPI is an extra node fed by
+the DAG's sink entities. A fault injects a sustained shock at the root-cause
+entity (metric faults), a burst of golden-signal log messages propagating
+along the DAG (log faults), or both. Faults that are invisible in metrics
+still degrade the KPI directly, since the KPI is the symptom that defines
+the incident.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import ModalityPanel
+from .atomic import atomic_open
+from .panel import ModalityPanel, write_panel_csv
 
 FAULT_TYPES = ("none", "metric_only", "log_only", "both")
 
@@ -43,7 +46,6 @@ class ScenarioSpec:
     horizon_T: int
     noise_std: float
     seed: int
-    metric_kinds: tuple[str, ...] = ("cpu",)
     log_lag: int = 1  # per-hop delay (timesteps) of the log burst propagation
 
     def __post_init__(self):
@@ -73,8 +75,6 @@ class ScenarioSpec:
             raise ValueError("noise_std must be non-negative")
         if self.log_lag < 1:
             raise ValueError("log_lag must be >= 1")
-        if not self.metric_kinds:
-            raise ValueError("at least one metric kind is required")
         parents = kpi_parents(dag)
         reachable = descendants(dag, self.root_cause) | {self.root_cause}
         if not reachable & set(parents):
@@ -83,14 +83,14 @@ class ScenarioSpec:
 
 @dataclass
 class IncidentDataset:
-    metric_panels: list[ModalityPanel]
+    metric_panel: ModalityPanel
     raw_logs: list[dict]
     ground_truth: ScenarioSpec
     entity_names: list[str]
     kpi_parents: list[int]
     fault_onset: int
     shock_magnitude: float
-    generator_matrices: dict[str, np.ndarray] = field(default_factory=dict)
+    generator_matrix: np.ndarray
 
 
 def topological_order(dag: np.ndarray) -> list[int] | None:
@@ -175,26 +175,25 @@ GOLDEN_BURST_KEYWORDS = ("error", "timeout", "out of memory", "service unavailab
 
 # --- generation --------------------------------------------------------------
 
-def _generator_matrix(
-    rng: np.random.Generator, dag: np.ndarray, parents: list[int], with_kpi: bool
-) -> np.ndarray:
-    """Linear map M with x_t = M x_{t-1}: M[effect, cause] carries the edge weight."""
+def _generator_matrix(rng: np.random.Generator, dag: np.ndarray, parents: list[int]) -> np.ndarray:
+    """Linear map M with x_t = M x_{t-1} over the entities and the KPI (the last node).
+
+    M[effect, cause] carries the edge weight.
+    """
     n = dag.shape[0]
-    size = n + 1 if with_kpi else n
-    m = np.zeros((size, size))
+    m = np.zeros((n + 1, n + 1))
     np.fill_diagonal(m, SELF_DECAY)
     lo, hi = EDGE_WEIGHT_RANGE
     for i in range(n):
         for j in np.flatnonzero(dag[i]):
             m[int(j), i] = rng.uniform(lo, hi)
-    if with_kpi:
-        for p in parents:
-            m[n, p] = rng.uniform(lo, hi)
+    for p in parents:
+        m[n, p] = rng.uniform(lo, hi)
     return m
 
 
 def generate_incident(spec: ScenarioSpec) -> IncidentDataset:
-    """Simulate one incident: correlated metric panels plus a raw log stream.
+    """Simulate one incident: a metric panel plus a raw log stream.
 
     Deterministic for a fixed spec (all randomness flows from spec.seed).
     """
@@ -210,46 +209,31 @@ def generate_incident(spec: ScenarioSpec) -> IncidentDataset:
     metric_fault = spec.fault_type in ("metric_only", "both")
     log_fault = spec.fault_type in ("log_only", "both")
 
-    panels = []
-    matrices: dict[str, np.ndarray] = {}
-    kpi_row = None
-    for kind_index, kind in enumerate(spec.metric_kinds):
-        with_kpi = kind_index == 0
-        m = _generator_matrix(rng, dag, parents, with_kpi)
-        matrices[kind] = m
-        size = m.shape[0]
-        x = np.zeros((size, t_len))
-        x[:, 0] = rng.standard_normal(size)
-        noise = spec.noise_std * rng.standard_normal((size, t_len))
-        for t in range(1, t_len):
-            x[:, t] = m @ x[:, t - 1] + noise[:, t]
-            # the shock is exogenous: it enters the faulted kind's root-cause
-            # equation from the onset on and propagates through m afterwards
-            if metric_fault and kind_index == 0 and t >= onset:
-                x[spec.root_cause, t] += shock
-        if with_kpi:
-            if spec.fault_type == "log_only":
-                # metrics stay clean but the symptom must still appear: the KPI
-                # degrades after the fault has propagated to its feeding sinks
-                delay = _kpi_delay(dag, spec.root_cause, parents)
-                for t in range(min(onset + delay, t_len), t_len):
-                    x[n, t] += shock
-            kpi_row = x[n]
-            values = x
-        else:
-            values = np.vstack([x, kpi_row])
-        panels.append(ModalityPanel(values, names, "kpi"))
+    m = _generator_matrix(rng, dag, parents)
+    x = np.zeros((n + 1, t_len))
+    x[:, 0] = rng.standard_normal(n + 1)
+    noise = spec.noise_std * rng.standard_normal((n + 1, t_len))
+    for t in range(1, t_len):
+        x[:, t] = m @ x[:, t - 1] + noise[:, t]
+        # the shock is exogenous: it enters the root cause's equation from
+        # the onset on and propagates through m afterwards
+        if metric_fault and t >= onset:
+            x[spec.root_cause, t] += shock
+    if spec.fault_type == "log_only":
+        # metrics stay clean but the symptom must still appear: the KPI
+        # degrades after the fault has propagated to its feeding sinks
+        x[n, onset + _kpi_delay(dag, spec.root_cause, parents):] += shock
 
     raw_logs = _generate_logs(rng, spec, onset, log_fault)
     return IncidentDataset(
-        metric_panels=panels,
+        metric_panel=ModalityPanel(x, names),
         raw_logs=raw_logs,
         ground_truth=spec,
         entity_names=names,
         kpi_parents=parents,
         fault_onset=onset,
         shock_magnitude=shock,
-        generator_matrices=matrices,
+        generator_matrix=m,
     )
 
 
@@ -291,7 +275,6 @@ def sample_scenario(
     noise_std: float,
     seed: int,
     edge_prob: float = 0.35,
-    metric_kinds: tuple[str, ...] = ("cpu",),
     log_lag: int = 1,
 ) -> ScenarioSpec:
     """Draw a random DAG (upper-triangular under a random order) and plant a root cause.
@@ -318,37 +301,26 @@ def sample_scenario(
         horizon_T=horizon_T,
         noise_std=noise_std,
         seed=seed,
-        metric_kinds=metric_kinds,
         log_lag=log_lag,
     )
 
 
 # --- persistence --------------------------------------------------------------
 
-def write_incident(dataset: IncidentDataset, directory) -> dict:
-    """Write metrics.csv, logs.jsonl and ground_truth.json; returns the paths."""
-    import os
-
+def write_incident(dataset: IncidentDataset, directory, metric_name: str) -> dict:
+    """Write metrics.csv (the metric panel, named metric_name), logs.jsonl and
+    ground_truth.json, each atomically; returns the paths."""
     os.makedirs(directory, exist_ok=True)
     paths = {
         "metrics": os.path.join(directory, "metrics.csv"),
         "logs": os.path.join(directory, "logs.jsonl"),
         "ground_truth": os.path.join(directory, "ground_truth.json"),
     }
-    spec = dataset.ground_truth
-    with open(paths["metrics"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "entity", "metric_name", "value"])
-        for t in range(spec.horizon_T):
-            for kind, panel in zip(spec.metric_kinds, dataset.metric_panels):
-                for i, name in enumerate(dataset.entity_names):
-                    writer.writerow([t, name, kind, repr(float(panel.values[i, t]))])
-            kpi_value = dataset.metric_panels[0].values[-1, t]
-            writer.writerow([t, "kpi", "kpi", repr(float(kpi_value))])
-    with open(paths["logs"], "w") as fh:
+    write_panel_csv(dataset.metric_panel, paths["metrics"], metric_name)
+    with atomic_open(paths["logs"]) as fh:
         for record in dataset.raw_logs:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(paths["ground_truth"], "w") as fh:
+    with atomic_open(paths["ground_truth"]) as fh:
         fh.write(ground_truth_to_json(dataset))
     return paths
 
@@ -365,14 +337,11 @@ def ground_truth_to_json(dataset: IncidentDataset) -> str:
         "horizon_T": spec.horizon_T,
         "noise_std": spec.noise_std,
         "seed": spec.seed,
-        "metric_kinds": list(spec.metric_kinds),
         "log_lag": spec.log_lag,
         "kpi_parents": dataset.kpi_parents,
         "fault_onset": dataset.fault_onset,
         "shock_magnitude": dataset.shock_magnitude,
-        "generator_matrices": {
-            kind: m.tolist() for kind, m in dataset.generator_matrices.items()
-        },
+        "generator_matrix": dataset.generator_matrix.tolist(),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -391,6 +360,5 @@ def spec_from_ground_truth(payload: dict) -> ScenarioSpec:
         horizon_T=payload["horizon_T"],
         noise_std=payload["noise_std"],
         seed=payload["seed"],
-        metric_kinds=tuple(payload["metric_kinds"]),
         log_lag=payload.get("log_lag", 1),
     )

@@ -44,9 +44,21 @@ class TestConfigKeys:
             ({"learner": {"epochs": 2.5}}, "epochs must be an int; float 2.5"),
             ({"encoder": {"d_model": 8.0}}, "d_model must be an int; float 8.0"),
             ({"learner": {"lr": True}}, "lr must be a number; bool True"),
+            ({"window_size": 0}, "window_size must be >= 1; 0 is not"),
+            ({"window_size": 2.0}, "window_size must be an int; float 2.0"),
+            ({"metric_kind": ""}, "metric_kind must be non-empty"),
+            ({"metric_kind": 3}, "metric_kind must be a string; int 3"),
+            ({"fusion": {"top_k": 0}}, "fusion.top_k must be >= 1"),
+            ({"fusion": {"max_lag": -1}}, "fusion.max_lag must be >= 0"),
+            ({"rca": {"beta": "x"}}, "rca.beta must be a number; str 'x'"),
+            ({"rca": {"beta": 1.5}}, "rca.beta must be in [0, 1]"),
+            ({"rca": {"restart": 0}}, "rca.restart must be in (0, 1]"),
+            ({"rca": {"max_iter": 0}}, "rca.max_iter must be >= 1"),
+            ({"evaluation": {"k_values": [0]}}, "evaluation.k_values[0] must be >= 1"),
+            ({"evaluation": {"k_values": 3}}, "evaluation.k_values must be a list"),
         ],
     )
-    def test_a_bad_model_value_exits_as_invalid_configuration_before_any_stage(
+    def test_a_bad_value_exits_as_invalid_configuration_before_any_stage(
         self, tmp_path, capsys, payload, named
     ):
         paths = {"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path / "out")}
@@ -79,8 +91,9 @@ class TestStageCommands:
         "learner": {"epochs": 2},
     }
 
-    def run(self, tmp_path, command, out):
-        payload = dict(self.TINY, paths={"data_dir": str(tmp_path / "data"), "out_dir": str(out)})
+    def run(self, tmp_path, command, out, **settings):
+        paths = {"data_dir": str(tmp_path / "data"), "out_dir": str(out)}
+        payload = dict(self.TINY, paths=paths, **settings)
         return cli.main(["--config", write_config(tmp_path, payload), "--seed", "3", command])
 
     def test_stage_by_stage_matches_run_pipeline(self, tmp_path):
@@ -91,6 +104,14 @@ class TestStageCommands:
         assert self.run(tmp_path, "run-pipeline", full) == 0
         for name in ("ranking.json", "adjacency.json"):
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_the_simulator_writes_the_metric_kind_that_the_pipeline_reads(self, tmp_path):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out, metric_kind="mem") == 0
+        assert self.run(tmp_path, "run-pipeline", out, metric_kind="mem") == 0
+        lines = (tmp_path / "data" / "metrics.csv").read_text().splitlines()
+        assert {line.split(",")[2] for line in lines[1:]} == {"mem", "kpi"}
+        assert (out / "ranking.json").exists()
 
     def test_learn_before_encode_is_a_validation_failure(self, tmp_path, capsys):
         out = tmp_path / "out"

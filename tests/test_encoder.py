@@ -586,31 +586,35 @@ class TestReduceToSeries:
         windows = [(e, w) for e in range(n_entities) for w in range(n_windows)]
         scores = rng.standard_normal(len(windows))
         kpi = rng.standard_normal(n_windows)
-        return scores, windows, n_entities, kpi
+        names = [f"e{i}" for i in range(n_entities)]
+        return scores, windows, n_entities, kpi, names
 
     def test_panel_shape(self):
-        scores, window_map, n_entities, kpi = self.make_inputs()
-        panel = reduce_to_series(scores, window_map, n_entities, kpi)
+        scores, window_map, n_entities, kpi, names = self.make_inputs()
+        panel = reduce_to_series(scores, window_map, n_entities, kpi, names)
         assert panel.values.shape == (n_entities + 1, len(kpi))
         assert np.allclose(panel.values[-1], kpi)
+        assert panel.node_names == names + ["kpi"]
 
     def test_each_cell_holds_the_score_of_its_window(self):
-        scores, window_map, n_entities, kpi = self.make_inputs()
+        scores, window_map, n_entities, kpi, names = self.make_inputs()
         order = np.random.default_rng(6).permutation(len(window_map))
-        panel = reduce_to_series(scores[order], [window_map[i] for i in order], n_entities, kpi)
+        panel = reduce_to_series(
+            scores[order], [window_map[i] for i in order], n_entities, kpi, names
+        )
         for score, (entity, index) in zip(scores, window_map):
             assert panel.values[entity, index] == score
 
     def test_grid_must_be_covered(self):
-        scores, window_map, n_entities, kpi = self.make_inputs()
+        scores, window_map, n_entities, kpi, names = self.make_inputs()
         with pytest.raises(ValueError):
-            reduce_to_series(scores[:-1], window_map[:-1], n_entities, kpi)
+            reduce_to_series(scores[:-1], window_map[:-1], n_entities, kpi, names)
 
     def test_duplicates_rejected(self):
-        scores, window_map, n_entities, kpi = self.make_inputs()
+        scores, window_map, n_entities, kpi, names = self.make_inputs()
         window_map[1] = window_map[0]
         with pytest.raises(ValueError):
-            reduce_to_series(scores, window_map, n_entities, kpi)
+            reduce_to_series(scores, window_map, n_entities, kpi, names)
 
 
 class TestPersistence:

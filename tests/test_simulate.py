@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmrca.logs import DEFAULT_GOLDEN_SIGNALS
+from mmrca.panel import read_panel_csv
 from mmrca.simulate import (
     IncidentDataset,
     ScenarioSpec,
@@ -72,16 +73,16 @@ class TestNoiselessPropagation:
     def test_kpi_is_exact_linear_propagation(self):
         spec = chain_spec(noise_std=0.0, fault_type="none")
         ds = generate_incident(spec)
-        x = ds.metric_panels[0].values
-        m = ds.generator_matrices["cpu"]
+        x = ds.metric_panel.values
+        m = ds.generator_matrix
         for t in range(1, spec.horizon_T):
             assert np.allclose(x[:, t], m @ x[:, t - 1], atol=1e-12)
 
     def test_zero_residual_under_true_weights(self):
         spec = chain_spec(noise_std=0.0, fault_type="none")
         ds = generate_incident(spec)
-        x = ds.metric_panels[0].values
-        m = ds.generator_matrices["cpu"]
+        x = ds.metric_panel.values
+        m = ds.generator_matrix
         residual = x[:, 1:] - m @ x[:, :-1]
         assert np.abs(residual).max() < 1e-12
 
@@ -91,7 +92,7 @@ class TestFaultSignatures:
         spec = chain_spec(fault_type="metric_only", seed=9)
         ds = generate_incident(spec)
         assert not any(contains_golden_signal(r["msg"]) for r in ds.raw_logs)
-        row = ds.metric_panels[0].values[spec.root_cause]
+        row = ds.metric_panel.values[spec.root_cause]
         pre = row[: ds.fault_onset]
         assert row.max() - pre.mean() >= 5.0 * pre.std()
 
@@ -101,10 +102,10 @@ class TestFaultSignatures:
         faulty = generate_incident(spec)
         # entity rows identical to the fault-free run; only the KPI deviates
         assert np.allclose(
-            clean.metric_panels[0].values[:-1], faulty.metric_panels[0].values[:-1]
+            clean.metric_panel.values[:-1], faulty.metric_panel.values[:-1]
         )
         assert not np.allclose(
-            clean.metric_panels[0].values[-1], faulty.metric_panels[0].values[-1]
+            clean.metric_panel.values[-1], faulty.metric_panel.values[-1]
         )
         assert any(contains_golden_signal(r["msg"]) for r in faulty.raw_logs)
 
@@ -127,55 +128,65 @@ class TestDeterminismAndShapes:
         a = generate_incident(chain_spec(seed=42))
         b = generate_incident(chain_spec(seed=42))
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        write_incident(a, dir_a)
-        write_incident(b, dir_b)
+        write_incident(a, dir_a, "cpu")
+        write_incident(b, dir_b, "cpu")
         for name in ("metrics.csv", "logs.jsonl", "ground_truth.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     def test_different_seeds_differ(self):
         a = generate_incident(chain_spec(seed=1))
         b = generate_incident(chain_spec(seed=2))
-        assert not np.allclose(a.metric_panels[0].values, b.metric_panels[0].values)
+        assert not np.allclose(a.metric_panel.values, b.metric_panel.values)
 
     def test_panel_shapes_and_log_timestamps(self):
-        spec = chain_spec(metric_kinds=("cpu", "memory"))
+        spec = chain_spec()
         ds = generate_incident(spec)
-        assert len(ds.metric_panels) == 2
-        for panel in ds.metric_panels:
-            assert panel.values.shape == (spec.n_entities + 1, spec.horizon_T)
+        assert ds.metric_panel.values.shape == (spec.n_entities + 1, spec.horizon_T)
+        assert ds.generator_matrix.shape == (spec.n_entities + 1, spec.n_entities + 1)
         assert all(0 <= r["ts"] < spec.horizon_T for r in ds.raw_logs)
-
-    def test_shared_kpi_row_across_kinds(self):
-        ds = generate_incident(chain_spec(metric_kinds=("cpu", "memory")))
-        assert np.array_equal(
-            ds.metric_panels[0].values[-1], ds.metric_panels[1].values[-1]
-        )
 
 
 class TestPersistence:
     def test_ground_truth_round_trip(self, tmp_path):
         spec = chain_spec(seed=3)
         ds = generate_incident(spec)
-        paths = write_incident(ds, tmp_path / "inc")
+        paths = write_incident(ds, tmp_path / "inc", "cpu")
         truth = read_ground_truth(paths["ground_truth"])
         restored = spec_from_ground_truth(truth)
         assert np.array_equal(restored.ground_truth_dag, spec.ground_truth_dag)
         for attr in ("n_entities", "root_cause", "fault_type", "horizon_T",
-                     "noise_std", "seed", "metric_kinds", "log_lag"):
+                     "noise_std", "seed", "log_lag"):
             assert getattr(restored, attr) == getattr(spec, attr)
         assert truth["root_cause_name"] == "svc-0"
         assert truth["kpi_parents"] == kpi_parents(CHAIN)
 
     def test_metrics_csv_schema(self, tmp_path):
         ds = generate_incident(chain_spec(seed=3))
-        paths = write_incident(ds, tmp_path / "inc")
+        paths = write_incident(ds, tmp_path / "inc", "mem")
         with open(paths["metrics"]) as fh:
             header = fh.readline().strip()
         assert header == "timestamp,entity,metric_name,value"
+        panel = read_panel_csv(paths["metrics"], metric_name="mem")
+        assert panel.entity_names == ds.entity_names
+        assert np.array_equal(panel.values, ds.metric_panel.values)
 
     def test_logs_jsonl_schema(self, tmp_path):
         ds = generate_incident(chain_spec(seed=3))
-        paths = write_incident(ds, tmp_path / "inc")
+        paths = write_incident(ds, tmp_path / "inc", "cpu")
         with open(paths["logs"]) as fh:
             record = json.loads(fh.readline())
         assert set(record) == {"ts", "entity", "msg"}
+
+    def test_a_failed_write_keeps_the_earlier_file_and_leaves_a_partial(self, tmp_path):
+        ds = generate_incident(chain_spec(seed=3))
+        paths = write_incident(ds, tmp_path / "inc", "cpu")
+        with open(paths["logs"], "rb") as fh:
+            before = fh.read()
+        first = json.dumps(ds.raw_logs[0], sort_keys=True) + "\n"
+        ds.raw_logs[1] = {"ts": 0, "entity": 0, "msg": object()}
+        with pytest.raises(TypeError):
+            write_incident(ds, tmp_path / "inc", "cpu")
+        with open(paths["logs"], "rb") as fh:
+            assert fh.read() == before
+        with open(paths["logs"] + ".partial") as fh:
+            assert fh.read() == first
