@@ -1,7 +1,7 @@
 """Multi-modal causal structure learning and root cause analysis.
 
 Converts system logs into time series, co-learns per-modality causal graphs
-from metrics and logs under contrastive and acyclicity constraints, fuses
+from metrics and logs under orthogonality and acyclicity constraints, fuses
 them with KPI-aware attention, and ranks root-cause entities by random walk
 with restart.
 """
@@ -41,8 +41,6 @@ from .structure import (
     build_lagged,
     encode,
     fit,
-    loss_edge,
-    loss_node,
     loss_orth,
     loss_var,
 )
@@ -76,8 +74,6 @@ __all__ = [
     "fuse",
     "generate_incident",
     "label_anomaly",
-    "loss_edge",
-    "loss_node",
     "loss_orth",
     "loss_var",
     "map_at_k",

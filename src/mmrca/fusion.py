@@ -136,16 +136,6 @@ def graph_to_json(graph: FusedCausalGraph) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def graph_from_json(text: str) -> FusedCausalGraph:
-    payload = json.loads(text)
-    return FusedCausalGraph(
-        adjacency=np.asarray(payload["adjacency"], dtype=float),
-        a_log=payload["a_log"],
-        a_metric=payload["a_metric"],
-        node_names=list(payload["node_names"]),
-    )
-
-
 def graph_to_dot(graph: FusedCausalGraph, threshold: float = 0.3) -> str:
     """DOT export keeping edges whose fused weight exceeds the threshold."""
     lines = ["digraph fused_causal_graph {"]

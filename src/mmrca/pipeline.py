@@ -62,6 +62,8 @@ from .atomic import atomic_open
 from .nn import check_type
 from .panel import aggregate_windows, read_panel_csv, write_panel_csv
 from .simulate import (
+    FAULT_TYPES,
+    LAG_ORDER,
     ScenarioSpec,
     generate_incident,
     read_ground_truth,
@@ -184,9 +186,9 @@ def load_config(
 
 
 def _check_stage_settings(config: dict) -> None:
-    """ValueError naming the first of window_size, metric_kind and the fusion, rca and
-    evaluation fields that has the wrong type or lies out of range."""
-    fusion, rca = config["fusion"], config["rca"]
+    """ValueError naming the first of window_size, metric_kind and the scenario, fusion,
+    rca and evaluation fields that has the wrong type or lies out of range."""
+    scenario, fusion, rca = config["scenario"], config["fusion"], config["rca"]
     k_values = config["evaluation"]["k_values"]
     if not isinstance(k_values, list):
         got = f"{type(k_values).__name__} {k_values!r}"
@@ -194,6 +196,16 @@ def _check_stage_settings(config: dict) -> None:
     checks = [
         ("window_size", config["window_size"], int, lambda v: v >= 1, ">= 1"),
         ("metric_kind", config["metric_kind"], str, bool, "non-empty"),
+        ("scenario.n_entities", scenario["n_entities"], int, lambda v: v >= 1, ">= 1"),
+        ("scenario.horizon_T", scenario["horizon_T"], int,
+         lambda v: v >= 4 * LAG_ORDER, f">= {4 * LAG_ORDER}"),
+        ("scenario.noise_std", scenario["noise_std"], float,
+         lambda v: 0 <= v < math.inf, "finite and >= 0"),
+        ("scenario.edge_prob", scenario["edge_prob"], float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+        ("scenario.log_lag", scenario["log_lag"], int, lambda v: v >= 1, ">= 1"),
+        ("scenario.fault_type", scenario["fault_type"], str,
+         lambda v: v in FAULT_TYPES, f"one of {FAULT_TYPES}"),
+        ("scenario.seed", scenario["seed"], int, lambda v: v >= 0, ">= 0"),
         ("fusion.max_lag", fusion["max_lag"], int, lambda v: v >= 0, ">= 0"),
         ("fusion.top_k", fusion["top_k"], int, lambda v: v >= 1, ">= 1"),
         ("fusion.edge_threshold", fusion["edge_threshold"], float, math.isfinite, "finite"),
@@ -205,6 +217,11 @@ def _check_stage_settings(config: dict) -> None:
         (f"evaluation.k_values[{i}]", k, int, lambda v: v >= 1, ">= 1")
         for i, k in enumerate(k_values)
     ]
+    if scenario["root_cause"] is not None:
+        checks.append((
+            "scenario.root_cause", scenario["root_cause"], int,
+            lambda v: 0 <= v < scenario["n_entities"], "a valid entity index",
+        ))
     for name, value, kind, in_range, requirement in checks:
         check_type(name, value, kind)
         if not in_range(value):
@@ -287,6 +304,27 @@ def _n_windows(horizon: int, window_size: int) -> int:
     return -(-horizon // window_size)
 
 
+def _check_lags_fit(config: dict, truth: dict) -> int:
+    """The incident's window count; ValueError if the lags need more windows than that.
+
+    fusion.max_lag must be below the panel length and the panel at least twice
+    learner.p long. Both depend on the incident's horizon, so load_config
+    cannot check them; the ingest and encode stages check them before they
+    write anything.
+    """
+    n_windows = _n_windows(truth["horizon_T"], config["window_size"])
+    max_lag, p = config["fusion"]["max_lag"], config["learner"]["p"]
+    counted = (
+        f"the {n_windows} windows of the incident "
+        f"(horizon_T {truth['horizon_T']}, window_size {config['window_size']})"
+    )
+    if max_lag >= n_windows:
+        raise ValueError(f"fusion.max_lag {max_lag} must be smaller than {counted}")
+    if n_windows < 2 * p:
+        raise ValueError(f"learner.p {p} needs at least {2 * p} windows, more than {counted}")
+    return n_windows
+
+
 # --- stages ------------------------------------------------------------------------
 
 
@@ -298,16 +336,17 @@ def stage_simulate(config: dict) -> dict:
 
 def stage_ingest(config: dict) -> None:
     paths = _paths(config)
+    truth = read_ground_truth(paths["ground_truth"])
+    n_windows = _check_lags_fit(config, truth)
     os.makedirs(config["paths"]["out_dir"], exist_ok=True)
     records = logs_mod.read_logs_jsonl(paths["logs"])
-    truth = read_ground_truth(paths["ground_truth"])
     vocabulary, events = logs_mod.parse_templates(records)
     windows = logs_mod.window_sequences(
         events,
         vocabulary,
         window_size=config["window_size"],
         n_entities=truth["n_entities"],
-        n_windows=_n_windows(truth["horizon_T"], config["window_size"]),
+        n_windows=n_windows,
     )
     logs_mod.label_windows(windows, vocabulary)
     _write_text(paths["vocabulary"], logs_mod.vocabulary_to_json(vocabulary))
@@ -321,6 +360,7 @@ def stage_encode(config: dict) -> None:
     with open(paths["windows"]) as fh:
         windows = logs_mod.windows_from_jsonl(fh.read())
     truth = read_ground_truth(paths["ground_truth"])
+    _check_lags_fit(config, truth)
     metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
     # structure.fit checks this too, since learn can run alone; checking here
     # fails the run before the encoder trains or any artifact is written

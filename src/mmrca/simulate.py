@@ -349,16 +349,3 @@ def ground_truth_to_json(dataset: IncidentDataset) -> str:
 def read_ground_truth(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def spec_from_ground_truth(payload: dict) -> ScenarioSpec:
-    return ScenarioSpec(
-        n_entities=payload["n_entities"],
-        ground_truth_dag=np.asarray(payload["ground_truth_dag"], dtype=int),
-        root_cause=payload["root_cause"],
-        fault_type=payload["fault_type"],
-        horizon_T=payload["horizon_T"],
-        noise_std=payload["noise_std"],
-        seed=payload["seed"],
-        log_lag=payload.get("log_lag", 1),
-    )

@@ -19,6 +19,7 @@ class TestConfigKeys:
             ({"encoder": {"epoch": 3}}, "encoder.epoch"),
             ({"encodr": {"epochs": 3}}, "encodr"),
             ({"fusion": {"top_k": 2}, "rca": {"restart": 0.2, "tolerance": 1e-9}}, "rca.tolerance"),
+            ({"learner": {"lambda3": 20}}, "learner.lambda3"),
         ],
     )
     def test_unknown_key_exits_as_invalid_configuration(self, tmp_path, capsys, payload, named):
@@ -48,6 +49,16 @@ class TestConfigKeys:
             ({"window_size": 2.0}, "window_size must be an int; float 2.0"),
             ({"metric_kind": ""}, "metric_kind must be non-empty"),
             ({"metric_kind": 3}, "metric_kind must be a string; int 3"),
+            ({"scenario": {"n_entities": "x"}}, "scenario.n_entities must be an int; str 'x'"),
+            ({"scenario": {"n_entities": 0}}, "scenario.n_entities must be >= 1"),
+            ({"scenario": {"horizon_T": 3}}, "scenario.horizon_T must be >= 4"),
+            ({"scenario": {"noise_std": -0.1}}, "scenario.noise_std must be finite and >= 0"),
+            ({"scenario": {"edge_prob": 1.5}}, "scenario.edge_prob must be in [0, 1]"),
+            ({"scenario": {"log_lag": 0}}, "scenario.log_lag must be >= 1"),
+            ({"scenario": {"fault_type": "disk"}}, "scenario.fault_type must be one of"),
+            ({"scenario": {"seed": -1}}, "scenario.seed must be >= 0"),
+            ({"scenario": {"root_cause": 6}}, "scenario.root_cause must be a valid entity index"),
+            ({"scenario": {"root_cause": "svc-0"}}, "scenario.root_cause must be an int"),
             ({"fusion": {"top_k": 0}}, "fusion.top_k must be >= 1"),
             ({"fusion": {"max_lag": -1}}, "fusion.max_lag must be >= 0"),
             ({"rca": {"beta": "x"}}, "rca.beta must be a number; str 'x'"),
@@ -134,6 +145,27 @@ class TestStageCommands:
         # the encode stage fails before it trains or writes anything
         assert not (out / "encoder.npz").exists()
         assert not (out / "log_panel.csv").exists()
+
+    @pytest.mark.parametrize(
+        "settings,named",
+        [
+            ({"fusion": {"max_lag": 40}}, "fusion.max_lag 40 must be smaller than the 40 windows"),
+            ({"learner": {"p": 30}}, "learner.p 30 needs at least 60 windows"),
+        ],
+    )
+    def test_lags_longer_than_the_incident_fail_before_any_artifact(
+        self, tmp_path, capsys, settings, named
+    ):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        assert self.run(tmp_path, "run-pipeline", out, **settings) == 1
+        assert f"stage log_ingest failed: {named}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        # the encode stage, run on its own, also fails before the encoder trains
+        assert self.run(tmp_path, "parse", out) == 0
+        assert self.run(tmp_path, "encode", out, **settings) == 1
+        assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
+        assert not (out / "encoder.npz").exists()
 
     @pytest.mark.parametrize(
         "command,artifact", [("encode", "encoder.npz"), ("learn", "structure.npz")]

@@ -15,10 +15,6 @@ from mmrca.structure import (
     fit,
     init_params,
     load_structure,
-    loss_edge,
-    loss_edge_backward,
-    loss_node,
-    loss_node_backward,
     loss_orth,
     loss_orth_backward,
     loss_var,
@@ -33,7 +29,7 @@ MODALITIES = ("metric", "log")  # the order of the leading axis of every stacked
 def toy_setup(n=3, t_len=6, seed=0, **cfg_overrides):
     """A config, a lagged batch stacked over (metric, log) and the initial parameters."""
     rng = np.random.default_rng(seed)
-    cfg = LearnerConfig(p=2, d1=4, d2=3, seed=seed + 1, **cfg_overrides)
+    cfg = LearnerConfig(p=2, d1=4, seed=seed + 1, **cfg_overrides)
     batch = build_lagged(rng.standard_normal((2, n, t_len)), cfg.p)
     params = init_params(n, cfg)
     return cfg, batch, params
@@ -100,7 +96,7 @@ class TestAdjacencyParam:
 class TestEncode:
     def test_zero_adjacency_isolates_self_features(self):
         cfg, batch, params = toy_setup()
-        (r_c, r_s, h), _ = encode(batch, np.zeros((2, 3, 3)), params)
+        (r_c, r_s), _ = encode(batch, np.zeros((2, 3, 3)), params)
 
         # oracle: a self-only forward pass (aggregated part identically zero)
         def self_only(x, w1, b1, w2, b2):
@@ -119,23 +115,21 @@ class TestEncode:
         cfg, batch, params = toy_setup(n=4, t_len=7)
         rng = np.random.default_rng(3)
         adjacency = rng.uniform(size=(2, 4, 4)) * (1.0 - np.eye(4))
-        (r_c, r_s, h), _ = encode(batch, adjacency, params)
+        (r_c, r_s), _ = encode(batch, adjacency, params)
 
         perm = np.array([2, 0, 3, 1])
         permuted_batch = LaggedBatch(history=batch.history[:, perm], target=batch.target[:, perm])
         permuted_adj = adjacency[:, perm][:, :, perm]
-        (r_c_p, r_s_p, h_p), _ = encode(permuted_batch, permuted_adj, params)
+        (r_c_p, r_s_p), _ = encode(permuted_batch, permuted_adj, params)
         assert np.allclose(r_c_p, r_c[:, perm])
         assert np.allclose(r_s_p, r_s[:, perm])
-        assert np.allclose(h_p, h[:, perm])
 
     def test_output_shapes(self):
         cfg, batch, params = toy_setup()
-        (r_c, r_s, h), _ = encode(batch, np.zeros((2, 3, 3)), params)
+        (r_c, r_s), _ = encode(batch, np.zeros((2, 3, 3)), params)
         m = batch.target.shape[-1]
         assert r_c.shape == (2, 3, m, cfg.d1)
         assert r_s.shape == (2, 3, m, cfg.d1)
-        assert h.shape == (2, 3, cfg.d2)
 
 
 class TestLossVar:
@@ -189,33 +183,6 @@ class TestLossVar:
         assert value == pytest.approx(total)
 
 
-class TestLossNode:
-    def test_single_entity_is_zero(self):
-        h = np.array([[1.0, 2.0]])
-        assert loss_node(h, h, temperature=0.5)[0] == pytest.approx(0.0)
-
-    def test_orthonormal_rows_closed_form(self):
-        h = np.eye(2)
-        expected = -np.log(np.e**2 / (np.e**2 + 1.0))
-        assert loss_node(h, h, temperature=0.5)[0] == pytest.approx(expected, abs=1e-12)
-        assert loss_node(h, h, temperature=0.5)[0] == pytest.approx(0.1269, abs=1e-4)
-
-    def test_scale_invariance_of_rows(self):
-        rng = np.random.default_rng(0)
-        h_m = rng.standard_normal((4, 3))
-        h_l = rng.standard_normal((4, 3))
-        scales = np.array([2.0, 5.0, 0.3, 11.0])[:, None]
-        a = loss_node(h_m, h_l, temperature=0.5)[0]
-        b = loss_node(h_m * scales, h_l * scales[::-1], temperature=0.5)[0]
-        assert a == pytest.approx(b, abs=1e-10)
-
-    def test_high_temperature_limit_is_log_n(self):
-        rng = np.random.default_rng(1)
-        h_m = rng.standard_normal((4, 6))
-        h_l = rng.standard_normal((4, 6))
-        assert loss_node(h_m, h_l, temperature=1e6)[0] == pytest.approx(np.log(4), abs=1e-3)
-
-
 class TestLossOrth:
     def test_orthogonal_blocks_are_zero(self):
         r_c = np.zeros((1, 2, 2))
@@ -239,63 +206,6 @@ class TestLossOrth:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             loss_orth(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
-
-
-class TestLossEdge:
-    def head(self, d2, value=0.0):
-        return {"edge.w": np.zeros((2 * d2, 1)), "edge.b": np.array([value])}
-
-    def test_perfect_prediction_is_zero(self):
-        # G outputs 0.5 everywhere; set A to 0.5 off-diagonal
-        adjacency = np.full((3, 3), 0.5)
-        np.fill_diagonal(adjacency, 0.0)
-        h = np.random.default_rng(0).standard_normal((3, 2))
-        assert loss_edge(h, adjacency, self.head(2))[0] == pytest.approx(0.0)
-
-    def test_hand_worked_two_nodes(self):
-        adjacency = np.array([[0.0, 0.0], [1.0, 0.0]])
-        h = np.random.default_rng(1).standard_normal((2, 2))
-        value = loss_edge(h, adjacency, self.head(2))[0]  # G == 0.5
-        assert value == pytest.approx((0.5 - 0.0) ** 2 + (0.5 - 1.0) ** 2)
-
-    @pytest.mark.parametrize("n,seed", [(2, 0), (6, 1), (41, 2)])
-    def test_factorised_head_matches_the_pair_tensor(self, n, seed):
-        rng = np.random.default_rng(seed)
-        d2 = 5
-        h = rng.standard_normal((n, d2))
-        adjacency = rng.uniform(size=(n, n))
-        np.fill_diagonal(adjacency, 0.0)
-        head = {"edge.w": rng.standard_normal((2 * d2, 1)), "edge.b": np.array([0.3])}
-        value, cache = loss_edge(h, adjacency, head)
-        d_h, d_a, grads = loss_edge_backward(20.0, cache)
-
-        # reference: the head applied to the explicit (n, n, 2 * d2) tensor of pairs [h_i, h_j]
-        from scipy.special import expit
-
-        e = np.concatenate(
-            [np.repeat(h[:, None, :], n, axis=1), np.repeat(h[None, :, :], n, axis=0)], axis=-1
-        )
-        g = expit((e @ head["edge.w"]).squeeze(-1) + head["edge.b"][0])
-        mask = 1.0 - np.eye(n)
-        dg = 20.0 * mask * 2.0 * (g - adjacency)
-        dz = dg * g * (1.0 - g)
-        de = dz[:, :, None] * head["edge.w"].ravel()[None, None, :]
-        close = dict(rtol=0.0, atol=1e-12)
-        assert abs(value - float((mask * (g - adjacency) ** 2).sum())) <= 1e-12
-        assert np.allclose(d_h, de[:, :, :d2].sum(axis=1) + de[:, :, d2:].sum(axis=0), **close)
-        assert np.allclose(d_a, -dg, **close)
-        assert np.allclose(grads["edge.w"], (e.reshape(-1, 2 * d2).T @ dz.ravel())[:, None], **close)
-        assert np.allclose(grads["edge.b"], [dz.sum()], **close)
-
-    def test_pair_terms_are_order_sensitive(self):
-        rng = np.random.default_rng(2)
-        h = rng.standard_normal((2, 3))
-        head = {"w": rng.standard_normal((6, 1)), "b": np.array([0.1])}
-        from scipy.special import expit
-
-        g01 = expit(np.concatenate([h[0], h[1]]) @ head["w"].ravel() + head["b"][0])
-        g10 = expit(np.concatenate([h[1], h[0]]) @ head["w"].ravel() + head["b"][0])
-        assert g01 != pytest.approx(g10)
 
 
 class TestAcyclicity:
@@ -358,9 +268,9 @@ def per_modality_objective(params, batch, attention, cfg, multiplier):
 
     Every term runs on one modality slice at a time, and the sums accumulate
     in the order the stacked objective promises: d_combined = metric + log,
-    d_r_c = w * d_combined, then + orth, then + mlp, and d_adj = var + edge +
-    enc + lambda5 + acyclicity. Each per-modality sum starts from zero, as
-    when every gradient was a separate array.
+    d_r_c = w * d_combined, then + orth, and d_adj = var + enc + lambda5 +
+    acyclicity. Each per-modality sum starts from zero, as when every gradient
+    was a separate array.
     """
     a_log, a_metric = attention
     weights = (a_metric, a_log)
@@ -373,15 +283,11 @@ def per_modality_objective(params, batch, attention, cfg, multiplier):
     r_combined += rep[0][0] * a_metric
     var = [loss_var(batches[v].target, r_combined, rep[v][1], adj[v], sub[v]) for v in range(2)]
     orth = [loss_orth(rep[v][0], rep[v][1]) for v in range(2)]
-    edge = [loss_edge(rep[v][2], adj[v], sub[v]) for v in range(2)]
     acyc = [acyclicity(adj[v]) for v in range(2)]
-    node, node_cache = loss_node(rep[0][2], rep[1][2], cfg.temperature)
 
     breakdown = {
         "var": cfg.lambda1 * sum(float(var[v][0]) for v in range(2)),
         "orth": cfg.lambda2 * sum(float(orth[v][0]) for v in range(2)),
-        "node": cfg.lambda3 * node,
-        "edge": cfg.lambda4 * sum(float(edge[v][0]) for v in range(2)),
         "sparsity": cfg.lambda5 * sum(float(adj[v].sum()) for v in range(2)),
         "acyclicity": multiplier * sum(float(acyc[v][0]) for v in range(2)),
         "h_metric": float(acyc[0][0]),
@@ -389,12 +295,7 @@ def per_modality_objective(params, batch, attention, cfg, multiplier):
         "multiplier": multiplier,
     }
     breakdown["total"] = (
-        breakdown["var"]
-        + breakdown["orth"]
-        + breakdown["node"]
-        + breakdown["edge"]
-        + breakdown["sparsity"]
-        + breakdown["acyclicity"]
+        breakdown["var"] + breakdown["orth"] + breakdown["sparsity"] + breakdown["acyclicity"]
     )
 
     grads = {key: np.empty_like(value) for key, value in params.items()}
@@ -407,18 +308,16 @@ def per_modality_objective(params, batch, attention, cfg, multiplier):
         for key, g in dec_grads.items():
             grads[key][v] = g
         d_combined += d_r
-    d_h_node = loss_node_backward(cfg.lambda3, node_cache)
     for v in range(2):
         d_r_c = np.zeros_like(r_combined)
         d_r_c += d_combined * weights[v]
         d_r_c_orth, d_r_s_orth = loss_orth_backward(cfg.lambda2, orth[v][1])
         d_r_c += d_r_c_orth
         d_r_s[v] += d_r_s_orth
-        d_h_edge, d_a_edge, edge_grads = loss_edge_backward(cfg.lambda4, edge[v][1])
-        d_a_enc, enc_grads = encode_backward((d_r_c, d_r_s[v], d_h_node[v] + d_h_edge), enc[v])
-        for key, g in {**edge_grads, **enc_grads}.items():
+        d_a_enc, enc_grads = encode_backward((d_r_c, d_r_s[v]), enc[v])
+        for key, g in enc_grads.items():
             grads[key][v] = g
-        d_adj = d_a_var[v] + d_a_edge + d_a_enc + cfg.lambda5 + multiplier * acyc[v][1].T * 2.0 * adj[v]
+        d_adj = d_a_var[v] + d_a_enc + cfg.lambda5 + multiplier * acyc[v][1].T * 2.0 * adj[v]
         grads["adj"][v] = d_adj * adj[v] * (1.0 - adj[v]) * mask
     return breakdown["total"], breakdown, grads
 
@@ -426,12 +325,38 @@ def per_modality_objective(params, batch, attention, cfg, multiplier):
 class TestStackedModalities:
     def test_every_block_is_stacked_over_the_two_modalities(self):
         cfg, batch, params = toy_setup()
-        assert len(params) == 19
+        assert len(params) == 13
         assert params["adj"].shape == (2, 3, 3)
         assert all(value.shape[0] == 2 for value in params.values())
         # the metric blocks are drawn first, so the metric adjacency is the seed's first draw
         first = 0.1 * np.random.default_rng(cfg.seed).standard_normal((3, 3))
         assert np.array_equal(params["adj"][0], first)
+
+    @pytest.mark.parametrize("n,p,d1", [(3, 2, 4), (6, 3, 16)])
+    def test_each_block_keeps_its_values_from_when_the_retired_blocks_were_drawn(self, n, p, d1):
+        # the draw order that included the entity MLP and the edge head, both 16 wide
+        rng = np.random.default_rng(5)
+        old = []
+        for _ in MODALITIES:
+            block = {"adj": 0.1 * rng.standard_normal((n, n))}
+            for enc in ("enc_c", "enc_s"):
+                block[f"{enc}.w1"] = rng.standard_normal((2 * p, d1)) / np.sqrt(2 * p)
+                block[f"{enc}.b1"] = np.zeros(d1)
+                block[f"{enc}.w2"] = rng.standard_normal((2 * d1, d1)) / np.sqrt(2 * d1)
+                block[f"{enc}.b2"] = np.zeros(d1)
+            rng.standard_normal((d1, 16))  # mlp.w1
+            rng.standard_normal((16, 16))  # mlp.w2
+            block["dec.w1"] = rng.standard_normal((2 * d1, d1)) / np.sqrt(2 * d1)
+            block["dec.b1"] = np.zeros(d1)
+            block["dec.w2"] = rng.standard_normal((2 * d1, 1)) / np.sqrt(2 * d1)
+            block["dec.b2"] = np.zeros(1)
+            rng.standard_normal((32, 1))  # edge.w
+            old.append(block)
+        params = init_params(n, LearnerConfig(p=p, d1=d1, seed=5))
+        assert params.keys() == old[0].keys()
+        for key, value in params.items():
+            for v, name in enumerate(MODALITIES):
+                assert value[v].tobytes() == old[v][key].tobytes(), f"{name}.{key}"
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n,t_len", [(3, 6), (4, 9), (7, 30)])
@@ -460,8 +385,6 @@ class TestTotalObjective:
         # free weights 0 -> A entries 0.5: blank them via large negative weights
         params["adj"] = np.full((2, 3, 3), -60.0)
         total, breakdown, _ = objective_gradients(params, zero_batch, (0.5, 0.5), cfg)
-        # node loss of identical zero-ish rows is log(n)-like but H is exactly
-        # zero here so cosine floors kick in; check the other terms instead
         assert breakdown["var"] == pytest.approx(0.0, abs=1e-20)
         assert breakdown["orth"] == pytest.approx(0.0, abs=1e-20)
         assert breakdown["sparsity"] == pytest.approx(0.0, abs=1e-10)
@@ -478,7 +401,7 @@ class TestTotalObjective:
     def test_doubling_lambda1_doubles_var_contribution(self):
         cfg, batch, params = toy_setup()
         _, base, _ = objective_gradients(params, batch, (0.5, 0.5), cfg)
-        cfg2 = LearnerConfig(p=2, d1=4, d2=3, seed=cfg.seed, lambda1=2 * cfg.lambda1)
+        cfg2 = LearnerConfig(p=2, d1=4, seed=cfg.seed, lambda1=2 * cfg.lambda1)
         _, doubled, _ = objective_gradients(params, batch, (0.5, 0.5), cfg2)
         assert doubled["var"] == pytest.approx(2.0 * base["var"], rel=1e-12)
 
@@ -486,7 +409,7 @@ class TestTotalObjective:
         cfg, batch, params = toy_setup()
         total, b, _ = objective_gradients(params, batch, (0.3, 0.7), cfg, multiplier=3.0)
         assert total == pytest.approx(
-            b["var"] + b["orth"] + b["node"] + b["edge"] + b["sparsity"] + b["acyclicity"]
+            b["var"] + b["orth"] + b["sparsity"] + b["acyclicity"]
         )
 
     def test_attention_must_sum_to_one(self):
@@ -536,7 +459,7 @@ class TestObjectiveGradients:
 class TestWorkspace:
     def test_results_survive_a_second_call_on_the_same_workspace(self):
         cfg, batch, params = toy_setup(n=4, t_len=9)
-        other = init_params(4, LearnerConfig(p=2, d1=4, d2=3, seed=99))
+        other = init_params(4, LearnerConfig(p=2, d1=4, seed=99))
         workspace = Workspace()
         total, breakdown, grads = objective_gradients(params, batch, (0.4, 0.6), cfg, 1.7, workspace)
         kept = (total, dict(breakdown), {key: g.copy() for key, g in grads.items()})
@@ -558,7 +481,7 @@ class TestWorkspace:
         names = ["a", "b", "c", "d"]
         metric = ModalityPanel(rng.standard_normal((5, 30)), names)
         log = ModalityPanel(rng.standard_normal((5, 30)), names)
-        cfg = LearnerConfig(p=2, d1=4, d2=3, epochs=6, acyclicity_every=2, seed=2)
+        cfg = LearnerConfig(p=2, d1=4, epochs=6, acyclicity_every=2, seed=2)
         first, second = (fit(metric, log, (0.3, 0.7), cfg) for _ in range(2))
         for name in ("A_metric", "A_log"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
@@ -594,7 +517,7 @@ class TestPrecision:
         names = ["a", "b", "c", "d"]
         metric = ModalityPanel(rng.standard_normal((5, 30)), names)
         log = ModalityPanel(rng.standard_normal((5, 30)), names)
-        structure = fit(metric, log, (0.3, 0.7), LearnerConfig(p=2, d1=4, d2=3, epochs=2, seed=2))
+        structure = fit(metric, log, (0.3, 0.7), LearnerConfig(p=2, d1=4, epochs=2, seed=2))
         assert {value.dtype for value in structure.params.values()} == {np.dtype(np.float32)}
         assert structure.A_metric.dtype == structure.A_log.dtype == np.float32
         assert structure.standardization["metric"]["mean"].dtype == np.float64
@@ -617,7 +540,7 @@ class TestSchedule:
 class TestConfigValidation:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            LearnerConfig(lambda3=-1.0)
+            LearnerConfig(lambda2=-1.0)
 
     def test_lag_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -635,7 +558,7 @@ class TestFitInputs:
         metric = ModalityPanel(rng.standard_normal((3, 12)), ["a", "b"])
         log = ModalityPanel(rng.standard_normal((3, 12)), ["b", "a"])
         with pytest.raises(ValueError, match="same nodes in the same order"):
-            fit(metric, log, (0.5, 0.5), LearnerConfig(p=2, d1=4, d2=3, epochs=1))
+            fit(metric, log, (0.5, 0.5), LearnerConfig(p=2, d1=4, epochs=1))
 
 
 class TestPersistence:
@@ -644,7 +567,7 @@ class TestPersistence:
         names = ["a", "b"]
         metric = ModalityPanel(3.0 + 2.0 * rng.standard_normal((3, 12)), names)
         log = ModalityPanel(rng.standard_normal((3, 12)) - 1.0, names)
-        cfg = LearnerConfig(p=2, d1=4, d2=3, epochs=3, seed=1)
+        cfg = LearnerConfig(p=2, d1=4, epochs=3, seed=1)
         structure = fit(metric, log, (0.4, 0.6), cfg)
         save_structure(structure, tmp_path / "structure.npz")
         restored = load_structure(tmp_path / "structure.npz")
