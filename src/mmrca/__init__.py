@@ -17,7 +17,6 @@ from .encoder import (
 )
 from .fusion import (
     FusedCausalGraph,
-    ModalityScore,
     cross_correlation_scores,
     fuse,
     modality_attention,
@@ -25,7 +24,6 @@ from .fusion import (
 from .logs import (
     LogSequenceWindow,
     LogTemplate,
-    label_anomaly,
     parse_templates,
     window_sequences,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "LogTemplate",
     "LogTokenizer",
     "ModalityPanel",
-    "ModalityScore",
     "RankedRootCauses",
     "ScenarioSpec",
     "TokenSequence",
@@ -73,7 +70,6 @@ __all__ = [
     "fit",
     "fuse",
     "generate_incident",
-    "label_anomaly",
     "loss_orth",
     "loss_var",
     "map_at_k",

@@ -16,20 +16,6 @@ from .panel import ModalityPanel
 
 
 @dataclass
-class ModalityScore:
-    scores: np.ndarray  # one entry per entity, KPI excluded
-    modality: str
-    max_lag: int
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float)
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("modality scores must be finite")
-        if self.max_lag < 0:
-            raise ValueError("max_lag must be >= 0")
-
-
-@dataclass
 class FusedCausalGraph:
     adjacency: np.ndarray
     a_log: float
@@ -58,18 +44,17 @@ def _lagged_correlation(x: np.ndarray, y: np.ndarray, lag: int) -> float:
     return float(np.dot(ca, cb) / denom)
 
 
-def cross_correlation_scores(
-    panel: ModalityPanel, max_lag: int, modality: str = "metric"
-) -> ModalityScore:
+def cross_correlation_scores(panel: ModalityPanel, max_lag: int) -> np.ndarray:
     """Per-entity max lagged Pearson correlation with the KPI over lags 0..max_lag.
 
-    The entity series leads the KPI: at lag p the pairs are (x_i(t+p), y(t)).
-    Both series are mean-centered over the overlap and divided by their
-    norms. Entities with zero variance at every lag score 0.
+    Returns one score per entity, KPI excluded. The entity series leads the
+    KPI: at lag p the pairs are (x_i(t+p), y(t)). Both series are
+    mean-centered over the overlap and divided by their norms. Entities with
+    zero variance at every lag score 0.
     """
-    if max_lag >= panel.n_timesteps:
+    if not 0 <= max_lag < panel.n_timesteps:
         raise ValueError(
-            f"max_lag {max_lag} must be smaller than panel length {panel.n_timesteps}"
+            f"max_lag {max_lag} must be >= 0 and smaller than panel length {panel.n_timesteps}"
         )
     kpi = panel.kpi
     scores = np.empty(panel.n_nodes - 1)
@@ -78,27 +63,25 @@ def cross_correlation_scores(
         for lag in range(max_lag + 1):
             best = max(best, _lagged_correlation(panel.values[i], kpi, lag))
         scores[i] = best
-    return ModalityScore(scores=scores, modality=modality, max_lag=max_lag)
+    return scores
 
 
-def modality_attention(
-    score_log: ModalityScore, score_metric: ModalityScore, k: int
-) -> tuple[float, float]:
+def modality_attention(score_log, score_metric, k: int) -> tuple[float, float]:
     """Two-way softmax over the top-k score sums of each modality.
 
-    Returns (a_log, a_metric) with a_log + a_metric = 1. The softmax is
-    computed max-subtracted, which leaves the values analytically unchanged.
+    score_log and score_metric hold one cross_correlation_scores entry per
+    entity. Returns (a_log, a_metric) with a_log + a_metric = 1. The softmax
+    is computed max-subtracted, which leaves the values analytically unchanged.
     """
+    score_log = np.asarray(score_log, dtype=float)
+    score_metric = np.asarray(score_metric, dtype=float)
+    if not (np.all(np.isfinite(score_log)) and np.all(np.isfinite(score_metric))):
+        raise ValueError("modality scores must be finite")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(score_log.scores) or k > len(score_metric.scores):
+    if k > len(score_log) or k > len(score_metric):
         raise ValueError("k exceeds the number of entities")
-    sums = np.array(
-        [
-            np.sort(score_log.scores)[-k:].sum(),
-            np.sort(score_metric.scores)[-k:].sum(),
-        ]
-    )
+    sums = np.array([np.sort(score_log)[-k:].sum(), np.sort(score_metric)[-k:].sum()])
     shifted = sums - sums.max()
     weights = np.exp(shifted)
     weights /= weights.sum()
@@ -136,7 +119,7 @@ def graph_to_json(graph: FusedCausalGraph) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def graph_to_dot(graph: FusedCausalGraph, threshold: float = 0.3) -> str:
+def graph_to_dot(graph: FusedCausalGraph, threshold: float) -> str:
     """DOT export keeping edges whose fused weight exceeds the threshold."""
     lines = ["digraph fused_causal_graph {"]
     for name in graph.node_names:

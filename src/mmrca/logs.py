@@ -15,6 +15,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
+from .nn import check_type
+
 WILDCARD = "<*>"
 
 # Windows with no events get a reserved template so the downstream encoder
@@ -102,9 +104,9 @@ def mask_message(message: str) -> str:
 def parse_templates(raw_logs) -> tuple[list[LogTemplate], list[tuple[int, int, int]]]:
     """Mine templates from raw log records and emit (timestamp, entity, template_id) events.
 
-    Records are dicts with keys ts, entity, msg (the simulator's JSONL schema).
-    Template ids are assigned in first-appearance order, so parsing is
-    deterministic for a fixed record order.
+    Records are dicts with keys ts, entity, msg (the simulator's JSONL schema);
+    ts and entity must be ints. Template ids are assigned in first-appearance
+    order, so parsing is deterministic for a fixed record order.
     """
     vocabulary: list[LogTemplate] = []
     by_pattern: dict[str, int] = {}
@@ -114,39 +116,34 @@ def parse_templates(raw_logs) -> tuple[list[LogTemplate], list[tuple[int, int, i
             ts, entity, msg = record["ts"], record["entity"], record["msg"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"log record {index} is missing field {exc}") from None
+        # the exact-type test first, so the messages are built only for an odd record
+        if type(ts) is not int or type(entity) is not int:
+            check_type(f"log record {index} field 'ts'", ts, int)
+            check_type(f"log record {index} field 'entity'", entity, int)
         pattern = mask_message(msg)
         if pattern not in by_pattern:
             by_pattern[pattern] = len(vocabulary)
             vocabulary.append(LogTemplate(template_id=len(vocabulary), pattern=pattern))
-        events.append((int(ts), int(entity), by_pattern[pattern]))
+        events.append((ts, entity, by_pattern[pattern]))
     return vocabulary, events
 
 
 def window_sequences(
-    events,
-    vocabulary: list[LogTemplate],
-    window_size: int = 30,
-    n_entities: int | None = None,
-    n_windows: int | None = None,
+    events, vocabulary: list[LogTemplate], window_size: int, n_entities: int, n_windows: int
 ) -> list[LogSequenceWindow]:
     """Partition events into fixed windows per entity.
 
     Within a window the unique templates appear in ascending first-appearance
-    order with their occurrence counts. Every (entity, window) cell of the
-    full grid is emitted; cells with no events carry the reserved empty
-    template with frequency 1. n_windows extends the grid beyond the last
-    event (needed to align with a KPI series covering the full horizon); an
-    event whose window falls outside [0, n_windows) raises ValueError.
+    order with their occurrence counts. Every cell of the n_entities x
+    n_windows grid is emitted, so the windows cover the full horizon even
+    after the last event; cells with no events carry the reserved empty
+    template with frequency 1. An event whose entity or window falls outside
+    the grid raises ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     valid_ids = {t.template_id for t in vocabulary}
     events = sorted(events, key=lambda e: e[0])
-    if n_entities is None:
-        n_entities = max((e[1] for e in events), default=-1) + 1
-    if n_windows is None:
-        n_windows = (max((e[0] for e in events), default=-1) // window_size) + 1
-    n_windows = max(n_windows, 0)
 
     first_seen: dict[tuple[int, int], dict[int, int]] = {}
     counts: dict[tuple[int, int], Counter] = {}
@@ -193,16 +190,6 @@ def window_sequences(
     return windows
 
 
-def _golden_flags(vocabulary: list[LogTemplate], golden_signals) -> dict[int, bool]:
-    """Whether each template's pattern contains a golden-signal keyword, by template id."""
-    if not golden_signals:
-        raise ValueError("golden_signals must be non-empty")
-    signals = [s.lower() for s in golden_signals]
-    return {
-        t.template_id: any(s in t.pattern.lower() for s in signals) for t in vocabulary
-    }
-
-
 def _flagged_fraction(window: LogSequenceWindow, flags: dict[int, bool]) -> float:
     if window.is_empty:
         return 0.0
@@ -215,25 +202,18 @@ def _flagged_fraction(window: LogSequenceWindow, flags: dict[int, bool]) -> floa
     return flagged / total if total else 0.0
 
 
-def label_anomaly(
-    window: LogSequenceWindow,
-    vocabulary: list[LogTemplate],
-    golden_signals=DEFAULT_GOLDEN_SIGNALS,
-) -> float:
-    """Frequency-weighted fraction of window events with a golden-signal template."""
-    return _flagged_fraction(window, _golden_flags(vocabulary, golden_signals))
-
-
 def label_windows(
-    windows: list[LogSequenceWindow],
-    vocabulary: list[LogTemplate],
-    golden_signals=DEFAULT_GOLDEN_SIGNALS,
+    windows: list[LogSequenceWindow], vocabulary: list[LogTemplate]
 ) -> list[LogSequenceWindow]:
-    """Assign golden-signal labels to every window in place and return the list.
+    """Label every window in place with the frequency-weighted fraction of its events
+    whose template contains one of DEFAULT_GOLDEN_SIGNALS; return the list.
 
     Each template is tested for the keywords once, not once per window.
     """
-    flags = _golden_flags(vocabulary, golden_signals)
+    flags = {
+        t.template_id: any(s in t.pattern.lower() for s in DEFAULT_GOLDEN_SIGNALS)
+        for t in vocabulary
+    }
     for window in windows:
         window.label = _flagged_fraction(window, flags)
     return windows

@@ -83,29 +83,39 @@ def write_panel_csv(panel: ModalityPanel, path, metric_name: str) -> None:
             writer.writerow([t, KPI_ENTITY, KPI_ENTITY, repr(float(panel.values[-1, t]))])
 
 
-def read_panel_csv(path, metric_name: str | None = None) -> ModalityPanel:
+def read_panel_csv(path, metric_name: str) -> ModalityPanel:
     """Rebuild a panel from the long CSV schema.
 
-    If metric_name is given, only rows of that metric kind are used for the
-    entity series; KPI rows (entity == "kpi") are always used for the last row.
+    The entity series come from the rows of metric_name, the last row from
+    the KPI rows (entity == "kpi"). Every series must have exactly one value
+    at every timestamp that any series has; a missing or a repeated
+    (timestamp, entity) cell raises ValueError naming the file, the entity
+    and the timestamp.
     """
     series: dict[str, dict[int, float]] = {}
     entity_order: list[str] = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             entity = row["entity"]
-            if entity != KPI_ENTITY and metric_name is not None and row["metric_name"] != metric_name:
+            if entity != KPI_ENTITY and row["metric_name"] != metric_name:
                 continue
             if entity not in series:
                 series[entity] = {}
                 if entity != KPI_ENTITY:
                     entity_order.append(entity)
-            series[entity][int(row["timestamp"])] = float(row["value"])
+            cells, t = series[entity], int(row["timestamp"])
+            if t in cells:
+                raise ValueError(
+                    f"{path} has more than one row for entity {entity!r} at timestamp {t}"
+                )
+            cells[t] = float(row["value"])
     if KPI_ENTITY not in series:
         raise ValueError(f"no KPI rows found in {path}")
-    timestamps = sorted(series[KPI_ENTITY])
+    timestamps = sorted(set().union(*series.values()))
     values = np.empty((len(entity_order) + 1, len(timestamps)))
-    for i, name in enumerate(entity_order):
-        values[i] = [series[name][t] for t in timestamps]
-    values[-1] = [series[KPI_ENTITY][t] for t in timestamps]
+    for i, name in enumerate(entity_order + [KPI_ENTITY]):
+        try:
+            values[i] = [series[name][t] for t in timestamps]
+        except KeyError as exc:
+            raise ValueError(f"{path} has no row for entity {name!r} at timestamp {exc}") from None
     return ModalityPanel(values, entity_order)

@@ -64,7 +64,6 @@ from .panel import aggregate_windows, read_panel_csv, write_panel_csv
 from .simulate import (
     FAULT_TYPES,
     LAG_ORDER,
-    ScenarioSpec,
     generate_incident,
     read_ground_truth,
     sample_scenario,
@@ -77,8 +76,10 @@ ENV_SEED = "MMRCA_SEED"
 
 
 def _defaults(config_class) -> dict:
-    """The default fields of a config dataclass, with the seed left to the global seed."""
-    return dict(dataclasses.asdict(config_class()), seed=None)
+    """The default fields of a config dataclass but its seed, which the global seed sets."""
+    fields = dataclasses.asdict(config_class())
+    del fields["seed"]
+    return fields
 
 
 DEFAULT_CONFIG: dict = {
@@ -93,14 +94,11 @@ DEFAULT_CONFIG: dict = {
         "noise_std": 0.05,
         "edge_prob": 0.35,
         "log_lag": 1,
-        "dag": None,
-        "root_cause": None,
-        "seed": None,
     },
     # the trained models' defaults live in their config classes
     "encoder": _defaults(encoder_mod.EncoderConfig),
     "learner": _defaults(structure_mod.LearnerConfig),
-    "fusion": {"max_lag": None, "top_k": 3, "edge_threshold": 0.3},
+    "fusion": {"top_k": 3, "edge_threshold": 0.3},
     "rca": {"beta": 0.1, "restart": 0.15, "tol": 1e-10, "max_iter": 10000},
     "evaluation": {"k_values": [1, 3, 5]},
 }
@@ -146,11 +144,12 @@ def load_config(
 
     A file may set only the sections and fields DEFAULT_CONFIG has; any other
     name raises ValueError. Environment variables override only paths and the
-    seed. Component seeds left null derive from the global seed (scenario:
-    seed, encoder: seed+1, learner: seed+2) so one flag reseeds the whole
-    pipeline. The encoder and learner sections are checked by building their
-    config classes, and the settings the stages read besides them by
-    _check_stage_settings, so a bad value fails here, before any stage runs.
+    seed. The global seed is the only seed a config sets: the scenario draws
+    from it, the encoder from seed+1 and the learner from seed+2, so one flag
+    reseeds the whole pipeline. The settings the stages read besides the
+    encoder and learner sections are checked by _check_stage_settings, and
+    those two sections by building their config classes, so a bad value fails
+    here, before any stage runs.
     """
     environ = os.environ if environ is None else environ
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -164,36 +163,31 @@ def load_config(
     if environ.get(ENV_OUT_DIR):
         config["paths"]["out_dir"] = environ[ENV_OUT_DIR]
     if environ.get(ENV_SEED):
-        config["seed"] = int(environ[ENV_SEED])
+        try:
+            config["seed"] = int(environ[ENV_SEED])
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be an int; {environ[ENV_SEED]!r} is not") from None
     if seed is not None:
         config["seed"] = seed
     if out_dir is not None:
         config["paths"]["out_dir"] = out_dir
 
-    base_seed = int(config["seed"])
-    if config["scenario"].get("seed") is None:
-        config["scenario"]["seed"] = base_seed
-    if config["encoder"].get("seed") is None:
-        config["encoder"]["seed"] = base_seed + 1
-    if config["learner"].get("seed") is None:
-        config["learner"]["seed"] = base_seed + 2
-    if config["fusion"].get("max_lag") is None:
-        config["fusion"]["max_lag"] = config["learner"]["p"]
+    _check_stage_settings(config)
     encoder_config_from(config)
     learner_config_from(config)
-    _check_stage_settings(config)
     return config
 
 
 def _check_stage_settings(config: dict) -> None:
-    """ValueError naming the first of window_size, metric_kind and the scenario, fusion,
-    rca and evaluation fields that has the wrong type or lies out of range."""
+    """ValueError naming the first of seed, window_size, metric_kind and the scenario,
+    fusion, rca and evaluation fields that has the wrong type or lies out of range."""
     scenario, fusion, rca = config["scenario"], config["fusion"], config["rca"]
     k_values = config["evaluation"]["k_values"]
     if not isinstance(k_values, list):
         got = f"{type(k_values).__name__} {k_values!r}"
         raise ValueError(f"evaluation.k_values must be a list; {got} is not supported")
     checks = [
+        ("seed", config["seed"], int, lambda v: v >= 0, ">= 0"),
         ("window_size", config["window_size"], int, lambda v: v >= 1, ">= 1"),
         ("metric_kind", config["metric_kind"], str, bool, "non-empty"),
         ("scenario.n_entities", scenario["n_entities"], int, lambda v: v >= 1, ">= 1"),
@@ -205,8 +199,6 @@ def _check_stage_settings(config: dict) -> None:
         ("scenario.log_lag", scenario["log_lag"], int, lambda v: v >= 1, ">= 1"),
         ("scenario.fault_type", scenario["fault_type"], str,
          lambda v: v in FAULT_TYPES, f"one of {FAULT_TYPES}"),
-        ("scenario.seed", scenario["seed"], int, lambda v: v >= 0, ">= 0"),
-        ("fusion.max_lag", fusion["max_lag"], int, lambda v: v >= 0, ">= 0"),
         ("fusion.top_k", fusion["top_k"], int, lambda v: v >= 1, ">= 1"),
         ("fusion.edge_threshold", fusion["edge_threshold"], float, math.isfinite, "finite"),
         ("rca.beta", rca["beta"], float, lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -217,11 +209,6 @@ def _check_stage_settings(config: dict) -> None:
         (f"evaluation.k_values[{i}]", k, int, lambda v: v >= 1, ">= 1")
         for i, k in enumerate(k_values)
     ]
-    if scenario["root_cause"] is not None:
-        checks.append((
-            "scenario.root_cause", scenario["root_cause"], int,
-            lambda v: 0 <= v < scenario["n_entities"], "a valid entity index",
-        ))
     for name, value, kind, in_range, requirement in checks:
         check_type(name, value, kind)
         if not in_range(value):
@@ -233,38 +220,12 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def scenario_from_config(config: dict) -> ScenarioSpec:
-    sc = config["scenario"]
-    if sc.get("dag") is not None:
-        if sc.get("root_cause") is None:
-            raise ValueError("an explicit dag requires an explicit root_cause")
-        return ScenarioSpec(
-            n_entities=sc["n_entities"],
-            ground_truth_dag=np.asarray(sc["dag"], dtype=int),
-            root_cause=sc["root_cause"],
-            fault_type=sc["fault_type"],
-            horizon_T=sc["horizon_T"],
-            noise_std=sc["noise_std"],
-            seed=sc["seed"],
-            log_lag=sc["log_lag"],
-        )
-    return sample_scenario(
-        n_entities=sc["n_entities"],
-        fault_type=sc["fault_type"],
-        horizon_T=sc["horizon_T"],
-        noise_std=sc["noise_std"],
-        seed=sc["seed"],
-        edge_prob=sc["edge_prob"],
-        log_lag=sc["log_lag"],
-    )
-
-
 def encoder_config_from(config: dict) -> encoder_mod.EncoderConfig:
-    return encoder_mod.EncoderConfig(**config["encoder"])
+    return encoder_mod.EncoderConfig(**config["encoder"], seed=config["seed"] + 1)
 
 
 def learner_config_from(config: dict) -> structure_mod.LearnerConfig:
-    return structure_mod.LearnerConfig(**config["learner"])
+    return structure_mod.LearnerConfig(**config["learner"], seed=config["seed"] + 2)
 
 
 # --- artifact helpers ----------------------------------------------------------------
@@ -307,21 +268,19 @@ def _n_windows(horizon: int, window_size: int) -> int:
 def _check_lags_fit(config: dict, truth: dict) -> int:
     """The incident's window count; ValueError if the lags need more windows than that.
 
-    fusion.max_lag must be below the panel length and the panel at least twice
-    learner.p long. Both depend on the incident's horizon, so load_config
-    cannot check them; the ingest and encode stages check them before they
-    write anything.
+    The panel must be at least twice learner.p long, which also keeps the
+    attention's lags 0..p below its length. This depends on the incident's
+    horizon, so load_config cannot check it; the ingest and encode stages
+    check it before they write anything.
     """
     n_windows = _n_windows(truth["horizon_T"], config["window_size"])
-    max_lag, p = config["fusion"]["max_lag"], config["learner"]["p"]
-    counted = (
-        f"the {n_windows} windows of the incident "
-        f"(horizon_T {truth['horizon_T']}, window_size {config['window_size']})"
-    )
-    if max_lag >= n_windows:
-        raise ValueError(f"fusion.max_lag {max_lag} must be smaller than {counted}")
+    p = config["learner"]["p"]
     if n_windows < 2 * p:
-        raise ValueError(f"learner.p {p} needs at least {2 * p} windows, more than {counted}")
+        raise ValueError(
+            f"learner.p {p} needs at least {2 * p} windows, more than the {n_windows} "
+            f"windows of the incident (horizon_T {truth['horizon_T']}, "
+            f"window_size {config['window_size']})"
+        )
     return n_windows
 
 
@@ -329,7 +288,7 @@ def _check_lags_fit(config: dict, truth: dict) -> int:
 
 
 def stage_simulate(config: dict) -> dict:
-    spec = scenario_from_config(config)
+    spec = sample_scenario(**config["scenario"], seed=config["seed"])
     dataset = generate_incident(spec)
     return write_incident(dataset, config["paths"]["data_dir"], config["metric_kind"])
 
@@ -342,11 +301,7 @@ def stage_ingest(config: dict) -> None:
     records = logs_mod.read_logs_jsonl(paths["logs"])
     vocabulary, events = logs_mod.parse_templates(records)
     windows = logs_mod.window_sequences(
-        events,
-        vocabulary,
-        window_size=config["window_size"],
-        n_entities=truth["n_entities"],
-        n_windows=n_windows,
+        events, vocabulary, config["window_size"], truth["n_entities"], n_windows
     )
     logs_mod.label_windows(windows, vocabulary)
     _write_text(paths["vocabulary"], logs_mod.vocabulary_to_json(vocabulary))
@@ -403,11 +358,12 @@ def stage_learn(config: dict) -> None:
     metric_panel = read_panel_csv(paths["metric_panel"], metric_name=config["metric_kind"])
     log_panel = read_panel_csv(paths["log_panel"], metric_name="log_score")
 
-    max_lag = config["fusion"]["max_lag"]
-    score_metric = fusion_mod.cross_correlation_scores(metric_panel, max_lag, "metric")
-    score_log = fusion_mod.cross_correlation_scores(log_panel, max_lag, "log")
+    # the attention scans the learner's lags 0..p
+    max_lag = config["learner"]["p"]
+    score_metric = fusion_mod.cross_correlation_scores(metric_panel, max_lag)
+    score_log = fusion_mod.cross_correlation_scores(log_panel, max_lag)
     a_log, a_metric = fusion_mod.modality_attention(
-        score_log, score_metric, k=min(config["fusion"]["top_k"], len(score_log.scores))
+        score_log, score_metric, k=min(config["fusion"]["top_k"], len(score_log))
     )
     _write_text(
         paths["attention"],
@@ -415,8 +371,8 @@ def stage_learn(config: dict) -> None:
             {
                 "a_log": a_log,
                 "a_metric": a_metric,
-                "scores_log": score_log.scores.tolist(),
-                "scores_metric": score_metric.scores.tolist(),
+                "scores_log": score_log.tolist(),
+                "scores_metric": score_metric.tolist(),
                 "max_lag": max_lag,
                 "top_k": config["fusion"]["top_k"],
             },
@@ -449,28 +405,22 @@ def stage_localize(config: dict) -> None:
     _write_text(paths["fused_graph"], fusion_mod.graph_to_json(graph))
     _write_text(
         paths["fused_dot"],
-        fusion_mod.graph_to_dot(graph, threshold=config["fusion"]["edge_threshold"]),
+        fusion_mod.graph_to_dot(graph, config["fusion"]["edge_threshold"]),
     )
 
     transition = rca_mod.transition_matrix(graph.adjacency, beta=config["rca"]["beta"])
     p0 = np.zeros(len(graph.node_names))
     p0[-1] = 1.0  # restart at the KPI: the walk traces back from the symptom
-    result = rca_mod.rwr(
+    walk = rca_mod.rwr(
         transition,
         p0,
         c=config["rca"]["restart"],
         tol=config["rca"]["tol"],
         max_iter=config["rca"]["max_iter"],
     )
-    ranked = rca_mod.rank_root_causes(
-        result.scores,
-        graph.node_names,
-        k=len(graph.node_names) - 1,
-        converged=result.converged,
-        iterations=result.iterations,
-    )
+    ranked = rca_mod.rank_root_causes(walk.scores, graph.node_names, k=len(graph.node_names) - 1)
     incident_id = f"incident-{truth['seed']}"
-    _write_text(paths["ranking"], rca_mod.ranking_to_json(ranked, incident_id))
+    _write_text(paths["ranking"], rca_mod.ranking_to_json(ranked, walk, incident_id))
 
 
 def stage_evaluate(config: dict) -> dict:

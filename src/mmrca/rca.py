@@ -24,8 +24,6 @@ class RwrResult:
 class RankedRootCauses:
     ranking: list[tuple[str, float]]
     scores: np.ndarray
-    converged: bool = True
-    iterations: int = 0
 
 
 def transition_matrix(adjacency: np.ndarray, beta: float = 0.1) -> np.ndarray:
@@ -84,13 +82,7 @@ def rwr(
     return RwrResult(scores=vec, converged=False, iterations=max_iter)
 
 
-def rank_root_causes(
-    scores: np.ndarray,
-    node_names: list[str],
-    k: int,
-    converged: bool = True,
-    iterations: int = 0,
-) -> RankedRootCauses:
+def rank_root_causes(scores: np.ndarray, node_names: list[str], k: int) -> RankedRootCauses:
     """Order entities by stationary score, KPI (last node) excluded.
 
     Ties break on ascending entity index; the list is truncated to k entries
@@ -104,20 +96,19 @@ def rank_root_causes(
     entity_scores = scores[:-1]
     order = sorted(range(len(entity_scores)), key=lambda i: (-entity_scores[i], i))
     ranking = [(node_names[i], float(entity_scores[i])) for i in order[:k]]
-    return RankedRootCauses(
-        ranking=ranking, scores=scores, converged=converged, iterations=iterations
-    )
+    return RankedRootCauses(ranking=ranking, scores=scores)
 
 
-def ranking_to_json(result: RankedRootCauses, incident_id: str) -> str:
-    """Serialize a ranking in the exported JSON schema."""
+def ranking_to_json(ranked: RankedRootCauses, walk: RwrResult, incident_id: str) -> str:
+    """Serialize a ranking in the exported JSON schema, with the convergence of the
+    walk that scored it."""
     payload = {
         "incident_id": incident_id,
         "ranking": [
             {"entity": name, "score": score, "rank": rank}
-            for rank, (name, score) in enumerate(result.ranking, start=1)
+            for rank, (name, score) in enumerate(ranked.ranking, start=1)
         ],
-        "converged": result.converged,
-        "iterations": result.iterations,
+        "converged": walk.converged,
+        "iterations": walk.iterations,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -75,6 +75,10 @@ from .panel import ModalityPanel
 
 # --- configuration and containers ---------------------------------------------
 
+# a learned structure whose final acyclicity penalties exceed this is flagged
+# non-converged
+H_TOL = 1e-3
+
 
 @dataclass
 class LearnerConfig:
@@ -86,10 +90,7 @@ class LearnerConfig:
     lr: float = 0.02
     epochs: int = 600
     seed: int = 0
-    acyclicity_base: float = 1.0
-    acyclicity_factor: float = 2.0
     acyclicity_every: int = 100
-    h_tol: float = 1e-3
 
     def __post_init__(self):
         check_field_types(self)
@@ -104,11 +105,12 @@ class LearnerConfig:
             raise ValueError("lr must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.acyclicity_factor < 1.0 or self.acyclicity_base <= 0 or self.acyclicity_every < 1:
-            raise ValueError("acyclicity schedule must be monotone non-decreasing")
+        if self.acyclicity_every < 1:
+            raise ValueError("acyclicity_every must be >= 1")
 
     def acyclicity_multiplier(self, epoch: int) -> float:
-        return self.acyclicity_base * self.acyclicity_factor ** (epoch // self.acyclicity_every)
+        """The acyclicity weight at epoch: 1, doubled every acyclicity_every epochs."""
+        return 2.0 ** (epoch // self.acyclicity_every)
 
 
 @dataclass
@@ -486,9 +488,8 @@ def fit(
     (recorded in the result) so heterogeneous scales do not dominate the
     shared decoder. The z-scoring runs in float64 and training in float32, so
     the parameters and adjacencies of the result are float32. The acyclicity
-    multiplier follows the configured geometric, monotone non-decreasing
-    schedule; if the final penalties exceed h_tol the structure is flagged
-    non-converged.
+    multiplier doubles every config.acyclicity_every epochs; if the final
+    penalties exceed H_TOL the structure is flagged non-converged.
     """
     if metric_panel.values.shape != log_panel.values.shape:
         raise ValueError("metric and log panels must share n and T")
@@ -534,7 +535,7 @@ def fit(
         loss_history=history,
         h_metric=h_metric,
         h_log=h_log,
-        converged=(h_metric <= config.h_tol and h_log <= config.h_tol),
+        converged=(h_metric <= H_TOL and h_log <= H_TOL),
         config=config,
         node_names=metric_panel.node_names,
         standardization=standardization,

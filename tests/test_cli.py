@@ -20,6 +20,15 @@ class TestConfigKeys:
             ({"encodr": {"epochs": 3}}, "encodr"),
             ({"fusion": {"top_k": 2}, "rca": {"restart": 0.2, "tolerance": 1e-9}}, "rca.tolerance"),
             ({"learner": {"lambda3": 20}}, "learner.lambda3"),
+            ({"scenario": {"dag": [[0]], "root_cause": 0}}, "scenario.dag"),
+            ({"scenario": {"root_cause": 0}}, "scenario.root_cause"),
+            ({"scenario": {"seed": 3}}, "scenario.seed"),
+            ({"encoder": {"seed": 3}}, "encoder.seed"),
+            ({"learner": {"seed": 3}}, "learner.seed"),
+            ({"learner": {"acyclicity_base": 1.0}}, "learner.acyclicity_base"),
+            ({"learner": {"acyclicity_factor": 2.0}}, "learner.acyclicity_factor"),
+            ({"learner": {"h_tol": 1e-3}}, "learner.h_tol"),
+            ({"fusion": {"max_lag": 2}}, "fusion.max_lag"),
         ],
     )
     def test_unknown_key_exits_as_invalid_configuration(self, tmp_path, capsys, payload, named):
@@ -56,11 +65,10 @@ class TestConfigKeys:
             ({"scenario": {"edge_prob": 1.5}}, "scenario.edge_prob must be in [0, 1]"),
             ({"scenario": {"log_lag": 0}}, "scenario.log_lag must be >= 1"),
             ({"scenario": {"fault_type": "disk"}}, "scenario.fault_type must be one of"),
-            ({"scenario": {"seed": -1}}, "scenario.seed must be >= 0"),
-            ({"scenario": {"root_cause": 6}}, "scenario.root_cause must be a valid entity index"),
-            ({"scenario": {"root_cause": "svc-0"}}, "scenario.root_cause must be an int"),
+            ({"seed": 1.5}, "seed must be an int; float 1.5"),
+            ({"seed": "x"}, "seed must be an int; str 'x'"),
+            ({"seed": -1}, "seed must be >= 0; -1 is not"),
             ({"fusion": {"top_k": 0}}, "fusion.top_k must be >= 1"),
-            ({"fusion": {"max_lag": -1}}, "fusion.max_lag must be >= 0"),
             ({"rca": {"beta": "x"}}, "rca.beta must be a number; str 'x'"),
             ({"rca": {"beta": 1.5}}, "rca.beta must be in [0, 1]"),
             ({"rca": {"restart": 0}}, "rca.restart must be in (0, 1]"),
@@ -87,12 +95,23 @@ class TestConfigKeys:
         assert pipeline.learner_config_from(config).lambda1 == 50
         assert pipeline.encoder_config_from(config).lr == 1
 
+    def test_a_seed_variable_that_is_not_an_int_is_named(self, monkeypatch, capsys):
+        monkeypatch.setenv(pipeline.ENV_SEED, "x")
+        assert cli.main(["run-pipeline"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration: MMRCA_SEED must be an int; 'x' is not" in err
+
     def test_known_keys_load(self, tmp_path):
-        payload = {"encoder": {"epochs": 3}, "scenario": {"dag": [[0, 1], [0, 0]], "root_cause": 0}}
+        payload = {"encoder": {"epochs": 3}, "scenario": {"n_entities": 4}}
         config = pipeline.load_config(write_config(tmp_path, payload), environ={})
         assert config["encoder"]["epochs"] == 3
         assert config["encoder"]["d_model"] == pipeline.DEFAULT_CONFIG["encoder"]["d_model"]
-        assert config["scenario"]["dag"] == [[0, 1], [0, 0]]
+        assert config["scenario"]["n_entities"] == 4
+
+    def test_component_seeds_derive_from_the_global_seed(self, tmp_path):
+        config = pipeline.load_config(write_config(tmp_path, {"seed": 11}), environ={})
+        assert pipeline.encoder_config_from(config).seed == 12
+        assert pipeline.learner_config_from(config).seed == 13
 
 
 class TestStageCommands:
@@ -146,10 +165,22 @@ class TestStageCommands:
         assert not (out / "encoder.npz").exists()
         assert not (out / "log_panel.csv").exists()
 
+    def test_a_metrics_file_missing_a_row_is_a_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        metrics = tmp_path / "data" / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        assert lines[5].split(",")[:2] == ["1", "svc-0"]
+        metrics.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        assert self.run(tmp_path, "run-pipeline", out) == 1
+        err = capsys.readouterr().err
+        named = f"{metrics} has no row for entity 'svc-0' at timestamp 1"
+        assert f"stage log_encoder failed: {named}" in err
+
     @pytest.mark.parametrize(
         "settings,named",
         [
-            ({"fusion": {"max_lag": 40}}, "fusion.max_lag 40 must be smaller than the 40 windows"),
+            ({"learner": {"p": 21}}, "learner.p 21 needs at least 42 windows"),
             ({"learner": {"p": 30}}, "learner.p 30 needs at least 60 windows"),
         ],
     )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mmrca.fusion import (
-    ModalityScore,
     cross_correlation_scores,
     fuse,
     graph_to_dot,
@@ -38,7 +37,7 @@ class TestCrossCorrelation:
         y = rng.standard_normal(50)
         panel = make_panel([y, y])
         score = cross_correlation_scores(panel, max_lag=0)
-        assert score.scores[0] == pytest.approx(1.0)
+        assert score[0] == pytest.approx(1.0)
 
     def test_lead_by_two_peaks_at_lag_two(self):
         rng = np.random.default_rng(1)
@@ -48,8 +47,8 @@ class TestCrossCorrelation:
         panel = make_panel([x, y])
         score = cross_correlation_scores(panel, max_lag=4)
         # the exhaustive oracle on the overlap agrees
-        assert score.scores[0] == pytest.approx(pearson_lag_oracle(x, y, 4))
-        assert score.scores[0] > 0.99
+        assert score[0] == pytest.approx(pearson_lag_oracle(x, y, 4))
+        assert score[0] > 0.99
         # and at the stated lag the correlation is exactly 1 on the overlap
         a = x[2:]
         b = y[:-2]
@@ -59,17 +58,22 @@ class TestCrossCorrelation:
     def test_constant_series_scores_zero(self):
         rng = np.random.default_rng(2)
         panel = make_panel([np.full(30, 3.5), rng.standard_normal(30)])
-        assert cross_correlation_scores(panel, max_lag=3).scores[0] == 0.0
+        assert cross_correlation_scores(panel, max_lag=3)[0] == 0.0
 
     def test_max_lag_must_be_below_length(self):
         panel = make_panel([np.arange(5.0), np.arange(5.0)])
         with pytest.raises(ValueError):
             cross_correlation_scores(panel, max_lag=5)
 
+    def test_max_lag_must_be_non_negative(self):
+        panel = make_panel([np.arange(5.0), np.arange(5.0)])
+        with pytest.raises(ValueError, match="max_lag -1 must be >= 0"):
+            cross_correlation_scores(panel, max_lag=-1)
+
 
 class TestModalityAttention:
     def score(self, values):
-        return ModalityScore(scores=np.asarray(values, float), modality="x", max_lag=3)
+        return np.asarray(values, float)
 
     def test_equal_sums_split_evenly(self):
         a_log, a_metric = modality_attention(self.score([0.5, 0.2]), self.score([0.3, 0.4]), k=2)
@@ -107,6 +111,10 @@ class TestModalityAttention:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             modality_attention(self.score([1.0]), self.score([1.0]), k=2)
+
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            modality_attention(self.score([1.0, np.nan]), self.score([1.0, 0.0]), k=1)
 
 
 class TestFuse:

@@ -1,10 +1,11 @@
+import copy
+
 import pytest
 
 from mmrca.logs import (
     DEFAULT_GOLDEN_SIGNALS,
     EMPTY_TEMPLATE_ID,
     LogSequenceWindow,
-    label_anomaly,
     label_windows,
     mask_message,
     parse_templates,
@@ -79,6 +80,15 @@ class TestParseTemplates:
         with pytest.raises(ValueError, match="record 1"):
             parse_templates(bad)
 
+    @pytest.mark.parametrize(
+        "field,value", [("ts", 1.5), ("ts", "x"), ("ts", True), ("entity", 1.0), ("entity", None)]
+    )
+    def test_a_non_int_ts_or_entity_names_the_record(self, field, value):
+        bad = [{"ts": 0, "entity": 0, "msg": "ok"}, {"ts": 1, "entity": 0, "msg": "ok"}]
+        bad[1][field] = value
+        with pytest.raises(ValueError, match=f"log record 1 field '{field}' must be an int"):
+            parse_templates(bad)
+
     def test_deterministic_and_reparse_stable(self):
         recs = records((0, 0, "GET /x took 5 ms"), (1, 1, "peer 10.0.0.1 left"))
         vocab1, events1 = parse_templates(recs)
@@ -99,20 +109,20 @@ class TestWindowSequences:
         vocab, events = parse_templates(
             records((0, 0, "alpha start"), (1, 0, "beta run"), (2, 0, "alpha start"))
         )
-        windows = window_sequences(events, vocab, window_size=5, n_entities=1)
+        windows = window_sequences(events, vocab, window_size=5, n_entities=1, n_windows=1)
         assert len(windows) == 1
         assert windows[0].templates == [0, 1]
         assert windows[0].frequencies == [2, 1]
 
     def test_single_event(self):
         vocab, events = parse_templates(records((3, 0, "solo msg")))
-        windows = window_sequences(events, vocab, window_size=5, n_entities=1)
+        windows = window_sequences(events, vocab, window_size=5, n_entities=1, n_windows=1)
         assert windows[0].templates == [0]
         assert windows[0].frequencies == [1]
 
     def test_events_spanning_two_windows(self):
         vocab, events = parse_templates(records((0, 0, "tick"), (4, 0, "tick")))
-        windows = window_sequences(events, vocab, window_size=3, n_entities=1)
+        windows = window_sequences(events, vocab, window_size=3, n_entities=1, n_windows=2)
         assert len(windows) == 2
         assert all(w.templates == [0] and w.frequencies == [1] for w in windows)
 
@@ -120,7 +130,7 @@ class TestWindowSequences:
         vocab, events = parse_templates(
             records((0, 0, "bbb"), (1, 0, "aaa"), (2, 0, "bbb"), (3, 0, "ccc"))
         )
-        windows = window_sequences(events, vocab, window_size=10, n_entities=1)
+        windows = window_sequences(events, vocab, window_size=10, n_entities=1, n_windows=1)
         patterns = {t.template_id: t.pattern for t in vocab}
         assert [patterns[t] for t in windows[0].templates] == ["bbb", "aaa", "ccc"]
 
@@ -135,7 +145,7 @@ class TestWindowSequences:
     def test_unknown_template_id_rejected(self):
         vocab, _ = parse_templates(records((0, 0, "known")))
         with pytest.raises(ValueError, match="99"):
-            window_sequences([(0, 0, 99)], vocab, window_size=5, n_entities=1)
+            window_sequences([(0, 0, 99)], vocab, window_size=5, n_entities=1, n_windows=1)
 
     @pytest.mark.parametrize("ts", [-1, 10])
     def test_event_outside_the_grid_rejected(self, ts):
@@ -154,9 +164,13 @@ class TestWindowSequences:
             ]
         )
         vocab, events = parse_templates(recs)
-        windows = window_sequences(events, vocab, window_size=7, n_entities=3)
+        windows = window_sequences(events, vocab, window_size=7, n_entities=3, n_windows=8)
         total = sum(sum(w.frequencies) for w in windows if not w.is_empty)
         assert total == len(events)
+
+
+def label(window, vocab):
+    return label_windows([window], vocab)[0].label
 
 
 class TestLabelAnomaly:
@@ -168,41 +182,36 @@ class TestLabelAnomaly:
 
     def test_no_keyword_is_zero(self):
         w = LogSequenceWindow(0, 0, templates=[0, 2], frequencies=[3, 2])
-        assert label_anomaly(w, self.vocab()) == 0.0
+        assert label(w, self.vocab()) == 0.0
 
     def test_all_keyword_is_one(self):
         w = LogSequenceWindow(0, 0, templates=[1], frequencies=[4])
-        assert label_anomaly(w, self.vocab()) == 1.0
+        assert label(w, self.vocab()) == 1.0
 
     def test_frequency_weighted_fraction(self):
         w = LogSequenceWindow(0, 0, templates=[0, 1], frequencies=[3, 1])
-        assert label_anomaly(w, self.vocab()) == pytest.approx(0.25)
+        assert label(w, self.vocab()) == pytest.approx(0.25)
 
     def test_empty_window_is_zero(self):
         w = LogSequenceWindow(0, 0, templates=[EMPTY_TEMPLATE_ID], frequencies=[1])
-        assert label_anomaly(w, self.vocab()) == 0.0
+        assert label(w, self.vocab()) == 0.0
 
     def test_case_insensitive(self):
         vocab, _ = parse_templates(records((0, 0, "CRITICAL failure in pump")))
         w = LogSequenceWindow(0, 0, templates=[0], frequencies=[1])
-        assert label_anomaly(w, vocab) == 1.0
+        assert label(w, vocab) == 1.0
 
     def test_monotone_in_keyword_events(self):
         vocab = self.vocab()
         base = LogSequenceWindow(0, 0, templates=[0, 1], frequencies=[5, 1])
         more = LogSequenceWindow(0, 0, templates=[0, 1], frequencies=[5, 2])
-        assert label_anomaly(more, vocab) >= label_anomaly(base, vocab)
+        assert label(more, vocab) >= label(base, vocab)
 
-    def test_requires_signals(self):
-        w = LogSequenceWindow(0, 0, templates=[0], frequencies=[1])
-        with pytest.raises(ValueError):
-            label_anomaly(w, self.vocab(), golden_signals=[])
-
-    def test_label_windows_labels_each_window_like_label_anomaly(self):
+    def test_labels_an_incident_like_each_window_alone(self):
         spec = sample_scenario(6, "both", horizon_T=300, noise_std=0.1, seed=1)
         vocab, events = parse_templates(generate_incident(spec).raw_logs)
         windows = window_sequences(events, vocab, window_size=2, n_entities=6, n_windows=150)
-        expected = [label_anomaly(w, vocab) for w in windows]
+        expected = [label(copy.copy(w), vocab) for w in windows]
         label_windows(windows, vocab)
         assert [w.label for w in windows] == expected
         assert any(w.is_empty for w in windows)
@@ -231,7 +240,7 @@ def test_round_trips():
     vocab, events = parse_templates(
         records((0, 0, "alpha 1"), (1, 1, "beta timeout 2"), (8, 0, "alpha 3"))
     )
-    windows = window_sequences(events, vocab, window_size=5, n_entities=2)
+    windows = window_sequences(events, vocab, window_size=5, n_entities=2, n_windows=2)
     label_windows(windows, vocab)
     assert vocabulary_from_json(vocabulary_to_json(vocab)) == vocab
     restored = windows_from_jsonl(windows_to_jsonl(windows))

@@ -103,6 +103,41 @@ class TestAtomicWrites:
         assert partial.startswith("timestamp,entity,metric_name,value\n0,e0,log_pc1,1.0\n")
 
 
+class TestReadPanel:
+    def write_rows(self, tmp_path, rows):
+        path = tmp_path / "metrics.csv"
+        lines = ["timestamp,entity,metric_name,value"] + [",".join(map(str, r)) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_a_missing_cell_names_the_file_entity_and_timestamp(self, tmp_path):
+        path = self.write_rows(tmp_path, [
+            (0, "e0", "cpu", 1.0), (0, "kpi", "kpi", 2.0), (1, "kpi", "kpi", 3.0),
+        ])
+        with pytest.raises(ValueError, match=rf"{path} has no row for entity 'e0' at timestamp 1$"):
+            read_panel_csv(path, "cpu")
+
+    def test_a_missing_kpi_cell_is_named_too(self, tmp_path):
+        path = self.write_rows(tmp_path, [
+            (0, "e0", "cpu", 1.0), (0, "kpi", "kpi", 2.0), (1, "e0", "cpu", 3.0),
+        ])
+        with pytest.raises(ValueError, match="no row for entity 'kpi' at timestamp 1"):
+            read_panel_csv(path, "cpu")
+
+    def test_a_repeated_cell_is_rejected(self, tmp_path):
+        path = self.write_rows(tmp_path, [
+            (0, "e0", "cpu", 1.0), (0, "kpi", "kpi", 2.0), (0, "e0", "cpu", 5.0),
+        ])
+        with pytest.raises(ValueError, match="more than one row for entity 'e0' at timestamp 0"):
+            read_panel_csv(path, "cpu")
+
+    def test_rows_of_another_metric_are_skipped(self, tmp_path):
+        path = self.write_rows(tmp_path, [
+            (0, "e0", "cpu", 1.0), (0, "e0", "mem", 9.0), (0, "kpi", "kpi", 2.0),
+        ])
+        assert read_panel_csv(path, "cpu").values.tolist() == [[1.0], [2.0]]
+
+
 class TestLogSeries:
     TINY = {"encoder": {"epochs": 2, "d_model": 8}, "learner": {"epochs": 2}}
 
@@ -180,7 +215,7 @@ class TestLogSeries:
             scores,
             [(w.entity, w.window_index) for w in windows],
             n_entities=truth["n_entities"],
-            kpi=read_panel_csv(out / "metric_panel.csv").kpi,
+            kpi=read_panel_csv(out / "metric_panel.csv", "cpu").kpi,
             entity_names=truth["entity_names"],
         )
         write_panel_csv(reference, tmp_path / "reference.csv", "log_score")

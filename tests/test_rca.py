@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmrca.rca import rank_root_causes, ranking_to_json, rwr, transition_matrix
+from mmrca.rca import RwrResult, rank_root_causes, ranking_to_json, rwr, transition_matrix
 
 
 def solve_fixed_point(p, p0, c):
@@ -173,7 +173,9 @@ class TestRanking:
         import json
 
         ranked = rank_root_causes(np.array([0.5, 0.3, 0.2]), ["e0", "e1", "kpi"], k=2)
-        payload = json.loads(ranking_to_json(ranked, "incident-1"))
+        walk = RwrResult(scores=np.array([0.5, 0.3, 0.2]), converged=False, iterations=7)
+        payload = json.loads(ranking_to_json(ranked, walk, "incident-1"))
         assert payload["incident_id"] == "incident-1"
         assert payload["ranking"][0] == {"entity": "e0", "rank": 1, "score": 0.5}
         assert set(payload) == {"incident_id", "ranking", "converged", "iterations"}
+        assert (payload["converged"], payload["iterations"]) == (False, 7)

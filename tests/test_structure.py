@@ -525,16 +525,16 @@ class TestPrecision:
 
 class TestSchedule:
     def test_monotone_non_decreasing(self):
-        cfg = LearnerConfig(acyclicity_base=1.0, acyclicity_factor=2.0, acyclicity_every=100)
+        cfg = LearnerConfig(acyclicity_every=100)
         values = [cfg.acyclicity_multiplier(e) for e in range(500)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[0] == 1.0
         assert values[100] == 2.0
         assert values[499] == 16.0
 
-    def test_decreasing_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            LearnerConfig(acyclicity_factor=0.5)
+    def test_a_period_below_one_rejected(self):
+        with pytest.raises(ValueError, match="acyclicity_every must be >= 1"):
+            LearnerConfig(acyclicity_every=0)
 
 
 class TestConfigValidation:
