@@ -22,8 +22,8 @@ from .fusion import (
     modality_attention,
 )
 from .logs import (
-    LogSequenceWindow,
     LogTemplate,
+    WindowTable,
     parse_templates,
     window_sequences,
 )
@@ -54,13 +54,13 @@ __all__ = [
     "LearnedStructure",
     "LearnerConfig",
     "LogSequenceEncoder",
-    "LogSequenceWindow",
     "LogTemplate",
     "LogTokenizer",
     "ModalityPanel",
     "RankedRootCauses",
     "ScenarioSpec",
     "TokenSequence",
+    "WindowTable",
     "acyclicity",
     "aggregate_windows",
     "build_lagged",

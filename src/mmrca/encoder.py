@@ -29,8 +29,9 @@ backward pass follows the same rows. Every earlier layer runs at every
 position. A sequence of l tokens thus costs the last layer two d x d
 projections of l rows plus one row of the rest, not the whole layer at l rows.
 
-The pipeline tokenizes each window once (LogTokenizer.tokenize) and hands
-the same token sequences to training and to embedding.
+The pipeline tokenizes every window of its logs.WindowTable in one call
+(LogTokenizer.tokenize) and hands the same token sequences to training and to
+embedding.
 
 The network is plain numpy with hand-derived gradients so that training is
 bit-deterministic and the analytic gradients can be checked against finite
@@ -57,7 +58,7 @@ import numpy as np
 from scipy.special import expit
 
 from .atomic import atomic_open
-from .logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate, vocabulary_to_json
+from .logs import EMPTY_TEMPLATE_ID, LogTemplate, WindowTable, vocabulary_to_json
 from .nn import Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
 from .panel import ModalityPanel
 
@@ -105,15 +106,19 @@ class TokenSequence:
             raise ValueError("token sequence exceeds max_len")
 
 
-def freq_bucket(frequency: int, n_buckets: int) -> int:
-    """Log2 quantization; bucket 0 is reserved for the empty-window marker.
+def freq_bucket(frequency, n_buckets: int):
+    """Log2 quantization of an int or an int array; bucket 0 is reserved for the
+    empty-window marker.
 
     Bucket b >= 1 holds the frequencies in [2**(b-1), 2**b), so a frequency's
-    bucket is its bit length, capped at the top bucket: exact for every int.
+    bucket is its bit length capped at the top bucket: the count of the powers
+    2**0 .. 2**(n_buckets - 2) that it reaches, exact for every int64.
     """
-    if frequency < 1:
+    frequency = np.asarray(frequency, dtype=np.int64)
+    if np.any(frequency < 1):
         raise ValueError("frequencies must be positive")
-    return min(n_buckets - 1, int(frequency).bit_length())
+    powers = 2 ** np.arange(min(n_buckets - 1, 63), dtype=np.int64)
+    return np.searchsorted(powers, frequency, side="right")
 
 
 class LogTokenizer:
@@ -127,36 +132,53 @@ class LogTokenizer:
     def total_tokens(self) -> int:
         return N_RESERVED + self.config.freq_buckets + self.vocab_size
 
-    def bucket_token(self, bucket: int) -> int:
+    def bucket_token(self, bucket):
         return N_RESERVED + bucket
 
-    def template_token(self, template_id: int) -> int:
-        if template_id == EMPTY_TEMPLATE_ID:
-            return EMPTY_TOKEN
-        if not 0 <= template_id < self.vocab_size:
-            raise ValueError(f"template id {template_id} outside the vocabulary")
-        return N_RESERVED + self.config.freq_buckets + template_id
+    def template_token(self, template_id):
+        """The token of a template id or of each of an array of them; ValueError
+        names the first id that is neither in the vocabulary nor the empty template."""
+        ids = np.asarray(template_id, dtype=np.int64)
+        outside = (ids != EMPTY_TEMPLATE_ID) & ((ids < 0) | (ids >= self.vocab_size))
+        if outside.any():
+            raise ValueError(f"template id {ids[outside][0]} outside the vocabulary")
+        tokens = N_RESERVED + self.config.freq_buckets + ids
+        return np.where(ids == EMPTY_TEMPLATE_ID, EMPTY_TOKEN, tokens)
 
-    def tokenize(self, window: LogSequenceWindow) -> TokenSequence:
-        pairs = []
-        if window.is_empty:
-            pairs.append((EMPTY_TOKEN, self.bucket_token(0)))
-        else:
-            for template_id, frequency in zip(window.templates, window.frequencies):
-                pairs.append(
-                    (
-                        self.template_token(template_id),
-                        self.bucket_token(freq_bucket(frequency, self.config.freq_buckets)),
-                    )
-                )
-        max_pairs = (self.config.max_len - 1) // 2
-        truncated = len(pairs) > max_pairs
-        if truncated:
-            pairs = pairs[:max_pairs]
-        tokens = [CLS_TOKEN]
-        for template_token, bucket_token in pairs:
-            tokens.extend((template_token, bucket_token))
-        return TokenSequence(tokens=tokens, max_len=self.config.max_len, truncated=truncated)
+    def tokenize(self, windows: WindowTable) -> list[TokenSequence]:
+        """The token sequence of every cell of the table, in cell order.
+
+        A cell's sequence is [CLS] and then, per template in the cell's order,
+        the template token and its frequency's bucket token. A cell holding
+        only the empty template gets the empty token and bucket 0. Pairs past
+        (max_len - 1) // 2 are cut, and the sequence is marked truncated. A
+        template id outside the vocabulary raises ValueError, whether cut or not.
+        """
+        templates, offsets = windows.templates, windows.offsets
+        template_tokens = self.template_token(templates)
+        buckets = freq_bucket(windows.frequencies, self.config.freq_buckets)
+        lengths = np.diff(offsets)
+        # a cell that holds only the empty template takes bucket 0
+        empty = lengths == 1
+        empty[empty] = templates[offsets[:-1][empty]] == EMPTY_TEMPLATE_ID
+        buckets[np.repeat(empty, lengths)] = 0
+
+        # the kept pairs of each cell, placed after its [CLS] token
+        kept = np.minimum(lengths, (self.config.max_len - 1) // 2)
+        rank = np.arange(len(templates)) - np.repeat(offsets[:-1], lengths)
+        keep = rank < np.repeat(kept, lengths)
+        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(1 + 2 * kept, out=starts[1:])
+        tokens = np.full(starts[-1], CLS_TOKEN, dtype=np.int64)
+        slots = np.repeat(starts[:-1], lengths)[keep] + 1 + 2 * rank[keep]
+        tokens[slots] = template_tokens[keep]
+        tokens[slots + 1] = self.bucket_token(buckets[keep])
+
+        flat, starts, truncated = tokens.tolist(), starts.tolist(), (lengths > kept).tolist()
+        return [
+            TokenSequence(tokens=flat[a:b], max_len=self.config.max_len, truncated=cut)
+            for a, b, cut in zip(starts[:-1], starts[1:], truncated)
+        ]
 
 
 def length_groups(sequences) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -465,35 +487,27 @@ def embed_windows(encoder: LogSequenceEncoder, sequences: list[TokenSequence]) -
 
 def reduce_to_series(
     scores: np.ndarray,
-    window_index_map,
-    n_entities: int,
+    windows: WindowTable,
     kpi: np.ndarray,
     entity_names: list[str],
 ) -> ModalityPanel:
     """Place one anomaly score per (entity, window) cell and assemble the log panel.
 
-    window_index_map holds one (entity, window_index) pair per score; together
-    they must cover the full n_entities x len(kpi) grid exactly once. The KPI
+    scores holds one score per cell of the windows' entity-major grid, which
+    must be one row per entity name by one column per KPI value. The KPI
     series becomes the last panel row.
     """
     scores = np.asarray(scores, dtype=float)
     kpi = np.asarray(kpi, dtype=float)
-    n_windows = len(kpi)
-    if len(window_index_map) != len(scores):
-        raise ValueError("window_index_map must align with the scores")
-    seen = set()
-    for entity, window in window_index_map:
-        if not (0 <= entity < n_entities and 0 <= window < n_windows):
-            raise ValueError(f"window map entry ({entity}, {window}) outside the grid")
-        if (entity, window) in seen:
-            raise ValueError(f"duplicate score for entity {entity}, window {window}")
-        seen.add((entity, window))
-    if len(seen) != n_entities * n_windows:
-        raise ValueError("window map does not cover every (entity, window) cell")
-
-    values = np.zeros((n_entities + 1, n_windows))
-    for row, (entity, window) in enumerate(window_index_map):
-        values[entity, window] = scores[row]
+    if scores.shape != (windows.n_cells,):
+        raise ValueError(f"{len(scores)} scores do not align with the {windows.n_cells} windows")
+    if (windows.n_entities, windows.n_windows) != (len(entity_names), len(kpi)):
+        raise ValueError(
+            f"the windows cover {windows.n_entities} entities x {windows.n_windows} windows, "
+            f"not the {len(entity_names)} entities x {len(kpi)} KPI steps of the panel"
+        )
+    values = np.empty((windows.n_entities + 1, windows.n_windows))
+    values[:-1] = scores.reshape(windows.n_entities, windows.n_windows)
     values[-1] = kpi
     return ModalityPanel(values, entity_names)
 

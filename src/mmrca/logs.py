@@ -6,14 +6,29 @@ Events are then partitioned into fixed windows per entity, keeping the unique
 templates in first-appearance order together with their in-window
 frequencies. A window's anomaly label is the frequency-weighted fraction of
 events whose template carries a golden-signal keyword.
+
+The data is columnar from the parse on: parse_templates returns the events as
+one int array, and the windows are one WindowTable, every cell of the
+entity-major (entity, window) grid with per-cell offsets into flat template
+and frequency arrays and one label per cell. Windowing, labelling, the
+windows.jsonl round trip and the encoder's tokenizer work on these arrays,
+not on one Python object per record or window, and give the same values and
+bytes as the per-record code they replaced (tests/test_logs.py keeps that
+code as the reference).
+
+The JSON-lines files (logs.jsonl, windows.jsonl) are decoded as one JSON array
+over their non-blank lines. A line that is not one JSON value raises
+ValueError naming the file and the line's 1-based number.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .nn import check_type
 
@@ -54,14 +69,14 @@ DEFAULT_GOLDEN_SIGNALS = (
     "permission denied",
 )
 
-_MASK_PATTERNS = [
-    re.compile(r"\b\d{1,3}(?:\.\d{1,3}){3}\b"),  # IPv4
-    re.compile(
-        r"\b[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}\b"
-    ),  # UUID
-    re.compile(r"\b0[xX][0-9a-fA-F]+\b"),  # 0x-prefixed hex
-    re.compile(r"\b[0-9a-fA-F]*\d[0-9a-fA-F]*\b"),  # bare hex / integers / floats
-]
+# Each of the first three patterns needs a literal character that mask_message
+# tests for before running it: a message without the character cannot match.
+_IPV4 = re.compile(r"\b\d{1,3}(?:\.\d{1,3}){3}\b")  # needs "."
+_UUID = re.compile(
+    r"\b[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}\b"
+)  # needs "-"
+_HEX = re.compile(r"\b0[xX][0-9a-fA-F]+\b")  # 0x-prefixed hex, needs "x" or "X"
+_BARE = re.compile(r"\b[0-9a-fA-F]*\d[0-9a-fA-F]*\b")  # bare hex / integers / floats
 
 
 @dataclass
@@ -70,156 +85,244 @@ class LogTemplate:
     pattern: str
 
 
-@dataclass
-class LogSequenceWindow:
-    entity: int
-    window_index: int
-    templates: list[int]
-    frequencies: list[int]
-    label: float = 0.0
+@dataclass(eq=False)
+class WindowTable:
+    """The log windows of every cell of an n_entities x n_windows grid.
+
+    Cells are entity-major: cell c is window c % n_windows of entity
+    c // n_windows. Its unique templates, in first-appearance order, are
+    templates[offsets[c]:offsets[c + 1]], their in-window counts sit at the
+    same positions of frequencies, and labels[c] is its label. A cell with no
+    events holds the reserved empty template with frequency 1. Construction
+    checks every cell: unique templates, frequencies aligned with them and
+    positive, and a label in [0, 1]; a failure names the first offending cell.
+    """
+
+    n_entities: int
+    n_windows: int
+    offsets: np.ndarray
+    templates: np.ndarray
+    frequencies: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        if len(self.templates) != len(set(self.templates)):
-            raise ValueError("window templates must be unique")
-        if len(self.frequencies) != len(self.templates):
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.templates = np.asarray(self.templates, dtype=np.int64)
+        self.frequencies = np.asarray(self.frequencies, dtype=np.int64)
+        self.labels = np.asarray(self.labels, dtype=float)
+        n_cells, n_entries = self.n_cells, len(self.templates)
+        offsets = self.offsets
+        if (
+            offsets.shape != (n_cells + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != n_entries
+            or np.any(offsets[1:] < offsets[:-1])
+        ):
+            raise ValueError(f"window offsets must rise from 0 to {n_entries} over {n_cells} cells")
+        if len(self.frequencies) != n_entries:
             raise ValueError("frequencies must align with templates")
-        if any(f < 1 for f in self.frequencies):
-            raise ValueError("frequencies must be positive")
-        if not 0.0 <= self.label <= 1.0:
-            raise ValueError("label must lie in [0, 1]")
+        if self.labels.shape != (n_cells,):
+            raise ValueError(f"labels must hold one value for each of the {n_cells} cells")
+        cells = np.repeat(np.arange(n_cells), np.diff(offsets))
+        order = np.lexsort((self.templates, cells))
+        by_cell, by_template = cells[order], self.templates[order]
+        repeated = (by_cell[1:] == by_cell[:-1]) & (by_template[1:] == by_template[:-1])
+        if repeated.any():
+            where = self._cell_name(by_cell[np.argmax(repeated)])
+            raise ValueError(f"window templates must be unique: {where}")
+        if np.any(self.frequencies < 1):
+            where = self._cell_name(cells[np.argmax(self.frequencies < 1)])
+            raise ValueError(f"frequencies must be positive: {where}")
+        out_of_range = ~((self.labels >= 0.0) & (self.labels <= 1.0))
+        if out_of_range.any():
+            cell = int(np.argmax(out_of_range))
+            raise ValueError(
+                f"label must lie in [0, 1]: {self._cell_name(cell)} has {self.labels[cell]!r}"
+            )
 
     @property
-    def is_empty(self) -> bool:
-        return self.templates == [EMPTY_TEMPLATE_ID]
+    def n_cells(self) -> int:
+        return self.n_entities * self.n_windows
+
+    def _cell_name(self, cell) -> str:
+        return f"entity {cell // self.n_windows}, window {cell % self.n_windows}"
+
 
 
 def mask_message(message: str) -> str:
-    """Replace variable fields with the wildcard token; idempotent."""
-    masked = message
-    for pattern in _MASK_PATTERNS:
-        masked = pattern.sub(WILDCARD, masked)
-    return masked
+    """Replace variable fields with the wildcard token; idempotent.
 
-
-def parse_templates(raw_logs) -> tuple[list[LogTemplate], list[tuple[int, int, int]]]:
-    """Mine templates from raw log records and emit (timestamp, entity, template_id) events.
-
-    Records are dicts with keys ts, entity, msg (the simulator's JSONL schema);
-    ts and entity must be ints. Template ids are assigned in first-appearance
-    order, so parsing is deterministic for a fixed record order.
+    The patterns run in order: IPv4, UUID, 0x-hex, then bare hex and numbers.
+    Each of the first three runs only when the message holds the literal it
+    cannot match without, which skips work and changes no result.
     """
-    vocabulary: list[LogTemplate] = []
-    by_pattern: dict[str, int] = {}
-    events: list[tuple[int, int, int]] = []
-    for index, record in enumerate(raw_logs):
+    if "." in message:
+        message = _IPV4.sub(WILDCARD, message)
+    if "-" in message:
+        message = _UUID.sub(WILDCARD, message)
+    if "x" in message or "X" in message:
+        message = _HEX.sub(WILDCARD, message)
+    return _BARE.sub(WILDCARD, message)
+
+
+def _check_records(records) -> None:
+    """ValueError naming the first record that lacks a field or holds one of the wrong type."""
+    for index, record in enumerate(records):
         try:
             ts, entity, msg = record["ts"], record["entity"], record["msg"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"log record {index} is missing field {exc}") from None
-        # the exact-type test first, so the messages are built only for an odd record
-        if type(ts) is not int or type(entity) is not int:
-            check_type(f"log record {index} field 'ts'", ts, int)
-            check_type(f"log record {index} field 'entity'", entity, int)
-        pattern = mask_message(msg)
-        if pattern not in by_pattern:
-            by_pattern[pattern] = len(vocabulary)
-            vocabulary.append(LogTemplate(template_id=len(vocabulary), pattern=pattern))
-        events.append((ts, entity, by_pattern[pattern]))
+        check_type(f"log record {index} field 'ts'", ts, int)
+        check_type(f"log record {index} field 'entity'", entity, int)
+        check_type(f"log record {index} field 'msg'", msg, str)
+        for name, value in (("ts", ts), ("entity", entity)):
+            if not -(2**63) <= value < 2**63:
+                raise ValueError(f"log record {index} field {name!r} does not fit in 64 bits")
+
+
+def parse_templates(raw_logs) -> tuple[list[LogTemplate], np.ndarray]:
+    """Mine templates from raw log records and emit (timestamp, entity, template_id) events.
+
+    Records are dicts with keys ts, entity, msg (the simulator's JSONL schema);
+    ts and entity must be ints and msg a string, else ValueError names the
+    first offending record by its index. The events are one int64 array of
+    shape (n_records, 3), a row per record in record order. Template ids are
+    assigned in first-appearance order, so parsing is deterministic for a
+    fixed record order.
+    """
+    records = list(raw_logs)
+    try:
+        ts, entities, messages = (
+            [record[name] for record in records] for name in ("ts", "entity", "msg")
+        )
+        well_typed = (
+            set(map(type, ts)) | set(map(type, entities)) <= {int}
+            and set(map(type, messages)) <= {str}
+        )
+    except (KeyError, TypeError):
+        well_typed = False
+    if not well_typed:
+        _check_records(records)
+    events = np.empty((len(records), 3), dtype=np.int64)
+    try:
+        events[:, 0], events[:, 1] = ts, entities
+    except OverflowError:
+        _check_records(records)
+
+    by_pattern: dict[str, int] = {}
+    events[:, 2] = [by_pattern.setdefault(mask_message(m), len(by_pattern)) for m in messages]
+    vocabulary = [LogTemplate(template_id=i, pattern=p) for p, i in by_pattern.items()]
     return vocabulary, events
 
 
 def window_sequences(
     events, vocabulary: list[LogTemplate], window_size: int, n_entities: int, n_windows: int
-) -> list[LogSequenceWindow]:
+) -> WindowTable:
     """Partition events into fixed windows per entity.
 
-    Within a window the unique templates appear in ascending first-appearance
-    order with their occurrence counts. Every cell of the n_entities x
+    events is an (n, 3) int array of (ts, entity, template_id) rows, as
+    parse_templates returns. Within a window the unique templates appear in
+    ascending order of their first event, the events taken in a stable sort
+    by ts, with their occurrence counts. Every cell of the n_entities x
     n_windows grid is emitted, so the windows cover the full horizon even
     after the last event; cells with no events carry the reserved empty
-    template with frequency 1. An event whose entity or window falls outside
-    the grid raises ValueError.
+    template with frequency 1. The first event in ts order whose template is
+    not in the vocabulary, or whose entity or window falls outside the grid,
+    raises ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    valid_ids = {t.template_id for t in vocabulary}
-    events = sorted(events, key=lambda e: e[0])
+    events = np.asarray(events, dtype=np.int64).reshape(-1, 3)
+    ts, entity, template = events[np.argsort(events[:, 0], kind="stable")].T
+    window = ts // window_size
+    bad_template = ~np.isin(template, [t.template_id for t in vocabulary])
+    bad_entity = (entity < 0) | (entity >= n_entities)
+    bad_window = (window < 0) | (window >= n_windows)
+    bad = bad_template | bad_entity | bad_window
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_template[i]:
+            raise ValueError(f"template id {template[i]} not present in the vocabulary")
+        if bad_entity[i]:
+            raise ValueError(f"entity index {entity[i]} out of range")
+        raise ValueError(
+            f"log event of entity {entity[i]} at ts {ts[i]} falls outside the grid of "
+            f"{n_windows} windows of size {window_size}"
+        )
 
-    first_seen: dict[tuple[int, int], dict[int, int]] = {}
-    counts: dict[tuple[int, int], Counter] = {}
-    for position, (ts, entity, template_id) in enumerate(events):
-        if template_id not in valid_ids:
-            raise ValueError(f"template id {template_id} not present in the vocabulary")
-        if not 0 <= entity < n_entities:
-            raise ValueError(f"entity index {entity} out of range")
-        window_index = ts // window_size
-        if not 0 <= window_index < n_windows:
-            raise ValueError(
-                f"log event of entity {entity} at ts {ts} falls outside the grid of "
-                f"{n_windows} windows of size {window_size}"
-            )
-        key = (entity, window_index)
-        cell_first = first_seen.setdefault(key, {})
-        if template_id not in cell_first:
-            cell_first[template_id] = position
-        counts.setdefault(key, Counter())[template_id] += 1
+    # one key per (cell, template); np.unique reports the first event of each
+    low = int(template.min()) if len(template) else 0
+    span = int(template.max()) - low + 1 if len(template) else 1
+    keys = (entity * n_windows + window) * span + (template - low)
+    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    cells = keys // span
+    order = np.lexsort((first, cells))
+    cells, ids, counts = cells[order], keys[order] % span + low, counts[order]
 
-    windows: list[LogSequenceWindow] = []
-    for entity in range(n_entities):
-        for w in range(n_windows):
-            key = (entity, w)
-            if key in counts:
-                ordered = sorted(first_seen[key], key=first_seen[key].get)
-                windows.append(
-                    LogSequenceWindow(
-                        entity=entity,
-                        window_index=w,
-                        templates=ordered,
-                        frequencies=[counts[key][t] for t in ordered],
-                    )
-                )
-            else:
-                windows.append(
-                    LogSequenceWindow(
-                        entity=entity,
-                        window_index=w,
-                        templates=[EMPTY_TEMPLATE_ID],
-                        frequencies=[1],
-                    )
-                )
-    return windows
+    n_cells = n_entities * n_windows
+    per_cell = np.bincount(cells, minlength=n_cells)
+    offsets = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(np.maximum(per_cell, 1), out=offsets[1:])  # an empty cell holds one entry
+    templates = np.full(offsets[-1], EMPTY_TEMPLATE_ID, dtype=np.int64)
+    frequencies = np.ones(offsets[-1], dtype=np.int64)
+    rank = np.arange(len(cells)) - (np.cumsum(per_cell) - per_cell)[cells]
+    templates[offsets[cells] + rank] = ids
+    frequencies[offsets[cells] + rank] = counts
+    return WindowTable(n_entities, n_windows, offsets, templates, frequencies, np.zeros(n_cells))
 
 
-def _flagged_fraction(window: LogSequenceWindow, flags: dict[int, bool]) -> float:
-    if window.is_empty:
-        return 0.0
-    flagged = 0
-    total = 0
-    for template_id, freq in zip(window.templates, window.frequencies):
-        total += freq
-        if flags[template_id]:
-            flagged += freq
-    return flagged / total if total else 0.0
+def label_windows(windows: WindowTable, vocabulary: list[LogTemplate]) -> WindowTable:
+    """The table with each cell labelled by the frequency-weighted fraction of its
+    events whose template contains one of DEFAULT_GOLDEN_SIGNALS.
 
-
-def label_windows(
-    windows: list[LogSequenceWindow], vocabulary: list[LogTemplate]
-) -> list[LogSequenceWindow]:
-    """Label every window in place with the frequency-weighted fraction of its events
-    whose template contains one of DEFAULT_GOLDEN_SIGNALS; return the list.
-
-    Each template is tested for the keywords once, not once per window.
+    Each template is tested for the keywords once. A label is the int count of
+    flagged events over the int count of all events, a true division, and an
+    empty cell's label is 0.0.
     """
-    flags = {
-        t.template_id: any(s in t.pattern.lower() for s in DEFAULT_GOLDEN_SIGNALS)
+    flagged_ids = [
+        t.template_id
         for t in vocabulary
-    }
-    for window in windows:
-        window.label = _flagged_fraction(window, flags)
-    return windows
+        if any(s in t.pattern.lower() for s in DEFAULT_GOLDEN_SIGNALS)
+    ]
+
+    def cell_sums(values):
+        cumulative = np.concatenate(([0], np.cumsum(values)))
+        return cumulative[windows.offsets[1:]] - cumulative[windows.offsets[:-1]]
+
+    flagged = np.where(np.isin(windows.templates, flagged_ids), windows.frequencies, 0)
+    total = cell_sums(windows.frequencies)
+    labels = np.zeros(windows.n_cells)
+    np.divide(cell_sums(flagged), total, out=labels, where=total > 0)
+    return dataclasses.replace(windows, labels=labels)
 
 
 # --- persistence -----------------------------------------------------------
+
+
+def _decode_json_lines(text: str, source) -> list:
+    """The JSON value of each non-blank line of text, in order.
+
+    The lines are decoded as one JSON array, joined by a comma and a newline:
+    a raw newline cannot sit inside a JSON string, so no string spans two
+    lines. When that decode fails or gives another count of values than of
+    lines, the lines are decoded one by one and the first that is not one
+    JSON value raises ValueError naming source and its 1-based line number.
+    """
+    lines = text.split("\n")
+    kept = [line for line in lines if line.strip()]
+    try:
+        values = json.loads("[" + ",\n".join(kept) + "]")
+        if len(values) == len(kept):
+            return values
+    except json.JSONDecodeError:
+        pass
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{source} line {number} is not valid JSON: {exc}") from None
+    raise AssertionError("every line decodes alone, so the joined decode cannot fail")
 
 
 def vocabulary_to_json(vocabulary: list[LogTemplate]) -> str:
@@ -235,47 +338,108 @@ def vocabulary_from_json(text: str) -> list[LogTemplate]:
     ]
 
 
-def windows_to_jsonl(windows: list[LogSequenceWindow]) -> str:
+def windows_to_jsonl(windows: WindowTable) -> str:
+    """One JSON object per cell, entity-major: the bytes json.dumps(..., sort_keys=True)
+    gives for the cell's entity, frequencies, label, templates and window_index."""
+    templates = list(map(str, windows.templates.tolist()))
+    frequencies = list(map(str, windows.frequencies.tolist()))
+    offsets = windows.offsets.tolist()
+    labels = windows.labels.tolist()
     lines = []
-    for w in windows:
+    for cell, label in enumerate(labels):
+        a, b = offsets[cell], offsets[cell + 1]
+        entity, window = divmod(cell, windows.n_windows)
         lines.append(
-            json.dumps(
-                {
-                    "entity": w.entity,
-                    "window_index": w.window_index,
-                    "templates": w.templates,
-                    "frequencies": w.frequencies,
-                    "label": w.label,
-                },
-                sort_keys=True,
-            )
+            f'{{"entity": {entity}, "frequencies": [{", ".join(frequencies[a:b])}], '
+            f'"label": {label!r}, "templates": [{", ".join(templates[a:b])}], '
+            f'"window_index": {window}}}'
         )
     return "\n".join(lines) + "\n"
 
 
-def windows_from_jsonl(text: str) -> list[LogSequenceWindow]:
-    windows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        windows.append(
-            LogSequenceWindow(
-                entity=data["entity"],
-                window_index=data["window_index"],
-                templates=list(data["templates"]),
-                frequencies=list(data["frequencies"]),
-                label=data["label"],
-            )
+_WINDOW_FIELDS = ("entity", "window_index", "templates", "frequencies", "label")
+
+
+def _window_line_problem(row) -> str | None:
+    """What is wrong with one decoded windows.jsonl line, or None."""
+    if not isinstance(row, dict):
+        return "is not a JSON object"
+    for name in _WINDOW_FIELDS:
+        if name not in row:
+            return f"is missing field {name!r}"
+    for name in ("entity", "window_index"):
+        if type(row[name]) is not int:
+            return f"field {name!r} must be an int"
+    for name in ("templates", "frequencies"):
+        if type(row[name]) is not list or not set(map(type, row[name])) <= {int}:
+            return f"field {name!r} must be a list of ints"
+    if type(row["label"]) not in (int, float):
+        return "field 'label' must be a number"
+    if len(row["templates"]) != len(row["frequencies"]):
+        return "frequencies must align with templates"
+    return None
+
+
+def windows_from_jsonl(text: str, source="windows.jsonl") -> WindowTable:
+    """Rebuild the table from the lines windows_to_jsonl writes.
+
+    The lines must hold the cells of a full entity-major grid in order; the
+    grid's size is read from the largest entity and window index. The first
+    line that is not JSON, lacks a field, holds one of the wrong type or lies
+    out of place raises ValueError naming source and the line's number, and
+    the table's own checks follow.
+    """
+    rows = _decode_json_lines(text, source)
+    try:
+        entities, windows, templates, frequencies, labels = (
+            [row[name] for row in rows] for name in _WINDOW_FIELDS
         )
-    return windows
+        flat_templates = [t for cell in templates for t in cell]
+        flat_frequencies = [f for cell in frequencies for f in cell]
+        lengths = list(map(len, templates))
+        well_formed = (
+            set(map(type, entities)) | set(map(type, windows)) <= {int}
+            and set(map(type, templates)) | set(map(type, frequencies)) <= {list}
+            and set(map(type, flat_templates)) | set(map(type, flat_frequencies)) <= {int}
+            and set(map(type, labels)) <= {int, float}
+            and lengths == list(map(len, frequencies))
+        )
+    except (KeyError, TypeError):
+        well_formed = False
+    if not well_formed:
+        for k, row in enumerate(rows):
+            problem = _window_line_problem(row)
+            if problem is not None:
+                raise ValueError(f"{source} line {_line_number(text, k)} {problem}")
+
+    n_entities = max(entities, default=-1) + 1
+    n_windows = max(windows, default=-1) + 1
+    expected_entity, expected_window = np.divmod(np.arange(len(rows)), max(n_windows, 1))
+    misplaced = (np.asarray(entities) != expected_entity) | (np.asarray(windows) != expected_window)
+    if misplaced.any():
+        k = int(np.argmax(misplaced))
+        raise ValueError(
+            f"{source} line {_line_number(text, k)} holds entity {entities[k]}, window "
+            f"{windows[k]} where the entity-major grid has entity {expected_entity[k]}, "
+            f"window {expected_window[k]}"
+        )
+    if len(rows) != n_entities * n_windows:
+        raise ValueError(
+            f"{source} has {len(rows)} windows, not the {n_entities * n_windows} cells of "
+            f"its {n_entities} x {n_windows} grid"
+        )
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return WindowTable(n_entities, n_windows, offsets, flat_templates, flat_frequencies, labels)
 
 
-def read_logs_jsonl(path) -> list[dict]:
-    """Load the simulator's JSON-lines log stream."""
-    records = []
+def _line_number(text: str, k: int) -> int:
+    """The 1-based number of the k-th (from 0) non-blank line of text."""
+    nonblank = (number for number, line in enumerate(text.split("\n"), 1) if line.strip())
+    return next(number for i, number in enumerate(nonblank) if i == k)
+
+
+def read_logs_jsonl(path) -> list:
+    """Load the simulator's JSON-lines log stream: the value of each non-blank line."""
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+        return _decode_json_lines(fh.read(), path)

@@ -32,8 +32,15 @@ z-scoring, the panels, the attention, the fused graph and the random walk,
 stays in float64, and so do the artifacts on disk: log_panel.csv and
 adjacency.json hold float64 values, while encoder.npz and structure.npz hold
 the trained float32 parameters (the untrained encoder of a constant-label
-incident stays float64). The encode stage tokenizes each window once and
-hands the same token sequences to training and to embedding.
+incident stays float64).
+
+The log data moves between the stages in columns. Ingest parses the records
+into one event array and windows and labels them into a logs.WindowTable,
+which windows.jsonl holds one line per cell. Encode reads that file back into
+a table, tokenizes all its cells in one call, hands the same token sequences
+to training and to embedding, and reshapes the window scores into the log
+panel by the table's entity-major cell order. The panels go to and from disk
+through panel.write_panel_csv and panel.read_panel_csv.
 """
 
 from __future__ import annotations
@@ -303,7 +310,7 @@ def stage_ingest(config: dict) -> None:
     windows = logs_mod.window_sequences(
         events, vocabulary, config["window_size"], truth["n_entities"], n_windows
     )
-    logs_mod.label_windows(windows, vocabulary)
+    windows = logs_mod.label_windows(windows, vocabulary)
     _write_text(paths["vocabulary"], logs_mod.vocabulary_to_json(vocabulary))
     _write_text(paths["windows"], logs_mod.windows_to_jsonl(windows))
 
@@ -313,7 +320,7 @@ def stage_encode(config: dict) -> None:
     with open(paths["vocabulary"]) as fh:
         vocabulary = logs_mod.vocabulary_from_json(fh.read())
     with open(paths["windows"]) as fh:
-        windows = logs_mod.windows_from_jsonl(fh.read())
+        windows = logs_mod.windows_from_jsonl(fh.read(), paths["windows"])
     truth = read_ground_truth(paths["ground_truth"])
     _check_lags_fit(config, truth)
     metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
@@ -327,8 +334,8 @@ def stage_encode(config: dict) -> None:
 
     enc_config = encoder_config_from(config)
     tokenizer = encoder_mod.LogTokenizer(len(vocabulary), enc_config)
-    sequences = [tokenizer.tokenize(w) for w in windows]
-    labels = [w.label for w in windows]
+    sequences = tokenizer.tokenize(windows)
+    labels = windows.labels.tolist()
     if len(set(labels)) > 1:
         encoder = encoder_mod.train_log_encoder(sequences, labels, enc_config, len(vocabulary))
         cls = encoder_mod.embed_windows(encoder, sequences)
@@ -337,16 +344,12 @@ def stage_encode(config: dict) -> None:
         # weights score any [CLS] state 0.5, so the transformer need not run
         encoder = encoder_mod.LogSequenceEncoder(enc_config, len(vocabulary))
         _, encoder.diagnostics = encoder_mod.group_windows(sequences, labels)
-        cls = np.zeros((len(windows), enc_config.d_model))
+        cls = np.zeros((windows.n_cells, enc_config.d_model))
     scores = encoder.score(cls)
 
     metric_panel = aggregate_windows(metric_native, config["window_size"])
     panel = encoder_mod.reduce_to_series(
-        scores,
-        [(w.entity, w.window_index) for w in windows],
-        n_entities=truth["n_entities"],
-        kpi=metric_panel.kpi,
-        entity_names=truth["entity_names"],
+        scores, windows, kpi=metric_panel.kpi, entity_names=truth["entity_names"]
     )
     encoder_mod.save_encoder(encoder, paths["encoder"], paths["encoder_manifest"], vocabulary)
     write_panel_csv(panel, paths["log_panel"], "log_score")

@@ -177,6 +177,50 @@ class TestStageCommands:
         named = f"{metrics} has no row for entity 'svc-0' at timestamp 1"
         assert f"stage log_encoder failed: {named}" in err
 
+    def test_a_metrics_value_that_is_not_a_number_is_a_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        metrics = tmp_path / "data" / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        assert lines[2].split(",")[:2] == ["0", "svc-1"]
+        lines[2] = "0,svc-1,cpu,abc"
+        metrics.write_text("\n".join(lines) + "\n")
+        assert self.run(tmp_path, "run-pipeline", out) == 1
+        named = f"{metrics} has value 'abc' for entity 'svc-1' at timestamp 0, which is not a number"
+        assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
+
+    def test_a_log_message_that_is_not_a_string_is_a_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        logs = tmp_path / "data" / "logs.jsonl"
+        lines = logs.read_text().splitlines()
+        lines[3] = json.dumps(dict(json.loads(lines[3]), msg=5))
+        logs.write_text("\n".join(lines) + "\n")
+        assert self.run(tmp_path, "parse", out) == 1
+        err = capsys.readouterr().err
+        assert "stage log_ingest failed: log record 3 field 'msg' must be a string; int 5" in err
+
+    def test_a_log_line_that_is_not_json_is_a_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        logs = tmp_path / "data" / "logs.jsonl"
+        lines = logs.read_text().splitlines()
+        lines[4] = lines[4][:-1]
+        logs.write_text("\n".join(lines) + "\n")
+        assert self.run(tmp_path, "run-pipeline", out) == 1
+        assert f"stage log_ingest failed: {logs} line 5 is not valid JSON" in capsys.readouterr().err
+
+    def test_a_windows_line_that_is_not_json_is_a_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        assert self.run(tmp_path, "parse", out) == 0
+        windows = out / "windows.jsonl"
+        lines = windows.read_text().splitlines()
+        lines[6] = "{" + lines[6]
+        windows.write_text("\n".join(lines) + "\n")
+        assert self.run(tmp_path, "encode", out) == 1
+        assert f"stage log_encoder failed: {windows} line 7 is not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "settings,named",
         [

@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mmrca.encoder import (
     EMPTY_TOKEN,
     EncoderConfig,
     LogSequenceEncoder,
+    N_RESERVED,
     LogTokenizer,
     embed_windows,
     freq_bucket,
@@ -18,7 +20,7 @@ from mmrca.encoder import (
     train_log_encoder,
     vocabulary_hash,
 )
-from mmrca.logs import EMPTY_TEMPLATE_ID, LogSequenceWindow, LogTemplate
+from mmrca.logs import EMPTY_TEMPLATE_ID, LogTemplate, WindowTable
 from mmrca.nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
 
 
@@ -29,13 +31,30 @@ def toy_config(**overrides):
     return EncoderConfig(**base)
 
 
-def window(templates, frequencies, label=0.0, entity=0, index=0):
-    return LogSequenceWindow(entity=entity, window_index=index, templates=templates,
-                             frequencies=frequencies, label=label)
+Window = namedtuple("Window", "templates frequencies label")
+
+
+def window(templates, frequencies, label=0.0):
+    return Window(templates, frequencies, label)
+
+
+def table(windows):
+    """A one-entity WindowTable whose cells are the windows, in order."""
+    offsets = np.cumsum([0] + [len(w.templates) for w in windows])
+    return WindowTable(
+        1, len(windows), offsets,
+        [t for w in windows for t in w.templates],
+        [f for w in windows for f in w.frequencies],
+        [w.label for w in windows],
+    )
+
+
+def tokenize(tokenizer, w):
+    return tokenizer.tokenize(table([w]))[0]
 
 
 def sequences_of(enc, windows):
-    return [enc.tokenizer.tokenize(w) for w in windows]
+    return enc.tokenizer.tokenize(table(windows))
 
 
 def train(windows, config, vocab_size=None):
@@ -45,7 +64,7 @@ def train(windows, config, vocab_size=None):
         vocab_size = 1 + max(
             (t for w in windows for t in w.templates if t != EMPTY_TEMPLATE_ID), default=-1
         )
-    sequences = [LogTokenizer(vocab_size, config).tokenize(w) for w in windows]
+    sequences = LogTokenizer(vocab_size, config).tokenize(table(windows))
     return train_log_encoder(sequences, [w.label for w in windows], config, vocab_size)
 
 
@@ -88,17 +107,17 @@ class TestFreqBuckets:
 class TestTokenizer:
     def test_single_template(self):
         tok = LogTokenizer(vocab_size=4, config=toy_config())
-        seq = tok.tokenize(window([1], [1]))
+        seq = tokenize(tok, window([1], [1]))
         assert seq.tokens == [CLS_TOKEN, tok.template_token(1), tok.bucket_token(1)]
 
     def test_empty_window_uses_reserved_tokens(self):
         tok = LogTokenizer(vocab_size=4, config=toy_config())
-        seq = tok.tokenize(window([EMPTY_TEMPLATE_ID], [1]))
+        seq = tokenize(tok, window([EMPTY_TEMPLATE_ID], [1]))
         assert seq.tokens == [CLS_TOKEN, EMPTY_TOKEN, tok.bucket_token(0)]
 
     def test_frequencies_interleaved(self):
         tok = LogTokenizer(vocab_size=4, config=toy_config())
-        seq = tok.tokenize(window([0, 2], [1, 1024]))
+        seq = tokenize(tok, window([0, 2], [1, 1024]))
         assert seq.tokens == [
             CLS_TOKEN,
             tok.template_token(0), tok.bucket_token(1),
@@ -107,20 +126,64 @@ class TestTokenizer:
 
     def test_truncation_counted_and_pairs_kept_whole(self):
         tok = LogTokenizer(vocab_size=50, config=toy_config(max_len=8))
-        seq = tok.tokenize(window(list(range(10)), [1] * 10))
+        seq = tokenize(tok, window(list(range(10)), [1] * 10))
         assert len(seq.tokens) == 1 + 2 * 3  # CLS + 3 whole pairs
         assert seq.truncated
 
     def test_all_ids_within_total_vocabulary(self):
         cfg = toy_config()
         tok = LogTokenizer(vocab_size=7, config=cfg)
-        seq = tok.tokenize(window([0, 6], [3, 9]))
+        seq = tokenize(tok, window([0, 6], [3, 9]))
         assert all(0 <= t < tok.total_tokens for t in seq.tokens)
 
     def test_unknown_template_rejected(self):
         tok = LogTokenizer(vocab_size=3, config=toy_config())
         with pytest.raises(ValueError):
-            tok.tokenize(window([5], [1]))
+            tokenize(tok, window([5], [1]))
+
+
+def oracle_tokens(tok, w):
+    """The per-window tokenize that the table's tokenizer replaced: (tokens, truncated)."""
+    if list(w.templates) == [EMPTY_TEMPLATE_ID]:
+        pairs = [(EMPTY_TOKEN, N_RESERVED)]
+    else:
+        pairs = [
+            (EMPTY_TOKEN if t == EMPTY_TEMPLATE_ID else N_RESERVED + tok.config.freq_buckets + t,
+             N_RESERVED + min(tok.config.freq_buckets - 1, int(f).bit_length()))
+            for t, f in zip(w.templates, w.frequencies)
+        ]
+    max_pairs = (tok.config.max_len - 1) // 2
+    return [CLS_TOKEN] + [x for pair in pairs[:max_pairs] for x in pair], len(pairs) > max_pairs
+
+
+class TestTokenizeTable:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_per_window_tokenizer(self, seed):
+        rng = np.random.default_rng(seed)
+        windows = []
+        for _ in range(40):
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                windows.append(window([EMPTY_TEMPLATE_ID], [1]))
+            elif kind == 1:
+                windows.append(window([], []))
+            else:
+                n = int(rng.integers(1, 12))
+                templates = rng.permutation(20)[:n].tolist()
+                if kind == 2 and n > 1:
+                    templates[int(rng.integers(0, n))] = EMPTY_TEMPLATE_ID
+                frequencies = 2 ** rng.integers(0, 40, n) + rng.integers(0, 3, n)
+                windows.append(window(templates, frequencies.tolist()))
+        config = toy_config(max_len=int(rng.integers(1, 20)), freq_buckets=int(rng.integers(1, 20)))
+        tok = LogTokenizer(20, config)
+        sequences = tok.tokenize(table(windows))
+        assert [(s.tokens, s.truncated) for s in sequences] == [oracle_tokens(tok, w) for w in windows]
+        assert all(type(t) is int for s in sequences for t in s.tokens)
+
+    def test_a_template_outside_the_vocabulary_is_named_even_when_cut(self):
+        tok = LogTokenizer(vocab_size=3, config=toy_config(max_len=3))
+        with pytest.raises(ValueError, match="template id 7 outside the vocabulary"):
+            tok.tokenize(table([window([0], [1]), window([1, 7, 9], [1, 1, 1])]))
 
 
 class TestSequenceContract:
@@ -135,14 +198,14 @@ def separable_corpus(n_each=30):
     """Labels exactly determined by the presence of template 0 (the keyword one)."""
     windows = []
     for i in range(n_each):
-        windows.append(window([0], [2 + i % 3], label=1.0, entity=0, index=i))
-        windows.append(window([1 + i % 3], [1 + i % 4], label=0.0, entity=1, index=i))
+        windows.append(window([0], [2 + i % 3], label=1.0))
+        windows.append(window([1 + i % 3], [1 + i % 4], label=0.0))
     return windows
 
 
 class TestTraining:
     def test_constant_zero_labels_reach_tiny_mse(self):
-        windows = [window([i % 3], [1 + i % 5], label=0.0, entity=0, index=i) for i in range(40)]
+        windows = [window([i % 3], [1 + i % 5], label=0.0) for i in range(40)]
         encoder = train(windows, toy_config(epochs=200))
         assert encoder.history[-1] <= 1e-3
 
@@ -164,8 +227,8 @@ class TestTraining:
         assert encoder.history[-1] <= 1e-2
 
     def test_truncated_windows_counted_once_each(self):
-        windows = [window(list(range(10)), [1] * 10, index=i) for i in range(3)]
-        windows += [window([i % 3], [1], index=3 + i) for i in range(5)]
+        windows = [window(list(range(10)), [1] * 10) for i in range(3)]
+        windows += [window([i % 3], [1]) for i in range(5)]
         encoder = train(windows, toy_config(max_len=8, epochs=2), vocab_size=10)
         assert encoder.diagnostics["truncated_windows"] == 3
         embed_windows(encoder, sequences_of(encoder, windows))
@@ -190,7 +253,7 @@ class TestTraining:
 
 def alone(enc, w):
     """[CLS] state of one window run by itself, at its own length."""
-    return enc._forward(np.array([enc.tokenizer.tokenize(w).tokens]))[0][0, 0, :]
+    return enc._forward(np.array([tokenize(enc.tokenizer, w).tokens]))[0][0, 0, :]
 
 
 def padded_loss_and_grads(enc, sequences, labels, weights):
@@ -344,7 +407,7 @@ def scaled_encoder():
 def by_length(enc, windows, weights):
     labels = np.array([w.label for w in windows])
     return [(ids, labels[rows], weights[rows])
-            for rows, ids in length_groups([enc.tokenizer.tokenize(w).tokens for w in windows])]
+            for rows, ids in length_groups([tokenize(enc.tokenizer, w).tokens for w in windows])]
 
 
 class TestGradients:
@@ -394,7 +457,7 @@ class TestGradients:
         assert [ids.shape[1] for ids, _, _ in groups] == [3, 5, 7]
         loss, grads = enc.loss_and_grads(groups)
         ref_loss, ref_grads = padded_loss_and_grads(
-            enc, [enc.tokenizer.tokenize(w).tokens for w in windows],
+            enc, [tokenize(enc.tokenizer, w).tokens for w in windows],
             np.array([w.label for w in windows]), weights,
         )
         assert abs(loss - ref_loss) <= 1e-12
@@ -583,38 +646,40 @@ class TestReduceToSeries:
     def make_inputs(self):
         rng = np.random.default_rng(5)
         n_entities, n_windows = 3, 8
-        windows = [(e, w) for e in range(n_entities) for w in range(n_windows)]
-        scores = rng.standard_normal(len(windows))
+        n_cells = n_entities * n_windows
+        windows = WindowTable(
+            n_entities, n_windows, np.arange(n_cells + 1),
+            np.full(n_cells, EMPTY_TEMPLATE_ID), np.ones(n_cells), np.zeros(n_cells),
+        )
+        scores = rng.standard_normal(n_cells)
         kpi = rng.standard_normal(n_windows)
         names = [f"e{i}" for i in range(n_entities)]
-        return scores, windows, n_entities, kpi, names
+        return scores, windows, kpi, names
 
     def test_panel_shape(self):
-        scores, window_map, n_entities, kpi, names = self.make_inputs()
-        panel = reduce_to_series(scores, window_map, n_entities, kpi, names)
-        assert panel.values.shape == (n_entities + 1, len(kpi))
+        scores, windows, kpi, names = self.make_inputs()
+        panel = reduce_to_series(scores, windows, kpi, names)
+        assert panel.values.shape == (len(names) + 1, len(kpi))
         assert np.allclose(panel.values[-1], kpi)
         assert panel.node_names == names + ["kpi"]
 
     def test_each_cell_holds_the_score_of_its_window(self):
-        scores, window_map, n_entities, kpi, names = self.make_inputs()
-        order = np.random.default_rng(6).permutation(len(window_map))
-        panel = reduce_to_series(
-            scores[order], [window_map[i] for i in order], n_entities, kpi, names
-        )
-        for score, (entity, index) in zip(scores, window_map):
-            assert panel.values[entity, index] == score
+        scores, windows, kpi, names = self.make_inputs()
+        panel = reduce_to_series(scores, windows, kpi, names)
+        for cell, score in enumerate(scores):
+            assert panel.values[cell // windows.n_windows, cell % windows.n_windows] == score
 
     def test_grid_must_be_covered(self):
-        scores, window_map, n_entities, kpi, names = self.make_inputs()
-        with pytest.raises(ValueError):
-            reduce_to_series(scores[:-1], window_map[:-1], n_entities, kpi, names)
+        scores, windows, kpi, names = self.make_inputs()
+        with pytest.raises(ValueError, match="23 scores do not align with the 24 windows"):
+            reduce_to_series(scores[:-1], windows, kpi, names)
 
-    def test_duplicates_rejected(self):
-        scores, window_map, n_entities, kpi, names = self.make_inputs()
-        window_map[1] = window_map[0]
-        with pytest.raises(ValueError):
-            reduce_to_series(scores, window_map, n_entities, kpi, names)
+    @pytest.mark.parametrize("cut", ["kpi", "names"])
+    def test_the_grid_must_match_the_entities_and_the_kpi(self, cut):
+        scores, windows, kpi, names = self.make_inputs()
+        kpi, names = (kpi[:-1], names) if cut == "kpi" else (kpi, names[:-1])
+        with pytest.raises(ValueError, match="the windows cover 3 entities x 8 windows"):
+            reduce_to_series(scores, windows, kpi, names)
 
 
 class TestPersistence:

@@ -1,25 +1,304 @@
-import copy
+import csv
+import io
+import json
+import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from mmrca.logs import (
     DEFAULT_GOLDEN_SIGNALS,
     EMPTY_TEMPLATE_ID,
-    LogSequenceWindow,
+    LogTemplate,
+    WindowTable,
     label_windows,
     mask_message,
     parse_templates,
+    read_logs_jsonl,
     vocabulary_from_json,
     vocabulary_to_json,
     window_sequences,
     windows_from_jsonl,
     windows_to_jsonl,
 )
+from mmrca.panel import ModalityPanel, read_panel_csv, write_panel_csv
 from mmrca.simulate import generate_incident, sample_scenario
 
 
 def records(*triples):
     return [{"ts": ts, "entity": e, "msg": m} for ts, e, m in triples]
+
+
+def cells(table):
+    """(templates, frequencies) of every cell of a WindowTable, in cell order."""
+    bounds = zip(table.offsets[:-1], table.offsets[1:])
+    return [(table.templates[a:b].tolist(), table.frequencies[a:b].tolist()) for a, b in bounds]
+
+
+def table_of(windows, n_entities=1):
+    """A WindowTable whose cells, entity-major, are the (templates, frequencies[, label])
+    tuples of windows."""
+    offsets = np.cumsum([0] + [len(w[0]) for w in windows])
+    return WindowTable(
+        n_entities,
+        len(windows) // n_entities,
+        offsets,
+        [t for w in windows for t in w[0]],
+        [f for w in windows for f in w[1]],
+        [w[2] if len(w) > 2 else 0.0 for w in windows],
+    )
+
+
+# --- reference implementations: the per-record code the columnar path replaced ---------
+
+
+ORACLE_PATTERNS = [
+    re.compile(r"\b\d{1,3}(?:\.\d{1,3}){3}\b"),
+    re.compile(
+        r"\b[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}\b"
+    ),
+    re.compile(r"\b0[xX][0-9a-fA-F]+\b"),
+    re.compile(r"\b[0-9a-fA-F]*\d[0-9a-fA-F]*\b"),
+]
+
+
+def oracle_mask(message):
+    for pattern in ORACLE_PATTERNS:
+        message = pattern.sub("<*>", message)
+    return message
+
+
+def oracle_windows(events, vocabulary, window_size, n_entities, n_windows):
+    """The dict-based window_sequences and label_windows: one dict per window."""
+    valid_ids = {t.template_id for t in vocabulary}
+    events = sorted(events, key=lambda e: e[0])
+    first_seen, counts = {}, {}
+    for position, (ts, entity, template_id) in enumerate(events):
+        if template_id not in valid_ids:
+            raise ValueError(f"template id {template_id} not present in the vocabulary")
+        if not 0 <= entity < n_entities:
+            raise ValueError(f"entity index {entity} out of range")
+        window_index = ts // window_size
+        if not 0 <= window_index < n_windows:
+            raise ValueError(
+                f"log event of entity {entity} at ts {ts} falls outside the grid of "
+                f"{n_windows} windows of size {window_size}"
+            )
+        key = (entity, window_index)
+        first_seen.setdefault(key, {}).setdefault(template_id, position)
+        counts.setdefault(key, Counter())[template_id] += 1
+    flags = {
+        t.template_id: any(s in t.pattern.lower() for s in DEFAULT_GOLDEN_SIGNALS)
+        for t in vocabulary
+    }
+    windows = []
+    for entity in range(n_entities):
+        for w in range(n_windows):
+            key = (entity, w)
+            if key in counts:
+                templates = sorted(first_seen[key], key=first_seen[key].get)
+                frequencies = [counts[key][t] for t in templates]
+                flagged = sum(f for t, f in zip(templates, frequencies) if flags[t])
+                label = flagged / sum(frequencies)
+            else:
+                templates, frequencies, label = [EMPTY_TEMPLATE_ID], [1], 0.0
+            windows.append(
+                {"entity": entity, "window_index": w, "templates": templates,
+                 "frequencies": frequencies, "label": label}
+            )
+    return windows
+
+
+def oracle_jsonl(windows):
+    return "\n".join(json.dumps(w, sort_keys=True) for w in windows) + "\n"
+
+
+def oracle_panel_csv(panel, metric_name):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["timestamp", "entity", "metric_name", "value"])
+    for t in range(panel.n_timesteps):
+        for i, name in enumerate(panel.entity_names):
+            writer.writerow([t, name, metric_name, repr(float(panel.values[i, t]))])
+        writer.writerow([t, "kpi", "kpi", repr(float(panel.values[-1, t]))])
+    return buffer.getvalue().encode()
+
+
+def oracle_read_panel_error(path, metric_name):
+    """The message the DictReader-based read_panel_csv raised for path, or None."""
+    series, order = {}, []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            entity = row["entity"]
+            if entity != "kpi" and row["metric_name"] != metric_name:
+                continue
+            if entity not in series:
+                series[entity] = {}
+                if entity != "kpi":
+                    order.append(entity)
+            t = int(row["timestamp"])
+            if t in series[entity]:
+                return f"{path} has more than one row for entity {entity!r} at timestamp {t}"
+            series[entity][t] = float(row["value"])
+    timestamps = sorted(set().union(*series.values()))
+    for name in order + ["kpi"]:
+        for t in timestamps:
+            if t not in series[name]:
+                return f"{path} has no row for entity {name!r} at timestamp {t}"
+    return None
+
+
+WORDS = ["alpha", "beta", "GET", "took", "ms", "svc-3", "x", "Xray", "box", "exit", "a.b",
+         "error", "timeout", "failed", "peer", "cafe", "deadbeef", "1e5", "v1.2", "--", "0x"]
+
+
+def random_message(rng):
+    parts = []
+    for _ in range(rng.integers(1, 7)):
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            parts.append(".".join(str(rng.integers(0, 300)) for _ in range(rng.integers(2, 5))))
+        elif kind == 1:
+            parts.append("-".join(f"{rng.integers(0, 16**k):0{k}x}" for k in (8, 4, 4, 4, 12)))
+        elif kind == 2:
+            parts.append(f"0{'xX'[rng.integers(0, 2)]}{rng.integers(0, 2**20):x}")
+        elif kind == 3:
+            parts.append(str(rng.integers(0, 10**6)))
+        else:
+            parts.append(WORDS[rng.integers(0, len(WORDS))])
+    return " ".join(parts)
+
+
+def random_incident(seed):
+    """Records out of ts order with ties, and a grid larger than the events fill."""
+    rng = np.random.default_rng(seed)
+    n_entities, window_size = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    n_windows = int(rng.integers(1, 8))
+    n = int(rng.integers(0, 60))
+    ts = rng.integers(0, n_windows * window_size, n)  # few values: many ties
+    entities = rng.integers(0, max(n_entities - 1, 1), n)  # the last entity often stays empty
+    kinds = [random_message(rng) for _ in range(6)]
+    msgs = [kinds[k] for k in rng.integers(0, len(kinds), n)]
+    return records(*zip(ts.tolist(), entities.tolist(), msgs)), window_size, n_entities, n_windows
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mask_matches_the_four_patterns_in_sequence(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            message = random_message(rng)
+            assert mask_message(message) == oracle_mask(message), message
+
+    def test_mask_covers_messages_with_and_without_each_literal(self):
+        rng = np.random.default_rng(0)
+        messages = [random_message(rng) for _ in range(400)]
+        for literal in (".", "-", "x"):
+            assert any(literal in m for m in messages) and any(literal not in m for m in messages)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_windows_labels_and_jsonl_match_the_reference(self, seed):
+        raw, window_size, n_entities, n_windows = random_incident(seed)
+        vocab, events = parse_templates(raw)
+        assert [t.pattern for t in vocab] == list(dict.fromkeys(oracle_mask(r["msg"]) for r in raw))
+        expected = oracle_windows(
+            [tuple(e) for e in events.tolist()], vocab, window_size, n_entities, n_windows
+        )
+        table = label_windows(
+            window_sequences(events, vocab, window_size, n_entities, n_windows), vocab
+        )
+        assert cells(table) == [(w["templates"], w["frequencies"]) for w in expected]
+        assert table.labels.tolist() == [w["label"] for w in expected]
+        text = windows_to_jsonl(table)
+        assert text == oracle_jsonl(expected)
+        restored = windows_from_jsonl(text)
+        assert cells(restored) == cells(table)
+        assert restored.labels.tolist() == table.labels.tolist()
+        assert windows_to_jsonl(restored) == text
+
+    @pytest.mark.parametrize("flagged,total", [(1, 3), (1, 20000), (2, 3), (0, 4), (7, 7)])
+    def test_labels_keep_the_exact_quotient(self, flagged, total):
+        raw = records(*[(0, 0, "connection timeout" if i < flagged else "all ok")
+                        for i in range(total)])
+        vocab, events = parse_templates(raw)
+        table = label_windows(window_sequences(events, vocab, 1, 1, 1), vocab)
+        expected = oracle_windows([tuple(e) for e in events.tolist()], vocab, 1, 1, 1)
+        assert table.labels.tolist() == [flagged / total] == [expected[0]["label"]]
+        assert windows_to_jsonl(table) == oracle_jsonl(expected)
+
+    def test_label_5e_05_is_written_like_json_dumps(self):
+        table = table_of([([0, 1], [1, 19999], 5e-05), ([EMPTY_TEMPLATE_ID], [1], 1 / 3)])
+        line = windows_to_jsonl(table).splitlines()[0]
+        assert '"label": 5e-05' in line
+        assert windows_to_jsonl(table) == oracle_jsonl(
+            [{"entity": 0, "window_index": 0, "templates": [0, 1], "frequencies": [1, 19999],
+              "label": 5e-05},
+             {"entity": 0, "window_index": 1, "templates": [-1], "frequencies": [1],
+              "label": 1 / 3}]
+        )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_a_bad_event_raises_like_the_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        raw, window_size, n_entities, n_windows = random_incident(seed)
+        vocab, events = parse_templates(raw + records((0, 0, "extra")))
+        events = events.tolist()
+        for _ in range(3):  # several bad events: the first in ts order is named
+            i = int(rng.integers(0, len(events)))
+            kind = rng.integers(0, 3)
+            ts, entity, template = events[i]
+            if kind == 0:
+                events[i] = [ts, entity, len(vocab) + int(rng.integers(0, 3))]
+            elif kind == 1:
+                events[i] = [ts, [-1, n_entities][rng.integers(0, 2)], template]
+            else:
+                events[i] = [[-1, n_windows * window_size][rng.integers(0, 2)], entity, template]
+        with pytest.raises(ValueError) as expected:
+            oracle_windows([tuple(e) for e in events], vocab, window_size, n_entities, n_windows)
+        with pytest.raises(ValueError) as got:
+            window_sequences(np.array(events), vocab, window_size, n_entities, n_windows)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_panel_csv_bytes_match_csv_writer(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        n, t = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+        values = rng.standard_normal((n + 1, t)) * 10.0 ** rng.integers(-8, 8, (n + 1, t))
+        values[0, 0] = 1 / 3
+        names = [f"svc-{i}" for i in range(n)]
+        names[0] = ["a,b", 'say "hi"', "", "plain"][seed % 4]
+        panel = ModalityPanel(values, names)
+        write_panel_csv(panel, tmp_path / "p.csv", "cpu")
+        assert (tmp_path / "p.csv").read_bytes() == oracle_panel_csv(panel, "cpu")
+        if names[0] != "":  # csv rows cannot tell an empty entity name from a missing one
+            restored = read_panel_csv(tmp_path / "p.csv", "cpu")
+            assert restored.entity_names == names
+            assert restored.values.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_panel_read_errors_name_the_reference_offender(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        rows = [(t, name, "cpu" if name != "kpi" else "kpi", float(t))
+                for t in range(4) for name in ("e0", "e1", "kpi")]
+        rows += [(t, "e0", "mem", 0.5) for t in range(2)]
+        order = rng.permutation(len(rows))
+        rows = [rows[i] for i in order]
+        for _ in range(int(rng.integers(1, 4))):
+            if rng.integers(0, 2):
+                del rows[int(rng.integers(0, len(rows)))]
+            else:
+                rows.insert(int(rng.integers(0, len(rows))), rows[int(rng.integers(0, len(rows)))])
+        path = tmp_path / "metrics.csv"
+        lines = ["timestamp,entity,metric_name,value"] + [",".join(map(str, r)) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        expected = oracle_read_panel_error(path, "cpu")
+        if expected is None:
+            assert read_panel_csv(path, "cpu").entity_names == ["e0", "e1"]
+            return
+        with pytest.raises(ValueError) as got:
+            read_panel_csv(path, "cpu")
+        assert str(got.value) == expected
 
 
 class TestMasking:
@@ -63,17 +342,18 @@ class TestParseTemplates:
         )
         assert len(vocab) == 1
         assert vocab[0].pattern == "GET /api took <*> ms"
-        assert [e[2] for e in events] == [0, 0]
+        assert events.tolist() == [[0, 0, 0], [1, 0, 0]]
 
     def test_empty_input(self):
-        assert parse_templates([]) == ([], [])
+        vocab, events = parse_templates([])
+        assert vocab == [] and events.shape == (0, 3)
 
     def test_identical_messages_same_id(self):
         vocab, events = parse_templates(
             records((0, 0, "restart now"), (5, 1, "restart now"))
         )
         assert len(vocab) == 1
-        assert events[0][2] == events[1][2]
+        assert events[0, 2] == events[1, 2]
 
     def test_missing_field_names_record_index(self):
         bad = [{"ts": 0, "entity": 0, "msg": "ok"}, {"ts": 1, "entity": 0}]
@@ -89,6 +369,23 @@ class TestParseTemplates:
         with pytest.raises(ValueError, match=f"log record 1 field '{field}' must be an int"):
             parse_templates(bad)
 
+    @pytest.mark.parametrize("value", [5, None, ["a"], b"bytes"])
+    def test_a_non_string_msg_names_the_record(self, value):
+        bad = [{"ts": 0, "entity": 0, "msg": "ok"}, {"ts": 1, "entity": 0, "msg": value}]
+        with pytest.raises(ValueError, match="log record 1 field 'msg' must be a string"):
+            parse_templates(bad)
+
+    def test_the_first_bad_record_is_named(self):
+        bad = records((0, 0, "ok"), (1, 0, "ok"), (2, 0, "ok"))
+        bad[2]["entity"] = "x"
+        bad[1]["msg"] = 5
+        with pytest.raises(ValueError, match="log record 1 field 'msg'"):
+            parse_templates(bad)
+
+    def test_a_ts_beyond_64_bits_names_the_record(self):
+        with pytest.raises(ValueError, match="log record 1 field 'ts' does not fit in 64 bits"):
+            parse_templates(records((0, 0, "ok"), (2**70, 0, "ok")))
+
     def test_deterministic_and_reparse_stable(self):
         recs = records((0, 0, "GET /x took 5 ms"), (1, 1, "peer 10.0.0.1 left"))
         vocab1, events1 = parse_templates(recs)
@@ -96,7 +393,7 @@ class TestParseTemplates:
         assert [(t.template_id, t.pattern) for t in vocab1] == [
             (t.template_id, t.pattern) for t in vocab2
         ]
-        assert events1 == events2
+        assert np.array_equal(events1, events2)
         # re-parsing the masked patterns yields the same patterns
         reparsed, _ = parse_templates(
             [{"ts": 0, "entity": 0, "msg": t.pattern} for t in vocab1]
@@ -110,21 +407,17 @@ class TestWindowSequences:
             records((0, 0, "alpha start"), (1, 0, "beta run"), (2, 0, "alpha start"))
         )
         windows = window_sequences(events, vocab, window_size=5, n_entities=1, n_windows=1)
-        assert len(windows) == 1
-        assert windows[0].templates == [0, 1]
-        assert windows[0].frequencies == [2, 1]
+        assert cells(windows) == [([0, 1], [2, 1])]
 
     def test_single_event(self):
         vocab, events = parse_templates(records((3, 0, "solo msg")))
         windows = window_sequences(events, vocab, window_size=5, n_entities=1, n_windows=1)
-        assert windows[0].templates == [0]
-        assert windows[0].frequencies == [1]
+        assert cells(windows) == [([0], [1])]
 
     def test_events_spanning_two_windows(self):
         vocab, events = parse_templates(records((0, 0, "tick"), (4, 0, "tick")))
         windows = window_sequences(events, vocab, window_size=3, n_entities=1, n_windows=2)
-        assert len(windows) == 2
-        assert all(w.templates == [0] and w.frequencies == [1] for w in windows)
+        assert cells(windows) == [([0], [1]), ([0], [1])]
 
     def test_first_appearance_order(self):
         vocab, events = parse_templates(
@@ -132,15 +425,27 @@ class TestWindowSequences:
         )
         windows = window_sequences(events, vocab, window_size=10, n_entities=1, n_windows=1)
         patterns = {t.template_id: t.pattern for t in vocab}
-        assert [patterns[t] for t in windows[0].templates] == ["bbb", "aaa", "ccc"]
+        assert [patterns[t] for t in cells(windows)[0][0]] == ["bbb", "aaa", "ccc"]
+
+    def test_first_appearance_follows_ts_not_record_order(self):
+        vocab, events = parse_templates(
+            records((2, 0, "bbb"), (1, 0, "aaa"), (1, 0, "ccc"), (0, 1, "bbb"))
+        )
+        windows = window_sequences(events, vocab, window_size=5, n_entities=2, n_windows=1)
+        # ties keep record order: aaa (record 1) before ccc (record 2)
+        assert cells(windows) == [([1, 2, 0], [1, 1, 1]), ([0], [1])]
+
+    def test_cells_are_entity_major(self):
+        vocab, events = parse_templates(records((0, 1, "one"), (1, 0, "zero")))
+        windows = window_sequences(events, vocab, window_size=1, n_entities=2, n_windows=2)
+        empty = ([EMPTY_TEMPLATE_ID], [1])
+        assert cells(windows) == [empty, ([1], [1]), ([0], [1]), empty]
 
     def test_empty_cells_get_reserved_template(self):
         vocab, events = parse_templates(records((0, 0, "only entity zero")))
         windows = window_sequences(events, vocab, window_size=5, n_entities=2, n_windows=2)
-        assert len(windows) == 4
-        empty = [w for w in windows if w.is_empty]
-        assert len(empty) == 3
-        assert all(w.templates == [EMPTY_TEMPLATE_ID] and w.frequencies == [1] for w in empty)
+        assert windows.n_cells == 4
+        assert cells(windows)[1:] == [([EMPTY_TEMPLATE_ID], [1])] * 3
 
     def test_unknown_template_id_rejected(self):
         vocab, _ = parse_templates(records((0, 0, "known")))
@@ -154,8 +459,6 @@ class TestWindowSequences:
             window_sequences(events, vocab, window_size=5, n_entities=2, n_windows=2)
 
     def test_event_conservation(self):
-        import numpy as np
-
         rng = np.random.default_rng(0)
         recs = records(
             *[
@@ -165,12 +468,11 @@ class TestWindowSequences:
         )
         vocab, events = parse_templates(recs)
         windows = window_sequences(events, vocab, window_size=7, n_entities=3, n_windows=8)
-        total = sum(sum(w.frequencies) for w in windows if not w.is_empty)
-        assert total == len(events)
+        assert windows.frequencies[windows.templates != EMPTY_TEMPLATE_ID].sum() == len(events)
 
 
 def label(window, vocab):
-    return label_windows([window], vocab)[0].label
+    return label_windows(table_of([window]), vocab).labels[0]
 
 
 class TestLabelAnomaly:
@@ -181,40 +483,33 @@ class TestLabelAnomaly:
         return vocab
 
     def test_no_keyword_is_zero(self):
-        w = LogSequenceWindow(0, 0, templates=[0, 2], frequencies=[3, 2])
-        assert label(w, self.vocab()) == 0.0
+        assert label(([0, 2], [3, 2]), self.vocab()) == 0.0
 
     def test_all_keyword_is_one(self):
-        w = LogSequenceWindow(0, 0, templates=[1], frequencies=[4])
-        assert label(w, self.vocab()) == 1.0
+        assert label(([1], [4]), self.vocab()) == 1.0
 
     def test_frequency_weighted_fraction(self):
-        w = LogSequenceWindow(0, 0, templates=[0, 1], frequencies=[3, 1])
-        assert label(w, self.vocab()) == pytest.approx(0.25)
+        assert label(([0, 1], [3, 1]), self.vocab()) == pytest.approx(0.25)
 
     def test_empty_window_is_zero(self):
-        w = LogSequenceWindow(0, 0, templates=[EMPTY_TEMPLATE_ID], frequencies=[1])
-        assert label(w, self.vocab()) == 0.0
+        assert label(([EMPTY_TEMPLATE_ID], [1]), self.vocab()) == 0.0
 
     def test_case_insensitive(self):
         vocab, _ = parse_templates(records((0, 0, "CRITICAL failure in pump")))
-        w = LogSequenceWindow(0, 0, templates=[0], frequencies=[1])
-        assert label(w, vocab) == 1.0
+        assert label(([0], [1]), vocab) == 1.0
 
     def test_monotone_in_keyword_events(self):
         vocab = self.vocab()
-        base = LogSequenceWindow(0, 0, templates=[0, 1], frequencies=[5, 1])
-        more = LogSequenceWindow(0, 0, templates=[0, 1], frequencies=[5, 2])
-        assert label(more, vocab) >= label(base, vocab)
+        assert label(([0, 1], [5, 2]), vocab) >= label(([0, 1], [5, 1]), vocab)
 
     def test_labels_an_incident_like_each_window_alone(self):
         spec = sample_scenario(6, "both", horizon_T=300, noise_std=0.1, seed=1)
         vocab, events = parse_templates(generate_incident(spec).raw_logs)
         windows = window_sequences(events, vocab, window_size=2, n_entities=6, n_windows=150)
-        expected = [label(copy.copy(w), vocab) for w in windows]
-        label_windows(windows, vocab)
-        assert [w.label for w in windows] == expected
-        assert any(w.is_empty for w in windows)
+        expected = [label(cell, vocab) for cell in cells(windows)]
+        labelled = label_windows(windows, vocab)
+        assert labelled.labels.tolist() == expected
+        assert ([EMPTY_TEMPLATE_ID], [1]) in cells(windows)
         assert 0.0 < max(expected) and len(set(expected)) > 2
 
     def test_default_signals_have_no_digits(self):
@@ -224,24 +519,137 @@ class TestLabelAnomaly:
 
 class TestWindowValidation:
     def test_duplicate_templates_rejected(self):
-        with pytest.raises(ValueError):
-            LogSequenceWindow(0, 0, templates=[1, 1], frequencies=[1, 1])
+        with pytest.raises(ValueError, match="window templates must be unique: entity 0, window 1"):
+            table_of([([1], [1]), ([1, 1], [1, 1])])
 
     def test_misaligned_frequencies_rejected(self):
-        with pytest.raises(ValueError):
-            LogSequenceWindow(0, 0, templates=[1], frequencies=[1, 2])
+        with pytest.raises(ValueError, match="frequencies must align with templates"):
+            WindowTable(1, 1, [0, 1], [1], [1, 2], [0.0])
 
-    def test_label_range_enforced(self):
-        with pytest.raises(ValueError):
-            LogSequenceWindow(0, 0, templates=[1], frequencies=[1], label=1.5)
+    def test_positive_frequencies_enforced(self):
+        with pytest.raises(ValueError, match="frequencies must be positive: entity 1, window 0"):
+            table_of([([1], [1]), ([2], [0])], n_entities=2)
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+    def test_label_range_enforced(self, value):
+        with pytest.raises(ValueError, match=r"label must lie in \[0, 1\]: entity 0, window 0"):
+            table_of([([1], [1], value)])
+
+    def test_offsets_must_cover_the_grid(self):
+        with pytest.raises(ValueError, match="window offsets"):
+            WindowTable(1, 2, [0, 1], [1], [1], [0.0, 0.0])
+
+    def test_templates_may_repeat_across_cells(self):
+        assert cells(table_of([([1, 2], [1, 1]), ([2, 1], [3, 1])])) == [
+            ([1, 2], [1, 1]), ([2, 1], [3, 1])
+        ]
 
 
-def test_round_trips():
+def written_windows():
     vocab, events = parse_templates(
         records((0, 0, "alpha 1"), (1, 1, "beta timeout 2"), (8, 0, "alpha 3"))
     )
-    windows = window_sequences(events, vocab, window_size=5, n_entities=2, n_windows=2)
-    label_windows(windows, vocab)
+    return label_windows(window_sequences(events, vocab, window_size=5, n_entities=2, n_windows=2), vocab)
+
+
+def test_round_trips():
+    windows = written_windows()
+    vocab, _ = parse_templates(records((0, 0, "alpha 1"), (1, 1, "beta timeout 2")))
     assert vocabulary_from_json(vocabulary_to_json(vocab)) == vocab
     restored = windows_from_jsonl(windows_to_jsonl(windows))
-    assert restored == windows
+    assert (restored.n_entities, restored.n_windows) == (2, 2)
+    assert cells(restored) == cells(windows)
+    assert restored.labels.tolist() == windows.labels.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+class TestWindowsFile:
+    def edited(self, edit):
+        lines = windows_to_jsonl(written_windows()).splitlines()
+        edit(lines)
+        return "\n".join(lines) + "\n"
+
+    def test_blank_lines_are_skipped(self):
+        text = windows_to_jsonl(written_windows()).replace("\n", "\n\n  \n")
+        assert cells(windows_from_jsonl(text)) == cells(written_windows())
+
+    @pytest.mark.parametrize(
+        "changes,named",
+        [
+            ({"label": 1.5}, r"label must lie in \[0, 1\]: entity 0, window 1"),
+            ({"templates": [0, 0], "frequencies": [1, 1]},
+             "window templates must be unique: entity 0, window 1"),
+            ({"frequencies": [0]}, "frequencies must be positive: entity 0, window 1"),
+            ({"frequencies": [1, 1]}, "line 2 frequencies must align with templates"),
+            ({"frequencies": [1.0]}, "line 2 field 'frequencies' must be a list of ints"),
+            ({"entity": "0"}, "line 2 field 'entity' must be an int"),
+            ({"label": None}, "line 2 field 'label' must be a number"),
+            ({"window_index": 3}, "line 2 holds entity 0, window 3 where the entity-major grid"),
+        ],
+    )
+    def test_a_hand_edited_line_is_rejected(self, changes, named):
+        def edit(lines):
+            lines[1] = json.dumps(dict(json.loads(lines[1]), **changes))
+
+        with pytest.raises(ValueError, match=named):
+            windows_from_jsonl(self.edited(edit), "out/windows.jsonl")
+
+    def test_a_missing_field_names_the_line(self):
+        def edit(lines):
+            row = json.loads(lines[2])
+            del row["label"]
+            lines[2] = json.dumps(row)
+
+        with pytest.raises(ValueError, match="out/windows.jsonl line 3 is missing field 'label'"):
+            windows_from_jsonl(self.edited(edit), "out/windows.jsonl")
+
+    def test_a_missing_cell_is_rejected(self):
+        with pytest.raises(ValueError, match="line 3 holds entity 1, window 1 where the"):
+            windows_from_jsonl(self.edited(lambda lines: lines.pop(2)))
+        with pytest.raises(ValueError, match="has 3 windows, not the 4 cells of its 2 x 2 grid"):
+            windows_from_jsonl(self.edited(lambda lines: lines.pop(3)))
+
+    def test_a_line_that_is_not_json_names_the_file_and_line(self):
+        def edit(lines):
+            lines.insert(0, "")
+            lines[3] = lines[3][:-1]
+
+        with pytest.raises(ValueError, match=r"^out/windows.jsonl line 4 is not valid JSON"):
+            windows_from_jsonl(self.edited(edit), "out/windows.jsonl")
+
+
+class TestLogsFile:
+    def write(self, tmp_path, lines):
+        path = tmp_path / "logs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def good(self, i):
+        return json.dumps({"entity": 0, "msg": f"tick {i}", "ts": i}, sort_keys=True)
+
+    def test_reads_every_non_blank_line(self, tmp_path):
+        path = self.write(tmp_path, [self.good(0), "", "   ", self.good(1)])
+        assert read_logs_jsonl(path) == [json.loads(self.good(0)), json.loads(self.good(1))]
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["{", "not json", '{"ts": 1} {"ts": 2}', '{"ts": 1}, {"ts": 2}', '{"msg": "a', '"b"}'],
+    )
+    def test_a_bad_line_names_the_file_and_its_number(self, tmp_path, bad):
+        lines = [self.good(i) for i in range(6)]
+        lines.insert(2, "")  # a blank line still counts
+        lines[5] = bad
+        path = self.write(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 6 is not valid JSON"):
+            read_logs_jsonl(path)
+
+    def test_a_value_split_over_two_lines_is_rejected(self, tmp_path):
+        lines = [self.good(0), '{"entity": 0, "msg": "a", "ts": 1, "x": [', '1]}', self.good(2)]
+        with pytest.raises(ValueError, match="line 2 is not valid JSON"):
+            read_logs_jsonl(self.write(tmp_path, lines))
+
+
+def test_vocabulary_ids_need_not_start_at_zero():
+    vocab = [LogTemplate(5, "all ok"), LogTemplate(9, "disk failure")]
+    windows = window_sequences([(1, 0, 9), (0, 0, 5), (2, 0, 9)], vocab, 1, 1, 3)
+    assert cells(windows) == [([5], [1]), ([9], [1]), ([9], [1])]
+    assert label_windows(windows, vocab).labels.tolist() == [0.0, 1.0, 1.0]

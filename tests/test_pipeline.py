@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -131,6 +132,39 @@ class TestReadPanel:
         with pytest.raises(ValueError, match="more than one row for entity 'e0' at timestamp 0"):
             read_panel_csv(path, "cpu")
 
+    def test_a_value_that_is_not_a_number_names_the_file_entity_and_timestamp(self, tmp_path):
+        path = self.write_rows(tmp_path, [
+            (0, "e0", "cpu", 1.0), (0, "kpi", "kpi", 2.0), (1, "e0", "cpu", "abc"),
+            (1, "kpi", "kpi", "also bad"),
+        ])
+        named = f"{path} has value 'abc' for entity 'e0' at timestamp 1, which is not a number"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_panel_csv(path, "cpu")
+
+    def test_a_timestamp_that_is_not_an_int_names_the_file_and_entity(self, tmp_path):
+        path = self.write_rows(tmp_path, [
+            (0, "e0", "cpu", 1.0), (0, "kpi", "kpi", 2.0), ("1.5", "kpi", "kpi", 3.0),
+        ])
+        named = f"{path} has timestamp '1.5' for entity 'kpi', which is not a 64-bit int"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_panel_csv(path, "cpu")
+
+    def test_the_first_bad_row_is_named(self, tmp_path):
+        path = self.write_rows(tmp_path, [
+            (0, "e0", "cpu", 1.0), (0, "kpi", "kpi", "x"), (0, "e0", "cpu", 5.0),
+            ("y", "e0", "cpu", 1.0), (2**64, "e0", "cpu", 1.0),
+        ])
+        with pytest.raises(ValueError, match="value 'x' for entity 'kpi' at timestamp 0"):
+            read_panel_csv(path, "cpu")
+        self.write_rows(tmp_path, [(0, "e0", "cpu", 1.0), (2**64, "e0", "cpu", 1.0)])
+        with pytest.raises(ValueError, match=f"timestamp '{2**64}' for entity 'e0', which is not"):
+            read_panel_csv(path, "cpu")
+
+    def test_a_short_row_is_rejected(self, tmp_path):
+        path = self.write_rows(tmp_path, [(0, "e0", "cpu", 1.0), (0, "kpi", "kpi")])
+        with pytest.raises(ValueError, match="has a row with fewer fields than its header"):
+            read_panel_csv(path, "cpu")
+
     def test_rows_of_another_metric_are_skipped(self, tmp_path):
         path = self.write_rows(tmp_path, [
             (0, "e0", "cpu", 1.0), (0, "e0", "mem", 9.0), (0, "kpi", "kpi", 2.0),
@@ -162,22 +196,22 @@ class TestLogSeries:
         for command in ("simulate", "parse", "encode"):
             assert self.run(tmp_path, "both", command) == 0, command
         windows, panel, manifest = self.outputs(tmp_path)
-        assert len({w.label for w in windows}) > 1
+        assert len(set(windows.labels)) > 1
         assert manifest["epochs_run"] == 2
 
         out = tmp_path / "out"
         encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
-        sequences = [encoder.tokenizer.tokenize(w) for w in windows]
+        sequences = encoder.tokenizer.tokenize(windows)
         with pipeline._one_blas_thread():
             cls = encoder_mod.embed_windows(encoder, sequences)
         logits = (cls @ encoder.params["head_w"]).ravel() + encoder.params["head_b"][0]
         expected = expit(logits)
         values_of = defaultdict(set)
-        for w, sequence, score in zip(windows, sequences, expected):
-            value = panel.values[w.entity, w.window_index]
-            assert value == score, (w.entity, w.window_index)
-            values_of[tuple(sequence.tokens)].add(value)
-        assert len(values_of) < len(windows)
+        for cell, (sequence, score) in enumerate(zip(sequences, expected)):
+            entity, index = divmod(cell, windows.n_windows)
+            assert panel.values[entity, index] == score, (entity, index)
+            values_of[tuple(sequence.tokens)].add(panel.values[entity, index])
+        assert len(values_of) < windows.n_cells
         assert all(len(values) == 1 for values in values_of.values())
 
     def test_constant_labels_train_nothing_and_give_a_constant_series(
@@ -194,7 +228,7 @@ class TestLogSeries:
         for command in ("simulate", "parse", "encode"):
             assert self.run(tmp_path, "metric_only", command) == 0, command
         windows, panel, manifest = self.outputs(tmp_path)
-        assert len({w.label for w in windows}) == 1
+        assert len(set(windows.labels)) == 1
         for row in panel.values[:-1]:
             assert np.all(row == row[0])
         assert manifest["epochs_run"] == 0
@@ -202,7 +236,7 @@ class TestLogSeries:
 
         out = tmp_path / "out"
         encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
-        sequences = [encoder.tokenizer.tokenize(w) for w in windows]
+        sequences = encoder.tokenizer.tokenize(windows)
         assert manifest["diagnostics"] == {
             "truncated_windows": sum(s.truncated for s in sequences),
             "unique_sequences": len({tuple(s.tokens) for s in sequences}),
@@ -213,8 +247,7 @@ class TestLogSeries:
         truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
         reference = encoder_mod.reduce_to_series(
             scores,
-            [(w.entity, w.window_index) for w in windows],
-            n_entities=truth["n_entities"],
+            windows,
             kpi=read_panel_csv(out / "metric_panel.csv", "cpu").kpi,
             entity_names=truth["entity_names"],
         )
