@@ -55,11 +55,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .atomic import atomic_open
 from .logs import EMPTY_TEMPLATE_ID, LogTemplate, WindowTable, vocabulary_to_json
-from .nn import Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
+from .nn import (
+    Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax,
+)
 from .panel import ModalityPanel
 
 PAD_TOKEN = 0  # reserved (tok_emb keeps its row) but never emitted: nothing is padded
@@ -285,7 +286,7 @@ class LogSequenceEncoder:
 
     def score(self, cls: np.ndarray) -> np.ndarray:
         """Anomaly score of each [CLS] row: sigmoid(cls @ head_w + head_b), shape (n,)."""
-        return expit((cls @ self.params["head_w"]).ravel() + self.params["head_b"][0])
+        return sigmoid((cls @ self.params["head_w"]).ravel() + self.params["head_b"][0])
 
     # -- loss and gradients -----------------------------------------------------
 

@@ -67,6 +67,16 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + exp(-x)), in the dtype of x.
+
+    exp only sees -|x|, so it never overflows: a large negative x gives
+    exp(x) / (1 + exp(x)), which underflows to 0.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)

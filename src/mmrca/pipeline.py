@@ -13,15 +13,15 @@ failed write leaves the earlier artifact intact and a .partial behind), and a
 manifest records the resolved config hash, seed and stage timings.
 
 Every stage runs through run_stage, which sets each OpenBLAS library that
-numpy and scipy bundle to one thread for the stage and restores the previous
+numpy bundles to one thread for the stage and restores the previous
 counts afterwards. This is a fixed policy, not an option, for two reasons.
 The matrices are tiny (n x n adjacencies with n <= 41, 16-wide hidden
 layers), so a second thread costs more than it saves: at n=41 with 24
 learner epochs, structure.fit took 5.36 s on 2 OpenBLAS threads (burning
-9.4 s of CPU) and 3.38 s on one, and scipy's expm was 11x slower on two
-threads. And a product split across threads sums in another order, so with
-the library default the artifacts of the same seed changed with the
-machine's core count.
+9.4 s of CPU) and 3.38 s on one, and scipy's expm, which the learner used
+then, was 11x slower on two threads. And a product split across threads
+sums in another order, so with the library default the artifacts of the
+same seed changed with the machine's core count.
 
 Precision is also a fixed policy: the two trained models, the log encoder
 (encoder.train_log_encoder) and the structure learner (structure.fit), train
@@ -57,7 +57,6 @@ import os
 import time
 
 import numpy as np
-import scipy
 
 from . import encoder as encoder_mod
 from . import fusion as fusion_mod
@@ -447,8 +446,8 @@ PIPELINE_STAGES = (
 # --- BLAS threads ------------------------------------------------------------------
 
 
-# (getter, setter) symbol pairs: scipy-openblas builds prefix the OpenBLAS names,
-# and builds with 64-bit integer indices add a 64_ suffix
+# (getter, setter) symbol pairs: the scipy-openblas builds that numpy wheels bundle
+# prefix the OpenBLAS names, and builds with 64-bit integer indices add a 64_ suffix
 _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -458,19 +457,22 @@ _OPENBLAS_SYMBOLS = (
 
 
 def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS that numpy and scipy bundle."""
+    """(get, set) thread-count functions of each OpenBLAS that numpy bundles.
+
+    numpy is the only BLAS user: mmrca does not import scipy, so the OpenBLAS
+    that scipy bundles is never loaded.
+    """
     controls = []
-    for package in (np, scipy):
-        site = os.path.dirname(os.path.dirname(package.__file__))
-        for lib in sorted(glob.glob(os.path.join(site, package.__name__ + ".libs", "*openblas*"))):
-            handle = ctypes.CDLL(lib)
-            for get_name, set_name in _OPENBLAS_SYMBOLS:
-                get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-                    break
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for lib in sorted(glob.glob(os.path.join(site, "numpy.libs", "*openblas*"))):
+        handle = ctypes.CDLL(lib)
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
     return tuple(controls)
 
 

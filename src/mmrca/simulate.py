@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -317,9 +318,12 @@ def write_incident(dataset: IncidentDataset, directory, metric_name: str) -> dic
         "ground_truth": os.path.join(directory, "ground_truth.json"),
     }
     write_panel_csv(dataset.metric_panel, paths["metrics"], metric_name)
+    # each line is the bytes json.dumps(record, sort_keys=True) gives, formatted directly
     with atomic_open(paths["logs"]) as fh:
-        for record in dataset.raw_logs:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(
+            f'{{"entity": {r["entity"]}, "msg": {encode_basestring_ascii(r["msg"])}, "ts": {r["ts"]}}}\n'
+            for r in dataset.raw_logs
+        )
     with atomic_open(paths["ground_truth"]) as fh:
         fh.write(ground_truth_to_json(dataset))
     return paths

@@ -65,11 +65,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import expm
-from scipy.special import expit
 
 from .atomic import atomic_open
-from .nn import Adam, check_field_types
+from .nn import Adam, check_field_types, sigmoid
 from .panel import ModalityPanel
 
 
@@ -178,7 +176,7 @@ class Workspace:
 
 
 def adjacency_from_free(free_weights: np.ndarray) -> np.ndarray:
-    a = expit(free_weights)
+    a = sigmoid(free_weights)
     a = a * (1.0 - np.eye(a.shape[-1], dtype=a.dtype))
     return a
 
@@ -342,6 +340,48 @@ def loss_orth_backward(scale: float, cache):
     d_r_s = np.matmul(r_c, cross.swapaxes(-1, -2), out=ws.array("d_r_s", r_s.shape, cross.dtype))
     d_r_s *= scale * 2.0
     return d_r_c, d_r_s
+
+
+# Pade(13) coefficients b_0..b_13, and theta_13: the largest 1-norm for which the
+# unscaled approximant's backward error stays below double precision's unit
+# roundoff (Higham 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each (n, n) matrix of a (..., n, n) stack, in a's dtype.
+
+    Pade(13) approximant with scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26(4), 2005): each matrix is scaled by its own 2^-s, the least
+    that brings its 1-norm to theta_13 or below, and its approximant is
+    squared s times, so one matrix of a stack never changes another's rounding.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    x = a.reshape(-1, n, n)
+    # s = ceil(log2(norm / theta_13)), at least 0; frexp gives norm / theta_13 = m 2^e, m in [0.5, 1)
+    mantissa, exponent = np.frexp(np.abs(x).sum(axis=-2).max(axis=-1) / _THETA13)
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+    x = x * np.ldexp(np.ones((), a.dtype), -squarings)[:, None, None]
+    b = _PADE13
+    eye = np.eye(n, dtype=a.dtype)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    # (V - U)^-1 (V + U), written so that an exact zero input gives exactly I
+    e = np.linalg.solve(v - u, 2.0 * u)
+    e += eye
+    for k in range(int(squarings.max(initial=0))):
+        todo = squarings > k
+        e[todo] = e[todo] @ e[todo]
+    return e.reshape(a.shape)
 
 
 def acyclicity(adjacency: np.ndarray):

@@ -1,8 +1,10 @@
 import json
+import warnings
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mmrca.encoder import (
     CLS_TOKEN,
@@ -21,7 +23,7 @@ from mmrca.encoder import (
     vocabulary_hash,
 )
 from mmrca.logs import EMPTY_TEMPLATE_ID, LogTemplate, WindowTable
-from mmrca.nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, softmax
+from mmrca.nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax
 
 
 def toy_config(**overrides):
@@ -557,6 +559,23 @@ class TestGelu:
         _, t = gelu(x)
         numeric = (gelu(x + eps)[0] - gelu(x - eps)[0]) / (2 * eps)
         assert np.allclose(gelu_grad(x, t), numeric, rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestSigmoid:
+    def test_matches_scipy_expit_within_a_few_ulps_in_the_input_dtype(self, dtype):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 8001), 10.0 * rng.standard_normal(10_000)])
+        x = x.astype(dtype)
+        out, want = sigmoid(x), expit(x)
+        assert out.dtype == dtype
+        assert np.all(np.abs(out - want) <= 4 * np.spacing(want))
+
+    def test_saturates_without_a_warning(self, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-1e4, 1e4], dtype))
+        assert out.dtype == dtype and np.array_equal(out, [0.0, 1.0])
 
 
 class TestAdam:

@@ -7,13 +7,13 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 import mmrca
 from mmrca import cli, pipeline
 from mmrca import encoder as encoder_mod
 from mmrca import structure as structure_mod
 from mmrca.logs import windows_from_jsonl
+from mmrca.nn import sigmoid
 from mmrca.panel import ModalityPanel, read_panel_csv, write_panel_csv
 
 
@@ -26,7 +26,7 @@ class TestOneBlasThread:
     def controls(self):
         controls = pipeline._openblas_thread_controls()
         if not controls:
-            pytest.skip("numpy and scipy bundle no OpenBLAS library here")
+            pytest.skip("numpy bundles no OpenBLAS library here")
         before = thread_counts(controls)
         for _, set_ in controls:
             set_(2)
@@ -50,7 +50,7 @@ class TestOneBlasThread:
         # big enough (6 entities, d_model 64) that, left at the library's
         # thread count, these artifacts differ in bytes between 1 and 2 threads
         if not pipeline._openblas_thread_controls():
-            pytest.skip("numpy and scipy bundle no OpenBLAS library here")
+            pytest.skip("numpy bundles no OpenBLAS library here")
         payload = {
             "paths": {"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path / "out")},
             "seed": 3,
@@ -77,6 +77,20 @@ class TestOneBlasThread:
         assert "encoder.npz" in names and "ranking.json" in names
         for name in names:
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+class TestImport:
+    def test_the_cli_loads_the_pipeline_and_both_models_without_scipy(self):
+        # scipy is no runtime dependency; importing it took about 0.3 s of every mmrca call
+        src_dir = os.path.dirname(os.path.dirname(mmrca.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        code = "import json, sys, mmrca.cli; print(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        modules = json.loads(proc.stdout)
+        assert {"mmrca.pipeline", "mmrca.encoder", "mmrca.structure"} <= set(modules)
+        assert [name for name in modules if name.startswith("scipy")] == []
 
 
 class TestDefaults:
@@ -205,7 +219,7 @@ class TestLogSeries:
         with pipeline._one_blas_thread():
             cls = encoder_mod.embed_windows(encoder, sequences)
         logits = (cls @ encoder.params["head_w"]).ravel() + encoder.params["head_b"][0]
-        expected = expit(logits)
+        expected = sigmoid(logits)
         values_of = defaultdict(set)
         for cell, (sequence, score) in enumerate(zip(sequences, expected)):
             entity, index = divmod(cell, windows.n_windows)

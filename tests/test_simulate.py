@@ -6,6 +6,7 @@ import pytest
 from mmrca.logs import DEFAULT_GOLDEN_SIGNALS
 from mmrca.panel import read_panel_csv
 from mmrca.simulate import (
+    FAULT_TYPES,
     IncidentDataset,
     ScenarioSpec,
     generate_incident,
@@ -174,6 +175,15 @@ class TestPersistence:
         with open(paths["logs"]) as fh:
             record = json.loads(fh.readline())
         assert set(record) == {"ts", "entity", "msg"}
+
+    @pytest.mark.parametrize("fault_type", FAULT_TYPES)
+    def test_logs_jsonl_is_json_dumps_of_each_record(self, tmp_path, fault_type):
+        ds = generate_incident(chain_spec(seed=3, fault_type=fault_type))
+        ds.raw_logs.append({"ts": 119, "entity": 2, "msg": 'say "hi" to C:\\tmp at caf\u00e9 \u2603'})
+        paths = write_incident(ds, tmp_path / "inc", "cpu")
+        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in ds.raw_logs)
+        with open(paths["logs"], "rb") as fh:
+            assert fh.read() == expected.encode()
 
     def test_a_failed_write_keeps_the_earlier_file_and_leaves_a_partial(self, tmp_path):
         ds = generate_incident(chain_spec(seed=3))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from mmrca.panel import ModalityPanel
 from mmrca.simulate import topological_order
@@ -10,6 +11,7 @@ from mmrca.structure import (
     acyclicity,
     adjacency_from_free,
     build_lagged,
+    expm,
     encode,
     encode_backward,
     fit,
@@ -250,6 +252,46 @@ class TestAcyclicity:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             acyclicity(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+
+# expm against scipy.linalg.expm, the implementation it replaced: relative to
+# the largest entry, 1e-12 is about 5000 float64 ulps, 1e-5 about 80 float32 ulps
+EXPM_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestExpm:
+    def assert_matches_scipy(self, a):
+        got, want = expm(a), scipy_expm(a)
+        assert got.dtype == a.dtype and got.shape == a.shape
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - want) <= EXPM_RTOL[a.dtype.type] * scale)
+        return got
+
+    def test_a_stack_scales_each_matrix_by_its_own_norm(self, dtype):
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.0, 1.0, (2, 6, 6))
+        a[0] *= 1e-3  # 1-norm near 4e-3: no squaring
+        a[1] *= 4.0  # 1-norm near 13: squared twice
+        a = a.astype(dtype)
+        got = self.assert_matches_scipy(a)
+        for v in range(2):
+            assert np.array_equal(got[v], expm(a[v]))
+
+    def test_zero_matrix_gives_the_identity(self, dtype):
+        assert np.array_equal(expm(np.zeros((2, 5, 5), dtype)), np.broadcast_to(np.eye(5), (2, 5, 5)))
+
+    def test_strictly_upper_triangular_dag(self, dtype):
+        rng = np.random.default_rng(1)
+        a = np.triu(rng.uniform(0.5, 3.0, (8, 8)), 1).astype(dtype)
+        got = self.assert_matches_scipy(a)
+        assert np.array_equal(np.tril(got, -1), np.zeros((8, 8)))
+        assert np.array_equal(np.diag(got), np.ones(8))  # so h is exactly 0 on a DAG
+
+    def test_a_large_norm_is_squared_down(self, dtype):
+        rng = np.random.default_rng(2)
+        a = (10.0 * rng.standard_normal((5, 5))).astype(dtype)  # 1-norm near 50: 4 squarings
+        self.assert_matches_scipy(a)
 
 
 def _truncated_series_oracle(b: np.ndarray, terms: int) -> float:
