@@ -9,9 +9,8 @@ with restart.
 from .encoder import (
     EncoderConfig,
     LogSequenceEncoder,
-    LogTokenizer,
-    TokenSequence,
     embed_windows,
+    log_series,
     reduce_to_series,
     train_log_encoder,
 )
@@ -55,11 +54,9 @@ __all__ = [
     "LearnerConfig",
     "LogSequenceEncoder",
     "LogTemplate",
-    "LogTokenizer",
     "ModalityPanel",
     "RankedRootCauses",
     "ScenarioSpec",
-    "TokenSequence",
     "WindowTable",
     "acyclicity",
     "aggregate_windows",
@@ -70,6 +67,7 @@ __all__ = [
     "fit",
     "fuse",
     "generate_incident",
+    "log_series",
     "loss_orth",
     "loss_var",
     "map_at_k",

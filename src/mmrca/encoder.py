@@ -6,11 +6,11 @@ transformer is trained to regress the golden-signal anomaly label of each
 window from the [CLS] position. Its sigmoid head (LogSequenceEncoder.score)
 maps a [CLS] state to an anomaly score in (0, 1), and the score of each
 (entity, window) cell is the entity's log series (reduce_to_series). When
-every window carries the same label there is nothing to regress, and the
-pipeline scores with an untrained encoder instead: its head weights are zero,
-so any [CLS] state scores exactly 0.5, and the pipeline skips running the
-transformer over the windows. The result is a constant series that says the
-logs hold no evidence.
+every window carries the same label there is nothing to regress, and
+log_series scores with an untrained encoder instead: its head weights are
+zero, so any [CLS] state scores exactly 0.5, and the transformer does not run
+over the windows. The result is a constant series that says the logs hold no
+evidence.
 
 Training runs the network once per distinct (token sequence, label) row and
 embedding once per distinct token sequence, in length groups: batches whose
@@ -29,9 +29,9 @@ backward pass follows the same rows. Every earlier layer runs at every
 position. A sequence of l tokens thus costs the last layer two d x d
 projections of l rows plus one row of the rest, not the whole layer at l rows.
 
-The pipeline tokenizes every window of its logs.WindowTable in one call
-(LogTokenizer.tokenize) and hands the same token sequences to training and to
-embedding.
+log_series, the encode stage's one call, tokenizes every cell of a
+logs.WindowTable into one flat token table and groups its distinct rows once
+per key (group_sequences).
 
 The network is plain numpy with hand-derived gradients so that training is
 bit-deterministic and the analytic gradients can be checked against finite
@@ -43,8 +43,8 @@ checks run, and train_log_encoder casts the parameters, the targets and the
 weights to float32 once the seed's draws and the head bias are set. Single
 precision halves the memory traffic and numpy's float32 tanh is several times
 faster than its float64 one; on one thread the encoder is bound by those, not
-by arithmetic. A checkpoint keeps the dtype it was saved in, so embed runs a
-float64 checkpoint in float64.
+by arithmetic. A checkpoint keeps the dtype it was saved in, so embed_windows
+runs a float64 checkpoint in float64.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from .nn import (
 )
 from .panel import ModalityPanel
 
-PAD_TOKEN = 0  # reserved (tok_emb keeps its row) but never emitted: nothing is padded
+# token id 0 is reserved (tok_emb keeps its row) but never emitted: nothing is padded
 CLS_TOKEN = 1
 EMPTY_TOKEN = 2
 N_RESERVED = 3
@@ -94,19 +95,6 @@ class EncoderConfig:
             raise ValueError("d_model must be divisible by n_heads")
 
 
-@dataclass
-class TokenSequence:
-    tokens: list[int]
-    max_len: int
-    truncated: bool = False
-
-    def __post_init__(self):
-        if not self.tokens or self.tokens[0] != CLS_TOKEN:
-            raise ValueError("token sequences must start with the CLS token")
-        if len(self.tokens) > self.max_len:
-            raise ValueError("token sequence exceeds max_len")
-
-
 def freq_bucket(frequency, n_buckets: int):
     """Log2 quantization of an int or an int array; bucket 0 is reserved for the
     empty-window marker.
@@ -122,79 +110,81 @@ def freq_bucket(frequency, n_buckets: int):
     return np.searchsorted(powers, frequency, side="right")
 
 
-class LogTokenizer:
-    """Maps windows to token id sequences over templates + frequency buckets."""
-
-    def __init__(self, vocab_size: int, config: EncoderConfig):
-        self.vocab_size = vocab_size
-        self.config = config
-
-    @property
-    def total_tokens(self) -> int:
-        return N_RESERVED + self.config.freq_buckets + self.vocab_size
-
-    def bucket_token(self, bucket):
-        return N_RESERVED + bucket
-
-    def template_token(self, template_id):
-        """The token of a template id or of each of an array of them; ValueError
-        names the first id that is neither in the vocabulary nor the empty template."""
-        ids = np.asarray(template_id, dtype=np.int64)
-        outside = (ids != EMPTY_TEMPLATE_ID) & ((ids < 0) | (ids >= self.vocab_size))
-        if outside.any():
-            raise ValueError(f"template id {ids[outside][0]} outside the vocabulary")
-        tokens = N_RESERVED + self.config.freq_buckets + ids
-        return np.where(ids == EMPTY_TEMPLATE_ID, EMPTY_TOKEN, tokens)
-
-    def tokenize(self, windows: WindowTable) -> list[TokenSequence]:
-        """The token sequence of every cell of the table, in cell order.
-
-        A cell's sequence is [CLS] and then, per template in the cell's order,
-        the template token and its frequency's bucket token. A cell holding
-        only the empty template gets the empty token and bucket 0. Pairs past
-        (max_len - 1) // 2 are cut, and the sequence is marked truncated. A
-        template id outside the vocabulary raises ValueError, whether cut or not.
-        """
-        templates, offsets = windows.templates, windows.offsets
-        template_tokens = self.template_token(templates)
-        buckets = freq_bucket(windows.frequencies, self.config.freq_buckets)
-        lengths = np.diff(offsets)
-        # a cell that holds only the empty template takes bucket 0
-        empty = lengths == 1
-        empty[empty] = templates[offsets[:-1][empty]] == EMPTY_TEMPLATE_ID
-        buckets[np.repeat(empty, lengths)] = 0
-
-        # the kept pairs of each cell, placed after its [CLS] token
-        kept = np.minimum(lengths, (self.config.max_len - 1) // 2)
-        rank = np.arange(len(templates)) - np.repeat(offsets[:-1], lengths)
-        keep = rank < np.repeat(kept, lengths)
-        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(1 + 2 * kept, out=starts[1:])
-        tokens = np.full(starts[-1], CLS_TOKEN, dtype=np.int64)
-        slots = np.repeat(starts[:-1], lengths)[keep] + 1 + 2 * rank[keep]
-        tokens[slots] = template_tokens[keep]
-        tokens[slots + 1] = self.bucket_token(buckets[keep])
-
-        flat, starts, truncated = tokens.tolist(), starts.tolist(), (lengths > kept).tolist()
-        return [
-            TokenSequence(tokens=flat[a:b], max_len=self.config.max_len, truncated=cut)
-            for a, b, cut in zip(starts[:-1], starts[1:], truncated)
-        ]
+def n_tokens(vocab_size: int, config: EncoderConfig) -> int:
+    """The number of token ids over vocab_size templates: the reserved tokens, the
+    frequency buckets and the templates. tok_emb has one row per token id."""
+    return N_RESERVED + config.freq_buckets + vocab_size
 
 
-def length_groups(sequences) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split token sequences into groups of one length, in ascending length.
+def tokenize(windows: WindowTable, vocab_size: int, config: EncoderConfig):
+    """The token sequence of every cell of the table, as one flat table.
 
-    Each group is (rows, ids): the indices of its sequences in input order and
-    their token ids, shape (len(rows), length).
+    Returns (tokens, offsets, truncated): cell c's sequence is the int64 ids
+    tokens[offsets[c]:offsets[c + 1]], and truncated[c] says whether it was
+    cut. A cell's sequence is [CLS] and then, per template in the cell's
+    order, the template token and its frequency's bucket token. A cell
+    holding only the empty template gets the empty token and bucket 0. Pairs
+    past (max_len - 1) // 2 are cut. A template id outside the vocabulary
+    raises ValueError naming the first one, whether cut or not.
     """
-    rows_of: dict[int, list[int]] = {}
-    for row, seq in enumerate(sequences):
-        rows_of.setdefault(len(seq), []).append(row)
-    return [
-        (np.array(rows), np.array([sequences[row] for row in rows], dtype=int))
-        for _, rows in sorted(rows_of.items())
-    ]
+    templates, offsets = windows.templates, windows.offsets
+    outside = (templates != EMPTY_TEMPLATE_ID) & ((templates < 0) | (templates >= vocab_size))
+    if outside.any():
+        raise ValueError(f"template id {templates[outside][0]} outside the vocabulary")
+    template_tokens = N_RESERVED + config.freq_buckets + templates
+    template_tokens[templates == EMPTY_TEMPLATE_ID] = EMPTY_TOKEN
+    buckets = freq_bucket(windows.frequencies, config.freq_buckets)
+    lengths = np.diff(offsets)
+    # a cell that holds only the empty template takes bucket 0
+    empty = lengths == 1
+    empty[empty] = templates[offsets[:-1][empty]] == EMPTY_TEMPLATE_ID
+    buckets[np.repeat(empty, lengths)] = 0
+
+    # the kept pairs of each cell, placed after its [CLS] token
+    kept = np.minimum(lengths, (config.max_len - 1) // 2)
+    rank = np.arange(len(templates)) - np.repeat(offsets[:-1], lengths)
+    keep = rank < np.repeat(kept, lengths)
+    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(1 + 2 * kept, out=starts[1:])
+    tokens = np.full(starts[-1], CLS_TOKEN, dtype=np.int64)
+    slots = np.repeat(starts[:-1], lengths)[keep] + 1 + 2 * rank[keep]
+    tokens[slots] = template_tokens[keep]
+    tokens[slots + 1] = N_RESERVED + buckets[keep]
+    return tokens, starts, lengths > kept
+
+
+class SequenceGroups(NamedTuple):
+    """The distinct rows of a token table, numbered in first-seen order.
+
+    rows[c] is cell c's row, counts[r] the number of cells of row r and
+    first[r] its first cell. by_length holds, per token length in ascending
+    order, the rows of that length in first-seen order and their tokens.
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+    by_length: list[tuple[np.ndarray, np.ndarray]]
+
+
+def group_sequences(tokens: np.ndarray, offsets: np.ndarray, labels=None) -> SequenceGroups:
+    """Group the cells of a token table by their tokens, or by (tokens, label)
+    when labels, an array, holds one label per cell."""
+    flat, ends = tokens.tobytes(), (offsets * tokens.itemsize).tolist()
+    keys = [flat[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    if labels is not None:
+        keys = zip(keys, labels.tolist(), strict=True)
+    row_of: dict = {}
+    rows = np.array([row_of.setdefault(key, len(row_of)) for key in keys], dtype=np.int64)
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    lengths = np.diff(offsets)[first]
+    by_length = []
+    # not np.unique(lengths): without an index or count to return, numpy 2.4's
+    # np.unique imports numpy.ma, about 25 ms and 1 MB, which nothing else loads
+    for length in sorted(set(lengths.tolist())):
+        members = np.flatnonzero(lengths == length)
+        by_length.append((members, tokens[offsets[first[members]][:, None] + np.arange(length)]))
+    return SequenceGroups(rows, counts, first, by_length)
 
 
 class LogSequenceEncoder:
@@ -203,7 +193,6 @@ class LogSequenceEncoder:
     def __init__(self, config: EncoderConfig, vocab_size: int):
         self.config = config
         self.vocab_size = vocab_size
-        self.tokenizer = LogTokenizer(vocab_size, config)
         self.history: list[float] = []
         self.diagnostics: dict = {}
         rng = np.random.default_rng(config.seed)
@@ -214,7 +203,7 @@ class LogSequenceEncoder:
         # attention near uniform. The rare anomalous windows then remain
         # linearly readable instead of drowning in an almost-constant [CLS].
         p: dict[str, np.ndarray] = {
-            "tok_emb": 0.5 * rng.standard_normal((self.tokenizer.total_tokens, d)),
+            "tok_emb": 0.5 * rng.standard_normal((n_tokens(vocab_size, config), d)),
             "pos_emb": 0.5 * rng.standard_normal((config.max_len, d)),
             "head_w": np.zeros((d, 1)),
             "head_b": np.zeros(1),
@@ -386,49 +375,29 @@ class LogSequenceEncoder:
         np.add.at(grads["tok_emb"], ids, dx)
         grads["pos_emb"][:l] += dx.sum(axis=0)
 
-    # -- embeddings -------------------------------------------------------------
-
-    def embed(self, sequences: list[TokenSequence]) -> np.ndarray:
-        """[CLS] hidden state per token sequence, running each distinct sequence once.
-
-        The distinct sequences run in length groups, so a row depends only on
-        its own tokens: it is bit-identical to running the sequence alone. The
-        rows have the dtype of the parameters.
-        """
-        row_of: dict[tuple, int] = {}
-        rows = [row_of.setdefault(tuple(s.tokens), len(row_of)) for s in sequences]
-        cls = np.empty((len(row_of), self.config.d_model), dtype=self.params["tok_emb"].dtype)
-        for group_rows, ids in length_groups(list(row_of)):
-            cls[group_rows] = self._forward(ids)[0][:, 0, :]
-        return cls[rows]
-
 
 def train_log_encoder(
-    sequences: list[TokenSequence],
-    labels: list[float],
-    config: EncoderConfig,
-    vocab_size: int,
+    groups: SequenceGroups, labels: np.ndarray, config: EncoderConfig, vocab_size: int
 ) -> LogSequenceEncoder:
     """Fit the anomaly-score regression by full-batch Adam; deterministic per seed.
 
-    sequences holds each window's tokens, as a LogTokenizer over vocab_size
-    templates and config made them, and labels each window's label. Duplicate
-    (token sequence, label) windows collapse into weighted rows, which run in
-    length groups: ascending token length, first-seen order within a length.
-    Each epoch runs every group forward and backward into one gradient and
-    takes one Adam step, so the per-epoch loss still equals the plain mean over
-    all windows. Training runs in float32: the returned encoder's parameters
-    are float32.
+    labels holds each window's label, and groups the windows' token
+    sequences over vocab_size templates and config, grouped by (tokens,
+    label) with group_sequences. Each distinct row is one weighted row of the
+    loss, and the rows run in length groups: ascending token length,
+    first-seen order within a length. Each epoch runs every group forward and
+    backward into one gradient and takes one Adam step, so the per-epoch loss
+    still equals the plain mean over all windows. Training runs in float32:
+    the returned encoder's parameters are float32.
     """
-    if not sequences:
+    labels = np.asarray(labels, dtype=float)
+    if not len(labels):
         raise ValueError("no windows to train on")
-    if len(labels) != len(sequences):
-        raise ValueError("labels must align with the token sequences")
+    if len(labels) != len(groups.rows) or np.any(labels[groups.first][groups.rows] != labels):
+        raise ValueError("the groups must hold the windows' (token sequence, label) rows")
+    row_labels = labels[groups.first]
     encoder = LogSequenceEncoder(config, vocab_size)
-
-    groups, diagnostics = group_windows(sequences, labels)
-    row_labels = np.array([label for _, label in groups], dtype=float)
-    weights = np.array(list(groups.values()), dtype=float)
+    weights = groups.counts.astype(float)
 
     # smoothed targets keep the optimum away from the sigmoid boundary, where
     # a vanished derivative would otherwise make collapsed predictions
@@ -443,10 +412,7 @@ def train_log_encoder(
 
     encoder.params = {key: value.astype(np.float32) for key, value in encoder.params.items()}
     targets, weights = targets.astype(np.float32), weights.astype(np.float32)
-    by_length = [
-        (ids, targets[rows], weights[rows])
-        for rows, ids in length_groups([tokens for tokens, _ in groups])
-    ]
+    by_length = [(ids, targets[rows], weights[rows]) for rows, ids in groups.by_length]
     optimizer = Adam(encoder.params, lr=config.lr)
     for epoch in range(config.epochs):
         loss, grads = encoder.loss_and_grads(by_length)
@@ -454,36 +420,50 @@ def train_log_encoder(
             raise FloatingPointError(f"training loss became non-finite at epoch {epoch}")
         encoder.history.append(loss)
         optimizer.step(grads)
-    encoder.diagnostics = diagnostics
     return encoder
 
 
-def group_windows(sequences: list[TokenSequence], labels) -> tuple[dict, dict]:
-    """Count the windows of each distinct (token sequence, label) pair, in first-seen order.
+def embed_windows(encoder: LogSequenceEncoder, groups: SequenceGroups) -> np.ndarray:
+    """[CLS] hidden state per window, given the windows' token sequences grouped by tokens.
 
-    sequences and labels hold one entry per window. Returns the counts and the
-    diagnostics the encoder manifest reports: the windows whose sequence was
-    truncated and the number of distinct pairs.
+    Shape (n_windows, d_model), no gradients kept, in the dtype of the
+    parameters. Each distinct sequence runs once, in length groups, so a row
+    depends only on its own tokens, and the windows that share a sequence
+    share its row, bit-identical to running each window alone.
     """
-    groups: dict[tuple, int] = {}
-    for sequence, label in zip(sequences, labels):
-        key = (tuple(sequence.tokens), label)
-        groups[key] = groups.get(key, 0) + 1
-    truncated = sum(sequence.truncated for sequence in sequences)
-    return groups, {"truncated_windows": truncated, "unique_sequences": len(groups)}
-
-
-def embed_windows(encoder: LogSequenceEncoder, sequences: list[TokenSequence]) -> np.ndarray:
-    """[CLS] hidden state per window, given each window's token sequence.
-
-    Shape (n_windows, d_model), no gradients kept. Windows with identical
-    token sequences are embedded once, in length groups, and share the
-    resulting row, bit-identical to running each window alone.
-    """
-    return encoder.embed(sequences)
+    cls = np.empty((len(groups.counts), encoder.config.d_model), encoder.params["tok_emb"].dtype)
+    for rows, ids in groups.by_length:
+        cls[rows] = encoder._forward(ids)[0][:, 0, :]
+    return cls[groups.rows]
 
 
 # --- the log series --------------------------------------------------------------
+
+
+def log_series(
+    windows: WindowTable, vocab_size: int, config: EncoderConfig, kpi: np.ndarray,
+    entity_names: list[str],
+) -> tuple[ModalityPanel, LogSequenceEncoder]:
+    """Score every window of the table and place the scores into the log panel.
+
+    Returns the panel and the encoder, which trains on the windows' labels, or
+    stays untrained and does not run when every window has one label. Its
+    diagnostics count the truncated windows and the distinct (token
+    sequence, label) rows.
+    """
+    tokens, offsets, truncated = tokenize(windows, vocab_size, config)
+    by_label = group_sequences(tokens, offsets, windows.labels)
+    if len(set(windows.labels.tolist())) > 1:
+        encoder = train_log_encoder(by_label, windows.labels, config, vocab_size)
+        cls = embed_windows(encoder, group_sequences(tokens, offsets))
+    else:
+        encoder = LogSequenceEncoder(config, vocab_size)
+        cls = np.zeros((windows.n_cells, config.d_model))
+    encoder.diagnostics = {
+        "truncated_windows": int(truncated.sum()),
+        "unique_sequences": len(by_label.counts),
+    }
+    return reduce_to_series(encoder.score(cls), windows, kpi, entity_names), encoder
 
 
 def reduce_to_series(

@@ -88,23 +88,28 @@ def evaluate_cases(cases: list[EvaluationCase], k_values: list[int]) -> dict:
     return report
 
 
-def case_from_files(ranking_path, truth_path) -> EvaluationCase:
-    """Build a case from an exported ranking JSON and a ground-truth JSON sidecar."""
+def case_from_files(ranking_path, truth_path) -> EvaluationCase | None:
+    """Build a case from an exported ranking JSON and a ground-truth JSON sidecar;
+    None when the ground truth names no root cause (no fault was planted)."""
+    with open(truth_path) as fh:
+        root = json.load(fh)["root_cause_name"]
+    if root is None:
+        return None
     with open(ranking_path) as fh:
         ranking = json.load(fh)
-    with open(truth_path) as fh:
-        truth = json.load(fh)
     predicted = [entry["entity"] for entry in ranking["ranking"]]
-    root = truth["root_cause_name"]
     return EvaluationCase(predicted=predicted, truth={root})
 
 
 def format_report(report: dict) -> str:
-    """Plain-text table for a metrics report dict."""
+    """Plain-text table for a metrics report dict. A report without cases comes
+    from an incident with no planted fault, and says so."""
     lines = [f"{'metric':<10} value", "-" * 18]
     for key in sorted(report):
         if key == "n_cases":
             continue
         lines.append(f"{key:<10} {report[key]:.4f}")
     lines.append(f"{'cases':<10} {report['n_cases']}")
+    if not report["n_cases"]:
+        lines.append("no fault was planted: no case was scored")
     return "\n".join(lines) + "\n"

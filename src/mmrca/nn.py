@@ -23,6 +23,10 @@ import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+LAYER_NORM_EPS = 1e-5
+ADAM_BETA1 = 0.9  # decay of Adam's first moment estimate
+ADAM_BETA2 = 0.999  # decay of its second moment estimate
+ADAM_EPS = 1e-8
 
 
 _KINDS = {
@@ -83,7 +87,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalise over the last axis, then scale and shift; returns the output and its cache.
 
     The centred input is computed once and serves both the variance and xhat:
@@ -93,7 +97,7 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv_std
     return gamma * xhat + beta, (xhat, inv_std, gamma)
 
@@ -116,24 +120,15 @@ class Adam:
     """Adaptive-moment gradient descent over a dict of parameter arrays (in place).
 
     step(grads) updates every key of grads with bias-corrected first and second
-    moment estimates; there is no weight decay. The moments, the parameters and
+    moment estimates (decays ADAM_BETA1 and ADAM_BETA2, denominator offset
+    ADAM_EPS); there is no weight decay. The moments, the parameters and
     two per-key work arrays are updated in place, in the order of operations of
     the textbook expressions, so the result is the same to the bit.
     """
 
-    def __init__(
-        self,
-        params: dict,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -141,7 +136,7 @@ class Adam:
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for key, g in grads.items():
             m, v = self.m[key], self.v[key]
             update, denom = self._work[key]
@@ -157,7 +152,7 @@ class Adam:
             np.divide(m, 1 - b1**self.t, out=update)
             np.divide(v, 1 - b2**self.t, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             update /= denom
             update *= self.lr
             self.params[key] -= update

@@ -3,14 +3,13 @@
 The simulate command writes one metric panel to metrics.csv under the name
 config["metric_kind"], and the encode stage reads the rows of that name.
 Stage order: ingest logs -> score every window with the log encoder's
-regression head and place the scores into one series per entity (when every
-window label is the same, the encoder is neither trained nor run over the
-windows: its untrained head scores every window 0.5) -> KPI-aware attention ->
-joint structure learning -> fuse -> random walk -> rank -> evaluate. Every
-stage writes each of its artifacts atomically (atomic.atomic_open: the bytes
-go to a .partial file that is renamed onto the final name once complete, so a
-failed write leaves the earlier artifact intact and a .partial behind), and a
-manifest records the resolved config hash, seed and stage timings.
+regression head and place the scores into one series per entity
+(encoder.log_series) -> KPI-aware attention -> joint structure learning ->
+fuse -> random walk -> rank -> evaluate. Every stage writes each of its
+artifacts atomically (atomic.atomic_open: the bytes go to a .partial file
+that is renamed onto the final name once complete, so a failed write leaves
+the earlier artifact intact and a .partial behind), and a manifest records
+the resolved config hash, seed and stage timings.
 
 Every stage runs through run_stage, which sets each OpenBLAS library that
 numpy bundles to one thread for the stage and restores the previous
@@ -37,10 +36,10 @@ incident stays float64).
 The log data moves between the stages in columns. Ingest parses the records
 into one event array and windows and labels them into a logs.WindowTable,
 which windows.jsonl holds one line per cell. Encode reads that file back into
-a table, tokenizes all its cells in one call, hands the same token sequences
-to training and to embedding, and reshapes the window scores into the log
-panel by the table's entity-major cell order. The panels go to and from disk
-through panel.write_panel_csv and panel.read_panel_csv.
+a table and makes one call, encoder.log_series, which tokenizes the cells into
+one token table, trains and embeds on its distinct rows, and places the scores
+into the log panel in the table's entity-major cell order. Panels go to and
+from disk through panel.write_panel_csv and panel.read_panel_csv.
 """
 
 from __future__ import annotations
@@ -267,10 +266,6 @@ def _paths(config: dict) -> dict:
     }
 
 
-def _n_windows(horizon: int, window_size: int) -> int:
-    return -(-horizon // window_size)
-
-
 def _check_lags_fit(config: dict, truth: dict) -> int:
     """The incident's window count; ValueError if the lags need more windows than that.
 
@@ -279,7 +274,7 @@ def _check_lags_fit(config: dict, truth: dict) -> int:
     horizon, so load_config cannot check it; the ingest and encode stages
     check it before they write anything.
     """
-    n_windows = _n_windows(truth["horizon_T"], config["window_size"])
+    n_windows = -(-truth["horizon_T"] // config["window_size"])
     p = config["learner"]["p"]
     if n_windows < 2 * p:
         raise ValueError(
@@ -331,24 +326,10 @@ def stage_encode(config: dict) -> None:
             f"metrics list {metric_native.entity_names}, the logs {truth['entity_names']}"
         )
 
-    enc_config = encoder_config_from(config)
-    tokenizer = encoder_mod.LogTokenizer(len(vocabulary), enc_config)
-    sequences = tokenizer.tokenize(windows)
-    labels = windows.labels.tolist()
-    if len(set(labels)) > 1:
-        encoder = encoder_mod.train_log_encoder(sequences, labels, enc_config, len(vocabulary))
-        cls = encoder_mod.embed_windows(encoder, sequences)
-    else:
-        # one label value leaves nothing to regress: the untrained head's zero
-        # weights score any [CLS] state 0.5, so the transformer need not run
-        encoder = encoder_mod.LogSequenceEncoder(enc_config, len(vocabulary))
-        _, encoder.diagnostics = encoder_mod.group_windows(sequences, labels)
-        cls = np.zeros((windows.n_cells, enc_config.d_model))
-    scores = encoder.score(cls)
-
     metric_panel = aggregate_windows(metric_native, config["window_size"])
-    panel = encoder_mod.reduce_to_series(
-        scores, windows, kpi=metric_panel.kpi, entity_names=truth["entity_names"]
+    panel, encoder = encoder_mod.log_series(
+        windows, len(vocabulary), encoder_config_from(config), metric_panel.kpi,
+        truth["entity_names"],
     )
     encoder_mod.save_encoder(encoder, paths["encoder"], paths["encoder_manifest"], vocabulary)
     write_panel_csv(panel, paths["log_panel"], "log_score")
@@ -426,9 +407,14 @@ def stage_localize(config: dict) -> None:
 
 
 def stage_evaluate(config: dict) -> dict:
+    """Score the ranking against the ground truth. An incident with no planted
+    fault has no root cause to score, so its report holds no case."""
     paths = _paths(config)
     case = metrics_mod.case_from_files(paths["ranking"], paths["ground_truth"])
-    report = metrics_mod.evaluate_cases([case], config["evaluation"]["k_values"])
+    if case is None:
+        report = {"n_cases": 0}
+    else:
+        report = metrics_mod.evaluate_cases([case], config["evaluation"]["k_values"])
     _write_text(paths["report"], json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_text(paths["report_txt"], metrics_mod.format_report(report))
     return report

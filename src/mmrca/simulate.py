@@ -76,10 +76,6 @@ class ScenarioSpec:
             raise ValueError("noise_std must be non-negative")
         if self.log_lag < 1:
             raise ValueError("log_lag must be >= 1")
-        parents = kpi_parents(dag)
-        reachable = descendants(dag, self.root_cause) | {self.root_cause}
-        if not reachable & set(parents):
-            raise ValueError("root_cause has no directed path to the KPI-affecting entities")
 
 
 @dataclass
@@ -109,17 +105,6 @@ def topological_order(dag: np.ndarray) -> list[int] | None:
             if indegree[j] == 0:
                 queue.append(int(j))
     return order if len(order) == n else None
-
-
-def descendants(dag: np.ndarray, node: int) -> set[int]:
-    seen: set[int] = set()
-    stack = list(np.flatnonzero(dag[node]))
-    while stack:
-        cur = int(stack.pop())
-        if cur not in seen:
-            seen.add(cur)
-            stack.extend(int(j) for j in np.flatnonzero(dag[cur]))
-    return seen
 
 
 def hop_distances(dag: np.ndarray, source: int) -> dict[int, int]:
@@ -330,13 +315,16 @@ def write_incident(dataset: IncidentDataset, directory, metric_name: str) -> dic
 
 
 def ground_truth_to_json(dataset: IncidentDataset) -> str:
+    """The incident's ground truth as JSON. A "none" incident planted no fault, so
+    its root_cause and root_cause_name are null, whatever entity the spec drew."""
     spec = dataset.ground_truth
+    root = None if spec.fault_type == "none" else spec.root_cause
     payload = {
         "n_entities": spec.n_entities,
         "entity_names": dataset.entity_names,
         "ground_truth_dag": spec.ground_truth_dag.tolist(),
-        "root_cause": spec.root_cause,
-        "root_cause_name": dataset.entity_names[spec.root_cause],
+        "root_cause": root,
+        "root_cause_name": None if root is None else dataset.entity_names[root],
         "fault_type": spec.fault_type,
         "horizon_T": spec.horizon_T,
         "noise_std": spec.noise_std,

@@ -143,6 +143,19 @@ class TestStageCommands:
         assert {line.split(",")[2] for line in lines[1:]} == {"mem", "kpi"}
         assert (out / "ranking.json").exists()
 
+    def test_an_incident_without_a_fault_is_reported_apart(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        scenario = dict(self.TINY["scenario"], fault_type="none")
+        assert self.run(tmp_path, "simulate", out, scenario=scenario) == 0
+        assert self.run(tmp_path, "run-pipeline", out, scenario=scenario) == 0
+        truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
+        assert truth["root_cause"] is None and truth["root_cause_name"] is None
+        assert json.loads((out / "metrics_report.json").read_text()) == {"n_cases": 0}
+        assert "no fault was planted" in (out / "metrics_report.txt").read_text()
+        capsys.readouterr()
+        assert self.run(tmp_path, "evaluate", out, scenario=scenario) == 0
+        assert json.loads(capsys.readouterr().out) == {"n_cases": 0}
+
     def test_learn_before_encode_is_a_validation_failure(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert self.run(tmp_path, "simulate", out) == 0

@@ -12,13 +12,15 @@ from mmrca.encoder import (
     EncoderConfig,
     LogSequenceEncoder,
     N_RESERVED,
-    LogTokenizer,
     embed_windows,
     freq_bucket,
-    length_groups,
+    group_sequences,
     load_encoder,
+    log_series,
+    n_tokens,
     reduce_to_series,
     save_encoder,
+    tokenize,
     train_log_encoder,
     vocabulary_hash,
 )
@@ -51,23 +53,40 @@ def table(windows):
     )
 
 
-def tokenize(tokenizer, w):
-    return tokenizer.tokenize(table([w]))[0]
+def sequences(windows, vocab_size, config):
+    """Each window's token ids as a list, and whether each was cut."""
+    tokens, offsets, truncated = tokenize(table(windows), vocab_size, config)
+    return [tokens[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])], truncated.tolist()
 
 
-def sequences_of(enc, windows):
-    return enc.tokenizer.tokenize(table(windows))
+def tokens_of(w, vocab_size, config):
+    return sequences([w], vocab_size, config)[0][0]
+
+
+def template_token(template_id, config):
+    return N_RESERVED + config.freq_buckets + template_id
+
+
+def bucket_token(bucket):
+    return N_RESERVED + bucket
+
+
+def groups_of(enc, windows):
+    """The windows' token sequences grouped by tokens, as embed_windows takes them."""
+    tokens, offsets, _ = tokenize(table(windows), enc.vocab_size, enc.config)
+    return group_sequences(tokens, offsets)
 
 
 def train(windows, config, vocab_size=None):
-    """train_log_encoder on windows tokenized as the pipeline does; by default the
-    vocabulary is the templates the windows use."""
+    """train_log_encoder on windows tokenized and grouped as the pipeline does; by
+    default the vocabulary is the templates the windows use."""
     if vocab_size is None:
         vocab_size = 1 + max(
             (t for w in windows for t in w.templates if t != EMPTY_TEMPLATE_ID), default=-1
         )
-    sequences = LogTokenizer(vocab_size, config).tokenize(table(windows))
-    return train_log_encoder(sequences, [w.label for w in windows], config, vocab_size)
+    tokens, offsets, _ = tokenize(table(windows), vocab_size, config)
+    labels = np.array([w.label for w in windows])
+    return train_log_encoder(group_sequences(tokens, offsets, labels), labels, config, vocab_size)
 
 
 class TestConfigValidation:
@@ -108,53 +127,49 @@ class TestFreqBuckets:
 
 class TestTokenizer:
     def test_single_template(self):
-        tok = LogTokenizer(vocab_size=4, config=toy_config())
-        seq = tokenize(tok, window([1], [1]))
-        assert seq.tokens == [CLS_TOKEN, tok.template_token(1), tok.bucket_token(1)]
+        cfg = toy_config()
+        seq = tokens_of(window([1], [1]), 4, cfg)
+        assert seq == [CLS_TOKEN, template_token(1, cfg), bucket_token(1)]
 
     def test_empty_window_uses_reserved_tokens(self):
-        tok = LogTokenizer(vocab_size=4, config=toy_config())
-        seq = tokenize(tok, window([EMPTY_TEMPLATE_ID], [1]))
-        assert seq.tokens == [CLS_TOKEN, EMPTY_TOKEN, tok.bucket_token(0)]
+        seq = tokens_of(window([EMPTY_TEMPLATE_ID], [1]), 4, toy_config())
+        assert seq == [CLS_TOKEN, EMPTY_TOKEN, bucket_token(0)]
 
     def test_frequencies_interleaved(self):
-        tok = LogTokenizer(vocab_size=4, config=toy_config())
-        seq = tokenize(tok, window([0, 2], [1, 1024]))
-        assert seq.tokens == [
+        cfg = toy_config()
+        seq = tokens_of(window([0, 2], [1, 1024]), 4, cfg)
+        assert seq == [
             CLS_TOKEN,
-            tok.template_token(0), tok.bucket_token(1),
-            tok.template_token(2), tok.bucket_token(11),
+            template_token(0, cfg), bucket_token(1),
+            template_token(2, cfg), bucket_token(11),
         ]
 
     def test_truncation_counted_and_pairs_kept_whole(self):
-        tok = LogTokenizer(vocab_size=50, config=toy_config(max_len=8))
-        seq = tokenize(tok, window(list(range(10)), [1] * 10))
-        assert len(seq.tokens) == 1 + 2 * 3  # CLS + 3 whole pairs
-        assert seq.truncated
+        (seq,), (cut,) = sequences([window(list(range(10)), [1] * 10)], 50, toy_config(max_len=8))
+        assert len(seq) == 1 + 2 * 3  # CLS + 3 whole pairs
+        assert cut
 
     def test_all_ids_within_total_vocabulary(self):
         cfg = toy_config()
-        tok = LogTokenizer(vocab_size=7, config=cfg)
-        seq = tokenize(tok, window([0, 6], [3, 9]))
-        assert all(0 <= t < tok.total_tokens for t in seq.tokens)
+        seq = tokens_of(window([0, 6], [3, 9]), 7, cfg)
+        assert all(0 <= t < n_tokens(7, cfg) for t in seq)
 
     def test_unknown_template_rejected(self):
-        tok = LogTokenizer(vocab_size=3, config=toy_config())
         with pytest.raises(ValueError):
-            tokenize(tok, window([5], [1]))
+            tokens_of(window([5], [1]), 3, toy_config())
 
 
-def oracle_tokens(tok, w):
+def oracle_tokens(config, w):
     """The per-window tokenize that the table's tokenizer replaced: (tokens, truncated)."""
     if list(w.templates) == [EMPTY_TEMPLATE_ID]:
         pairs = [(EMPTY_TOKEN, N_RESERVED)]
     else:
         pairs = [
-            (EMPTY_TOKEN if t == EMPTY_TEMPLATE_ID else N_RESERVED + tok.config.freq_buckets + t,
-             N_RESERVED + min(tok.config.freq_buckets - 1, int(f).bit_length()))
+            (EMPTY_TOKEN if t == EMPTY_TEMPLATE_ID else N_RESERVED + config.freq_buckets + t,
+             N_RESERVED + min(config.freq_buckets - 1, int(f).bit_length()))
             for t, f in zip(w.templates, w.frequencies)
         ]
-    max_pairs = (tok.config.max_len - 1) // 2
+    max_pairs = (config.max_len - 1) // 2
     return [CLS_TOKEN] + [x for pair in pairs[:max_pairs] for x in pair], len(pairs) > max_pairs
 
 
@@ -177,23 +192,107 @@ class TestTokenizeTable:
                 frequencies = 2 ** rng.integers(0, 40, n) + rng.integers(0, 3, n)
                 windows.append(window(templates, frequencies.tolist()))
         config = toy_config(max_len=int(rng.integers(1, 20)), freq_buckets=int(rng.integers(1, 20)))
-        tok = LogTokenizer(20, config)
-        sequences = tok.tokenize(table(windows))
-        assert [(s.tokens, s.truncated) for s in sequences] == [oracle_tokens(tok, w) for w in windows]
-        assert all(type(t) is int for s in sequences for t in s.tokens)
+        tokens, offsets, truncated = tokenize(table(windows), 20, config)
+        assert tokens.dtype == offsets.dtype == np.int64
+        cells = zip(offsets[:-1], offsets[1:], truncated)
+        got = [(tokens[a:b].tolist(), cut) for a, b, cut in cells]
+        assert got == [oracle_tokens(config, w) for w in windows]
 
     def test_a_template_outside_the_vocabulary_is_named_even_when_cut(self):
-        tok = LogTokenizer(vocab_size=3, config=toy_config(max_len=3))
         with pytest.raises(ValueError, match="template id 7 outside the vocabulary"):
-            tok.tokenize(table([window([0], [1]), window([1, 7, 9], [1, 1, 1])]))
+            windows = table([window([0], [1]), window([1, 7, 9], [1, 1, 1])])
+            tokenize(windows, 3, toy_config(max_len=3))
 
 
-class TestSequenceContract:
-    def test_must_start_with_cls(self):
-        from mmrca.encoder import TokenSequence
+def oracle_group_windows(sequences, labels):
+    """The dict grouping that group_sequences replaced for training and the
+    manifest: the window count of each distinct (token sequence, label) pair,
+    in first-seen order."""
+    groups = {}
+    for tokens, label in zip(sequences, labels):
+        key = (tuple(tokens), label)
+        groups[key] = groups.get(key, 0) + 1
+    return groups
 
-        with pytest.raises(ValueError):
-            TokenSequence(tokens=[5, 1], max_len=8)
+
+def oracle_length_groups(sequences):
+    """The length split that group_sequences replaced: (rows, ids) per token
+    length, ascending, with the rows in input order."""
+    rows_of = {}
+    for row, seq in enumerate(sequences):
+        rows_of.setdefault(len(seq), []).append(row)
+    return [
+        (np.array(rows), np.array([sequences[row] for row in rows], dtype=int))
+        for _, rows in sorted(rows_of.items())
+    ]
+
+
+def oracle_embed_rows(sequences):
+    """The dict grouping that group_sequences replaced for embedding: each window's
+    row, and the distinct token sequences in first-seen order."""
+    row_of = {}
+    rows = [row_of.setdefault(tuple(s), len(row_of)) for s in sequences]
+    return rows, [list(s) for s in row_of]
+
+
+def random_windows(rng, n):
+    """n windows drawn from a small pool, so sequences repeat, each under a random label."""
+    pool = [window([], []), window([EMPTY_TEMPLATE_ID], [1])]
+    for _ in range(10):
+        k = int(rng.integers(1, 7))
+        pool.append(window(rng.permutation(12)[:k].tolist(), rng.integers(1, 9, k).tolist()))
+    picks = rng.integers(0, len(pool), n)
+    labels = rng.choice([0.0, 0.25, 1.0], n)
+    return [pool[i]._replace(label=float(label)) for i, label in zip(picks, labels)]
+
+
+class TestGroupSequences:
+    @staticmethod
+    def assert_same_length_groups(got, want):
+        assert len(got) == len(want)
+        for (rows, ids), (want_rows, want_ids) in zip(got, want):
+            assert rows.tolist() == want_rows.tolist()
+            assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_dict_grouping_it_replaced(self, seed):
+        rng = np.random.default_rng(seed)
+        windows = random_windows(rng, 300)
+        tokens, offsets, truncated = tokenize(table(windows), 12, toy_config(max_len=9))
+        seqs = [tokens[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+        labels = np.array([w.label for w in windows])
+        assert truncated.any() and not truncated.all()
+        assert len({len(seq) for seq in seqs}) >= 4
+
+        # by (tokens, label): training and the manifest
+        counted = oracle_group_windows(seqs, labels.tolist())
+        keys = list(counted)
+        groups = group_sequences(tokens, offsets, labels)
+        assert groups.counts.tolist() == list(counted.values())
+        row_of = {key: row for row, key in enumerate(keys)}
+        assert groups.rows.tolist() == [row_of[tuple(s), y] for s, y in zip(seqs, labels.tolist())]
+        assert groups.first.tolist() == [groups.rows.tolist().index(r) for r in range(len(keys))]
+        assert labels[groups.first].tolist() == [label for _, label in keys]
+        self.assert_same_length_groups(
+            groups.by_length, oracle_length_groups([list(tokens) for tokens, _ in keys])
+        )
+
+        # by tokens: embedding
+        rows, distinct = oracle_embed_rows(seqs)
+        groups = group_sequences(tokens, offsets)
+        assert len(distinct) < len(keys)  # some sequences repeat under different labels
+        assert groups.rows.tolist() == rows
+        assert groups.counts.tolist() == np.bincount(rows).tolist()
+        self.assert_same_length_groups(groups.by_length, oracle_length_groups(distinct))
+
+    def test_training_rejects_groups_that_ignore_the_labels(self):
+        windows = [window([0], [1], label=0.0), window([0], [1], label=1.0)]
+        config = toy_config(epochs=1)
+        tokens, offsets, _ = tokenize(table(windows), 1, config)
+        labels = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="token sequence, label"):
+            train_log_encoder(group_sequences(tokens, offsets), labels, config, 1)
+        train_log_encoder(group_sequences(tokens, offsets, labels), labels, config, 1)
 
 
 def separable_corpus(n_each=30):
@@ -230,11 +329,11 @@ class TestTraining:
 
     def test_truncated_windows_counted_once_each(self):
         windows = [window(list(range(10)), [1] * 10) for i in range(3)]
-        windows += [window([i % 3], [1]) for i in range(5)]
-        encoder = train(windows, toy_config(max_len=8, epochs=2), vocab_size=10)
-        assert encoder.diagnostics["truncated_windows"] == 3
-        embed_windows(encoder, sequences_of(encoder, windows))
-        assert encoder.diagnostics["truncated_windows"] == 3
+        windows += [window([i % 3], [1], label=float(i % 2)) for i in range(5)]
+        _, encoder = log_series(table(windows), 10, toy_config(max_len=8, epochs=2),
+                                kpi=np.zeros(len(windows)), entity_names=["e0"])
+        assert len(encoder.history) == 2  # trained and embedded
+        assert encoder.diagnostics == {"truncated_windows": 3, "unique_sequences": 6}
 
     def test_same_seed_identical_parameters(self):
         windows = separable_corpus(10)
@@ -249,13 +348,13 @@ class TestTraining:
         assert len(encoder.history) == 25
 
     def test_empty_windows_rejected(self):
-        with pytest.raises(ValueError):
-            train_log_encoder([], [], toy_config(), vocab_size=1)
+        with pytest.raises(ValueError, match="no windows"):
+            train([], toy_config(), vocab_size=1)
 
 
 def alone(enc, w):
     """[CLS] state of one window run by itself, at its own length."""
-    return enc._forward(np.array([tokenize(enc.tokenizer, w).tokens]))[0][0, 0, :]
+    return enc._forward(np.array([tokens_of(w, enc.vocab_size, enc.config)]))[0][0, 0, :]
 
 
 def padded_loss_and_grads(enc, sequences, labels, weights):
@@ -367,7 +466,7 @@ class TestLastLayer:
 
     @staticmethod
     def ids(enc, b, length, seed=0):
-        ids = np.random.default_rng(seed).integers(0, enc.tokenizer.total_tokens, size=(b, length))
+        ids = np.random.default_rng(seed).integers(0, n_tokens(enc.vocab_size, enc.config), size=(b, length))
         ids[:, 0] = CLS_TOKEN
         return ids
 
@@ -407,9 +506,11 @@ def scaled_encoder():
 
 
 def by_length(enc, windows, weights):
+    """(ids, labels, weights) per length group of distinct windows: row r is window r."""
     labels = np.array([w.label for w in windows])
-    return [(ids, labels[rows], weights[rows])
-            for rows, ids in length_groups([tokenize(enc.tokenizer, w).tokens for w in windows])]
+    groups = groups_of(enc, windows)
+    assert groups.rows.tolist() == list(range(len(windows)))
+    return [(ids, labels[rows], weights[rows]) for rows, ids in groups.by_length]
 
 
 class TestGradients:
@@ -459,7 +560,7 @@ class TestGradients:
         assert [ids.shape[1] for ids, _, _ in groups] == [3, 5, 7]
         loss, grads = enc.loss_and_grads(groups)
         ref_loss, ref_grads = padded_loss_and_grads(
-            enc, [tokenize(enc.tokenizer, w).tokens for w in windows],
+            enc, [tokens_of(w, enc.vocab_size, enc.config) for w in windows],
             np.array([w.label for w in windows]), weights,
         )
         assert abs(loss - ref_loss) <= 1e-12
@@ -511,7 +612,7 @@ class TestPrecision:
         cached = [a for cache in caches for value in cache.values()
                   for a in (value if isinstance(value, tuple) else (value,))]
         assert {a.dtype for a in [hidden, *cached]} == {np.dtype(np.float32)}
-        emb = enc.embed(sequences_of(enc, self.WINDOWS))
+        emb = embed_windows(enc, groups_of(enc, self.WINDOWS))
         assert emb.dtype == enc.score(emb).dtype == np.float32
 
     def test_training_runs_in_float32(self):
@@ -606,19 +707,19 @@ class TestEmbeddings:
     def test_identical_windows_identical_rows(self):
         windows = [window([0], [2]), window([0], [2])]
         encoder = train(windows + [window([1], [1], label=1.0)], toy_config(epochs=10))
-        emb = embed_windows(encoder, sequences_of(encoder, windows))
+        emb = embed_windows(encoder, groups_of(encoder, windows))
         assert np.array_equal(emb[0], emb[1])
 
     def test_shape_contract(self):
         windows = separable_corpus(4)
         encoder = train(windows, toy_config(epochs=5))
-        emb = embed_windows(encoder, sequences_of(encoder, windows))
+        emb = embed_windows(encoder, groups_of(encoder, windows))
         assert emb.shape == (len(windows), encoder.config.d_model)
 
     def test_trained_embeddings_separate_keyword_windows(self):
         windows = separable_corpus()
         encoder = train(windows, toy_config(epochs=250))
-        emb = embed_windows(encoder, sequences_of(encoder, windows))
+        emb = embed_windows(encoder, groups_of(encoder, windows))
         labels = np.array([w.label for w in windows])
         pos = emb[labels == 1.0].mean(axis=0)
         neg = emb[labels == 0.0].mean(axis=0)
@@ -637,27 +738,27 @@ class TestEmbeddings:
             window(list(range(8)), [1] * 8),
             window([4, 6], [2, 2]),
         ]
-        emb = enc.embed(sequences_of(enc, windows))
+        emb = embed_windows(enc, groups_of(enc, windows))
         # the reference runs each window by itself, at its own length
         reference = np.vstack([alone(enc, w) for w in windows])
         assert emb.shape == (len(windows), enc.config.d_model)
         assert np.array_equal(emb, reference)
         order = np.random.default_rng(0).permutation(len(windows))
-        shuffled = sequences_of(enc, [windows[i] for i in order])
-        assert np.array_equal(enc.embed(shuffled), reference[order])
+        shuffled = groups_of(enc, [windows[i] for i in order])
+        assert np.array_equal(embed_windows(enc, shuffled), reference[order])
 
     def test_a_window_embeds_the_same_beside_a_longer_one(self):
         enc = LogSequenceEncoder(toy_config(seed=4), vocab_size=8)
         short = [window([0], [1]), window([3, 2], [9, 1]), window([EMPTY_TEMPLATE_ID], [1])]
         longest = window(list(range(8)), [1] * 8)
         for w in short:
-            beside = enc.embed(sequences_of(enc, [w, longest]))[0]
-            assert np.array_equal(enc.embed(sequences_of(enc, [w]))[0], beside)
+            beside = embed_windows(enc, groups_of(enc, [w, longest]))[0]
+            assert np.array_equal(embed_windows(enc, groups_of(enc, [w]))[0], beside)
 
     def test_order_sensitivity_at_random_init(self):
         cfg = toy_config(seed=9)
         enc = LogSequenceEncoder(cfg, vocab_size=5)
-        fwd = enc.embed(sequences_of(enc, [window([0, 1], [1, 1]), window([1, 0], [1, 1])]))
+        fwd = embed_windows(enc, groups_of(enc, [window([0, 1], [1, 1]), window([1, 0], [1, 1])]))
         assert not np.allclose(fwd[0], fwd[1])
 
 
@@ -719,10 +820,10 @@ class TestPersistence:
         ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
         save_encoder(encoder, ckpt, manifest, vocabulary)
         restored = load_encoder(ckpt, manifest)
-        sequences = sequences_of(restored, separable_corpus(2))
-        emb = restored.embed(sequences)
+        groups = groups_of(restored, separable_corpus(2))
+        emb = embed_windows(restored, groups)
         assert emb.dtype == np.float64
-        assert np.array_equal(emb, encoder.embed(sequences))
+        assert np.array_equal(emb, embed_windows(encoder, groups))
 
     def test_checkpoint_from_another_save_is_rejected(self, tmp_path, monkeypatch):
         # a save that fails between its two files leaves the new checkpoint

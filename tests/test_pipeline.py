@@ -215,16 +215,17 @@ class TestLogSeries:
 
         out = tmp_path / "out"
         encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
-        sequences = encoder.tokenizer.tokenize(windows)
+        tokens, offsets, _ = encoder_mod.tokenize(windows, encoder.vocab_size, encoder.config)
         with pipeline._one_blas_thread():
-            cls = encoder_mod.embed_windows(encoder, sequences)
+            cls = encoder_mod.embed_windows(encoder, encoder_mod.group_sequences(tokens, offsets))
         logits = (cls @ encoder.params["head_w"]).ravel() + encoder.params["head_b"][0]
         expected = sigmoid(logits)
         values_of = defaultdict(set)
-        for cell, (sequence, score) in enumerate(zip(sequences, expected)):
+        for cell, score in enumerate(expected):
             entity, index = divmod(cell, windows.n_windows)
             assert panel.values[entity, index] == score, (entity, index)
-            values_of[tuple(sequence.tokens)].add(panel.values[entity, index])
+            sequence = tuple(tokens[offsets[cell]:offsets[cell + 1]])
+            values_of[sequence].add(panel.values[entity, index])
         assert len(values_of) < windows.n_cells
         assert all(len(values) == 1 for values in values_of.values())
 
@@ -237,6 +238,7 @@ class TestLogSeries:
 
             return call
 
+        embed_windows = encoder_mod.embed_windows
         for name in ("train_log_encoder", "embed_windows"):
             monkeypatch.setattr(encoder_mod, name, refuse(name))
         for command in ("simulate", "parse", "encode"):
@@ -250,14 +252,17 @@ class TestLogSeries:
 
         out = tmp_path / "out"
         encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
-        sequences = encoder.tokenizer.tokenize(windows)
+        vocab_size, config = encoder.vocab_size, encoder.config
+        tokens, offsets, truncated = encoder_mod.tokenize(windows, vocab_size, config)
+        sequences = {tuple(tokens[a:b]) for a, b in zip(offsets[:-1], offsets[1:])}
         assert manifest["diagnostics"] == {
-            "truncated_windows": sum(s.truncated for s in sequences),
-            "unique_sequences": len({tuple(s.tokens) for s in sequences}),
+            "truncated_windows": int(truncated.sum()),
+            "unique_sequences": len(sequences),
         }
         # reference: the panel that embedding every window with the untrained encoder gives
         with pipeline._one_blas_thread():
-            scores = encoder.score(encoder.embed(sequences))
+            groups = encoder_mod.group_sequences(tokens, offsets)
+            scores = encoder.score(embed_windows(encoder, groups))
         truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
         reference = encoder_mod.reduce_to_series(
             scores,

@@ -123,6 +123,21 @@ class TestFaultSignatures:
         assert not any(contains_golden_signal(r["msg"]) for r in ds.raw_logs)
 
 
+class TestNoFault:
+    def test_the_ground_truth_names_no_root_cause(self, tmp_path):
+        ds = generate_incident(chain_spec(fault_type="none"))
+        truth = read_ground_truth(write_incident(ds, tmp_path / "inc", "cpu")["ground_truth"])
+        assert truth["fault_type"] == "none"
+        assert truth["root_cause"] is None and truth["root_cause_name"] is None
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_scenario_draws_do_not_depend_on_the_fault_type(self, seed):
+        first, *rest = [sample_scenario(6, fault, 40, 0.1, seed=seed) for fault in FAULT_TYPES]
+        for spec in rest:
+            assert np.array_equal(spec.ground_truth_dag, first.ground_truth_dag)
+            assert spec.root_cause == first.root_cause
+
+
 class TestDeterminismAndShapes:
     def test_identical_specs_give_identical_datasets(self, tmp_path):
         a = generate_incident(chain_spec(seed=42))
