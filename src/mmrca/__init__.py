@@ -1,9 +1,9 @@
 """Multi-modal causal structure learning and root cause analysis.
 
-Converts system logs into time series, co-learns per-modality causal graphs
-from metrics and logs under orthogonality and acyclicity constraints, fuses
-them with KPI-aware attention, and ranks root-cause entities by random walk
-with restart.
+Converts system logs into time series, learns one causal graph from the
+metrics and one from the logs, each a sparse linear lag model under an
+acyclicity penalty, fuses them with KPI-aware attention, and ranks root-cause
+entities by random walk with restart.
 """
 
 from .encoder import (
@@ -36,10 +36,7 @@ from .structure import (
     LearnerConfig,
     acyclicity,
     build_lagged,
-    encode,
     fit,
-    loss_orth,
-    loss_var,
 )
 
 __version__ = "0.1.0"
@@ -63,13 +60,10 @@ __all__ = [
     "build_lagged",
     "cross_correlation_scores",
     "embed_windows",
-    "encode",
     "fit",
     "fuse",
     "generate_incident",
     "log_series",
-    "loss_orth",
-    "loss_var",
     "map_at_k",
     "modality_attention",
     "mrr",

@@ -14,24 +14,23 @@ the resolved config hash, seed and stage timings.
 Every stage runs through run_stage, which sets each OpenBLAS library that
 numpy bundles to one thread for the stage and restores the previous
 counts afterwards. This is a fixed policy, not an option, for two reasons.
-The matrices are tiny (n x n adjacencies with n <= 41, 16-wide hidden
-layers), so a second thread costs more than it saves: at n=41 with 24
-learner epochs, structure.fit took 5.36 s on 2 OpenBLAS threads (burning
-9.4 s of CPU) and 3.38 s on one, and scipy's expm, which the learner used
-then, was 11x slower on two threads. And a product split across threads
-sums in another order, so with the library default the artifacts of the
-same seed changed with the machine's core count.
+The matrices are small (n x n adjacencies and (p n) x n lag weights with
+n <= 41, an encoder of width d_model), so a second thread costs more than
+it saves. And a product split across threads sums in another order, so with
+the library default the artifacts of the same seed changed with the
+machine's core count.
 
 Precision is also a fixed policy: the two trained models, the log encoder
 (encoder.train_log_encoder) and the structure learner (structure.fit), train
-and run in float32, because on one thread both are bound by memory traffic
-and by numpy's tanh, not by arithmetic, and single precision halves the
-first and speeds up the second several times. Everything else, the
-z-scoring, the panels, the attention, the fused graph and the random walk,
-stays in float64, and so do the artifacts on disk: log_panel.csv and
-adjacency.json hold float64 values, while encoder.npz and structure.npz hold
-the trained float32 parameters (the untrained encoder of a constant-label
-incident stays float64).
+and run in float32. On one thread the encoder is bound by memory traffic and
+by numpy's tanh, not by arithmetic, and single precision halves the first
+and speeds up the second several times; the learner's epoch is a few lag
+products, which single precision runs faster too (see structure.py).
+Everything else, the z-scoring, the panels, the attention, the fused graph
+and the random walk, stays in float64, and so do the artifacts on disk:
+log_panel.csv and adjacency.json hold float64 values, while encoder.npz and
+structure.npz hold the trained float32 parameters (the untrained encoder of
+a constant-label incident stays float64).
 
 The log data moves between the stages in columns. Ingest parses the records
 into one event array and windows and labels them into a logs.WindowTable,
@@ -81,9 +80,9 @@ ENV_SEED = "MMRCA_SEED"
 
 
 def _defaults(config_class) -> dict:
-    """The default fields of a config dataclass but its seed, which the global seed sets."""
+    """The default fields of a config dataclass but a seed, which the global seed sets."""
     fields = dataclasses.asdict(config_class())
-    del fields["seed"]
+    fields.pop("seed", None)
     return fields
 
 
@@ -150,8 +149,8 @@ def load_config(
     A file may set only the sections and fields DEFAULT_CONFIG has; any other
     name raises ValueError. Environment variables override only paths and the
     seed. The global seed is the only seed a config sets: the scenario draws
-    from it, the encoder from seed+1 and the learner from seed+2, so one flag
-    reseeds the whole pipeline. The settings the stages read besides the
+    from it and the encoder from seed+1, so one flag reseeds the whole
+    pipeline; the learner draws nothing. The settings the stages read besides the
     encoder and learner sections are checked by _check_stage_settings, and
     those two sections by building their config classes, so a bad value fails
     here, before any stage runs.
@@ -230,7 +229,7 @@ def encoder_config_from(config: dict) -> encoder_mod.EncoderConfig:
 
 
 def learner_config_from(config: dict) -> structure_mod.LearnerConfig:
-    return structure_mod.LearnerConfig(**config["learner"], seed=config["seed"] + 2)
+    return structure_mod.LearnerConfig(**config["learner"])
 
 
 # --- artifact helpers ----------------------------------------------------------------
@@ -366,7 +365,7 @@ def stage_learn(config: dict) -> None:
     )
 
     learner_config = learner_config_from(config)
-    structure = structure_mod.fit(metric_panel, log_panel, (a_log, a_metric), learner_config)
+    structure = structure_mod.fit(metric_panel, log_panel, learner_config)
     structure_mod.save_structure(structure, paths["structure"])
     _write_text(paths["adjacency"], structure_mod.structure_to_adjacency_json(structure))
 

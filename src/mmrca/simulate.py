@@ -156,8 +156,6 @@ def _fault_message(rng: np.random.Generator, entity: int) -> str:
         return f"CRITICAL worker {rng.integers(0, 64)} terminated unexpectedly: out of memory"
     return f"WARN retries exhausted calling svc-{entity}: service unavailable"
 
-GOLDEN_BURST_KEYWORDS = ("error", "timeout", "out of memory", "service unavailable")
-
 
 # --- generation --------------------------------------------------------------
 
