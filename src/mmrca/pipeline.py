@@ -34,11 +34,19 @@ a constant-label incident stays float64).
 
 The log data moves between the stages in columns. Ingest parses the records
 into one event array and windows and labels them into a logs.WindowTable,
-which windows.jsonl holds one line per cell. Encode reads that file back into
-a table and makes one call, encoder.log_series, which tokenizes the cells into
-one token table, trains and embeds on its distinct rows, and places the scores
-into the log panel in the table's entity-major cell order. Panels go to and
-from disk through panel.write_panel_csv and panel.read_panel_csv.
+which windows.jsonl holds one line per cell. Encode makes one call on that
+table, encoder.log_series, which tokenizes the cells into one token table,
+trains and embeds on its distinct rows, and places the scores into the log
+panel in the table's entity-major cell order. Panels go to and from disk
+through panel.write_panel_csv and panel.read_panel_csv.
+
+Within run-pipeline each stage hands its result in memory to the next: the
+vocabulary and the window table to encode, the two panels to learn, the
+learned structure and the attention weights to localize. Every stage still
+writes all of its artifacts, which the stage commands (mmrca parse, encode,
+learn, localize, evaluate) read instead, with the same checks. A stage has one
+body for both: only where its inputs come from differs, and both give it the
+same values, so both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -293,27 +301,44 @@ def stage_simulate(config: dict) -> dict:
     return write_incident(dataset, config["paths"]["data_dir"], config["metric_kind"])
 
 
-def stage_ingest(config: dict) -> None:
+def stage_ingest(config: dict) -> tuple:
+    """Window and label the logs; write vocabulary.json and windows.jsonl.
+
+    Returns (vocabulary, windows), the template list and the logs.WindowTable,
+    for the encode stage.
+    """
     paths = _paths(config)
     truth = read_ground_truth(paths["ground_truth"])
     n_windows = _check_lags_fit(config, truth)
     os.makedirs(config["paths"]["out_dir"], exist_ok=True)
     records = logs_mod.read_logs_jsonl(paths["logs"])
     vocabulary, events = logs_mod.parse_templates(records)
+    # free the record dicts before windowing: the windows.jsonl text would
+    # otherwise stack on them and set the run's peak memory
+    del records
     windows = logs_mod.window_sequences(
         events, vocabulary, config["window_size"], truth["n_entities"], n_windows
     )
     windows = logs_mod.label_windows(windows, vocabulary)
     _write_text(paths["vocabulary"], logs_mod.vocabulary_to_json(vocabulary))
     _write_text(paths["windows"], logs_mod.windows_to_jsonl(windows))
+    return vocabulary, windows
 
 
-def stage_encode(config: dict) -> None:
+def stage_encode(config: dict, handed=None) -> tuple:
+    """Train the log encoder and write both panels; return (metric_panel, log_panel).
+
+    handed is ingest's (vocabulary, windows); None reads them from
+    vocabulary.json and windows.jsonl.
+    """
     paths = _paths(config)
-    with open(paths["vocabulary"]) as fh:
-        vocabulary = logs_mod.vocabulary_from_json(fh.read())
-    with open(paths["windows"]) as fh:
-        windows = logs_mod.windows_from_jsonl(fh.read(), paths["windows"])
+    if handed is None:
+        with open(paths["vocabulary"]) as fh:
+            vocabulary = logs_mod.vocabulary_from_json(fh.read())
+        with open(paths["windows"]) as fh:
+            windows = logs_mod.windows_from_jsonl(fh.read(), paths["windows"])
+    else:
+        vocabulary, windows = handed
     truth = read_ground_truth(paths["ground_truth"])
     _check_lags_fit(config, truth)
     metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
@@ -326,19 +351,29 @@ def stage_encode(config: dict) -> None:
         )
 
     metric_panel = aggregate_windows(metric_native, config["window_size"])
-    panel, encoder = encoder_mod.log_series(
+    log_panel, encoder = encoder_mod.log_series(
         windows, len(vocabulary), encoder_config_from(config), metric_panel.kpi,
         truth["entity_names"],
     )
     encoder_mod.save_encoder(encoder, paths["encoder"], paths["encoder_manifest"], vocabulary)
-    write_panel_csv(panel, paths["log_panel"], "log_score")
+    write_panel_csv(log_panel, paths["log_panel"], "log_score")
     write_panel_csv(metric_panel, paths["metric_panel"], config["metric_kind"])
+    return metric_panel, log_panel
 
 
-def stage_learn(config: dict) -> None:
+def stage_learn(config: dict, handed=None) -> tuple:
+    """Write attention.json, structure.npz and adjacency.json; return
+    (structure, (a_log, a_metric)), the LearnedStructure and the attention weights.
+
+    handed is encode's (metric_panel, log_panel); None reads them from
+    metric_panel.csv and log_panel.csv.
+    """
     paths = _paths(config)
-    metric_panel = read_panel_csv(paths["metric_panel"], metric_name=config["metric_kind"])
-    log_panel = read_panel_csv(paths["log_panel"], metric_name="log_score")
+    if handed is None:
+        metric_panel = read_panel_csv(paths["metric_panel"], metric_name=config["metric_kind"])
+        log_panel = read_panel_csv(paths["log_panel"], metric_name="log_score")
+    else:
+        metric_panel, log_panel = handed
 
     # the attention scans the learner's lags 0..p
     max_lag = config["learner"]["p"]
@@ -368,22 +403,33 @@ def stage_learn(config: dict) -> None:
     structure = structure_mod.fit(metric_panel, log_panel, learner_config)
     structure_mod.save_structure(structure, paths["structure"])
     _write_text(paths["adjacency"], structure_mod.structure_to_adjacency_json(structure))
+    return structure, (a_log, a_metric)
 
 
-def stage_localize(config: dict) -> None:
+def stage_localize(config: dict, handed=None) -> None:
+    """Fuse the graphs and rank the root causes into ranking.json.
+
+    handed is learn's (structure, (a_log, a_metric)); None reads them from
+    adjacency.json and attention.json.
+    """
     paths = _paths(config)
-    with open(paths["adjacency"]) as fh:
-        adjacency = json.load(fh)
-    with open(paths["attention"]) as fh:
-        attention = json.load(fh)
+    if handed is None:
+        with open(paths["adjacency"]) as fh:
+            adjacency = json.load(fh)
+        with open(paths["attention"]) as fh:
+            attention = json.load(fh)
+        a_log, a_metric, node_names = (
+            adjacency[key] for key in ("A_log", "A_metric", "node_names")
+        )
+        weights = (attention["a_log"], attention["a_metric"])
+    else:
+        # fuse reads the learner's float32 adjacencies in float64, which gives
+        # the values adjacency.json holds
+        structure, weights = handed
+        a_log, a_metric, node_names = structure.A_log, structure.A_metric, structure.node_names
     truth = read_ground_truth(paths["ground_truth"])
 
-    graph = fusion_mod.fuse(
-        np.asarray(adjacency["A_log"]),
-        np.asarray(adjacency["A_metric"]),
-        (attention["a_log"], attention["a_metric"]),
-        adjacency["node_names"],
-    )
+    graph = fusion_mod.fuse(a_log, a_metric, weights, node_names)
     _write_text(paths["fused_graph"], fusion_mod.graph_to_json(graph))
     _write_text(
         paths["fused_dot"],
@@ -475,27 +521,39 @@ def _one_blas_thread():
             set_(count)
 
 
-def run_stage(name: str, config: dict):
+def run_stage(name: str, config: dict, handed=None):
     """Run the stage called name in PIPELINE_STAGES on one BLAS thread; return its result.
 
-    The stage is looked up at call time. Any failure is raised as StageError.
+    handed is the previous stage's result, which the stage uses in place of
+    that stage's artifacts; None, as for a stage command, makes the stage read
+    them from disk. A stage that takes nothing from its predecessor (ingest,
+    evaluate) is called without it. The stage is looked up at call time. Any
+    failure is raised as StageError.
     """
     stage = dict(PIPELINE_STAGES)[name]
     try:
         with _one_blas_thread():
-            return stage(config)
+            return stage(config) if handed is None else stage(config, handed)
     except Exception as exc:
         raise StageError(name, exc) from exc
 
 
 def run_pipeline(config: dict) -> dict:
-    """Run ingest -> encode -> learn -> localize -> evaluate, with a manifest."""
+    """Run ingest -> encode -> learn -> localize -> evaluate, with a manifest.
+
+    Each stage's result goes straight to the next stage through run_stage, so
+    of the artifacts this run writes only ranking.json is read back, by
+    evaluate. Every artifact is still written, with the bytes the stage
+    commands give. Only the latest result is held: the log windows are freed
+    once encode returns.
+    """
     paths = _paths(config)
     os.makedirs(config["paths"]["out_dir"], exist_ok=True)
     timings = []
+    handed = None
     for name, _ in PIPELINE_STAGES:
         start = time.perf_counter()
-        run_stage(name, config)
+        handed = run_stage(name, config, handed)
         timings.append({"name": name, "seconds": time.perf_counter() - start})
     manifest = {
         "config_hash": config_hash(config),

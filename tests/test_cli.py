@@ -1,4 +1,6 @@
+import builtins
 import json
+import os
 
 import numpy as np
 import pytest
@@ -128,14 +130,83 @@ class TestStageCommands:
         payload = dict(self.TINY, paths=paths, **settings)
         return cli.main(["--config", write_config(tmp_path, payload), "--seed", "3", command])
 
-    def test_stage_by_stage_matches_run_pipeline(self, tmp_path):
+    @pytest.mark.parametrize("fault_type", ["both", "metric_only"])
+    def test_stage_by_stage_matches_run_pipeline(self, tmp_path, fault_type):
+        scenario = dict(self.TINY["scenario"], fault_type=fault_type)
         staged, full = tmp_path / "staged", tmp_path / "full"
-        assert self.run(tmp_path, "simulate", staged) == 0
+        assert self.run(tmp_path, "simulate", staged, scenario=scenario) == 0
         for command in ("parse", "encode", "learn", "localize", "evaluate"):
-            assert self.run(tmp_path, command, staged) == 0, command
-        assert self.run(tmp_path, "run-pipeline", full) == 0
-        for name in ("ranking.json", "adjacency.json"):
+            assert self.run(tmp_path, command, staged, scenario=scenario) == 0, command
+        assert self.run(tmp_path, "run-pipeline", full, scenario=scenario) == 0
+        names = sorted(p.name for p in staged.iterdir())
+        assert names == sorted(p.name for p in full.iterdir() if p.name != "manifest.json")
+        assert len(names) == 14
+        for name in names:
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_run_pipeline_reads_back_only_the_ranking_it_wrote(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"run-pipeline called {name}")
+
+            return call
+
+        for name in ("windows_from_jsonl", "vocabulary_from_json"):
+            monkeypatch.setattr(pipeline.logs_mod, name, refuse(name))
+        panels_read = []
+        read_panel_csv = pipeline.read_panel_csv
+
+        def recording_read_panel_csv(path, *args, **kwargs):
+            panels_read.append(str(path))
+            return read_panel_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_panel_csv", recording_read_panel_csv)
+        files_read = []
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+                files_read.append(os.path.abspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        assert self.run(tmp_path, "run-pipeline", out) == 0
+        monkeypatch.undo()
+        assert panels_read == [str(tmp_path / "data" / "metrics.csv")]
+        # evaluate scores ranking.json; localize reads neither adjacency.json nor attention.json
+        read_from_out = [path for path in files_read if os.path.dirname(path) == str(out)]
+        assert read_from_out == [str(out / "ranking.json")]
+
+    def test_learn_names_the_file_entity_and_timestamp_of_a_missing_panel_row(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        for command in ("simulate", "parse", "encode"):
+            assert self.run(tmp_path, command, out) == 0, command
+        panel = out / "metric_panel.csv"
+        lines = panel.read_text().splitlines()
+        assert lines[5].split(",")[:2] == ["1", "svc-0"]
+        panel.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        assert self.run(tmp_path, "learn", out) == 1
+        named = f"{panel} has no row for entity 'svc-0' at timestamp 1"
+        assert f"stage causal_learner failed: {named}" in capsys.readouterr().err
+        assert not (out / "adjacency.json").exists()
+
+    def test_localize_on_a_truncated_adjacency_file_is_a_validation_failure(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        for command in ("simulate", "parse", "encode", "learn"):
+            assert self.run(tmp_path, command, out) == 0, command
+        adjacency = out / "adjacency.json"
+        text = adjacency.read_text()
+        adjacency.write_text(text[: len(text) // 2])
+        assert self.run(tmp_path, "localize", out) == 1
+        assert "stage rca failed" in capsys.readouterr().err
+        assert not (out / "ranking.json").exists()
 
     def test_the_simulator_writes_the_metric_kind_that_the_pipeline_reads(self, tmp_path):
         out = tmp_path / "out"
