@@ -8,6 +8,14 @@ entity (metric faults), a burst of golden-signal log messages propagating
 along the DAG (log faults), or both. Faults that are invisible in metrics
 still degrade the KPI directly, since the KPI is the symptom that defines
 the incident.
+
+All randomness of an incident flows from one generator seeded with spec.seed,
+drawn in this order: the scenario (sample_scenario's own generator draws the
+DAG and the root cause); the metric panel (edge weights, initial state, noise);
+the normal log counts, one Poisson draw per (step, entity), and their message
+fields; then the fault burst (its size, offsets and message fields). The log
+stream is drawn in bulk, one array per field, after every metric draw, so
+changing how logs are drawn never changes metrics.csv or ground_truth.json.
 """
 
 from __future__ import annotations
@@ -135,26 +143,42 @@ def entity_name(index: int) -> str:
 
 # --- log message templates ---------------------------------------------------
 
-def _normal_message(rng: np.random.Generator, entity: int) -> str:
-    choice = rng.integers(0, 5)
-    if choice == 0:
-        return f"GET /api/svc-{entity}/items took {rng.integers(1, 500)} ms"
-    if choice == 1:
-        return f"heartbeat ok from svc-{entity} seq {rng.integers(0, 100000)}"
-    if choice == 2:
-        return f"connection pool for svc-{entity} at {rng.integers(1, 50)} of {rng.integers(50, 100)}"
-    if choice == 3:
-        return f"request 0x{rng.integers(0, 2**32):08x} completed with status ok in {rng.integers(1, 500)} ms"
-    return f"cache refresh on svc-{entity} finished in {rng.integers(1, 200)} ms entries {rng.integers(0, 5000)}"
+# Each format lists its fields in order: _ENTITY is the record's entity index,
+# a (lo, hi) pair a number drawn uniformly from [lo, hi).
+_ENTITY = None
+
+_NORMAL_FORMATS = (
+    ("GET /api/svc-%d/items took %d ms", (_ENTITY, (1, 500))),
+    ("heartbeat ok from svc-%d seq %d", (_ENTITY, (0, 100000))),
+    ("connection pool for svc-%d at %d of %d", (_ENTITY, (1, 50), (50, 100))),
+    ("request 0x%08x completed with status ok in %d ms", ((0, 2**32), (1, 500))),
+    ("cache refresh on svc-%d finished in %d ms entries %d", (_ENTITY, (1, 200), (0, 5000))),
+)
+
+_FAULT_FORMATS = (
+    ("ERROR request to svc-%d failed with timeout after %d ms", (_ENTITY, (1000, 9000))),
+    ("CRITICAL worker %d terminated unexpectedly: out of memory", ((0, 64),)),
+    ("WARN retries exhausted calling svc-%d: service unavailable", (_ENTITY,)),
+)
 
 
-def _fault_message(rng: np.random.Generator, entity: int) -> str:
-    choice = rng.integers(0, 3)
-    if choice == 0:
-        return f"ERROR request to svc-{entity} failed with timeout after {rng.integers(1000, 9000)} ms"
-    if choice == 1:
-        return f"CRITICAL worker {rng.integers(0, 64)} terminated unexpectedly: out of memory"
-    return f"WARN retries exhausted calling svc-{entity}: service unavailable"
+def _draw_messages(rng: np.random.Generator, entities: np.ndarray, formats) -> np.ndarray:
+    """One message per entry of entities, as an object array of str.
+
+    Draws one array of format choices, then, format by format, one array per
+    numeric field for the records that chose it.
+    """
+    choice = rng.integers(0, len(formats), size=entities.size)
+    messages = np.empty(entities.size, dtype=object)
+    for k, (fmt, fields) in enumerate(formats):
+        rows = np.flatnonzero(choice == k)
+        columns = [
+            entities[rows].tolist() if field is _ENTITY
+            else rng.integers(*field, size=rows.size).tolist()
+            for field in fields
+        ]
+        messages[rows] = [fmt % values for values in zip(*columns)]
+    return messages
 
 
 # --- generation --------------------------------------------------------------
@@ -229,27 +253,34 @@ def _kpi_delay(dag: np.ndarray, root: int, parents: list[int]) -> int:
 def _generate_logs(
     rng: np.random.Generator, spec: ScenarioSpec, onset: int, log_fault: bool
 ) -> list[dict]:
-    records = []
-    for t in range(spec.horizon_T):
-        for entity in range(spec.n_entities):
-            for _ in range(rng.poisson(NORMAL_LOG_RATE)):
-                records.append({"ts": t, "entity": entity, "msg": _normal_message(rng, entity)})
+    """The raw log stream, ordered by (ts, entity), normal records before fault
+    records at a tie; drawn in bulk after the metric panel's draws."""
+    n, t_len = spec.n_entities, spec.horizon_T
+    counts = rng.poisson(NORMAL_LOG_RATE, size=(t_len, n))
+    # row-major cells: the normal records come out ordered by (ts, entity)
+    ts, entity = np.divmod(np.repeat(np.arange(t_len * n), counts.ravel()), n)
+    msg = _draw_messages(rng, entity, _NORMAL_FORMATS)
     if log_fault:
         lo, hi = BURST_RANGE
         burst_root = int(rng.integers(lo, hi + 1))
         dist = hop_distances(spec.ground_truth_dag, spec.root_cause)
-        for entity, hops in sorted(dist.items()):
-            count = int(round(burst_root * BURST_HOP_DECAY**hops))
-            if count < 1:
-                continue
-            start = onset + hops * spec.log_lag
-            for _ in range(count):
-                ts = int(start + rng.integers(0, BURST_SPREAD))
-                if ts >= spec.horizon_T:
-                    continue
-                records.append({"ts": ts, "entity": entity, "msg": _fault_message(rng, entity)})
-    records.sort(key=lambda r: (r["ts"], r["entity"]))
-    return records
+        reached, hops = np.array(sorted(dist.items())).T
+        burst = np.rint(burst_root * BURST_HOP_DECAY**hops).astype(np.int64)
+        fault_entity = np.repeat(reached, burst)
+        fault_ts = np.repeat(onset + hops * spec.log_lag, burst)
+        fault_ts += rng.integers(0, BURST_SPREAD, size=fault_ts.size)
+        keep = fault_ts < t_len
+        fault_entity, fault_ts = fault_entity[keep], fault_ts[keep]
+        fault_msg = _draw_messages(rng, fault_entity, _FAULT_FORMATS)
+        ts = np.concatenate([ts, fault_ts])
+        entity = np.concatenate([entity, fault_entity])
+        msg = np.concatenate([msg, fault_msg])
+        order = np.lexsort((entity, ts))  # stable: normal records stay first at a tie
+        ts, entity, msg = ts[order], entity[order], msg[order]
+    return [
+        {"ts": t, "entity": e, "msg": m}
+        for t, e, m in zip(ts.tolist(), entity.tolist(), msg.tolist())
+    ]
 
 
 def sample_scenario(

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from mmrca import simulate
 from mmrca.logs import DEFAULT_GOLDEN_SIGNALS
 from mmrca.panel import read_panel_csv
 from mmrca.simulate import (
@@ -139,14 +141,28 @@ class TestNoFault:
 
 
 class TestDeterminismAndShapes:
-    def test_identical_specs_give_identical_datasets(self, tmp_path):
-        a = generate_incident(chain_spec(seed=42))
-        b = generate_incident(chain_spec(seed=42))
+    @pytest.mark.parametrize("fault_type", FAULT_TYPES)
+    def test_identical_specs_give_identical_datasets(self, tmp_path, fault_type):
+        a = generate_incident(chain_spec(seed=42, fault_type=fault_type))
+        b = generate_incident(chain_spec(seed=42, fault_type=fault_type))
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         write_incident(a, dir_a, "cpu")
         write_incident(b, dir_b, "cpu")
         for name in ("metrics.csv", "logs.jsonl", "ground_truth.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    @pytest.mark.parametrize("fault_type", FAULT_TYPES)
+    def test_the_log_draws_cannot_move_the_metrics(self, monkeypatch, fault_type):
+        spec = sample_scenario(6, fault_type, 120, 0.1, seed=4)
+        runs = []
+        for rate in (2.0, 0.5):
+            monkeypatch.setattr(simulate, "NORMAL_LOG_RATE", rate)
+            runs.append(generate_incident(spec))
+        dense, sparse = runs
+        assert len(sparse.raw_logs) < len(dense.raw_logs)
+        assert np.array_equal(dense.metric_panel.values, sparse.metric_panel.values)
+        assert np.array_equal(dense.generator_matrix, sparse.generator_matrix)
+        assert ground_truth_to_json(dense) == ground_truth_to_json(sparse)
 
     def test_different_seeds_differ(self):
         a = generate_incident(chain_spec(seed=1))
@@ -159,6 +175,77 @@ class TestDeterminismAndShapes:
         assert ds.metric_panel.values.shape == (spec.n_entities + 1, spec.horizon_T)
         assert ds.generator_matrix.shape == (spec.n_entities + 1, spec.n_entities + 1)
         assert all(0 <= r["ts"] < spec.horizon_T for r in ds.raw_logs)
+
+
+# one (pattern, fields) pair per message format: "entity" is the record's own
+# entity, a (lo, hi) pair a number in [lo, hi)
+NORMAL_FORMATS = (
+    (r"GET /api/svc-(\d+)/items took (\d+) ms", ("entity", (1, 500))),
+    (r"heartbeat ok from svc-(\d+) seq (\d+)", ("entity", (0, 100000))),
+    (r"connection pool for svc-(\d+) at (\d+) of (\d+)", ("entity", (1, 50), (50, 100))),
+    (r"request (0x[0-9a-f]{8}) completed with status ok in (\d+) ms", ((0, 2**32), (1, 500))),
+    (r"cache refresh on svc-(\d+) finished in (\d+) ms entries (\d+)",
+     ("entity", (1, 200), (0, 5000))),
+)
+FAULT_FORMATS = (
+    (r"ERROR request to svc-(\d+) failed with timeout after (\d+) ms", ("entity", (1000, 9000))),
+    (r"CRITICAL worker (\d+) terminated unexpectedly: out of memory", ((0, 64),)),
+    (r"WARN retries exhausted calling svc-(\d+): service unavailable", ("entity",)),
+)
+FORMATS = NORMAL_FORMATS + FAULT_FORMATS
+
+
+def message_formats(record) -> list[int]:
+    """Indices into FORMATS of the formats the record's message matches with
+    every field in range."""
+    matched = []
+    for k, (pattern, fields) in enumerate(FORMATS):
+        found = re.fullmatch(pattern, record["msg"])
+        if found is None:
+            continue
+        values = [int(text, 0) for text in found.groups()]
+        if all(
+            value == record["entity"] if field == "entity" else field[0] <= value < field[1]
+            for value, field in zip(values, fields, strict=True)
+        ):
+            matched.append(k)
+    return matched
+
+
+class TestLogStream:
+    """The bulk-drawn stream keeps the distribution of one draw per number."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        ds = generate_incident(sample_scenario(40, "both", 300, 0.1, seed=3))
+        matches = [message_formats(r) for r in ds.raw_logs]
+        kinds = np.array([m[0] if len(m) == 1 else -1 for m in matches])
+        return ds, kinds
+
+    def test_every_message_matches_exactly_one_format_with_its_fields_in_range(self, stream):
+        ds, kinds = stream
+        assert [r for r, k in zip(ds.raw_logs, kinds) if k < 0] == []
+
+    def test_the_normal_formats_are_equally_likely(self, stream):
+        _, kinds = stream
+        normal = kinds[(kinds >= 0) & (kinds < len(NORMAL_FORMATS))]
+        shares = np.bincount(normal, minlength=len(NORMAL_FORMATS)) / normal.size
+        assert np.abs(shares - 1 / len(NORMAL_FORMATS)).max() <= 0.02
+
+    def test_the_mean_count_per_step_and_entity_is_the_rate(self, stream):
+        ds, kinds = stream
+        spec = ds.ground_truth
+        normal = np.count_nonzero((kinds >= 0) & (kinds < len(NORMAL_FORMATS)))
+        mean = normal / (spec.horizon_T * spec.n_entities)
+        assert abs(mean - simulate.NORMAL_LOG_RATE) <= 0.05
+
+    def test_records_are_ordered_with_normal_before_fault_at_a_tie(self, stream):
+        ds, kinds = stream
+        fault = (kinds >= len(NORMAL_FORMATS)).tolist()
+        keys = [(r["ts"], r["entity"], f) for r, f in zip(ds.raw_logs, fault)]
+        assert keys == sorted(keys)
+        # the tie rule is exercised: a fault record follows a normal one in its cell
+        assert any(a[:2] == b[:2] and a[2] < b[2] for a, b in zip(keys, keys[1:]))
 
 
 class TestPersistence:
