@@ -30,14 +30,7 @@ from .metrics import EvaluationCase, map_at_k, mrr, precision_at_k, structural_h
 from .panel import ModalityPanel, aggregate_windows
 from .rca import RankedRootCauses, rank_root_causes, rwr, transition_matrix
 from .simulate import IncidentDataset, ScenarioSpec, generate_incident, sample_scenario
-from .structure import (
-    LaggedBatch,
-    LearnedStructure,
-    LearnerConfig,
-    acyclicity,
-    build_lagged,
-    fit,
-)
+from .structure import LearnerConfig, ModalityFit, acyclicity, fit
 
 __version__ = "0.1.0"
 
@@ -46,18 +39,16 @@ __all__ = [
     "EvaluationCase",
     "FusedCausalGraph",
     "IncidentDataset",
-    "LaggedBatch",
-    "LearnedStructure",
     "LearnerConfig",
     "LogSequenceEncoder",
     "LogTemplate",
+    "ModalityFit",
     "ModalityPanel",
     "RankedRootCauses",
     "ScenarioSpec",
     "WindowTable",
     "acyclicity",
     "aggregate_windows",
-    "build_lagged",
     "cross_correlation_scores",
     "embed_windows",
     "fit",

@@ -47,10 +47,11 @@ def _lagged_correlation(x: np.ndarray, y: np.ndarray, lag: int) -> float:
 def cross_correlation_scores(panel: ModalityPanel, max_lag: int) -> np.ndarray:
     """Per-entity max lagged Pearson correlation with the KPI over lags 0..max_lag.
 
-    Returns one score per entity, KPI excluded. The entity series leads the
-    KPI: at lag p the pairs are (x_i(t+p), y(t)). Both series are
-    mean-centered over the overlap and divided by their norms. Entities with
-    zero variance at every lag score 0.
+    Returns one score per entity, KPI excluded. The KPI leads the entity
+    series: at lag p the pairs are (x_i(t+p), y(t)), so an entity scores high
+    when it follows the KPI by p steps. Both series are mean-centered over the
+    overlap and divided by their norms. Entities with zero variance at every
+    lag score 0.
     """
     if not 0 <= max_lag < panel.n_timesteps:
         raise ValueError(

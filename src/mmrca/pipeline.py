@@ -4,12 +4,12 @@ The simulate command writes one metric panel to metrics.csv under the name
 config["metric_kind"], and the encode stage reads the rows of that name.
 Stage order: ingest logs -> score every window with the log encoder's
 regression head and place the scores into one series per entity
-(encoder.log_series) -> KPI-aware attention -> joint structure learning ->
-fuse -> random walk -> rank -> evaluate. Every stage writes each of its
-artifacts atomically (atomic.atomic_open: the bytes go to a .partial file
-that is renamed onto the final name once complete, so a failed write leaves
-the earlier artifact intact and a .partial behind), and a manifest records
-the resolved config hash, seed and stage timings.
+(encoder.log_series) -> KPI-aware attention -> one structure fit per
+modality panel -> fuse -> random walk -> rank -> evaluate. Every stage
+writes each of its artifacts atomically (atomic.atomic_open: the bytes go to
+a .partial file that is renamed onto the final name once complete, so a
+failed write leaves the earlier artifact intact and a .partial behind), and
+a manifest records the resolved config hash, seed and stage timings.
 
 Every stage runs through run_stage, which sets each OpenBLAS library that
 numpy bundles to one thread for the stage and restores the previous
@@ -41,12 +41,12 @@ panel in the table's entity-major cell order. Panels go to and from disk
 through panel.write_panel_csv and panel.read_panel_csv.
 
 Within run-pipeline each stage hands its result in memory to the next: the
-vocabulary and the window table to encode, the two panels to learn, the
-learned structure and the attention weights to localize. Every stage still
-writes all of its artifacts, which the stage commands (mmrca parse, encode,
-learn, localize, evaluate) read instead, with the same checks. A stage has one
-body for both: only where its inputs come from differs, and both give it the
-same values, so both paths write the same bytes.
+vocabulary and the window table to encode, the two panels to learn, the two
+learned adjacencies and the attention weights to localize. Every stage
+still writes all of its artifacts, which the stage commands (mmrca parse,
+encode, learn, localize, evaluate) read instead, with the same checks. A
+stage has one body for both: only where its inputs come from differs, and
+both give it the same values, so both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def stage_encode(config: dict, handed=None) -> tuple:
     truth = read_ground_truth(paths["ground_truth"])
     _check_lags_fit(config, truth)
     metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
-    # structure.fit checks this too, since learn can run alone; checking here
+    # stage_learn checks this too, since learn can run alone; checking here
     # fails the run before the encoder trains or any artifact is written
     if metric_native.entity_names != truth["entity_names"]:
         raise ValueError(
@@ -363,10 +363,13 @@ def stage_encode(config: dict, handed=None) -> tuple:
 
 def stage_learn(config: dict, handed=None) -> tuple:
     """Write attention.json, structure.npz and adjacency.json; return
-    (structure, (a_log, a_metric)), the LearnedStructure and the attention weights.
+    ((A_log, A_metric, node_names), (a_log, a_metric)), the two learned
+    adjacencies with their node names and the attention weights.
 
     handed is encode's (metric_panel, log_panel); None reads them from
-    metric_panel.csv and log_panel.csv.
+    metric_panel.csv and log_panel.csv. Row i of each panel must be the same
+    entity, so the panels must name the same nodes in the same order and
+    share n and T; this is checked before anything is written.
     """
     paths = _paths(config)
     if handed is None:
@@ -374,6 +377,16 @@ def stage_learn(config: dict, handed=None) -> tuple:
         log_panel = read_panel_csv(paths["log_panel"], metric_name="log_score")
     else:
         metric_panel, log_panel = handed
+    if metric_panel.node_names != log_panel.node_names:
+        raise ValueError(
+            "metric and log panels must list the same nodes in the same order: "
+            f"{metric_panel.node_names} != {log_panel.node_names}"
+        )
+    if metric_panel.values.shape != log_panel.values.shape:
+        raise ValueError(
+            "metric and log panels must share n and T: the metric panel is "
+            f"{metric_panel.values.shape}, the log panel {log_panel.values.shape}"
+        )
 
     # the attention scans the learner's lags 0..p
     max_lag = config["learner"]["p"]
@@ -400,17 +413,21 @@ def stage_learn(config: dict, handed=None) -> tuple:
     )
 
     learner_config = learner_config_from(config)
-    structure = structure_mod.fit(metric_panel, log_panel, learner_config)
-    structure_mod.save_structure(structure, paths["structure"])
-    _write_text(paths["adjacency"], structure_mod.structure_to_adjacency_json(structure))
-    return structure, (a_log, a_metric)
+    fits = {
+        "metric": structure_mod.fit(metric_panel, learner_config),
+        "log": structure_mod.fit(log_panel, learner_config),
+    }
+    node_names = metric_panel.node_names
+    structure_mod.save_structure(fits, node_names, learner_config, paths["structure"])
+    _write_text(paths["adjacency"], structure_mod.adjacency_to_json(fits, node_names))
+    return (fits["log"].A, fits["metric"].A, node_names), (a_log, a_metric)
 
 
 def stage_localize(config: dict, handed=None) -> None:
     """Fuse the graphs and rank the root causes into ranking.json.
 
-    handed is learn's (structure, (a_log, a_metric)); None reads them from
-    adjacency.json and attention.json.
+    handed is learn's ((A_log, A_metric, node_names), (a_log, a_metric)); None
+    reads them from adjacency.json and attention.json.
     """
     paths = _paths(config)
     if handed is None:
@@ -425,8 +442,7 @@ def stage_localize(config: dict, handed=None) -> None:
     else:
         # fuse reads the learner's float32 adjacencies in float64, which gives
         # the values adjacency.json holds
-        structure, weights = handed
-        a_log, a_metric, node_names = structure.A_log, structure.A_metric, structure.node_names
+        (a_log, a_metric, node_names), weights = handed
     truth = read_ground_truth(paths["ground_truth"])
 
     graph = fusion_mod.fuse(a_log, a_metric, weights, node_names)

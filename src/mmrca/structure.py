@@ -5,9 +5,9 @@ AISTATS 2020) on its z-scored rows, the KPI row included:
 X_t = sum_{k=1..p} W_k^T X_{t-k}, so W_k[i, j] weighs series i at lag k in
 the equation of series j. The adjacency A = sum_k |W_k| off the diagonal is
 the non-negative weight of edge i -> j (i causes j). Self-lags are fitted
-but left out of the graph and of the L1 term. The one parameter block `w`,
-shape (2, p, n, n), stacks W_1..W_p of the metric model ([0]) and the log
-model ([1]); the two are fitted side by side and never mix.
+but left out of the graph and of the L1 term. `fit` learns the model of one
+panel; the pipeline calls it once on the metric panel and once on the log
+panel, and the two models never mix.
 
 The objective is lambda1 times the squared error (summed over series,
 averaged over steps), plus lambda5 times the sum of A, plus the multiplier
@@ -17,30 +17,25 @@ gradient (subgradient 0 at a zero weight); `fit` runs full-batch Adam from
 W = 0 and doubles the multiplier every `acyclicity_every` epochs.
 
 Precision: every function computes in the dtype it is given. `fit`
-z-scores in float64 and trains in float32: on one thread a 41-node incident
-fits its 600 epochs in 0.42-0.48 s, against 0.66-0.68 s in float64, and a
-7-node one equally fast in both. The finite-difference checks run the same
-functions in float64. Constants stay Python floats, since a numpy float64
-scalar would silently upcast a float32 array.
+z-scores in float64 and trains in float32: on one thread of a shared 2-vCPU
+host a 41-node panel fits 600 epochs in 0.20 s, against 0.30 s in float64,
+and a 7-node one in 0.07-0.09 s, against 0.06-0.07 s. The finite-difference
+checks run the same functions in float64. Constants stay Python floats, since
+a numpy float64 scalar would silently upcast a float32 array.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_open
 from .nn import Adam, check_field_types
 from .panel import ModalityPanel
 
-
-# --- configuration and containers ---------------------------------------------
-
-# a learned structure whose final acyclicity penalties exceed this is flagged
-# non-converged
+# a modality whose final acyclicity penalty exceeds this is flagged non-converged
 H_TOL = 1e-3
 
 
@@ -67,59 +62,33 @@ class LearnerConfig:
         if self.acyclicity_every < 1:
             raise ValueError("acyclicity_every must be >= 1")
 
-    def acyclicity_multiplier(self, epoch: int) -> float:
-        """The acyclicity weight at epoch: 1, doubled every acyclicity_every epochs."""
-        return 2.0 ** (epoch // self.acyclicity_every)
-
 
 @dataclass
-class LaggedBatch:
-    history: np.ndarray  # (..., n, m, p)
-    target: np.ndarray  # (..., n, m)
+class ModalityFit:
+    """One panel's graph A, (p, n, n) lag weights w, row z-scoring, loss history and final h."""
 
-    def __post_init__(self):
-        if self.target.ndim < 2 or self.history.ndim != self.target.ndim + 1:
-            raise ValueError("history must be (..., n, m, p) and target (..., n, m)")
-        if self.history.shape[:-1] != self.target.shape:
-            raise ValueError("history and target disagree on (..., n, m)")
-
-
-@dataclass
-class LearnedStructure:
-    """The learned adjacencies, A_metric and A_log, and the state they came from.
-
-    `params` holds the one parameter block `w`, [0] the metric and [1] the log lag weights.
-    """
-
-    A_metric: np.ndarray
-    A_log: np.ndarray
-    params: dict
+    A: np.ndarray
+    w: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
     loss_history: dict
-    h_metric: float
-    h_log: float
-    converged: bool
-    config: LearnerConfig
-    node_names: list[str] = field(default_factory=list)
-    standardization: dict = field(default_factory=dict)
+    h: float
 
 
-def build_lagged(values, p: int) -> LaggedBatch:
-    """Slice (..., n, T) series into p-lagged histories and next-step targets (m = T - p)."""
-    values = np.asarray(values, dtype=float)
-    t_len = values.shape[-1]
-    if t_len <= p:
-        raise ValueError(f"series length T={t_len} must exceed the lag order p={p}")
-    m = t_len - p
-    history = sliding_window_view(values, p, axis=-1)[..., :m, :].copy()
-    target = values[..., p:].copy()
-    return LaggedBatch(history=history, target=target)
+def lag_design(values: np.ndarray, p: int):
+    """(Z, Y) of (n, T) series, m = T - p rows each: Z[t, (k - 1) n + i] is
+    series i at lag k before step p + t, and Y[t, j] is series j at that step."""
+    t_len = values.shape[1]
+    z = np.concatenate([values[:, p - k:t_len - k] for k in range(1, p + 1)]).T
+    # C order: BLAS may sum a product in another order for another layout
+    return np.ascontiguousarray(z), np.ascontiguousarray(values[:, p:].T)
 
 
 # --- objective terms ------------------------------------------------------------------
 
 
 def adjacency_from_lags(w: np.ndarray) -> np.ndarray:
-    """A = sum_k |W_k| with a zero diagonal, from (..., p, n, n) lag weights."""
+    """A = sum_k |W_k| with a zero diagonal, from (p, n, n) lag weights."""
     a = np.abs(w).sum(axis=-3)
     a *= 1.0 - np.eye(a.shape[-1], dtype=a.dtype)
     return a
@@ -183,89 +152,61 @@ def acyclicity(adjacency: np.ndarray):
 # --- full objective ---------------------------------------------------------------
 
 
-def objective_gradients(
-    params: dict, batch: LaggedBatch, config: LearnerConfig, multiplier: float = 1.0
-):
-    """Objective value, per-term weighted breakdown, and analytic gradients of `w`.
+def objective_gradients(params: dict, z: np.ndarray, y: np.ndarray, config: LearnerConfig,
+                        multiplier: float = 1.0):
+    """Objective value, per-term weighted breakdown, and analytic gradient of `w`.
 
-    `batch` is stacked over the modality axis of `w`. A term's two modality
-    values are added as Python floats, metric first.
+    (z, y) is the panel's lag design (see lag_design) and `w` its (p, n, n)
+    lag weights.
     """
     w = params["w"]
-    p, n = w.shape[-3], w.shape[-1]
-    m = batch.target.shape[-1]
-    # z[v, t, (k - 1) n + i] is series i at lag k before target step t; history
-    # holds the lags oldest first
-    z = np.moveaxis(batch.history[..., ::-1], -3, -1).reshape(2, m, p * n)
-    residual = z @ w.reshape(2, p * n, n)
-    residual -= batch.target.swapaxes(-1, -2)
+    m = y.shape[0]
+    residual = z @ w.reshape(-1, w.shape[-1])
+    residual -= y
     adj = adjacency_from_lags(w)
-    h_acyc, expm_sq = acyclicity(adj)
+    h, expm_sq = acyclicity(adj)
 
-    h_metric, h_log = h_acyc.tolist()
     breakdown = {
-        "var": config.lambda1 * sum(((residual**2).sum(axis=(-2, -1)) / m).tolist()),
-        "sparsity": config.lambda5 * sum(adj.sum(axis=(-2, -1)).tolist()),
-        "acyclicity": multiplier * sum(h_acyc.tolist()),
-        "h_metric": h_metric, "h_log": h_log, "multiplier": multiplier,
+        "var": config.lambda1 * float((residual**2).sum() / m),
+        "sparsity": config.lambda5 * float(adj.sum()),
+        "acyclicity": multiplier * float(h),
+        "h": float(h), "multiplier": multiplier,
     }
     breakdown["total"] = breakdown["var"] + breakdown["sparsity"] + breakdown["acyclicity"]
 
-    d_w = (z.swapaxes(-1, -2) @ residual).reshape(w.shape)
+    d_w = (z.T @ residual).reshape(w.shape)
     d_w *= 2.0 * config.lambda1 / m
     # A is sum_k |W_k| off the diagonal: dA/dW_k = sign(W_k) there
-    d_adj = multiplier * 2.0 * adj * expm_sq.swapaxes(-1, -2) + config.lambda5
-    d_adj *= 1.0 - np.eye(n, dtype=w.dtype)
-    d_w += d_adj[:, None] * np.sign(w)
+    d_adj = multiplier * 2.0 * adj * expm_sq.T + config.lambda5
+    d_adj *= 1.0 - np.eye(w.shape[-1], dtype=w.dtype)
+    d_w += d_adj * np.sign(w)
     return breakdown["total"], breakdown, {"w": d_w}
 
 
 # --- training ----------------------------------------------------------------------
 
 
-def _zscore(values: np.ndarray):
-    mean = values.mean(axis=-1, keepdims=True)
-    std = values.std(axis=-1, keepdims=True)
-    std = np.where(std > 0, std, 1.0)
-    return (values - mean) / std, mean[..., 0], std[..., 0]
+def fit(panel: ModalityPanel, config: LearnerConfig) -> ModalityFit:
+    """Full-batch Adam on one panel's objective from W = 0; deterministic.
 
-
-def fit(
-    metric_panel: ModalityPanel, log_panel: ModalityPanel, config: LearnerConfig
-) -> LearnedStructure:
-    """Full-batch Adam on both modalities' objective from W = 0; deterministic.
-
-    The panels must name the same nodes in the same order: row i of each is
-    entity i of both graphs. Rows are z-scored (recorded in the result) so no
-    scale dominates the squared error. If the final penalties exceed H_TOL
-    the structure is flagged non-converged.
+    Rows are z-scored (recorded in the result) so no scale dominates the
+    squared error.
     """
-    if metric_panel.values.shape != log_panel.values.shape:
-        raise ValueError("metric and log panels must share n and T")
-    if metric_panel.node_names != log_panel.node_names:
-        raise ValueError(
-            "metric and log panels must list the same nodes in the same order: "
-            f"{metric_panel.node_names} != {log_panel.node_names}"
-        )
-    if metric_panel.n_timesteps < 2 * config.p:
+    if panel.n_timesteps < 2 * config.p:
         raise ValueError("panel length must be at least twice the lag order")
-
-    values, mean, std = _zscore(np.stack([metric_panel.values, log_panel.values]))
-    standardization = {
-        "metric": {"mean": mean[0], "std": std[0]},
-        "log": {"mean": mean[1], "std": std[1]},
-    }
-    lagged = build_lagged(values, config.p)
+    mean = panel.values.mean(axis=-1)
+    std = panel.values.std(axis=-1)
+    std = np.where(std > 0, std, 1.0)
+    values = (panel.values - mean[:, None]) / std[:, None]
     # training runs in float32: see the module docstring
-    batch = LaggedBatch(lagged.history.astype(np.float32), lagged.target.astype(np.float32))
-    n = metric_panel.n_nodes
+    z, y = lag_design(values.astype(np.float32), config.p)
 
-    params = {"w": np.zeros((2, config.p, n, n), np.float32)}
+    params = {"w": np.zeros((config.p, panel.n_nodes, panel.n_nodes), np.float32)}
     optimizer = Adam(params, lr=config.lr)
     history: dict[str, list] = {}
     for epoch in range(config.epochs):
-        multiplier = config.acyclicity_multiplier(epoch)
-        total, breakdown, grads = objective_gradients(params, batch, config, multiplier)
+        multiplier = 2.0 ** (epoch // config.acyclicity_every)
+        total, breakdown, grads = objective_gradients(params, z, y, config, multiplier)
         if not np.isfinite(total):
             raise FloatingPointError(f"objective became non-finite at epoch {epoch}")
         for key, value in breakdown.items():
@@ -273,63 +214,43 @@ def fit(
         optimizer.step(grads)
 
     adj = adjacency_from_lags(params["w"])
-    h_metric, h_log = acyclicity(adj)[0].tolist()
-    return LearnedStructure(
-        A_metric=adj[0], A_log=adj[1], params=params, loss_history=history,
-        h_metric=h_metric, h_log=h_log, converged=(h_metric <= H_TOL and h_log <= H_TOL),
-        config=config, node_names=metric_panel.node_names, standardization=standardization,
-    )
+    return ModalityFit(adj, params["w"], mean, std, history, float(acyclicity(adj)[0]))
 
 
 # --- persistence ----------------------------------------------------------------------
 
 
-def structure_to_adjacency_json(structure: LearnedStructure) -> str:
-    final = {key: values[-1] for key, values in structure.loss_history.items()} if structure.loss_history else {}
-    payload = {
-        "node_names": structure.node_names,
-        "A_metric": [[float(v) for v in row] for row in structure.A_metric],
-        "A_log": [[float(v) for v in row] for row in structure.A_log],
-        "final_losses": final,
-        "h_metric": structure.h_metric, "h_log": structure.h_log, "converged": structure.converged,
-    }
+def converged(fits: dict) -> bool:
+    """Whether every modality's final acyclicity penalty is at most H_TOL."""
+    return all(result.h <= H_TOL for result in fits.values())
+
+
+def adjacency_to_json(fits: dict, node_names: list[str]) -> str:
+    """adjacency.json of {modality: ModalityFit}: A_<modality>, h_<modality>,
+    final_losses[<modality>] (each term's last value), node_names and converged."""
+    payload = {"node_names": node_names, "converged": converged(fits), "final_losses": {}}
+    for modality, result in fits.items():
+        payload[f"A_{modality}"] = result.A.tolist()
+        payload[f"h_{modality}"] = result.h
+        payload["final_losses"][modality] = {
+            key: values[-1] for key, values in result.loss_history.items()
+        }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def save_structure(structure: LearnedStructure, path) -> None:
-    """Write the structure as one .npz: `param:w` the lag weights ([0] metric, [1] log),
-    `A_metric`/`A_log` the adjacencies, `history:<term>` the per-epoch breakdown,
-    `standardization:<modality>:<stat>` the z-scoring, and `meta` the config, node
-    names and final penalties as JSON."""
-    arrays = {f"param:{k}": v for k, v in structure.params.items()}
-    arrays["A_metric"] = structure.A_metric
-    arrays["A_log"] = structure.A_log
-    for key, values in structure.loss_history.items():
-        arrays[f"history:{key}"] = np.asarray(values)
-    for modality, stats in structure.standardization.items():
-        for stat, values in stats.items():
-            arrays[f"standardization:{modality}:{stat}"] = values
-    meta = {"config": structure.config.__dict__, "node_names": structure.node_names,
-            "h_metric": structure.h_metric, "h_log": structure.h_log,
-            "converged": structure.converged}
+def save_structure(fits: dict, node_names: list[str], config: LearnerConfig, path) -> None:
+    """Write {modality: ModalityFit} as one .npz: per modality `<modality>:A`,
+    `<modality>:w`, `<modality>:mean`, `<modality>:std` and `<modality>:history:<term>`
+    the per-epoch breakdown, and `meta` the config, node names, each h_<modality>
+    and converged as JSON."""
+    arrays = {}
+    meta = {"config": config.__dict__, "node_names": node_names, "converged": converged(fits)}
+    for modality, result in fits.items():
+        for name in ("A", "w", "mean", "std"):
+            arrays[f"{modality}:{name}"] = getattr(result, name)
+        for key, values in result.loss_history.items():
+            arrays[f"{modality}:history:{key}"] = np.asarray(values)
+        meta[f"h_{modality}"] = result.h
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with atomic_open(path, "wb") as fh:
         np.savez(fh, **arrays)
-
-
-def load_structure(path) -> LearnedStructure:
-    data = np.load(path)
-    meta = json.loads(bytes(data["meta"]).decode())
-    params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
-    history = {k[len("history:"):]: data[k].tolist() for k in data.files if k.startswith("history:")}
-    standardization: dict = {}
-    for key in data.files:
-        if key.startswith("standardization:"):
-            _, modality, stat = key.split(":")
-            standardization.setdefault(modality, {})[stat] = data[key]
-    return LearnedStructure(
-        A_metric=data["A_metric"], A_log=data["A_log"], params=params, loss_history=history,
-        h_metric=meta["h_metric"], h_log=meta["h_log"], converged=meta["converged"],
-        config=LearnerConfig(**meta["config"]), node_names=meta["node_names"],
-        standardization=standardization,
-    )

@@ -195,6 +195,38 @@ class TestStageCommands:
         assert f"stage causal_learner failed: {named}" in capsys.readouterr().err
         assert not (out / "adjacency.json").exists()
 
+    def encoded_log_panel(self, tmp_path, out):
+        for command in ("simulate", "parse", "encode"):
+            assert self.run(tmp_path, command, out) == 0, command
+        panel = out / "log_panel.csv"
+        return panel, panel.read_text().splitlines()
+
+    def assert_learn_rejects(self, tmp_path, out, capsys, message):
+        assert self.run(tmp_path, "learn", out) == 1
+        assert f"stage causal_learner failed: metric and log panels must {message}" in (
+            capsys.readouterr().err
+        )
+        # the panels are checked before the attention or either fit writes anything
+        for name in ("attention.json", "structure.npz", "adjacency.json"):
+            assert not (out / name).exists(), name
+
+    def test_learn_rejects_a_log_panel_in_another_entity_order(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        panel, (header, first, second, *rest) = self.encoded_log_panel(tmp_path, out)
+        assert first.split(",")[:2] == ["0", "svc-0"] and second.split(",")[:2] == ["0", "svc-1"]
+        # svc-1 now appears first, so the log panel lists it first; the metric panel does not
+        panel.write_text("\n".join([header, second, first, *rest]) + "\n")
+        self.assert_learn_rejects(tmp_path, out, capsys, "list the same nodes in the same order")
+
+    def test_learn_rejects_a_log_panel_one_timestamp_short(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        panel, lines = self.encoded_log_panel(tmp_path, out)
+        # 3 entities and the KPI: the last 4 rows are the last timestamp, 39
+        assert {line.split(",")[0] for line in lines[-4:]} == {"39"}
+        assert lines[-5].split(",")[0] == "38"
+        panel.write_text("\n".join(lines[:-4]) + "\n")
+        self.assert_learn_rejects(tmp_path, out, capsys, "share n and T")
+
     def test_localize_on_a_truncated_adjacency_file_is_a_validation_failure(
         self, tmp_path, capsys
     ):

@@ -42,7 +42,7 @@ class TestCrossCorrelation:
     def test_lead_by_two_peaks_at_lag_two(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal(80)
-        x = np.roll(y, 2)  # x(t) = y(t-2): the entity leads the KPI by 2
+        x = np.roll(y, 2)  # x(t) = y(t-2): the KPI leads the entity by 2
         x[:2] = 0.0
         panel = make_panel([x, y])
         score = cross_correlation_scores(panel, max_lag=4)

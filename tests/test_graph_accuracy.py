@@ -2,10 +2,10 @@
 
 Edge AUROC scores A_metric's off-diagonal entity pairs against the DAG: the
 chance that a true edge outweighs an absent one, ties counting half. The
-yardstick runs the learner on simulated 6-entity incidents at sample_scenario
-seeds 0-9 at the benchmark's budget and at the default one. The log panel is
-the golden-signal label series, the target the log encoder regresses to; the
-metric graph does not read it.
+yardstick fits the metric panel of simulated 6-entity incidents at
+sample_scenario seeds 0-9, at the benchmark's budget and at the default one.
+The log panel has its own fit, which the metric graph never reads, so the
+yardstick skips it.
 """
 
 import functools
@@ -13,8 +13,6 @@ import functools
 import numpy as np
 import pytest
 
-from mmrca.encoder import reduce_to_series
-from mmrca.logs import label_windows, parse_templates, window_sequences
 from mmrca.simulate import generate_incident, sample_scenario
 from mmrca.structure import LearnerConfig, fit
 
@@ -63,13 +61,9 @@ class TestEdgeAuroc:
 
 @functools.lru_cache(maxsize=None)
 def incident(seed: int, fault_type: str):
-    """The metric panel, the label-series log panel and the DAG of one 6-entity incident."""
+    """The metric panel and the DAG of one 6-entity incident."""
     spec = sample_scenario(6, fault_type, 300, 0.05, seed)
-    data = generate_incident(spec)
-    vocabulary, events = parse_templates(data.raw_logs)
-    windows = label_windows(window_sequences(events, vocabulary, 1, 6, 300), vocabulary)
-    log_panel = reduce_to_series(windows.labels, windows, data.metric_panel.kpi, data.entity_names)
-    return data.metric_panel, log_panel, spec.ground_truth_dag
+    return generate_incident(spec).metric_panel, spec.ground_truth_dag
 
 
 # Mean AUROC over seeds 0-9, each bound about 0.05 below the mean measured
@@ -90,6 +84,6 @@ def test_the_metric_graph_ranks_true_edges_above_absent_ones(epochs, acyclicity_
     config = LearnerConfig(epochs=epochs, acyclicity_every=acyclicity_every)
     scores = []
     for seed in range(10):
-        metric_panel, log_panel, dag = incident(seed, fault_type)
-        scores.append(edge_auroc(fit(metric_panel, log_panel, config).A_metric, dag))
+        metric_panel, dag = incident(seed, fault_type)
+        scores.append(edge_auroc(fit(metric_panel, config).A, dag))
     assert np.mean(scores) > AUROC_BOUNDS[epochs, fault_type], np.round(scores, 3)

@@ -274,3 +274,24 @@ class TestLogSeries:
         assert (out / "log_panel.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         for command in ("learn", "localize", "evaluate"):
             assert self.run(tmp_path, "metric_only", command) == 0, command
+
+
+class TestLearn:
+    def test_each_modality_is_fitted_on_its_own_panel(self, tmp_path):
+        rng = np.random.default_rng(4)
+        names = ["e0", "e1", "e2"]
+        metric, log, other_log = (ModalityPanel(rng.standard_normal((4, 30)), names) for _ in range(3))
+        config = pipeline.load_config(environ={}, out_dir=str(tmp_path / "out"))
+        config["learner"].update(p=2, epochs=6)
+        os.makedirs(tmp_path / "out")
+        learner_config = pipeline.learner_config_from(config)
+        (a_log, a_metric, node_names), _ = pipeline.stage_learn(config, (metric, log))
+        assert node_names == names + ["kpi"]
+        assert a_metric.tobytes() == structure_mod.fit(metric, learner_config).A.tobytes()
+        assert a_log.tobytes() == structure_mod.fit(log, learner_config).A.tobytes()
+        adjacency = json.loads((tmp_path / "out" / "adjacency.json").read_text())
+        assert adjacency["A_metric"] == a_metric.astype(float).tolist()
+        assert adjacency["A_log"] == a_log.astype(float).tolist()
+        (a_other, a_metric_again, _), _ = pipeline.stage_learn(config, (metric, other_log))
+        assert a_metric_again.tobytes() == a_metric.tobytes()
+        assert not np.array_equal(a_other, a_log)

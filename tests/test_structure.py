@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
@@ -5,72 +7,59 @@ from scipy.linalg import expm as scipy_expm
 from mmrca.panel import ModalityPanel
 from mmrca.simulate import topological_order
 from mmrca.structure import (
-    LaggedBatch,
     LearnerConfig,
     acyclicity,
     adjacency_from_lags,
-    build_lagged,
+    adjacency_to_json,
     expm,
     fit,
-    load_structure,
+    lag_design,
     objective_gradients,
     save_structure,
 )
 
-MODALITIES = ("metric", "log")  # the order of the leading axis of every stacked array
-
 
 def toy_setup(n=3, t_len=8, seed=0, **cfg_overrides):
-    """A config, the (metric, log) series, their lagged batch and lag weights away from 0."""
+    """A config, the (n, T) series, their lag design (z, y) and lag weights away from 0."""
     rng = np.random.default_rng(seed)
     cfg = LearnerConfig(**{"p": 2, **cfg_overrides})
-    series = rng.standard_normal((2, n, t_len))
-    shape = (2, cfg.p, n, n)
+    series = rng.standard_normal((n, t_len))
+    shape = (cfg.p, n, n)
     w = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.1, 0.6, shape)
-    return cfg, series, build_lagged(series, cfg.p), {"w": w}
+    return cfg, series, lag_design(series, cfg.p), {"w": w}
 
 
-def random_panels(seed=4, n_entities=4, t_len=30):
+def random_panel(seed=4, n_entities=4, t_len=30):
     rng = np.random.default_rng(seed)
     names = [f"e{i}" for i in range(n_entities)]
-    metric = ModalityPanel(rng.standard_normal((n_entities + 1, t_len)), names)
-    log = ModalityPanel(rng.standard_normal((n_entities + 1, t_len)), names)
-    return metric, log
+    return ModalityPanel(rng.standard_normal((n_entities + 1, t_len)), names)
 
 
-class TestBuildLagged:
-    def test_hand_worked_windows(self):
-        batch = build_lagged(np.array([[1.0, 2.0, 3.0, 4.0]]), p=2)
-        assert np.array_equal(batch.history[0], [[1.0, 2.0], [2.0, 3.0]])
-        assert np.array_equal(batch.target[0], [3.0, 4.0])
+class TestLagDesign:
+    def test_hand_worked_rows_newest_lag_first(self):
+        z, y = lag_design(np.array([[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]]), p=2)
+        # Z[t, (k - 1) n + i]: series i at lag k before step p + t
+        assert np.array_equal(z, [[2.0, 20.0, 1.0, 10.0], [3.0, 30.0, 2.0, 20.0]])
+        assert np.array_equal(y, [[3.0, 30.0], [4.0, 40.0]])
 
     def test_boundary_single_step(self):
-        batch = build_lagged(np.array([[1.0, 2.0, 3.0, 4.0]]), p=3)
-        assert batch.history.shape == (1, 1, 3)
-        assert batch.target.shape == (1, 1)
+        z, y = lag_design(np.array([[1.0, 2.0, 3.0, 4.0]]), p=3)
+        assert np.array_equal(z, [[3.0, 2.0, 1.0]])
+        assert np.array_equal(y, [[4.0]])
 
     def test_constant_series(self):
-        batch = build_lagged(np.full((2, 7), 4.2), p=3)
-        assert np.all(batch.history == 4.2)
-        assert np.all(batch.target == 4.2)
+        z, y = lag_design(np.full((2, 7), 4.2), p=3)
+        assert np.all(z == 4.2) and np.all(y == 4.2)
 
-    def test_m_equals_t_minus_p(self):
-        batch = build_lagged(np.zeros((3, 11)), p=4)
-        assert batch.target.shape == (3, 7)
+    def test_m_equals_t_minus_p_and_keeps_the_dtype(self):
+        z, y = lag_design(np.zeros((3, 11), np.float32), p=4)
+        assert z.shape == (7, 12) and y.shape == (7, 3)
+        assert z.dtype == y.dtype == np.float32
 
-    def test_too_short_series_rejected(self):
-        with pytest.raises(ValueError, match="T=3.*p=3"):
-            build_lagged(np.zeros((2, 3)), p=3)
-
-    def test_stacked_series_lag_each_slice(self):
-        values = np.random.default_rng(0).standard_normal((2, 3, 7))
-        batch = build_lagged(values, p=2)
-        assert batch.history.shape == (2, 3, 5, 2)
-        assert batch.target.shape == (2, 3, 5)
-        for v in range(2):
-            single = build_lagged(values[v], p=2)
-            assert np.array_equal(batch.history[v], single.history)
-            assert np.array_equal(batch.target[v], single.target)
+    def test_both_are_c_ordered(self):
+        # a product's summation order in BLAS can follow the layout of its operands
+        z, y = lag_design(np.random.default_rng(0).standard_normal((4, 9)), p=3)
+        assert z.flags.c_contiguous and y.flags.c_contiguous
 
 
 class TestAdjacency:
@@ -78,12 +67,11 @@ class TestAdjacency:
         _, _, _, params = toy_setup(n=4)
         w = params["w"]
         a = adjacency_from_lags(w)
-        assert a.shape == (2, 4, 4)
-        for v in range(2):
-            for i in range(4):
-                for j in range(4):
-                    want = 0.0 if i == j else sum(abs(w[v, k, i, j]) for k in range(w.shape[1]))
-                    assert a[v, i, j] == pytest.approx(want, abs=1e-15)
+        assert a.shape == (4, 4)
+        for i in range(4):
+            for j in range(4):
+                want = 0.0 if i == j else sum(abs(w[k, i, j]) for k in range(w.shape[0]))
+                assert a[i, j] == pytest.approx(want, abs=1e-15)
         assert np.all(a >= 0.0)
 
     def test_ignores_the_sign_of_a_weight_and_keeps_its_dtype(self):
@@ -98,73 +86,69 @@ class TestAdjacency:
 class TestObjective:
     def test_squared_error_matches_the_lag_equations(self):
         # W_k[i, j] weighs series i at lag k in the equation of series j
-        cfg, series, batch, params = toy_setup(n=3, t_len=7, lambda5=0.0)
+        cfg, series, (z, y), params = toy_setup(n=3, t_len=7, lambda5=0.0)
         w, p = params["w"], cfg.p
         m = series.shape[-1] - p
         expected = 0.0
-        for v in range(2):
-            for t in range(p, series.shape[-1]):
-                for j in range(3):
-                    prediction = sum(
-                        w[v, k - 1, i, j] * series[v, i, t - k] for k in range(1, p + 1) for i in range(3)
-                    )
-                    expected += (series[v, j, t] - prediction) ** 2 / m
-        _, breakdown, _ = objective_gradients(params, batch, cfg, multiplier=0.0)
+        for t in range(p, series.shape[-1]):
+            for j in range(3):
+                prediction = sum(
+                    w[k - 1, i, j] * series[i, t - k] for k in range(1, p + 1) for i in range(3)
+                )
+                expected += (series[j, t] - prediction) ** 2 / m
+        _, breakdown, _ = objective_gradients(params, z, y, cfg, multiplier=0.0)
         assert breakdown["var"] == pytest.approx(cfg.lambda1 * expected, rel=1e-12)
 
     def test_true_weights_fit_a_noiseless_series_exactly(self):
         rng = np.random.default_rng(1)
-        w = np.zeros((2, 2, 3, 3))
-        w[:, 0] = np.diag([0.5, 0.5, 0.5])
-        w[:, 0, 0, 1] = 0.8
-        w[:, 1, 1, 2] = -0.4
-        series = np.zeros((2, 3, 40))
-        series[:, :, :2] = rng.standard_normal((2, 3, 2))
+        w = np.zeros((2, 3, 3))
+        w[0] = np.diag([0.5, 0.5, 0.5])
+        w[0, 0, 1] = 0.8
+        w[1, 1, 2] = -0.4
+        series = np.zeros((3, 40))
+        series[:, :2] = rng.standard_normal((3, 2))
         for t in range(2, 40):
-            series[:, :, t] = np.einsum("vi,vij->vj", series[:, :, t - 1], w[:, 0])
-            series[:, :, t] += np.einsum("vi,vij->vj", series[:, :, t - 2], w[:, 1])
+            series[:, t] = series[:, t - 1] @ w[0] + series[:, t - 2] @ w[1]
         cfg = LearnerConfig(p=2)
-        _, breakdown, _ = objective_gradients({"w": w}, build_lagged(series, 2), cfg, 0.0)
+        _, breakdown, _ = objective_gradients({"w": w}, *lag_design(series, 2), cfg, 0.0)
         assert breakdown["var"] == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_weights_cost_the_mean_square_of_the_targets(self):
-        cfg, series, batch, params = toy_setup()
-        total, breakdown, _ = objective_gradients({"w": np.zeros_like(params["w"])}, batch, cfg, 5.0)
-        mean_square = (batch.target**2).sum(axis=(-2, -1)) / batch.target.shape[-1]
-        assert breakdown["var"] == pytest.approx(cfg.lambda1 * mean_square.sum(), rel=1e-12)
-        assert breakdown["sparsity"] == breakdown["acyclicity"] == 0.0
-        assert breakdown["h_metric"] == breakdown["h_log"] == 0.0
+        cfg, _, (z, y), params = toy_setup()
+        total, breakdown, _ = objective_gradients({"w": np.zeros_like(params["w"])}, z, y, cfg, 5.0)
+        assert breakdown["var"] == pytest.approx(cfg.lambda1 * (y**2).sum() / len(y), rel=1e-12)
+        assert breakdown["sparsity"] == breakdown["acyclicity"] == breakdown["h"] == 0.0
         assert total == breakdown["var"]
 
     def test_sparsity_hand_value_leaves_the_self_lags_out(self):
-        cfg, _, batch, _ = toy_setup(n=3)
-        w = np.zeros((2, cfg.p, 3, 3))
-        w[0, 0] = 0.5  # 6 off-diagonal entries count, 3 self-lags do not
-        w[1, 1, 0, 0] = -7.0
-        _, breakdown, _ = objective_gradients({"w": w}, batch, cfg)
+        cfg, _, (z, y), _ = toy_setup(n=3)
+        w = np.zeros((cfg.p, 3, 3))
+        w[0] = 0.5  # 6 off-diagonal entries count, 3 self-lags do not
+        w[1, 0, 0] = -7.0
+        _, breakdown, _ = objective_gradients({"w": w}, z, y, cfg)
         assert breakdown["sparsity"] == pytest.approx(cfg.lambda5 * 3.0, abs=1e-12)
 
     def test_doubling_lambda1_doubles_the_squared_error(self):
-        cfg, _, batch, params = toy_setup()
-        _, base, _ = objective_gradients(params, batch, cfg)
-        _, doubled, _ = objective_gradients(params, batch, LearnerConfig(p=2, lambda1=2 * cfg.lambda1))
+        cfg, _, (z, y), params = toy_setup()
+        _, base, _ = objective_gradients(params, z, y, cfg)
+        _, doubled, _ = objective_gradients(params, z, y, LearnerConfig(p=2, lambda1=2 * cfg.lambda1))
         assert doubled["var"] == pytest.approx(2.0 * base["var"], rel=1e-12)
 
     def test_breakdown_total_is_sum_of_terms(self):
-        cfg, _, batch, params = toy_setup()
-        total, b, _ = objective_gradients(params, batch, cfg, multiplier=3.0)
-        assert b["acyclicity"] == pytest.approx(3.0 * (b["h_metric"] + b["h_log"]))
-        assert b["h_metric"] > 0.0 and b["h_log"] > 0.0
+        cfg, _, (z, y), params = toy_setup()
+        total, b, _ = objective_gradients(params, z, y, cfg, multiplier=3.0)
+        assert b["acyclicity"] == pytest.approx(3.0 * b["h"])
+        assert b["h"] > 0.0 and b["multiplier"] == 3.0
         assert total == b["var"] + b["sparsity"] + b["acyclicity"]
 
 
 class TestObjectiveGradients:
     @pytest.mark.parametrize("n,p,t_len", [(3, 2, 9), (5, 1, 8), (3, 3, 10)])
     def test_matches_central_differences_with_every_term_on(self, n, p, t_len):
-        cfg, _, batch, params = toy_setup(n=n, t_len=t_len, p=p, lambda5=0.7)
+        cfg, _, (z, y), params = toy_setup(n=n, t_len=t_len, p=p, lambda5=0.7)
 
         def objective():
-            return objective_gradients(params, batch, cfg, 1.7)
+            return objective_gradients(params, z, y, cfg, 1.7)
 
         total, breakdown, grads = objective()
         assert min(breakdown[term] for term in ("var", "sparsity", "acyclicity")) > 0.1
@@ -181,36 +165,34 @@ class TestObjectiveGradients:
             w[idx] = orig
             numeric[idx] = (plus - minus) / (2 * eps)
         assert grads.keys() == {"w"}
-        for v, name in enumerate(MODALITIES):
-            rel = np.linalg.norm(grads["w"][v] - numeric[v]) / np.linalg.norm(numeric[v])
-            assert rel < 1e-6, f"{name}: rel err {rel}"
+        rel = np.linalg.norm(grads["w"] - numeric) / np.linalg.norm(numeric)
+        assert rel < 1e-6, f"rel err {rel}"
 
     def test_self_lags_get_only_the_squared_error_gradient(self):
-        cfg, _, batch, params = toy_setup(lambda1=0.0, lambda5=0.7)
-        _, _, grads = objective_gradients(params, batch, cfg, 1.7)
+        cfg, _, (z, y), params = toy_setup(lambda1=0.0, lambda5=0.7)
+        _, _, grads = objective_gradients(params, z, y, cfg, 1.7)
         diagonal = np.diagonal(grads["w"], axis1=-2, axis2=-1)
         assert np.all(diagonal == 0.0)
-        assert np.all(grads["w"][:, :, ~np.eye(3, dtype=bool)] != 0.0)
+        assert np.all(grads["w"][:, ~np.eye(3, dtype=bool)] != 0.0)
 
     def test_zero_weights_are_stationary_for_both_penalties(self):
         # so fit's first step from W = 0 follows the squared error alone
-        cfg, _, batch, params = toy_setup(lambda1=0.0, lambda5=0.7)
-        _, _, grads = objective_gradients({"w": np.zeros_like(params["w"])}, batch, cfg, 1.7)
+        cfg, _, (z, y), params = toy_setup(lambda1=0.0, lambda5=0.7)
+        _, _, grads = objective_gradients({"w": np.zeros_like(params["w"])}, z, y, cfg, 1.7)
         assert np.all(grads["w"] == 0.0)
 
 
 class TestPrecision:
     def test_float32_agrees_with_float64_and_stays_float32(self):
-        cfg, _, batch, params = toy_setup(lambda5=0.7)
-        total, _, grads = objective_gradients(params, batch, cfg, 1.7)
-        batch32 = LaggedBatch(batch.history.astype(np.float32), batch.target.astype(np.float32))
-        total32, _, grads32 = objective_gradients({"w": params["w"].astype(np.float32)}, batch32, cfg, 1.7)
+        cfg, series, (z, y), params = toy_setup(lambda5=0.7)
+        total, _, grads = objective_gradients(params, z, y, cfg, 1.7)
+        z32, y32 = lag_design(series.astype(np.float32), cfg.p)
+        total32, _, grads32 = objective_gradients({"w": params["w"].astype(np.float32)}, z32, y32, cfg, 1.7)
         assert grads32["w"].dtype == np.float32
         # float32 keeps about 7 digits
         assert abs(total32 - total) <= 1e-5 * abs(total)
-        for v, name in enumerate(MODALITIES):
-            rel = np.linalg.norm(grads32["w"][v] - grads["w"][v]) / np.linalg.norm(grads["w"][v])
-            assert rel < 1e-5, f"{name}: rel err {rel}"
+        rel = np.linalg.norm(grads32["w"] - grads["w"]) / np.linalg.norm(grads["w"])
+        assert rel < 1e-5, f"rel err {rel}"
 
 
 class TestAcyclicity:
@@ -310,48 +292,45 @@ def _truncated_series_oracle(b: np.ndarray, terms: int) -> float:
 
 class TestFit:
     def test_two_fits_in_one_process_are_bitwise_equal(self):
-        metric, log = random_panels()
+        panel = random_panel()
         cfg = LearnerConfig(p=2, epochs=6, acyclicity_every=2)
-        first, second = (fit(metric, log, cfg) for _ in range(2))
-        for name in ("A_metric", "A_log"):
-            assert np.array_equal(getattr(first, name), getattr(second, name))
-        assert first.params["w"].tobytes() == second.params["w"].tobytes()
+        first, second = (fit(panel, cfg) for _ in range(2))
+        assert first.A.tobytes() == second.A.tobytes()
+        assert first.w.tobytes() == second.w.tobytes()
         assert first.loss_history == second.loss_history
-        assert (first.h_metric, first.h_log) == (second.h_metric, second.h_log)
-
-    def test_each_modality_is_fitted_on_its_own_panel(self):
-        metric, log = random_panels()
-        other = random_panels(seed=5)[1]
-        cfg = LearnerConfig(p=2, epochs=6)
-        first, second = fit(metric, log, cfg), fit(metric, other, cfg)
-        assert np.array_equal(first.A_metric, second.A_metric)
-        assert not np.array_equal(first.A_log, second.A_log)
+        assert first.h == second.h
 
     def test_starts_from_zero_weights_and_trains_in_float32(self):
-        metric, log = random_panels()
-        structure = fit(metric, log, LearnerConfig(p=2, epochs=3))
-        history = structure.loss_history
+        panel = random_panel()
+        result = fit(panel, LearnerConfig(p=2, epochs=3))
+        history = result.loss_history
         assert history["sparsity"][0] == history["acyclicity"][0] == 0.0
         assert history["multiplier"] == [1.0, 1.0, 1.0]
-        assert structure.params["w"].shape == (2, 2, 5, 5)
-        assert structure.params["w"].dtype == structure.A_metric.dtype == np.float32
-        assert structure.standardization["metric"]["mean"].dtype == np.float64
-        assert np.all(np.diag(structure.A_metric) == 0.0) and np.all(structure.A_log >= 0.0)
-        assert structure.converged == (max(structure.h_metric, structure.h_log) <= 1e-3)
+        assert result.w.shape == (2, 5, 5)
+        assert result.w.dtype == result.A.dtype == np.float32
+        assert np.array_equal(result.A, adjacency_from_lags(result.w))
+        assert np.all(np.diag(result.A) == 0.0) and np.all(result.A >= 0.0)
+        # h is the penalty of the final weights, one step past the last breakdown
+        assert result.h == float(acyclicity(result.A)[0])
+
+    def test_records_the_z_scoring_in_float64(self):
+        rng = np.random.default_rng(0)
+        values = 3.0 + 2.0 * rng.standard_normal((3, 12))
+        values[1] = 5.0  # a constant row keeps std 1 so it z-scores to 0
+        result = fit(ModalityPanel(values, ["a", "b"]), LearnerConfig(p=2, epochs=1))
+        assert result.mean.dtype == result.std.dtype == np.float64
+        assert np.array_equal(result.mean, values.mean(axis=-1))
+        assert result.std[1] == 1.0
+        assert result.std[0] == values[0].std() and result.std[2] == values[2].std()
 
     def test_the_multiplier_doubles_every_acyclicity_every_epochs(self):
-        metric, log = random_panels()
-        structure = fit(metric, log, LearnerConfig(p=2, epochs=7, acyclicity_every=2))
-        history = structure.loss_history
+        history = fit(random_panel(), LearnerConfig(p=2, epochs=7, acyclicity_every=2)).loss_history
         assert history["multiplier"] == [1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 8.0]
-        for multiplier, h_metric, h_log, term in zip(
-            history["multiplier"], history["h_metric"], history["h_log"], history["acyclicity"]
-        ):
-            assert term == multiplier * (h_metric + h_log)
+        for multiplier, h, term in zip(history["multiplier"], history["h"], history["acyclicity"]):
+            assert term == multiplier * h
 
     def test_training_lowers_the_objective(self):
-        metric, log = random_panels()
-        history = fit(metric, log, LearnerConfig(p=2, epochs=60)).loss_history
+        history = fit(random_panel(), LearnerConfig(p=2, epochs=60)).loss_history
         assert history["total"][-1] < history["total"][0]
         assert history["var"][-1] < history["var"][0]
 
@@ -365,25 +344,14 @@ class TestFit:
         x = np.zeros((4, 200))
         for t in range(1, 200):
             x[:, t] = m @ x[:, t - 1] + inputs[:, t]
-        panel = ModalityPanel(x, ["e0", "e1", "e2"])
-        a = fit(panel, panel, LearnerConfig()).A_metric
+        a = fit(ModalityPanel(x, ["e0", "e1", "e2"]), LearnerConfig()).A
         true_edges = {(0, 1), (1, 2), (2, 3)}
         others = [a[i, j] for i in range(4) for j in range(4) if i != j and (i, j) not in true_edges]
         assert min(a[edge] for edge in true_edges) > max(others)
 
-
-class TestSchedule:
-    def test_monotone_non_decreasing(self):
-        cfg = LearnerConfig(acyclicity_every=100)
-        values = [cfg.acyclicity_multiplier(e) for e in range(500)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[0] == 1.0
-        assert values[100] == 2.0
-        assert values[499] == 16.0
-
-    def test_a_period_below_one_rejected(self):
-        with pytest.raises(ValueError, match="acyclicity_every must be >= 1"):
-            LearnerConfig(acyclicity_every=0)
+    def test_a_panel_shorter_than_twice_the_lag_order_rejected(self):
+        with pytest.raises(ValueError, match="at least twice the lag order"):
+            fit(random_panel(t_len=5), LearnerConfig(p=3, epochs=1))
 
 
 class TestConfigValidation:
@@ -401,51 +369,57 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             LearnerConfig(**{field: value})
 
-
-class TestFitInputs:
-    def test_panels_must_list_the_same_nodes_in_the_same_order(self):
-        rng = np.random.default_rng(0)
-        metric = ModalityPanel(rng.standard_normal((3, 12)), ["a", "b"])
-        log = ModalityPanel(rng.standard_normal((3, 12)), ["b", "a"])
-        with pytest.raises(ValueError, match="same nodes in the same order"):
-            fit(metric, log, LearnerConfig(p=2, epochs=1))
-
-    def test_panels_must_share_n_and_t(self):
-        metric, log = random_panels(t_len=30)
-        shorter = ModalityPanel(log.values[:, :20], log.entity_names)
-        with pytest.raises(ValueError, match="share n and T"):
-            fit(metric, shorter, LearnerConfig(p=2, epochs=1))
-
-    def test_a_panel_shorter_than_twice_the_lag_order_rejected(self):
-        metric, log = random_panels(t_len=5)
-        with pytest.raises(ValueError, match="at least twice the lag order"):
-            fit(metric, log, LearnerConfig(p=3, epochs=1))
+    def test_a_period_below_one_rejected(self):
+        with pytest.raises(ValueError, match="acyclicity_every must be >= 1"):
+            LearnerConfig(acyclicity_every=0)
 
 
 class TestPersistence:
-    def test_round_trip_keeps_every_field(self, tmp_path):
+    @pytest.fixture
+    def fits(self):
         rng = np.random.default_rng(0)
         names = ["a", "b"]
+        cfg = LearnerConfig(p=2, epochs=3)
         metric = ModalityPanel(3.0 + 2.0 * rng.standard_normal((3, 12)), names)
         log = ModalityPanel(rng.standard_normal((3, 12)) - 1.0, names)
-        cfg = LearnerConfig(p=2, epochs=3)
-        structure = fit(metric, log, cfg)
-        save_structure(structure, tmp_path / "structure.npz")
-        restored = load_structure(tmp_path / "structure.npz")
+        return {"metric": fit(metric, cfg), "log": fit(log, cfg)}, names + ["kpi"], cfg
 
-        assert restored.config == structure.config
-        assert restored.node_names == structure.node_names
-        assert (restored.h_metric, restored.h_log, restored.converged) == (
-            structure.h_metric, structure.h_log, structure.converged
-        )
-        assert restored.loss_history == structure.loss_history
-        for name in ("A_metric", "A_log"):
-            assert np.array_equal(getattr(restored, name), getattr(structure, name))
-        assert restored.params.keys() == structure.params.keys() == {"w"}
-        for key, value in structure.params.items():
-            assert np.array_equal(restored.params[key], value)
-        assert set(restored.standardization) == {"metric", "log"}
-        for modality, stats in structure.standardization.items():
-            assert set(restored.standardization[modality]) == {"mean", "std"}
-            for stat, values in stats.items():
-                assert np.array_equal(restored.standardization[modality][stat], values)
+    def test_structure_npz_holds_every_field_per_modality(self, tmp_path, fits):
+        fits, node_names, cfg = fits
+        save_structure(fits, node_names, cfg, tmp_path / "structure.npz")
+        data = np.load(tmp_path / "structure.npz")
+        meta = json.loads(bytes(data["meta"]).decode())
+        assert meta == {
+            "config": cfg.__dict__, "node_names": node_names,
+            "converged": max(fits["metric"].h, fits["log"].h) <= 1e-3,
+            "h_metric": fits["metric"].h, "h_log": fits["log"].h,
+        }
+        for modality, result in fits.items():
+            for name in ("A", "w", "mean", "std"):
+                assert np.array_equal(data[f"{modality}:{name}"], getattr(result, name)), name
+                assert data[f"{modality}:{name}"].dtype == getattr(result, name).dtype
+            for term, values in result.loss_history.items():
+                assert data[f"{modality}:history:{term}"].tolist() == values
+        history_keys = {key for key in data.files if ":history:" in key}
+        assert len(data.files) == 1 + 2 * 4 + len(history_keys)
+
+    def test_adjacency_json_keeps_both_graphs_and_splits_the_final_losses(self, fits):
+        fits, node_names, _ = fits
+        payload = json.loads(adjacency_to_json(fits, node_names))
+        assert set(payload) == {
+            "node_names", "A_metric", "A_log", "h_metric", "h_log", "converged", "final_losses",
+        }
+        assert payload["node_names"] == node_names
+        for modality, result in fits.items():
+            assert payload[f"A_{modality}"] == result.A.astype(float).tolist()
+            assert payload[f"h_{modality}"] == result.h
+            assert payload["final_losses"][modality] == {
+                term: values[-1] for term, values in result.loss_history.items()
+            }
+        assert payload["converged"] == (max(result.h for result in fits.values()) <= 1e-3)
+
+    @pytest.mark.parametrize("h_log,converged", [(1e-3, True), (2e-3, False)])
+    def test_converged_needs_every_modality_within_h_tol(self, fits, h_log, converged):
+        fits, node_names, _ = fits
+        fits["metric"].h, fits["log"].h = 0.0, h_log
+        assert json.loads(adjacency_to_json(fits, node_names))["converged"] is converged
