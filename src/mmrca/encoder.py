@@ -7,10 +7,9 @@ window from the [CLS] position. Its sigmoid head (LogSequenceEncoder.score)
 maps a [CLS] state to an anomaly score in (0, 1), and the score of each
 (entity, window) cell is the entity's log series (reduce_to_series). When
 every window carries the same label there is nothing to regress, and
-log_series scores with an untrained encoder instead: its head weights are
-zero, so any [CLS] state scores exactly 0.5, and the transformer does not run
-over the windows. The result is a constant series that says the logs hold no
-evidence.
+log_series builds no encoder: it scores every cell exactly 0.5, the score
+that an untrained encoder's zero head gives any [CLS] state. The result is a
+constant series that says the logs hold no evidence.
 
 Training runs the network once per distinct (token sequence, label) row and
 embedding once per distinct token sequence, in length groups: batches whose
@@ -43,8 +42,7 @@ checks run, and train_log_encoder casts the parameters, the targets and the
 weights to float32 once the seed's draws and the head bias are set. Single
 precision halves the memory traffic and numpy's float32 tanh is several times
 faster than its float64 one; on one thread the encoder is bound by those, not
-by arithmetic. A checkpoint keeps the dtype it was saved in, so embed_windows
-runs a float64 checkpoint in float64.
+by arithmetic.
 """
 
 from __future__ import annotations
@@ -194,7 +192,6 @@ class LogSequenceEncoder:
         self.config = config
         self.vocab_size = vocab_size
         self.history: list[float] = []
-        self.diagnostics: dict = {}
         rng = np.random.default_rng(config.seed)
         d = config.d_model
         # content-rich initialization: embeddings and value/feed-forward paths
@@ -443,27 +440,33 @@ def embed_windows(encoder: LogSequenceEncoder, groups: SequenceGroups) -> np.nda
 def log_series(
     windows: WindowTable, vocab_size: int, config: EncoderConfig, kpi: np.ndarray,
     entity_names: list[str],
-) -> tuple[ModalityPanel, LogSequenceEncoder]:
+) -> tuple[ModalityPanel, dict]:
     """Score every window of the table and place the scores into the log panel.
 
-    Returns the panel and the encoder, which trains on the windows' labels, or
-    stays untrained and does not run when every window has one label. Its
-    diagnostics count the truncated windows and the distinct (token
+    The encoder trains on the windows' labels; when every window has one label
+    none is built and every cell scores 0.5 (see the module docstring).
+    Returns the panel and the training record that save_encoder writes:
+    epochs_run and final_loss (0 and None without an encoder), and
+    diagnostics, which count the truncated windows and the distinct (token
     sequence, label) rows.
     """
     tokens, offsets, truncated = tokenize(windows, vocab_size, config)
     by_label = group_sequences(tokens, offsets, windows.labels)
     if len(set(windows.labels.tolist())) > 1:
         encoder = train_log_encoder(by_label, windows.labels, config, vocab_size)
-        cls = embed_windows(encoder, group_sequences(tokens, offsets))
+        scores = encoder.score(embed_windows(encoder, group_sequences(tokens, offsets)))
+        losses = encoder.history
     else:
-        encoder = LogSequenceEncoder(config, vocab_size)
-        cls = np.zeros((windows.n_cells, config.d_model))
-    encoder.diagnostics = {
-        "truncated_windows": int(truncated.sum()),
-        "unique_sequences": len(by_label.counts),
+        scores, losses = np.full(windows.n_cells, 0.5), []
+    training = {
+        "epochs_run": len(losses),
+        "final_loss": losses[-1] if losses else None,
+        "diagnostics": {
+            "truncated_windows": int(truncated.sum()),
+            "unique_sequences": len(by_label.counts),
+        },
     }
-    return reduce_to_series(encoder.score(cls), windows, kpi, entity_names), encoder
+    return reduce_to_series(scores, windows, kpi, entity_names), training
 
 
 def reduce_to_series(
@@ -501,43 +504,16 @@ def vocabulary_hash(vocabulary: list[LogTemplate]) -> str:
 
 
 def save_encoder(
-    encoder: LogSequenceEncoder,
-    checkpoint_path,
-    manifest_path,
-    vocabulary: list[LogTemplate],
+    config: EncoderConfig, vocabulary: list[LogTemplate], training: dict, manifest_path
 ) -> None:
-    with atomic_open(checkpoint_path, "wb") as fh:
-        np.savez(fh, **encoder.params)
+    """Write encoder_manifest.json: the config, the vocabulary's size and sha256,
+    and log_series's training record."""
     manifest = {
-        "config": encoder.config.__dict__,
-        "vocab_size": encoder.vocab_size,
+        "config": config.__dict__,
+        "vocab_size": len(vocabulary),
         "vocabulary_sha256": vocabulary_hash(vocabulary),
-        "epochs_run": len(encoder.history),
-        "final_loss": encoder.history[-1] if encoder.history else None,
-        "diagnostics": encoder.diagnostics,
+        **training,
     }
     with atomic_open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_encoder(checkpoint_path, manifest_path) -> LogSequenceEncoder:
-    """Rebuild the encoder the manifest describes and load the checkpoint's parameters.
-
-    Raises ValueError naming the first parameter that the checkpoint lacks or
-    holds in another shape, as when the two files come from different saves.
-    """
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    config = EncoderConfig(**manifest["config"])
-    encoder = LogSequenceEncoder(config, manifest["vocab_size"])
-    with np.load(checkpoint_path) as data:
-        for key, param in encoder.params.items():
-            shape = data[key].shape if key in data else None
-            if shape != param.shape:
-                raise ValueError(
-                    f"checkpoint array {key!r} has shape {shape}, "
-                    f"but the manifest's config builds {param.shape}"
-                )
-            encoder.params[key] = data[key]
-    return encoder

@@ -118,20 +118,3 @@ def graph_to_json(graph: FusedCausalGraph) -> str:
         "adjacency": [[float(v) for v in row] for row in graph.adjacency],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def graph_to_dot(graph: FusedCausalGraph, threshold: float) -> str:
-    """DOT export keeping edges whose fused weight exceeds the threshold."""
-    lines = ["digraph fused_causal_graph {"]
-    for name in graph.node_names:
-        lines.append(f'  "{name}";')
-    n = len(graph.node_names)
-    for i in range(n):
-        for j in range(n):
-            w = graph.adjacency[i, j]
-            if i != j and w > threshold:
-                lines.append(
-                    f'  "{graph.node_names[i]}" -> "{graph.node_names[j]}" [label="{w:.2f}"];'
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -24,13 +24,12 @@ Precision is also a fixed policy: the two trained models, the log encoder
 (encoder.train_log_encoder) and the structure learner (structure.fit), train
 and run in float32. On one thread the encoder is bound by memory traffic and
 by numpy's tanh, not by arithmetic, and single precision halves the first
-and speeds up the second several times; the learner's epoch is a few lag
-products, which single precision runs faster too (see structure.py).
-Everything else, the z-scoring, the panels, the attention, the fused graph
-and the random walk, stays in float64, and so do the artifacts on disk:
-log_panel.csv and adjacency.json hold float64 values, while encoder.npz and
-structure.npz hold the trained float32 parameters (the untrained encoder of
-a constant-label incident stays float64).
+and speeds up the second several times. The learner's epoch is a few lag
+products: single precision fits a 41-node panel faster but a 7-node one a
+little slower (see structure.py). Everything else, the z-scoring, the
+panels, the attention, the fused graph and the random walk, stays in
+float64, and so do the artifacts on disk: log_panel.csv and adjacency.json
+hold float64 values. The trained parameters are not written.
 
 The log data moves between the stages in columns. Ingest parses the records
 into one event array and windows and labels them into a logs.WindowTable,
@@ -257,15 +256,12 @@ def _paths(config: dict) -> dict:
         "ground_truth": os.path.join(data_dir, "ground_truth.json"),
         "vocabulary": os.path.join(out_dir, "vocabulary.json"),
         "windows": os.path.join(out_dir, "windows.jsonl"),
-        "encoder": os.path.join(out_dir, "encoder.npz"),
         "encoder_manifest": os.path.join(out_dir, "encoder_manifest.json"),
         "log_panel": os.path.join(out_dir, "log_panel.csv"),
         "metric_panel": os.path.join(out_dir, "metric_panel.csv"),
         "attention": os.path.join(out_dir, "attention.json"),
-        "structure": os.path.join(out_dir, "structure.npz"),
         "adjacency": os.path.join(out_dir, "adjacency.json"),
         "fused_graph": os.path.join(out_dir, "fused_graph.json"),
-        "fused_dot": os.path.join(out_dir, "fused_graph.dot"),
         "ranking": os.path.join(out_dir, "ranking.json"),
         "report": os.path.join(out_dir, "metrics_report.json"),
         "report_txt": os.path.join(out_dir, "metrics_report.txt"),
@@ -326,7 +322,8 @@ def stage_ingest(config: dict) -> tuple:
 
 
 def stage_encode(config: dict, handed=None) -> tuple:
-    """Train the log encoder and write both panels; return (metric_panel, log_panel).
+    """Score the log windows (encoder.log_series), write encoder_manifest.json and
+    both panels; return (metric_panel, log_panel).
 
     handed is ingest's (vocabulary, windows); None reads them from
     vocabulary.json and windows.jsonl.
@@ -351,20 +348,21 @@ def stage_encode(config: dict, handed=None) -> tuple:
         )
 
     metric_panel = aggregate_windows(metric_native, config["window_size"])
-    log_panel, encoder = encoder_mod.log_series(
-        windows, len(vocabulary), encoder_config_from(config), metric_panel.kpi,
-        truth["entity_names"],
+    encoder_config = encoder_config_from(config)
+    log_panel, training = encoder_mod.log_series(
+        windows, len(vocabulary), encoder_config, metric_panel.kpi, truth["entity_names"],
     )
-    encoder_mod.save_encoder(encoder, paths["encoder"], paths["encoder_manifest"], vocabulary)
+    encoder_mod.save_encoder(encoder_config, vocabulary, training, paths["encoder_manifest"])
     write_panel_csv(log_panel, paths["log_panel"], "log_score")
     write_panel_csv(metric_panel, paths["metric_panel"], config["metric_kind"])
     return metric_panel, log_panel
 
 
 def stage_learn(config: dict, handed=None) -> tuple:
-    """Write attention.json, structure.npz and adjacency.json; return
-    ((A_log, A_metric, node_names), (a_log, a_metric)), the two learned
-    adjacencies with their node names and the attention weights.
+    """Fit one lag model per panel; write attention.json and adjacency.json.
+
+    Returns ((A_log, A_metric, node_names), (a_log, a_metric)), the two
+    learned adjacencies with their node names and the attention weights.
 
     handed is encode's (metric_panel, log_panel); None reads them from
     metric_panel.csv and log_panel.csv. Row i of each panel must be the same
@@ -418,13 +416,12 @@ def stage_learn(config: dict, handed=None) -> tuple:
         "log": structure_mod.fit(log_panel, learner_config),
     }
     node_names = metric_panel.node_names
-    structure_mod.save_structure(fits, node_names, learner_config, paths["structure"])
     _write_text(paths["adjacency"], structure_mod.adjacency_to_json(fits, node_names))
     return (fits["log"].A, fits["metric"].A, node_names), (a_log, a_metric)
 
 
 def stage_localize(config: dict, handed=None) -> None:
-    """Fuse the graphs and rank the root causes into ranking.json.
+    """Fuse the graphs into fused_graph.json and rank the root causes into ranking.json.
 
     handed is learn's ((A_log, A_metric, node_names), (a_log, a_metric)); None
     reads them from adjacency.json and attention.json.
@@ -447,10 +444,6 @@ def stage_localize(config: dict, handed=None) -> None:
 
     graph = fusion_mod.fuse(a_log, a_metric, weights, node_names)
     _write_text(paths["fused_graph"], fusion_mod.graph_to_json(graph))
-    _write_text(
-        paths["fused_dot"],
-        fusion_mod.graph_to_dot(graph, config["fusion"]["edge_threshold"]),
-    )
 
     transition = rca_mod.transition_matrix(graph.adjacency, beta=config["rca"]["beta"])
     p0 = np.zeros(len(graph.node_names))

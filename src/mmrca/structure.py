@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
 from .nn import Adam, check_field_types
 from .panel import ModalityPanel
 
@@ -65,12 +64,10 @@ class LearnerConfig:
 
 @dataclass
 class ModalityFit:
-    """One panel's graph A, (p, n, n) lag weights w, row z-scoring, loss history and final h."""
+    """One panel's graph A, (p, n, n) lag weights w, loss history and final h."""
 
     A: np.ndarray
     w: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
     loss_history: dict
     h: float
 
@@ -189,8 +186,8 @@ def objective_gradients(params: dict, z: np.ndarray, y: np.ndarray, config: Lear
 def fit(panel: ModalityPanel, config: LearnerConfig) -> ModalityFit:
     """Full-batch Adam on one panel's objective from W = 0; deterministic.
 
-    Rows are z-scored (recorded in the result) so no scale dominates the
-    squared error.
+    Rows are z-scored so no scale dominates the squared error; a constant row
+    z-scores to 0.
     """
     if panel.n_timesteps < 2 * config.p:
         raise ValueError("panel length must be at least twice the lag order")
@@ -214,10 +211,10 @@ def fit(panel: ModalityPanel, config: LearnerConfig) -> ModalityFit:
         optimizer.step(grads)
 
     adj = adjacency_from_lags(params["w"])
-    return ModalityFit(adj, params["w"], mean, std, history, float(acyclicity(adj)[0]))
+    return ModalityFit(adj, params["w"], history, float(acyclicity(adj)[0]))
 
 
-# --- persistence ----------------------------------------------------------------------
+# --- adjacency.json ----------------------------------------------------------------
 
 
 def converged(fits: dict) -> bool:
@@ -236,21 +233,3 @@ def adjacency_to_json(fits: dict, node_names: list[str]) -> str:
             key: values[-1] for key, values in result.loss_history.items()
         }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def save_structure(fits: dict, node_names: list[str], config: LearnerConfig, path) -> None:
-    """Write {modality: ModalityFit} as one .npz: per modality `<modality>:A`,
-    `<modality>:w`, `<modality>:mean`, `<modality>:std` and `<modality>:history:<term>`
-    the per-epoch breakdown, and `meta` the config, node names, each h_<modality>
-    and converged as JSON."""
-    arrays = {}
-    meta = {"config": config.__dict__, "node_names": node_names, "converged": converged(fits)}
-    for modality, result in fits.items():
-        for name in ("A", "w", "mean", "std"):
-            arrays[f"{modality}:{name}"] = getattr(result, name)
-        for key, values in result.loss_history.items():
-            arrays[f"{modality}:history:{key}"] = np.asarray(values)
-        meta[f"h_{modality}"] = result.h
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, **arrays)

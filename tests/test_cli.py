@@ -2,10 +2,9 @@ import builtins
 import json
 import os
 
-import numpy as np
 import pytest
 
-from mmrca import cli, pipeline
+from mmrca import atomic, cli, pipeline
 
 
 def write_config(tmp_path, payload) -> str:
@@ -140,7 +139,11 @@ class TestStageCommands:
         assert self.run(tmp_path, "run-pipeline", full, scenario=scenario) == 0
         names = sorted(p.name for p in staged.iterdir())
         assert names == sorted(p.name for p in full.iterdir() if p.name != "manifest.json")
-        assert len(names) == 14
+        assert names == [
+            "adjacency.json", "attention.json", "encoder_manifest.json", "fused_graph.json",
+            "log_panel.csv", "metric_panel.csv", "metrics_report.json", "metrics_report.txt",
+            "ranking.json", "vocabulary.json", "windows.jsonl",
+        ]
         for name in names:
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
@@ -207,7 +210,7 @@ class TestStageCommands:
             capsys.readouterr().err
         )
         # the panels are checked before the attention or either fit writes anything
-        for name in ("attention.json", "structure.npz", "adjacency.json"):
+        for name in ("attention.json", "adjacency.json"):
             assert not (out / name).exists(), name
 
     def test_learn_rejects_a_log_panel_in_another_entity_order(self, tmp_path, capsys):
@@ -280,7 +283,7 @@ class TestStageCommands:
         assert "same nodes in the same order" in capsys.readouterr().err
         assert not (out / "adjacency.json").exists()
         # the encode stage fails before it trains or writes anything
-        assert not (out / "encoder.npz").exists()
+        assert not (out / "encoder_manifest.json").exists()
         assert not (out / "log_panel.csv").exists()
 
     def test_a_metrics_file_missing_a_row_is_a_validation_failure(self, tmp_path, capsys):
@@ -358,10 +361,17 @@ class TestStageCommands:
         assert self.run(tmp_path, "parse", out) == 0
         assert self.run(tmp_path, "encode", out, **settings) == 1
         assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
-        assert not (out / "encoder.npz").exists()
+        assert not (out / "encoder_manifest.json").exists()
+        assert not (out / "log_panel.csv").exists()
 
     @pytest.mark.parametrize(
-        "command,artifact", [("encode", "encoder.npz"), ("learn", "structure.npz")]
+        "command,artifact",
+        [
+            ("encode", "encoder_manifest.json"),
+            ("learn", "adjacency.json"),
+            ("localize", "fused_graph.json"),
+            ("localize", "ranking.json"),
+        ],
     )
     def test_failed_save_exits_2_and_keeps_the_earlier_artifact(
         self, tmp_path, monkeypatch, capsys, command, artifact
@@ -370,16 +380,38 @@ class TestStageCommands:
         assert self.run(tmp_path, "simulate", out) == 0
         assert self.run(tmp_path, "run-pipeline", out) == 0
         before = (out / artifact).read_bytes()
+        room = 40  # bytes the disk takes before it fills, partway through the artifact
+        assert len(before) > room
 
-        def savez_until_the_disk_fills(file, **arrays):
-            file.write(b"PK\x03\x04")
-            raise OSError(28, "No space left on device")
+        class DiskFills:
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
 
-        monkeypatch.setattr(np, "savez", savez_until_the_disk_fills)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                fits = text[: room - self.written]
+                self.written += self.fh.write(fits)
+                if len(fits) < len(text):
+                    raise OSError(28, "No space left on device")
+                return len(text)
+
+        partial = out / (artifact + ".partial")
+
+        def open_until_the_disk_fills(file, *args, **kwargs):
+            fh = builtins.open(file, *args, **kwargs)
+            return DiskFills(fh) if os.fspath(file) == str(partial) else fh
+
+        # atomic_open opens the .partial file through the name open of its module
+        monkeypatch.setattr(atomic, "open", open_until_the_disk_fills, raising=False)
         assert self.run(tmp_path, command, out) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert (out / artifact).read_bytes() == before
-        assert (out / (artifact + ".partial")).read_bytes() == b"PK\x03\x04"
+        assert partial.read_bytes() == before[:room]
 
     def test_runtime_failure_in_a_stage_exits_2(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from mmrca import encoder as encoder_mod
 from mmrca.encoder import (
     CLS_TOKEN,
     EMPTY_TOKEN,
@@ -15,7 +16,6 @@ from mmrca.encoder import (
     embed_windows,
     freq_bucket,
     group_sequences,
-    load_encoder,
     log_series,
     n_tokens,
     reduce_to_series,
@@ -330,10 +330,31 @@ class TestTraining:
     def test_truncated_windows_counted_once_each(self):
         windows = [window(list(range(10)), [1] * 10) for i in range(3)]
         windows += [window([i % 3], [1], label=float(i % 2)) for i in range(5)]
-        _, encoder = log_series(table(windows), 10, toy_config(max_len=8, epochs=2),
-                                kpi=np.zeros(len(windows)), entity_names=["e0"])
-        assert len(encoder.history) == 2  # trained and embedded
-        assert encoder.diagnostics == {"truncated_windows": 3, "unique_sequences": 6}
+        _, training = log_series(table(windows), 10, toy_config(max_len=8, epochs=2),
+                                 kpi=np.zeros(len(windows)), entity_names=["e0"])
+        assert training["epochs_run"] == 2  # trained and embedded
+        assert training["diagnostics"] == {"truncated_windows": 3, "unique_sequences": 6}
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_constant_labels_score_one_half_without_an_encoder(self, monkeypatch, label):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an encoder was built for constant labels")
+
+        monkeypatch.setattr(encoder_mod, "LogSequenceEncoder", refuse)
+        monkeypatch.setattr(encoder_mod, "train_log_encoder", refuse)
+        windows = [window(list(range(10)), [1] * 10, label=label) for i in range(2)]
+        windows += [window([i % 3], [1], label=label) for i in range(4)]
+        kpi = np.arange(len(windows), dtype=float)
+        panel, training = log_series(table(windows), 10, toy_config(max_len=8, epochs=2),
+                                     kpi=kpi, entity_names=["e0"])
+        assert panel.entity_names == ["e0"]
+        assert np.array_equal(panel.values[0], np.full(len(windows), 0.5))
+        assert np.array_equal(panel.values[-1], kpi)
+        assert training == {
+            "epochs_run": 0,
+            "final_loss": None,
+            "diagnostics": {"truncated_windows": 2, "unique_sequences": 4},
+        }
 
     def test_same_seed_identical_parameters(self):
         windows = separable_corpus(10)
@@ -803,50 +824,17 @@ class TestReduceToSeries:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        windows = separable_corpus(6)
-        encoder = train(windows, toy_config(epochs=20))
+    def test_manifest_records_the_config_the_vocabulary_and_the_training(self, tmp_path):
+        config = toy_config(epochs=2)
         vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
-        ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
-        save_encoder(encoder, ckpt, manifest, vocabulary)
-        restored = load_encoder(ckpt, manifest)
-        for key in encoder.params:
-            assert np.array_equal(restored.params[key], encoder.params[key])
-        assert restored.config == encoder.config
-
-    def test_a_float64_checkpoint_loads_and_embeds_in_float64(self, tmp_path):
-        encoder = LogSequenceEncoder(toy_config(), vocab_size=4)
-        vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
-        ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
-        save_encoder(encoder, ckpt, manifest, vocabulary)
-        restored = load_encoder(ckpt, manifest)
-        groups = groups_of(restored, separable_corpus(2))
-        emb = embed_windows(restored, groups)
-        assert emb.dtype == np.float64
-        assert np.array_equal(emb, embed_windows(encoder, groups))
-
-    def test_checkpoint_from_another_save_is_rejected(self, tmp_path, monkeypatch):
-        # a save that fails between its two files leaves the new checkpoint
-        # beside the manifest of the save before it
-        windows = separable_corpus(3)
-        vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
-        ckpt, manifest = tmp_path / "enc.npz", tmp_path / "enc.json"
-        save_encoder(train(windows, toy_config(d_model=8, epochs=2)),
-                     ckpt, manifest, vocabulary)
-
-        def dump_fails(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(json, "dump", dump_fails)
-        with pytest.raises(OSError):
-            save_encoder(train(windows, toy_config(d_model=16, epochs=2)),
-                         ckpt, manifest, vocabulary)
-        monkeypatch.undo()
-        with np.load(ckpt) as checkpoint:
-            assert checkpoint["tok_emb"].shape[1] == 16
-        assert json.loads(manifest.read_text())["config"]["d_model"] == 8
-        with pytest.raises(ValueError, match="'tok_emb'"):
-            load_encoder(ckpt, manifest)
+        training = {"epochs_run": 2, "final_loss": 0.25, "diagnostics": {"truncated_windows": 0}}
+        save_encoder(config, vocabulary, training, tmp_path / "encoder_manifest.json")
+        assert json.loads((tmp_path / "encoder_manifest.json").read_text()) == {
+            "config": config.__dict__,
+            "vocab_size": 4,
+            "vocabulary_sha256": vocabulary_hash(vocabulary),
+            **training,
+        }
 
     def test_vocabulary_hash_changes_with_content(self):
         a = [LogTemplate(0, "x")]

@@ -6,7 +6,6 @@ import pytest
 from mmrca.fusion import (
     cross_correlation_scores,
     fuse,
-    graph_to_dot,
     graph_to_json,
     modality_attention,
 )
@@ -171,11 +170,6 @@ class TestExports:
         a_log = np.array([[0.0, 0.9], [0.05, 0.0]])
         a_metric = np.array([[0.0, 0.5], [0.1, 0.0]])
         return fuse(a_log, a_metric, (0.5, 0.5), ["e0", "kpi"])
-
-    def test_dot_threshold(self):
-        dot = graph_to_dot(self.graph(), threshold=0.3)
-        assert '"e0" -> "kpi"' in dot
-        assert '"kpi" -> "e0"' not in dot
 
     def test_json_is_valid(self):
         graph = self.graph()

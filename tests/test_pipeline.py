@@ -12,7 +12,7 @@ import mmrca
 from mmrca import cli, pipeline
 from mmrca import encoder as encoder_mod
 from mmrca import structure as structure_mod
-from mmrca.logs import windows_from_jsonl
+from mmrca.logs import vocabulary_from_json, windows_from_jsonl
 from mmrca.nn import sigmoid
 from mmrca.panel import ModalityPanel, read_panel_csv, write_panel_csv
 
@@ -74,7 +74,7 @@ class TestOneBlasThread:
             outs[threads] = out
         names = sorted(p.name for p in outs["1"].iterdir() if p.name != "manifest.json")
         assert names == sorted(p.name for p in outs["2"].iterdir() if p.name != "manifest.json")
-        assert "encoder.npz" in names and "ranking.json" in names
+        assert "log_panel.csv" in names and "ranking.json" in names
         for name in names:
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
@@ -206,6 +206,14 @@ class TestLogSeries:
         manifest = json.loads((out / "encoder_manifest.json").read_text())
         return windows, panel, manifest
 
+    def encoder_inputs(self, tmp_path, windows):
+        """The encoder config and vocabulary size of the run, and the windows' token table."""
+        config = pipeline.load_config(str(tmp_path / "config.json"), seed=3, environ={})
+        encoder_config = pipeline.encoder_config_from(config)
+        vocab_size = len(vocabulary_from_json((tmp_path / "out" / "vocabulary.json").read_text()))
+        tokens, offsets, truncated = encoder_mod.tokenize(windows, vocab_size, encoder_config)
+        return encoder_config, vocab_size, tokens, offsets, truncated
+
     def test_each_cell_is_the_head_score_of_its_window(self, tmp_path):
         for command in ("simulate", "parse", "encode"):
             assert self.run(tmp_path, "both", command) == 0, command
@@ -213,11 +221,15 @@ class TestLogSeries:
         assert len(set(windows.labels)) > 1
         assert manifest["epochs_run"] == 2
 
-        out = tmp_path / "out"
-        encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
-        tokens, offsets, _ = encoder_mod.tokenize(windows, encoder.vocab_size, encoder.config)
+        # training is deterministic: the same call gives the encoder that encode trained
+        encoder_config, vocab_size, tokens, offsets, _ = self.encoder_inputs(tmp_path, windows)
+        by_label = encoder_mod.group_sequences(tokens, offsets, windows.labels)
         with pipeline._one_blas_thread():
+            encoder = encoder_mod.train_log_encoder(
+                by_label, windows.labels, encoder_config, vocab_size
+            )
             cls = encoder_mod.embed_windows(encoder, encoder_mod.group_sequences(tokens, offsets))
+        assert manifest["final_loss"] == encoder.history[-1]
         logits = (cls @ encoder.params["head_w"]).ravel() + encoder.params["head_b"][0]
         expected = sigmoid(logits)
         values_of = defaultdict(set)
@@ -238,8 +250,8 @@ class TestLogSeries:
 
             return call
 
-        embed_windows = encoder_mod.embed_windows
-        for name in ("train_log_encoder", "embed_windows"):
+        embed_windows, encoder_class = encoder_mod.embed_windows, encoder_mod.LogSequenceEncoder
+        for name in ("LogSequenceEncoder", "train_log_encoder", "embed_windows"):
             monkeypatch.setattr(encoder_mod, name, refuse(name))
         for command in ("simulate", "parse", "encode"):
             assert self.run(tmp_path, "metric_only", command) == 0, command
@@ -251,15 +263,16 @@ class TestLogSeries:
         assert manifest["final_loss"] is None
 
         out = tmp_path / "out"
-        encoder = encoder_mod.load_encoder(out / "encoder.npz", out / "encoder_manifest.json")
-        vocab_size, config = encoder.vocab_size, encoder.config
-        tokens, offsets, truncated = encoder_mod.tokenize(windows, vocab_size, config)
+        encoder_config, vocab_size, tokens, offsets, truncated = self.encoder_inputs(
+            tmp_path, windows
+        )
         sequences = {tuple(tokens[a:b]) for a, b in zip(offsets[:-1], offsets[1:])}
         assert manifest["diagnostics"] == {
             "truncated_windows": int(truncated.sum()),
             "unique_sequences": len(sequences),
         }
-        # reference: the panel that embedding every window with the untrained encoder gives
+        # reference: the panel that embedding every window with an untrained encoder gives
+        encoder = encoder_class(encoder_config, vocab_size)
         with pipeline._one_blas_thread():
             groups = encoder_mod.group_sequences(tokens, offsets)
             scores = encoder.score(embed_windows(encoder, groups))
