@@ -14,18 +14,8 @@ from .encoder import (
     reduce_to_series,
     train_log_encoder,
 )
-from .fusion import (
-    FusedCausalGraph,
-    cross_correlation_scores,
-    fuse,
-    modality_attention,
-)
-from .logs import (
-    LogTemplate,
-    WindowTable,
-    parse_templates,
-    window_sequences,
-)
+from .fusion import cross_correlation_scores, fuse, modality_attention
+from .logs import WindowTable, parse_templates, window_sequences
 from .metrics import EvaluationCase, map_at_k, mrr, precision_at_k, structural_hamming
 from .panel import ModalityPanel, aggregate_windows
 from .rca import RankedRootCauses, rank_root_causes, rwr, transition_matrix
@@ -37,11 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "EncoderConfig",
     "EvaluationCase",
-    "FusedCausalGraph",
     "IncidentDataset",
     "LearnerConfig",
     "LogSequenceEncoder",
-    "LogTemplate",
     "ModalityFit",
     "ModalityPanel",
     "RankedRootCauses",

@@ -11,14 +11,14 @@ log_series builds no encoder: it scores every cell exactly 0.5, the score
 that an untrained encoder's zero head gives any [CLS] state. The result is a
 constant series that says the logs hold no evidence.
 
-Training runs the network once per distinct (token sequence, label) row and
-embedding once per distinct token sequence, in length groups: batches whose
-sequences all have one token length, shortest first. Nothing is padded, so
-no position is masked, and a row's forward pass depends only on its own
-tokens. Identical windows share one result, bit-identical to running each
-window alone. Training stays full-batch: every length group adds into one
-gradient, normalised by the total weight of all rows, and Adam steps once an
-epoch, so the loss is the plain mean over all windows.
+Training and embedding run the network once per distinct (token sequence,
+label) row, in length groups: batches whose sequences all have one token
+length, shortest first. Nothing is padded, so no position is masked, and a
+row's forward pass depends only on its own tokens. Identical windows share
+one result, bit-identical to running each window alone. Training stays
+full-batch: every length group adds into one gradient, normalised by the
+total weight of all rows, and Adam steps once an epoch, so the loss is the
+plain mean over all windows.
 
 The head reads only the final [CLS] state, so the last layer runs at the
 [CLS] position alone: it computes keys and values at every position, because
@@ -30,7 +30,7 @@ projections of l rows plus one row of the rest, not the whole layer at l rows.
 
 log_series, the encode stage's one call, tokenizes every cell of a
 logs.WindowTable into one flat token table and groups its distinct rows once
-per key (group_sequences).
+(group_sequences).
 
 The network is plain numpy with hand-derived gradients so that training is
 bit-deterministic and the analytic gradients can be checked against finite
@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .logs import EMPTY_TEMPLATE_ID, LogTemplate, WindowTable, vocabulary_to_json
+from .logs import EMPTY_TEMPLATE_ID, WindowTable, vocabulary_to_json
 from .nn import (
     Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax,
 )
@@ -165,13 +165,10 @@ class SequenceGroups(NamedTuple):
     by_length: list[tuple[np.ndarray, np.ndarray]]
 
 
-def group_sequences(tokens: np.ndarray, offsets: np.ndarray, labels=None) -> SequenceGroups:
-    """Group the cells of a token table by their tokens, or by (tokens, label)
-    when labels, an array, holds one label per cell."""
+def group_sequences(tokens: np.ndarray, offsets: np.ndarray, labels: np.ndarray) -> SequenceGroups:
+    """Group the cells of a token table by (tokens, label); labels holds one label per cell."""
     flat, ends = tokens.tobytes(), (offsets * tokens.itemsize).tolist()
-    keys = [flat[a:b] for a, b in zip(ends[:-1], ends[1:])]
-    if labels is not None:
-        keys = zip(keys, labels.tolist(), strict=True)
+    keys = zip([flat[a:b] for a, b in zip(ends[:-1], ends[1:])], labels.tolist(), strict=True)
     row_of: dict = {}
     rows = np.array([row_of.setdefault(key, len(row_of)) for key in keys], dtype=np.int64)
     _, first, counts = np.unique(rows, return_index=True, return_counts=True)
@@ -421,12 +418,12 @@ def train_log_encoder(
 
 
 def embed_windows(encoder: LogSequenceEncoder, groups: SequenceGroups) -> np.ndarray:
-    """[CLS] hidden state per window, given the windows' token sequences grouped by tokens.
+    """[CLS] hidden state per window, given the windows' rows from group_sequences.
 
     Shape (n_windows, d_model), no gradients kept, in the dtype of the
-    parameters. Each distinct sequence runs once, in length groups, so a row
-    depends only on its own tokens, and the windows that share a sequence
-    share its row, bit-identical to running each window alone.
+    parameters. Each distinct row runs once, in length groups, so a row
+    depends only on its own tokens, and the windows that share a row share
+    its state, bit-identical to running each window alone.
     """
     cls = np.empty((len(groups.counts), encoder.config.d_model), encoder.params["tok_emb"].dtype)
     for rows, ids in groups.by_length:
@@ -451,10 +448,10 @@ def log_series(
     sequence, label) rows.
     """
     tokens, offsets, truncated = tokenize(windows, vocab_size, config)
-    by_label = group_sequences(tokens, offsets, windows.labels)
+    groups = group_sequences(tokens, offsets, windows.labels)
     if len(set(windows.labels.tolist())) > 1:
-        encoder = train_log_encoder(by_label, windows.labels, config, vocab_size)
-        scores = encoder.score(embed_windows(encoder, group_sequences(tokens, offsets)))
+        encoder = train_log_encoder(groups, windows.labels, config, vocab_size)
+        scores = encoder.score(embed_windows(encoder, groups))
         losses = encoder.history
     else:
         scores, losses = np.full(windows.n_cells, 0.5), []
@@ -463,7 +460,7 @@ def log_series(
         "final_loss": losses[-1] if losses else None,
         "diagnostics": {
             "truncated_windows": int(truncated.sum()),
-            "unique_sequences": len(by_label.counts),
+            "unique_sequences": len(groups.counts),
         },
     }
     return reduce_to_series(scores, windows, kpi, entity_names), training
@@ -499,12 +496,12 @@ def reduce_to_series(
 # --- persistence ----------------------------------------------------------------
 
 
-def vocabulary_hash(vocabulary: list[LogTemplate]) -> str:
+def vocabulary_hash(vocabulary: list[str]) -> str:
     return hashlib.sha256(vocabulary_to_json(vocabulary).encode()).hexdigest()
 
 
 def save_encoder(
-    config: EncoderConfig, vocabulary: list[LogTemplate], training: dict, manifest_path
+    config: EncoderConfig, vocabulary: list[str], training: dict, manifest_path
 ) -> None:
     """Write encoder_manifest.json: the config, the vocabulary's size and sha256,
     and log_series's training record."""

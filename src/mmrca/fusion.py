@@ -8,28 +8,10 @@ blended with those weights into one causal graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .panel import ModalityPanel
-
-
-@dataclass
-class FusedCausalGraph:
-    adjacency: np.ndarray
-    a_log: float
-    a_metric: float
-    node_names: list[str]
-
-    def __post_init__(self):
-        self.adjacency = np.asarray(self.adjacency, dtype=float)
-        if not np.isclose(self.a_log + self.a_metric, 1.0):
-            raise ValueError("attention weights must sum to 1")
-        if self.a_log < 0 or self.a_metric < 0:
-            raise ValueError("attention weights must be non-negative")
-        if self.adjacency.shape != (len(self.node_names), len(self.node_names)):
-            raise ValueError("adjacency shape does not match node_names")
 
 
 def _lagged_correlation(x: np.ndarray, y: np.ndarray, lag: int) -> float:
@@ -91,30 +73,31 @@ def modality_attention(score_log, score_metric, k: int) -> tuple[float, float]:
 
 def fuse(
     a_log: np.ndarray, a_metric: np.ndarray, weights: tuple[float, float], node_names: list[str]
-) -> FusedCausalGraph:
-    """Convex combination A = w_log * A_log + w_metric * A_metric with zeroed diagonal.
+) -> np.ndarray:
+    """The fused adjacency w_log * A_log + w_metric * A_metric, float64, with zeroed diagonal.
 
-    weights is (w_log, w_metric), the modality attention, and must sum to 1.
+    weights is (w_log, w_metric), the modality attention: non-negative and
+    summing to 1. Both adjacencies must be n x n over the n node_names.
     """
     a_log_matrix = np.asarray(a_log, dtype=float)
     a_metric_matrix = np.asarray(a_metric, dtype=float)
-    if a_log_matrix.shape != a_metric_matrix.shape:
-        raise ValueError("modality adjacencies must share a shape")
+    n = len(node_names)
+    if not a_log_matrix.shape == a_metric_matrix.shape == (n, n):
+        raise ValueError(f"both adjacencies must be {n} x {n}, one row per node name")
     w_log, w_metric = weights
-    if not np.isclose(w_log + w_metric, 1.0):
-        raise ValueError("attention weights must sum to 1")
+    if w_log < 0 or w_metric < 0 or not np.isclose(w_log + w_metric, 1.0):
+        raise ValueError("attention weights must be non-negative and sum to 1")
     fused = w_log * a_log_matrix + w_metric * a_metric_matrix
     np.fill_diagonal(fused, 0.0)
-    return FusedCausalGraph(
-        adjacency=fused, a_log=w_log, a_metric=w_metric, node_names=list(node_names)
-    )
+    return fused
 
 
-def graph_to_json(graph: FusedCausalGraph) -> str:
+def graph_to_json(adjacency: np.ndarray, weights: tuple[float, float], node_names: list[str]) -> str:
+    """fused_graph.json: fuse's adjacency with the weights and node names it fused."""
     payload = {
-        "a_log": graph.a_log,
-        "a_metric": graph.a_metric,
-        "node_names": graph.node_names,
-        "adjacency": [[float(v) for v in row] for row in graph.adjacency],
+        "a_log": weights[0],
+        "a_metric": weights[1],
+        "node_names": node_names,
+        "adjacency": [[float(v) for v in row] for row in adjacency],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import check_type
+from .nn import check_type, load_json_object
 
 WILDCARD = "<*>"
 
@@ -77,12 +77,6 @@ _UUID = re.compile(
 )  # needs "-"
 _HEX = re.compile(r"\b0[xX][0-9a-fA-F]+\b")  # 0x-prefixed hex, needs "x" or "X"
 _BARE = re.compile(r"\b[0-9a-fA-F]*\d[0-9a-fA-F]*\b")  # bare hex / integers / floats
-
-
-@dataclass
-class LogTemplate:
-    template_id: int
-    pattern: str
 
 
 @dataclass(eq=False)
@@ -180,7 +174,7 @@ def _check_records(records) -> None:
                 raise ValueError(f"log record {index} field {name!r} does not fit in 64 bits")
 
 
-def parse_templates(raw_logs) -> tuple[list[LogTemplate], np.ndarray]:
+def parse_templates(raw_logs) -> tuple[list[str], np.ndarray]:
     """Mine templates from raw log records and emit (timestamp, entity, template_id) events.
 
     Records are dicts with keys ts, entity, msg (the simulator's JSONL schema);
@@ -188,7 +182,8 @@ def parse_templates(raw_logs) -> tuple[list[LogTemplate], np.ndarray]:
     first offending record by its index. The events are one int64 array of
     shape (n_records, 3), a row per record in record order. Template ids are
     assigned in first-appearance order, so parsing is deterministic for a
-    fixed record order.
+    fixed record order. The vocabulary lists the templates' patterns, so a
+    template's id is its position in the list.
     """
     records = list(raw_logs)
     try:
@@ -211,12 +206,11 @@ def parse_templates(raw_logs) -> tuple[list[LogTemplate], np.ndarray]:
 
     by_pattern: dict[str, int] = {}
     events[:, 2] = [by_pattern.setdefault(mask_message(m), len(by_pattern)) for m in messages]
-    vocabulary = [LogTemplate(template_id=i, pattern=p) for p, i in by_pattern.items()]
-    return vocabulary, events
+    return list(by_pattern), events
 
 
 def window_sequences(
-    events, vocabulary: list[LogTemplate], window_size: int, n_entities: int, n_windows: int
+    events, vocabulary: list[str], window_size: int, n_entities: int, n_windows: int
 ) -> WindowTable:
     """Partition events into fixed windows per entity.
 
@@ -235,7 +229,7 @@ def window_sequences(
     events = np.asarray(events, dtype=np.int64).reshape(-1, 3)
     ts, entity, template = events[np.argsort(events[:, 0], kind="stable")].T
     window = ts // window_size
-    bad_template = ~np.isin(template, [t.template_id for t in vocabulary])
+    bad_template = (template < 0) | (template >= len(vocabulary))
     bad_entity = (entity < 0) | (entity >= n_entities)
     bad_window = (window < 0) | (window >= n_windows)
     bad = bad_template | bad_entity | bad_window
@@ -251,13 +245,12 @@ def window_sequences(
         )
 
     # one key per (cell, template); np.unique reports the first event of each
-    low = int(template.min()) if len(template) else 0
-    span = int(template.max()) - low + 1 if len(template) else 1
-    keys = (entity * n_windows + window) * span + (template - low)
+    span = max(len(vocabulary), 1)
+    keys = (entity * n_windows + window) * span + template
     keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
     cells = keys // span
     order = np.lexsort((first, cells))
-    cells, ids, counts = cells[order], keys[order] % span + low, counts[order]
+    cells, ids, counts = cells[order], keys[order] % span, counts[order]
 
     n_cells = n_entities * n_windows
     per_cell = np.bincount(cells, minlength=n_cells)
@@ -271,7 +264,7 @@ def window_sequences(
     return WindowTable(n_entities, n_windows, offsets, templates, frequencies, np.zeros(n_cells))
 
 
-def label_windows(windows: WindowTable, vocabulary: list[LogTemplate]) -> WindowTable:
+def label_windows(windows: WindowTable, vocabulary: list[str]) -> WindowTable:
     """The table with each cell labelled by the frequency-weighted fraction of its
     events whose template contains one of DEFAULT_GOLDEN_SIGNALS.
 
@@ -280,9 +273,8 @@ def label_windows(windows: WindowTable, vocabulary: list[LogTemplate]) -> Window
     empty cell's label is 0.0.
     """
     flagged_ids = [
-        t.template_id
-        for t in vocabulary
-        if any(s in t.pattern.lower() for s in DEFAULT_GOLDEN_SIGNALS)
+        template_id for template_id, pattern in enumerate(vocabulary)
+        if any(s in pattern.lower() for s in DEFAULT_GOLDEN_SIGNALS)
     ]
 
     def cell_sums(values):
@@ -325,17 +317,21 @@ def _decode_json_lines(text: str, source) -> list:
     raise AssertionError("every line decodes alone, so the joined decode cannot fail")
 
 
-def vocabulary_to_json(vocabulary: list[LogTemplate]) -> str:
-    payload = {str(t.template_id): t.pattern for t in vocabulary}
+def vocabulary_to_json(vocabulary: list[str]) -> str:
+    payload = {str(template_id): pattern for template_id, pattern in enumerate(vocabulary)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def vocabulary_from_json(text: str) -> list[LogTemplate]:
-    payload = json.loads(text)
-    return [
-        LogTemplate(template_id=int(k), pattern=v)
-        for k, v in sorted(payload.items(), key=lambda kv: int(kv[0]))
-    ]
+def vocabulary_from_json(text: str, source="vocabulary.json") -> list[str]:
+    """The patterns vocabulary_to_json wrote, in template id order; ValueError naming
+    source unless the text is a JSON object mapping exactly "0".."n-1" to strings."""
+    payload = load_json_object(text, source)
+    ids = list(map(str, range(len(payload))))
+    if set(payload) != set(ids):
+        raise ValueError(f"{source} must map exactly the template ids 0..{len(ids) - 1}")
+    for template_id in ids:
+        check_type(f"{source} template {template_id}", payload[template_id], str)
+    return [payload[template_id] for template_id in ids]
 
 
 def windows_to_jsonl(windows: WindowTable) -> str:

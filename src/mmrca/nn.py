@@ -1,5 +1,5 @@
-"""Small numpy building blocks shared by the trained models, and the type check
-of their config fields.
+"""Small numpy building blocks shared by the trained models, and the type checks
+of their config fields and of the JSON files the stages read.
 
 Everything here is functional: forward passes return caches and the matching
 backward functions consume them so gradients stay hand-derived and checkable
@@ -15,6 +15,7 @@ moments and work arrays take the dtype of the parameters they update.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import numbers
 import typing
@@ -33,11 +34,13 @@ _KINDS = {
     int: (numbers.Integral, "an int"),
     float: (numbers.Real, "a number"),
     str: (str, "a string"),
+    list: (list, "a list"),
+    dict: (dict, "a JSON object"),
 }
 
 
 def check_type(name: str, value, kind: type) -> None:
-    """Raise ValueError naming name unless value is of kind (int, float or str).
+    """Raise ValueError naming name unless value is of kind (int, float, str, list or dict).
 
     An int takes an integer and a float any real number, an int included. A
     bool is neither, though Python counts it as an int.
@@ -47,6 +50,16 @@ def check_type(name: str, value, kind: type) -> None:
         raise ValueError(
             f"{name} must be {wanted}; {type(value).__name__} {value!r} is not supported"
         )
+
+
+def load_json_object(text: str, source) -> dict:
+    """The JSON object text holds; ValueError naming source if it holds anything else."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not valid JSON: {exc}") from None
+    check_type(str(source), payload, dict)
+    return payload
 
 
 def check_field_types(config) -> None:

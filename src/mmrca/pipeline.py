@@ -1,7 +1,8 @@
 """End-to-end pipeline wiring with persisted stage artifacts.
 
 The simulate command writes one metric panel to metrics.csv under the name
-config["metric_kind"], and the encode stage reads the rows of that name.
+config["metric_kind"]. The metric panel is the rows of that name averaged
+over window_size steps; encode, and learn run alone, build it from there.
 Stage order: ingest logs -> score every window with the log encoder's
 regression head and place the scores into one series per entity
 (encoder.log_series) -> KPI-aware attention -> one structure fit per
@@ -70,8 +71,8 @@ from . import metrics as metrics_mod
 from . import rca as rca_mod
 from . import structure as structure_mod
 from .atomic import atomic_open
-from .nn import check_type
-from .panel import aggregate_windows, read_panel_csv, write_panel_csv
+from .nn import check_type, load_json_object
+from .panel import ModalityPanel, aggregate_windows, read_panel_csv, write_panel_csv
 from .simulate import (
     FAULT_TYPES,
     LAG_ORDER,
@@ -258,7 +259,6 @@ def _paths(config: dict) -> dict:
         "windows": os.path.join(out_dir, "windows.jsonl"),
         "encoder_manifest": os.path.join(out_dir, "encoder_manifest.json"),
         "log_panel": os.path.join(out_dir, "log_panel.csv"),
-        "metric_panel": os.path.join(out_dir, "metric_panel.csv"),
         "attention": os.path.join(out_dir, "attention.json"),
         "adjacency": os.path.join(out_dir, "adjacency.json"),
         "fused_graph": os.path.join(out_dir, "fused_graph.json"),
@@ -267,6 +267,17 @@ def _paths(config: dict) -> dict:
         "report_txt": os.path.join(out_dir, "metrics_report.txt"),
         "manifest": os.path.join(out_dir, "manifest.json"),
     }
+
+
+def _read_metric_panel(config: dict) -> ModalityPanel:
+    """metrics.csv's rows of config["metric_kind"], averaged over window_size steps."""
+    native = read_panel_csv(_paths(config)["metrics"], metric_name=config["metric_kind"])
+    return aggregate_windows(native, config["window_size"])
+
+
+def _read_json_object(path: str) -> dict:
+    with open(path) as fh:
+        return load_json_object(fh.read(), path)
 
 
 def _check_lags_fit(config: dict, truth: dict) -> int:
@@ -323,7 +334,7 @@ def stage_ingest(config: dict) -> tuple:
 
 def stage_encode(config: dict, handed=None) -> tuple:
     """Score the log windows (encoder.log_series), write encoder_manifest.json and
-    both panels; return (metric_panel, log_panel).
+    log_panel.csv; return (metric_panel, log_panel).
 
     handed is ingest's (vocabulary, windows); None reads them from
     vocabulary.json and windows.jsonl.
@@ -331,30 +342,28 @@ def stage_encode(config: dict, handed=None) -> tuple:
     paths = _paths(config)
     if handed is None:
         with open(paths["vocabulary"]) as fh:
-            vocabulary = logs_mod.vocabulary_from_json(fh.read())
+            vocabulary = logs_mod.vocabulary_from_json(fh.read(), paths["vocabulary"])
         with open(paths["windows"]) as fh:
             windows = logs_mod.windows_from_jsonl(fh.read(), paths["windows"])
     else:
         vocabulary, windows = handed
     truth = read_ground_truth(paths["ground_truth"])
     _check_lags_fit(config, truth)
-    metric_native = read_panel_csv(paths["metrics"], metric_name=config["metric_kind"])
+    metric_panel = _read_metric_panel(config)
     # stage_learn checks this too, since learn can run alone; checking here
     # fails the run before the encoder trains or any artifact is written
-    if metric_native.entity_names != truth["entity_names"]:
+    if metric_panel.entity_names != truth["entity_names"]:
         raise ValueError(
             "metric and log panels must list the same nodes in the same order: the "
-            f"metrics list {metric_native.entity_names}, the logs {truth['entity_names']}"
+            f"metrics list {metric_panel.entity_names}, the logs {truth['entity_names']}"
         )
 
-    metric_panel = aggregate_windows(metric_native, config["window_size"])
     encoder_config = encoder_config_from(config)
     log_panel, training = encoder_mod.log_series(
         windows, len(vocabulary), encoder_config, metric_panel.kpi, truth["entity_names"],
     )
     encoder_mod.save_encoder(encoder_config, vocabulary, training, paths["encoder_manifest"])
     write_panel_csv(log_panel, paths["log_panel"], "log_score")
-    write_panel_csv(metric_panel, paths["metric_panel"], config["metric_kind"])
     return metric_panel, log_panel
 
 
@@ -364,14 +373,14 @@ def stage_learn(config: dict, handed=None) -> tuple:
     Returns ((A_log, A_metric, node_names), (a_log, a_metric)), the two
     learned adjacencies with their node names and the attention weights.
 
-    handed is encode's (metric_panel, log_panel); None reads them from
-    metric_panel.csv and log_panel.csv. Row i of each panel must be the same
+    handed is encode's (metric_panel, log_panel); None builds them from
+    metrics.csv and log_panel.csv. Row i of each panel must be the same
     entity, so the panels must name the same nodes in the same order and
     share n and T; this is checked before anything is written.
     """
     paths = _paths(config)
     if handed is None:
-        metric_panel = read_panel_csv(paths["metric_panel"], metric_name=config["metric_kind"])
+        metric_panel = _read_metric_panel(config)
         log_panel = read_panel_csv(paths["log_panel"], metric_name="log_score")
     else:
         metric_panel, log_panel = handed
@@ -424,29 +433,30 @@ def stage_localize(config: dict, handed=None) -> None:
     """Fuse the graphs into fused_graph.json and rank the root causes into ranking.json.
 
     handed is learn's ((A_log, A_metric, node_names), (a_log, a_metric)); None
-    reads them from adjacency.json and attention.json.
+    reads them from adjacency.json and attention.json; a file that is not an
+    object with string node names and number weights raises ValueError naming it.
     """
     paths = _paths(config)
     if handed is None:
-        with open(paths["adjacency"]) as fh:
-            adjacency = json.load(fh)
-        with open(paths["attention"]) as fh:
-            attention = json.load(fh)
-        a_log, a_metric, node_names = (
-            adjacency[key] for key in ("A_log", "A_metric", "node_names")
-        )
+        adjacency, attention = map(_read_json_object, (paths["adjacency"], paths["attention"]))
+        a_log, a_metric, node_names = (adjacency[k] for k in ("A_log", "A_metric", "node_names"))
         weights = (attention["a_log"], attention["a_metric"])
+        check_type(f"{paths['adjacency']} node_names", node_names, list)
+        for name in node_names:
+            check_type(f"{paths['adjacency']} node name", name, str)
+        for key, weight in zip(("a_log", "a_metric"), weights):
+            check_type(f"{paths['attention']} {key}", weight, float)
     else:
         # fuse reads the learner's float32 adjacencies in float64, which gives
         # the values adjacency.json holds
         (a_log, a_metric, node_names), weights = handed
     truth = read_ground_truth(paths["ground_truth"])
 
-    graph = fusion_mod.fuse(a_log, a_metric, weights, node_names)
-    _write_text(paths["fused_graph"], fusion_mod.graph_to_json(graph))
+    fused = fusion_mod.fuse(a_log, a_metric, weights, node_names)
+    _write_text(paths["fused_graph"], fusion_mod.graph_to_json(fused, weights, node_names))
 
-    transition = rca_mod.transition_matrix(graph.adjacency, beta=config["rca"]["beta"])
-    p0 = np.zeros(len(graph.node_names))
+    transition = rca_mod.transition_matrix(fused, beta=config["rca"]["beta"])
+    p0 = np.zeros(len(node_names))
     p0[-1] = 1.0  # restart at the KPI: the walk traces back from the symptom
     walk = rca_mod.rwr(
         transition,
@@ -455,7 +465,7 @@ def stage_localize(config: dict, handed=None) -> None:
         tol=config["rca"]["tol"],
         max_iter=config["rca"]["max_iter"],
     )
-    ranked = rca_mod.rank_root_causes(walk.scores, graph.node_names, k=len(graph.node_names) - 1)
+    ranked = rca_mod.rank_root_causes(walk.scores, node_names, k=len(node_names) - 1)
     incident_id = f"incident-{truth['seed']}"
     _write_text(paths["ranking"], rca_mod.ranking_to_json(ranked, walk, incident_id))
 

@@ -23,7 +23,6 @@ class RwrResult:
 @dataclass
 class RankedRootCauses:
     ranking: list[tuple[str, float]]
-    scores: np.ndarray
 
 
 def transition_matrix(adjacency: np.ndarray, beta: float = 0.1) -> np.ndarray:
@@ -96,7 +95,7 @@ def rank_root_causes(scores: np.ndarray, node_names: list[str], k: int) -> Ranke
     entity_scores = scores[:-1]
     order = sorted(range(len(entity_scores)), key=lambda i: (-entity_scores[i], i))
     ranking = [(node_names[i], float(entity_scores[i])) for i in order[:k]]
-    return RankedRootCauses(ranking=ranking, scores=scores)
+    return RankedRootCauses(ranking=ranking)
 
 
 def ranking_to_json(ranked: RankedRootCauses, walk: RwrResult, incident_id: str) -> str:

@@ -91,7 +91,6 @@ class IncidentDataset:
     metric_panel: ModalityPanel
     raw_logs: list[dict]
     ground_truth: ScenarioSpec
-    entity_names: list[str]
     kpi_parents: list[int]
     fault_onset: int
     shock_magnitude: float
@@ -237,7 +236,6 @@ def generate_incident(spec: ScenarioSpec) -> IncidentDataset:
         metric_panel=ModalityPanel(x, names),
         raw_logs=raw_logs,
         ground_truth=spec,
-        entity_names=names,
         kpi_parents=parents,
         fault_onset=onset,
         shock_magnitude=shock,
@@ -346,14 +344,14 @@ def write_incident(dataset: IncidentDataset, directory, metric_name: str) -> dic
 def ground_truth_to_json(dataset: IncidentDataset) -> str:
     """The incident's ground truth as JSON. A "none" incident planted no fault, so
     its root_cause and root_cause_name are null, whatever entity the spec drew."""
-    spec = dataset.ground_truth
+    spec, names = dataset.ground_truth, dataset.metric_panel.entity_names
     root = None if spec.fault_type == "none" else spec.root_cause
     payload = {
         "n_entities": spec.n_entities,
-        "entity_names": dataset.entity_names,
+        "entity_names": names,
         "ground_truth_dag": spec.ground_truth_dag.tolist(),
         "root_cause": root,
-        "root_cause_name": None if root is None else dataset.entity_names[root],
+        "root_cause_name": None if root is None else names[root],
         "fault_type": spec.fault_type,
         "horizon_T": spec.horizon_T,
         "noise_std": spec.noise_std,

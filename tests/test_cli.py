@@ -13,6 +13,13 @@ def write_config(tmp_path, payload) -> str:
     return str(path)
 
 
+def rename_the_last_id(vocabulary: dict) -> dict:
+    """The vocabulary.json payload with its last id renamed to id + 5, which leaves a gap."""
+    last = str(len(vocabulary) - 1)
+    renamed = {key: pattern for key, pattern in vocabulary.items() if key != last}
+    return dict(renamed, **{str(int(last) + 5): vocabulary[last]})
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize(
         "payload,named",
@@ -129,20 +136,23 @@ class TestStageCommands:
         payload = dict(self.TINY, paths=paths, **settings)
         return cli.main(["--config", write_config(tmp_path, payload), "--seed", "3", command])
 
+    @pytest.mark.parametrize("window_size", [1, 2])
     @pytest.mark.parametrize("fault_type", ["both", "metric_only"])
-    def test_stage_by_stage_matches_run_pipeline(self, tmp_path, fault_type):
-        scenario = dict(self.TINY["scenario"], fault_type=fault_type)
+    def test_stage_by_stage_matches_run_pipeline(self, tmp_path, fault_type, window_size):
+        settings = dict(
+            scenario=dict(self.TINY["scenario"], fault_type=fault_type), window_size=window_size
+        )
         staged, full = tmp_path / "staged", tmp_path / "full"
-        assert self.run(tmp_path, "simulate", staged, scenario=scenario) == 0
+        assert self.run(tmp_path, "simulate", staged, **settings) == 0
         for command in ("parse", "encode", "learn", "localize", "evaluate"):
-            assert self.run(tmp_path, command, staged, scenario=scenario) == 0, command
-        assert self.run(tmp_path, "run-pipeline", full, scenario=scenario) == 0
+            assert self.run(tmp_path, command, staged, **settings) == 0, command
+        assert self.run(tmp_path, "run-pipeline", full, **settings) == 0
         names = sorted(p.name for p in staged.iterdir())
         assert names == sorted(p.name for p in full.iterdir() if p.name != "manifest.json")
         assert names == [
             "adjacency.json", "attention.json", "encoder_manifest.json", "fused_graph.json",
-            "log_panel.csv", "metric_panel.csv", "metrics_report.json", "metrics_report.txt",
-            "ranking.json", "vocabulary.json", "windows.jsonl",
+            "log_panel.csv", "metrics_report.json", "metrics_report.txt", "ranking.json",
+            "vocabulary.json", "windows.jsonl",
         ]
         for name in names:
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
@@ -189,12 +199,13 @@ class TestStageCommands:
         out = tmp_path / "out"
         for command in ("simulate", "parse", "encode"):
             assert self.run(tmp_path, command, out) == 0, command
-        panel = out / "metric_panel.csv"
-        lines = panel.read_text().splitlines()
+        # learn run alone builds the metric panel from metrics.csv
+        metrics = tmp_path / "data" / "metrics.csv"
+        lines = metrics.read_text().splitlines()
         assert lines[5].split(",")[:2] == ["1", "svc-0"]
-        panel.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        metrics.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
         assert self.run(tmp_path, "learn", out) == 1
-        named = f"{panel} has no row for entity 'svc-0' at timestamp 1"
+        named = f"{metrics} has no row for entity 'svc-0' at timestamp 1"
         assert f"stage causal_learner failed: {named}" in capsys.readouterr().err
         assert not (out / "adjacency.json").exists()
 
@@ -240,8 +251,62 @@ class TestStageCommands:
         text = adjacency.read_text()
         adjacency.write_text(text[: len(text) // 2])
         assert self.run(tmp_path, "localize", out) == 1
-        assert "stage rca failed" in capsys.readouterr().err
+        assert f"stage rca failed: {adjacency} is not valid JSON" in capsys.readouterr().err
         assert not (out / "ranking.json").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt,named",
+        [
+            (lambda vocabulary: [], "must be a JSON object; list []"),
+            (rename_the_last_id, "must map exactly the template ids"),
+            (lambda vocabulary: {**vocabulary, "0": 7}, "template 0 must be a string; int 7"),
+        ],
+        ids=["list", "id-gap", "non-string-pattern"],
+    )
+    def test_encode_rejects_a_malformed_vocabulary_and_writes_nothing(
+        self, tmp_path, capsys, corrupt, named
+    ):
+        out = tmp_path / "out"
+        for command in ("simulate", "parse"):
+            assert self.run(tmp_path, command, out) == 0, command
+        vocabulary = out / "vocabulary.json"
+        vocabulary.write_text(json.dumps(corrupt(json.loads(vocabulary.read_text()))))
+        assert self.run(tmp_path, "encode", out) == 1
+        assert f"stage log_encoder failed: {vocabulary} {named}" in capsys.readouterr().err
+        for name in ("encoder_manifest.json", "log_panel.csv"):
+            assert not (out / name).exists(), name
+
+    @pytest.mark.parametrize(
+        "name,corrupt,named",
+        [
+            ("adjacency.json", lambda payload: [1, 2], "must be a JSON object; list [1, 2]"),
+            ("attention.json", lambda payload: [0.5], "must be a JSON object; list [0.5]"),
+            ("adjacency.json", lambda payload: {**payload, "node_names": 5},
+             "node_names must be a list; int 5"),
+            ("adjacency.json", lambda payload: {**payload, "node_names": ["svc-0", 1, 2, 3]},
+             "node name must be a string; int 1"),
+            ("attention.json", lambda payload: {**payload, "a_log": "0.5"},
+             "a_log must be a number; str '0.5'"),
+            ("attention.json", lambda payload: {**payload, "a_log": None},
+             "a_log must be a number; NoneType None"),
+        ],
+        ids=[
+            "adjacency-list", "attention-list", "node-names-int", "node-name-int",
+            "a-log-string", "a-log-null",
+        ],
+    )
+    def test_localize_rejects_a_malformed_input_and_writes_nothing(
+        self, tmp_path, capsys, name, corrupt, named
+    ):
+        out = tmp_path / "out"
+        for command in ("simulate", "parse", "encode", "learn"):
+            assert self.run(tmp_path, command, out) == 0, command
+        path = out / name
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        assert self.run(tmp_path, "localize", out) == 1
+        assert f"stage rca failed: {path} {named}" in capsys.readouterr().err
+        for written in ("fused_graph.json", "ranking.json"):
+            assert not (out / written).exists(), written
 
     def test_the_simulator_writes_the_metric_kind_that_the_pipeline_reads(self, tmp_path):
         out = tmp_path / "out"

@@ -24,7 +24,7 @@ from mmrca.encoder import (
     train_log_encoder,
     vocabulary_hash,
 )
-from mmrca.logs import EMPTY_TEMPLATE_ID, LogTemplate, WindowTable
+from mmrca.logs import EMPTY_TEMPLATE_ID, WindowTable
 from mmrca.nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax
 
 
@@ -72,9 +72,10 @@ def bucket_token(bucket):
 
 
 def groups_of(enc, windows):
-    """The windows' token sequences grouped by tokens, as embed_windows takes them."""
-    tokens, offsets, _ = tokenize(table(windows), enc.vocab_size, enc.config)
-    return group_sequences(tokens, offsets)
+    """The windows' (token sequence, label) rows, as log_series hands them to embed_windows."""
+    windows = table(windows)
+    tokens, offsets, _ = tokenize(windows, enc.vocab_size, enc.config)
+    return group_sequences(tokens, offsets, windows.labels)
 
 
 def train(windows, config, vocab_size=None):
@@ -205,9 +206,8 @@ class TestTokenizeTable:
 
 
 def oracle_group_windows(sequences, labels):
-    """The dict grouping that group_sequences replaced for training and the
-    manifest: the window count of each distinct (token sequence, label) pair,
-    in first-seen order."""
+    """The dict grouping that group_sequences replaced: the window count of each
+    distinct (token sequence, label) pair, in first-seen order."""
     groups = {}
     for tokens, label in zip(sequences, labels):
         key = (tuple(tokens), label)
@@ -225,14 +225,6 @@ def oracle_length_groups(sequences):
         (np.array(rows), np.array([sequences[row] for row in rows], dtype=int))
         for _, rows in sorted(rows_of.items())
     ]
-
-
-def oracle_embed_rows(sequences):
-    """The dict grouping that group_sequences replaced for embedding: each window's
-    row, and the distinct token sequences in first-seen order."""
-    row_of = {}
-    rows = [row_of.setdefault(tuple(s), len(row_of)) for s in sequences]
-    return rows, [list(s) for s in row_of]
 
 
 def random_windows(rng, n):
@@ -264,7 +256,6 @@ class TestGroupSequences:
         assert truncated.any() and not truncated.all()
         assert len({len(seq) for seq in seqs}) >= 4
 
-        # by (tokens, label): training and the manifest
         counted = oracle_group_windows(seqs, labels.tolist())
         keys = list(counted)
         groups = group_sequences(tokens, offsets, labels)
@@ -277,21 +268,13 @@ class TestGroupSequences:
             groups.by_length, oracle_length_groups([list(tokens) for tokens, _ in keys])
         )
 
-        # by tokens: embedding
-        rows, distinct = oracle_embed_rows(seqs)
-        groups = group_sequences(tokens, offsets)
-        assert len(distinct) < len(keys)  # some sequences repeat under different labels
-        assert groups.rows.tolist() == rows
-        assert groups.counts.tolist() == np.bincount(rows).tolist()
-        self.assert_same_length_groups(groups.by_length, oracle_length_groups(distinct))
-
     def test_training_rejects_groups_that_ignore_the_labels(self):
         windows = [window([0], [1], label=0.0), window([0], [1], label=1.0)]
         config = toy_config(epochs=1)
         tokens, offsets, _ = tokenize(table(windows), 1, config)
         labels = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="token sequence, label"):
-            train_log_encoder(group_sequences(tokens, offsets), labels, config, 1)
+            train_log_encoder(group_sequences(tokens, offsets, np.zeros(2)), labels, config, 1)
         train_log_encoder(group_sequences(tokens, offsets, labels), labels, config, 1)
 
 
@@ -758,6 +741,7 @@ class TestEmbeddings:
             window([1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
             window(list(range(8)), [1] * 8),
             window([4, 6], [2, 2]),
+            window([0], [1], label=1.0),  # the tokens of window 0 under another label
         ]
         emb = embed_windows(enc, groups_of(enc, windows))
         # the reference runs each window by itself, at its own length
@@ -826,7 +810,7 @@ class TestReduceToSeries:
 class TestPersistence:
     def test_manifest_records_the_config_the_vocabulary_and_the_training(self, tmp_path):
         config = toy_config(epochs=2)
-        vocabulary = [LogTemplate(i, f"pattern {chr(97 + i)}") for i in range(4)]
+        vocabulary = [f"pattern {chr(97 + i)}" for i in range(4)]
         training = {"epochs_run": 2, "final_loss": 0.25, "diagnostics": {"truncated_windows": 0}}
         save_encoder(config, vocabulary, training, tmp_path / "encoder_manifest.json")
         assert json.loads((tmp_path / "encoder_manifest.json").read_text()) == {
@@ -837,6 +821,5 @@ class TestPersistence:
         }
 
     def test_vocabulary_hash_changes_with_content(self):
-        a = [LogTemplate(0, "x")]
-        b = [LogTemplate(0, "y")]
+        a, b = ["x"], ["y"]
         assert vocabulary_hash(a) != vocabulary_hash(b)

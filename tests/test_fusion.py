@@ -119,24 +119,24 @@ class TestModalityAttention:
 class TestFuse:
     def test_identical_inputs_are_fixed_point(self):
         a = np.array([[0.0, 0.7], [0.2, 0.0]])
-        graph = fuse(a, a, (0.3, 0.7), ["e0", "kpi"])
-        assert np.allclose(graph.adjacency, a)
+        fused = fuse(a, a, (0.3, 0.7), ["e0", "kpi"])
+        assert np.allclose(fused, a)
 
     def test_degenerate_weight_selects_one_modality(self):
         a_log = np.array([[0.0, 0.9], [0.1, 0.0]])
         a_metric = np.array([[0.0, 0.2], [0.8, 0.0]])
-        graph = fuse(a_log, a_metric, (1.0, 0.0), ["e0", "kpi"])
-        assert np.allclose(graph.adjacency, a_log)
+        fused = fuse(a_log, a_metric, (1.0, 0.0), ["e0", "kpi"])
+        assert np.allclose(fused, a_log)
 
     def test_entrywise_hand_evaluation(self):
         a_log = np.array([[0.0, 0.4], [0.6, 0.0]])
         a_metric = np.array([[0.0, 0.8], [0.1, 0.0]])
         w = (0.7311, 0.2689)
-        graph = fuse(a_log, a_metric, w, ["e0", "kpi"])
+        fused = fuse(a_log, a_metric, w, ["e0", "kpi"])
         expected_01 = 0.7311 * 0.4 + 0.2689 * 0.8
         expected_10 = 0.7311 * 0.6 + 0.2689 * 0.1
-        assert graph.adjacency[0, 1] == pytest.approx(expected_01)
-        assert graph.adjacency[1, 0] == pytest.approx(expected_10)
+        assert fused[0, 1] == pytest.approx(expected_01)
+        assert fused[1, 0] == pytest.approx(expected_10)
 
     def test_convexity_bounds(self):
         rng = np.random.default_rng(4)
@@ -146,34 +146,48 @@ class TestFuse:
             np.fill_diagonal(a_log, 0.0)
             np.fill_diagonal(a_metric, 0.0)
             w_log = float(rng.uniform())
-            graph = fuse(
-                a_log, a_metric, (w_log, 1.0 - w_log), list("abcd")
-            )
+            fused = fuse(a_log, a_metric, (w_log, 1.0 - w_log), list("abcd"))
             lo = np.minimum(a_log, a_metric)
             hi = np.maximum(a_log, a_metric)
-            assert np.all(graph.adjacency >= lo - 1e-12)
-            assert np.all(graph.adjacency <= hi + 1e-12)
+            assert np.all(fused >= lo - 1e-12)
+            assert np.all(fused <= hi + 1e-12)
 
     def test_diagonal_rezeroed(self):
         a = np.full((3, 3), 0.5)
-        graph = fuse(a, a, (0.5, 0.5), ["a", "b", "kpi"])
-        assert np.all(np.diag(graph.adjacency) == 0.0)
+        fused = fuse(a, a, (0.5, 0.5), ["a", "b", "kpi"])
+        assert np.all(np.diag(fused) == 0.0)
 
     def test_weights_must_sum_to_one(self):
         a = np.zeros((2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
             fuse(a, a, (0.6, 0.6), ["a", "kpi"])
+
+    def test_weights_must_be_non_negative(self):
+        a = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            fuse(a, a, (1.5, -0.5), ["a", "kpi"])
+
+    @pytest.mark.parametrize(
+        "log_shape,metric_shape,names",
+        [
+            ((2, 2), (2, 2), ["a", "b", "kpi"]),
+            ((2, 3), (2, 3), ["a", "kpi"]),
+            ((3, 3), (2, 2), ["a", "kpi"]),
+            ((2, 2), (3, 3), ["a", "kpi"]),
+        ],
+    )
+    def test_shapes_are_checked(self, log_shape, metric_shape, names):
+        n = len(names)
+        with pytest.raises(ValueError, match=f"both adjacencies must be {n} x {n}"):
+            fuse(np.zeros(log_shape), np.zeros(metric_shape), (0.5, 0.5), names)
 
 
 class TestExports:
-    def graph(self):
+    def test_json_is_valid(self):
         a_log = np.array([[0.0, 0.9], [0.05, 0.0]])
         a_metric = np.array([[0.0, 0.5], [0.1, 0.0]])
-        return fuse(a_log, a_metric, (0.5, 0.5), ["e0", "kpi"])
-
-    def test_json_is_valid(self):
-        graph = self.graph()
-        payload = json.loads(graph_to_json(graph))
-        assert set(payload) == {"a_log", "a_metric", "adjacency", "node_names"}
-        assert np.array_equal(payload["adjacency"], graph.adjacency)
-        assert payload["node_names"] == graph.node_names
+        fused = fuse(a_log, a_metric, (0.25, 0.75), ["e0", "kpi"])
+        payload = json.loads(graph_to_json(fused, (0.25, 0.75), ["e0", "kpi"]))
+        assert payload == {
+            "a_log": 0.25, "a_metric": 0.75, "adjacency": fused.tolist(), "node_names": ["e0", "kpi"]
+        }

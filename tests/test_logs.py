@@ -10,7 +10,6 @@ import pytest
 from mmrca.logs import (
     DEFAULT_GOLDEN_SIGNALS,
     EMPTY_TEMPLATE_ID,
-    LogTemplate,
     WindowTable,
     label_windows,
     mask_message,
@@ -71,7 +70,7 @@ def oracle_mask(message):
 
 def oracle_windows(events, vocabulary, window_size, n_entities, n_windows):
     """The dict-based window_sequences and label_windows: one dict per window."""
-    valid_ids = {t.template_id for t in vocabulary}
+    valid_ids = set(range(len(vocabulary)))
     events = sorted(events, key=lambda e: e[0])
     first_seen, counts = {}, {}
     for position, (ts, entity, template_id) in enumerate(events):
@@ -89,8 +88,8 @@ def oracle_windows(events, vocabulary, window_size, n_entities, n_windows):
         first_seen.setdefault(key, {}).setdefault(template_id, position)
         counts.setdefault(key, Counter())[template_id] += 1
     flags = {
-        t.template_id: any(s in t.pattern.lower() for s in DEFAULT_GOLDEN_SIGNALS)
-        for t in vocabulary
+        template_id: any(s in pattern.lower() for s in DEFAULT_GOLDEN_SIGNALS)
+        for template_id, pattern in enumerate(vocabulary)
     }
     windows = []
     for entity in range(n_entities):
@@ -201,7 +200,7 @@ class TestAgainstReference:
     def test_windows_labels_and_jsonl_match_the_reference(self, seed):
         raw, window_size, n_entities, n_windows = random_incident(seed)
         vocab, events = parse_templates(raw)
-        assert [t.pattern for t in vocab] == list(dict.fromkeys(oracle_mask(r["msg"]) for r in raw))
+        assert vocab == list(dict.fromkeys(oracle_mask(r["msg"]) for r in raw))
         expected = oracle_windows(
             [tuple(e) for e in events.tolist()], vocab, window_size, n_entities, n_windows
         )
@@ -341,7 +340,7 @@ class TestParseTemplates:
             records((0, 0, "GET /api took 42 ms"), (1, 0, "GET /api took 7 ms"))
         )
         assert len(vocab) == 1
-        assert vocab[0].pattern == "GET /api took <*> ms"
+        assert vocab == ["GET /api took <*> ms"]
         assert events.tolist() == [[0, 0, 0], [1, 0, 0]]
 
     def test_empty_input(self):
@@ -390,15 +389,11 @@ class TestParseTemplates:
         recs = records((0, 0, "GET /x took 5 ms"), (1, 1, "peer 10.0.0.1 left"))
         vocab1, events1 = parse_templates(recs)
         vocab2, events2 = parse_templates(recs)
-        assert [(t.template_id, t.pattern) for t in vocab1] == [
-            (t.template_id, t.pattern) for t in vocab2
-        ]
+        assert vocab1 == vocab2
         assert np.array_equal(events1, events2)
         # re-parsing the masked patterns yields the same patterns
-        reparsed, _ = parse_templates(
-            [{"ts": 0, "entity": 0, "msg": t.pattern} for t in vocab1]
-        )
-        assert [t.pattern for t in reparsed] == [t.pattern for t in vocab1]
+        reparsed, _ = parse_templates([{"ts": 0, "entity": 0, "msg": p} for p in vocab1])
+        assert reparsed == vocab1
 
 
 class TestWindowSequences:
@@ -424,8 +419,7 @@ class TestWindowSequences:
             records((0, 0, "bbb"), (1, 0, "aaa"), (2, 0, "bbb"), (3, 0, "ccc"))
         )
         windows = window_sequences(events, vocab, window_size=10, n_entities=1, n_windows=1)
-        patterns = {t.template_id: t.pattern for t in vocab}
-        assert [patterns[t] for t in cells(windows)[0][0]] == ["bbb", "aaa", "ccc"]
+        assert [vocab[t] for t in cells(windows)[0][0]] == ["bbb", "aaa", "ccc"]
 
     def test_first_appearance_follows_ts_not_record_order(self):
         vocab, events = parse_templates(
@@ -447,10 +441,13 @@ class TestWindowSequences:
         assert windows.n_cells == 4
         assert cells(windows)[1:] == [([EMPTY_TEMPLATE_ID], [1])] * 3
 
-    def test_unknown_template_id_rejected(self):
+    @pytest.mark.parametrize("template_id", [1, 99, -2])
+    def test_unknown_template_id_rejected(self, template_id):
         vocab, _ = parse_templates(records((0, 0, "known")))
-        with pytest.raises(ValueError, match="99"):
-            window_sequences([(0, 0, 99)], vocab, window_size=5, n_entities=1, n_windows=1)
+        with pytest.raises(ValueError, match=f"template id {template_id} not present"):
+            window_sequences(
+                [(0, 0, template_id)], vocab, window_size=5, n_entities=1, n_windows=1
+            )
 
     @pytest.mark.parametrize("ts", [-1, 10])
     def test_event_outside_the_grid_rejected(self, ts):
@@ -648,8 +645,9 @@ class TestLogsFile:
             read_logs_jsonl(self.write(tmp_path, lines))
 
 
-def test_vocabulary_ids_need_not_start_at_zero():
-    vocab = [LogTemplate(5, "all ok"), LogTemplate(9, "disk failure")]
-    windows = window_sequences([(1, 0, 9), (0, 0, 5), (2, 0, 9)], vocab, 1, 1, 3)
-    assert cells(windows) == [([5], [1]), ([9], [1]), ([9], [1])]
+def test_a_template_id_is_its_position_in_the_vocabulary():
+    vocab = ["all ok", "disk failure"]
+    windows = window_sequences([(1, 0, 1), (0, 0, 0), (2, 0, 1)], vocab, 1, 1, 3)
+    assert cells(windows) == [([0], [1]), ([1], [1]), ([1], [1])]
     assert label_windows(windows, vocab).labels.tolist() == [0.0, 1.0, 1.0]
+    assert json.loads(vocabulary_to_json(vocab)) == {"0": "all ok", "1": "disk failure"}

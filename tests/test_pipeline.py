@@ -223,12 +223,12 @@ class TestLogSeries:
 
         # training is deterministic: the same call gives the encoder that encode trained
         encoder_config, vocab_size, tokens, offsets, _ = self.encoder_inputs(tmp_path, windows)
-        by_label = encoder_mod.group_sequences(tokens, offsets, windows.labels)
+        groups = encoder_mod.group_sequences(tokens, offsets, windows.labels)
         with pipeline._one_blas_thread():
             encoder = encoder_mod.train_log_encoder(
-                by_label, windows.labels, encoder_config, vocab_size
+                groups, windows.labels, encoder_config, vocab_size
             )
-            cls = encoder_mod.embed_windows(encoder, encoder_mod.group_sequences(tokens, offsets))
+            cls = encoder_mod.embed_windows(encoder, groups)
         assert manifest["final_loss"] == encoder.history[-1]
         logits = (cls @ encoder.params["head_w"]).ravel() + encoder.params["head_b"][0]
         expected = sigmoid(logits)
@@ -274,13 +274,13 @@ class TestLogSeries:
         # reference: the panel that embedding every window with an untrained encoder gives
         encoder = encoder_class(encoder_config, vocab_size)
         with pipeline._one_blas_thread():
-            groups = encoder_mod.group_sequences(tokens, offsets)
+            groups = encoder_mod.group_sequences(tokens, offsets, windows.labels)
             scores = encoder.score(embed_windows(encoder, groups))
         truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
         reference = encoder_mod.reduce_to_series(
             scores,
             windows,
-            kpi=read_panel_csv(out / "metric_panel.csv", "cpu").kpi,
+            kpi=read_panel_csv(tmp_path / "data" / "metrics.csv", "cpu").kpi,
             entity_names=truth["entity_names"],
         )
         write_panel_csv(reference, tmp_path / "reference.csv", "log_score")

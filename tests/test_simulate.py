@@ -268,7 +268,7 @@ class TestPersistence:
             header = fh.readline().strip()
         assert header == "timestamp,entity,metric_name,value"
         panel = read_panel_csv(paths["metrics"], metric_name="mem")
-        assert panel.entity_names == ds.entity_names
+        assert panel.entity_names == ds.metric_panel.entity_names
         assert np.array_equal(panel.values, ds.metric_panel.values)
 
     def test_logs_jsonl_schema(self, tmp_path):
