@@ -2,6 +2,14 @@
 
 Raw log messages are reduced to templates by masking variable fields
 (numbers, hex ids, UUIDs, IPs) and grouping the masked strings exactly.
+Masking runs once per digit skeleton, not once per message: a message's
+skeleton has each of 2-9 replaced by 1 (0 stays: the 0x-hex pattern reads it
+as a literal). The patterns only ask of a character whether it is a decimal
+digit, a word character or a hex digit, and whether it is one of the
+literals ".", "-", "0", "x" or "X"; the mapping keeps every answer, so they
+match at the same places in a message and in its skeleton. The masked
+skeleton is then the message's template, unless a 1 survives the masking and
+may stand for another digit; such a message is masked itself.
 Events are then partitioned into fixed windows per entity, keeping the unique
 templates in first-appearance order together with their in-window
 frequencies. A window's anomaly label is the frequency-weighted fraction of
@@ -16,14 +24,16 @@ not on one Python object per record or window, and give the same values and
 bytes as the per-record code they replaced (tests/test_logs.py keeps that
 code as the reference).
 
-The JSON-lines files (logs.jsonl, windows.jsonl) are decoded as one JSON array
-over their non-blank lines. A line that is not one JSON value raises
-ValueError naming the file and the line's 1-based number.
+The JSON-lines files are decoded as one JSON array over their non-blank
+lines: windows.jsonl whole, and logs.jsonl a block of lines at a time, so
+that only one block of record dicts is alive. A line that is not one JSON
+value raises ValueError naming the file and the line's 1-based number.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -77,6 +87,12 @@ _UUID = re.compile(
 )  # needs "-"
 _HEX = re.compile(r"\b0[xX][0-9a-fA-F]+\b")  # 0x-prefixed hex, needs "x" or "X"
 _BARE = re.compile(r"\b[0-9a-fA-F]*\d[0-9a-fA-F]*\b")  # bare hex / integers / floats
+
+# A message's digit skeleton: 2-9 read as 1, which every pattern treats alike
+_SKELETON = str.maketrans("23456789", "11111111")
+
+# Records are decoded and parsed this many lines at a time
+_BLOCK_LINES = 4096
 
 
 @dataclass(eq=False)
@@ -159,9 +175,10 @@ def mask_message(message: str) -> str:
     return _BARE.sub(WILDCARD, message)
 
 
-def _check_records(records) -> None:
-    """ValueError naming the first record that lacks a field or holds one of the wrong type."""
-    for index, record in enumerate(records):
+def _check_records(records, start: int = 0) -> None:
+    """ValueError naming the first record that lacks a field or holds one of the wrong
+    type; records[0] is record start of the stream."""
+    for index, record in enumerate(records, start):
         try:
             ts, entity, msg = record["ts"], record["entity"], record["msg"]
         except (KeyError, TypeError) as exc:
@@ -179,13 +196,31 @@ def parse_templates(raw_logs) -> tuple[list[str], np.ndarray]:
 
     Records are dicts with keys ts, entity, msg (the simulator's JSONL schema);
     ts and entity must be ints and msg a string, else ValueError names the
-    first offending record by its index. The events are one int64 array of
-    shape (n_records, 3), a row per record in record order. Template ids are
-    assigned in first-appearance order, so parsing is deterministic for a
-    fixed record order. The vocabulary lists the templates' patterns, so a
-    template's id is its position in the list.
+    first offending record by its index. raw_logs may be any iterable, and is
+    taken _BLOCK_LINES records at a time, so a lazy one (read_logs_jsonl's)
+    never has more than a block of records alive. The events are one int64
+    array of shape (n_records, 3), a row per record in record order. Template
+    ids are assigned in first-appearance order, so parsing is deterministic
+    for a fixed record order. The vocabulary lists the templates' patterns, so
+    a template's id is its position in the list.
+
+    Each distinct digit skeleton (see the module docstring) is masked once;
+    a message whose masked skeleton keeps a 1 is masked itself. This gives
+    every message the template mask_message gives it.
     """
-    records = list(raw_logs)
+    records = iter(raw_logs)
+    by_skeleton: dict[str, int] = {}  # a template id, or -1: mask the message
+    by_pattern: dict[str, int] = {}
+    blocks = [np.empty((0, 3), dtype=np.int64)]
+    start = 0
+    while block := list(itertools.islice(records, _BLOCK_LINES)):
+        blocks.append(_parse_block(block, start, by_skeleton, by_pattern))
+        start += len(block)
+    return list(by_pattern), np.concatenate(blocks)
+
+
+def _parse_block(records: list, start: int, by_skeleton: dict, by_pattern: dict) -> np.ndarray:
+    """The events of records, which begin at record start of the stream."""
     try:
         ts, entities, messages = (
             [record[name] for record in records] for name in ("ts", "entity", "msg")
@@ -197,16 +232,30 @@ def parse_templates(raw_logs) -> tuple[list[str], np.ndarray]:
     except (KeyError, TypeError):
         well_typed = False
     if not well_typed:
-        _check_records(records)
+        _check_records(records, start)
     events = np.empty((len(records), 3), dtype=np.int64)
     try:
         events[:, 0], events[:, 1] = ts, entities
     except OverflowError:
-        _check_records(records)
+        _check_records(records, start)
 
-    by_pattern: dict[str, int] = {}
-    events[:, 2] = [by_pattern.setdefault(mask_message(m), len(by_pattern)) for m in messages]
-    return list(by_pattern), events
+    # one translate over the joined messages, each skeleton sliced out by length:
+    # a translate call per message would cost about as much as the masking saves
+    joined = "".join(messages).translate(_SKELETON)
+    ends = list(itertools.accumulate(map(len, messages)))
+    skeletons = [joined[a:b] for a, b in zip([0] + ends, ends)]
+    ids = []
+    for message, skeleton in zip(messages, skeletons):
+        template_id = by_skeleton.get(skeleton)
+        if template_id is None:
+            masked = mask_message(skeleton)
+            template_id = -1 if "1" in masked else by_pattern.setdefault(masked, len(by_pattern))
+            by_skeleton[skeleton] = template_id
+        if template_id < 0:
+            template_id = by_pattern.setdefault(mask_message(message), len(by_pattern))
+        ids.append(template_id)
+    events[:, 2] = ids
+    return events
 
 
 def window_sequences(
@@ -291,8 +340,9 @@ def label_windows(windows: WindowTable, vocabulary: list[str]) -> WindowTable:
 # --- persistence -----------------------------------------------------------
 
 
-def _decode_json_lines(text: str, source) -> list:
-    """The JSON value of each non-blank line of text, in order.
+def _decode_json_lines(lines: list[str], source, first_number: int = 1) -> list:
+    """The JSON value of each non-blank line, in order; lines[0] is line first_number
+    of source.
 
     The lines are decoded as one JSON array, joined by a comma and a newline:
     a raw newline cannot sit inside a JSON string, so no string spans two
@@ -300,7 +350,6 @@ def _decode_json_lines(text: str, source) -> list:
     lines, the lines are decoded one by one and the first that is not one
     JSON value raises ValueError naming source and its 1-based line number.
     """
-    lines = text.split("\n")
     kept = [line for line in lines if line.strip()]
     try:
         values = json.loads("[" + ",\n".join(kept) + "]")
@@ -308,7 +357,7 @@ def _decode_json_lines(text: str, source) -> list:
             return values
     except json.JSONDecodeError:
         pass
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate(lines, first_number):
         if line.strip():
             try:
                 json.loads(line)
@@ -385,7 +434,7 @@ def windows_from_jsonl(text: str, source="windows.jsonl") -> WindowTable:
     out of place raises ValueError naming source and the line's number, and
     the table's own checks follow.
     """
-    rows = _decode_json_lines(text, source)
+    rows = _decode_json_lines(text.split("\n"), source)
     try:
         entities, windows, templates, frequencies, labels = (
             [row[name] for row in rows] for name in _WINDOW_FIELDS
@@ -435,7 +484,12 @@ def _line_number(text: str, k: int) -> int:
     return next(number for i, number in enumerate(nonblank) if i == k)
 
 
-def read_logs_jsonl(path) -> list:
-    """Load the simulator's JSON-lines log stream: the value of each non-blank line."""
+def read_logs_jsonl(path):
+    """Yield the value of each non-blank line of the simulator's JSON-lines log
+    stream, decoding _BLOCK_LINES lines at a time; a bad line raises ValueError
+    when its block is reached."""
     with open(path) as fh:
-        return _decode_json_lines(fh.read(), path)
+        first_number = 1
+        while block := list(itertools.islice(fh, _BLOCK_LINES)):
+            yield from _decode_json_lines(block, path, first_number)
+            first_number += len(block)

@@ -6,10 +6,11 @@ Predictions shorter than K are treated as padded with misses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nn import check_type, get_field, load_json_object
 
 
 @dataclass
@@ -90,14 +91,30 @@ def evaluate_cases(cases: list[EvaluationCase], k_values: list[int]) -> dict:
 
 def case_from_files(ranking_path, truth_path) -> EvaluationCase | None:
     """Build a case from an exported ranking JSON and a ground-truth JSON sidecar;
-    None when the ground truth names no root cause (no fault was planted)."""
+    None when the ground truth names no root cause (no fault was planted).
+
+    root_cause_name must be null or a string naming a ranked entity, and each
+    ranking entry must name its entity by a string; else ValueError names the
+    file and the field.
+    """
     with open(truth_path) as fh:
-        root = json.load(fh)["root_cause_name"]
+        root = get_field(load_json_object(fh.read(), truth_path), "root_cause_name", truth_path)
     if root is None:
         return None
+    check_type(f"{truth_path} root_cause_name", root, str)
     with open(ranking_path) as fh:
-        ranking = json.load(fh)
-    predicted = [entry["entity"] for entry in ranking["ranking"]]
+        entries = get_field(load_json_object(fh.read(), ranking_path), "ranking", ranking_path)
+    check_type(f"{ranking_path} ranking", entries, list)
+    predicted = []
+    for rank, entry in enumerate(entries, start=1):
+        check_type(f"{ranking_path} ranking entry {rank}", entry, dict)
+        entity = get_field(entry, "entity", f"{ranking_path} ranking entry {rank}")
+        check_type(f"{ranking_path} ranking entry {rank} entity", entity, str)
+        predicted.append(entity)
+    if root not in predicted:
+        raise ValueError(
+            f"{truth_path} root_cause_name {root!r} is not an entity that {ranking_path} ranks"
+        )
     return EvaluationCase(predicted=predicted, truth={root})
 
 

@@ -62,6 +62,13 @@ def load_json_object(text: str, source) -> dict:
     return payload
 
 
+def get_field(payload: dict, key: str, source):
+    """payload[key]; ValueError naming source and key when payload has no such key."""
+    if key not in payload:
+        raise ValueError(f"{source} is missing field {key!r}")
+    return payload[key]
+
+
 def check_field_types(config) -> None:
     """Raise ValueError naming the first field of a config dataclass whose value has the wrong type."""
     hints = typing.get_type_hints(type(config))

@@ -71,7 +71,7 @@ from . import metrics as metrics_mod
 from . import rca as rca_mod
 from . import structure as structure_mod
 from .atomic import atomic_open
-from .nn import check_type, load_json_object
+from .nn import check_type, get_field, load_json_object
 from .panel import ModalityPanel, aggregate_windows, read_panel_csv, write_panel_csv
 from .simulate import (
     FAULT_TYPES,
@@ -280,6 +280,19 @@ def _read_json_object(path: str) -> dict:
         return load_json_object(fh.read(), path)
 
 
+def _read_matrix(payload: dict, key: str, n: int, source) -> list:
+    """payload[key]; ValueError naming source and key unless it is an n x n list of
+    lists of finite numbers."""
+    matrix = get_field(payload, key, source)
+    square = type(matrix) is list and len(matrix) == n and all(
+        type(row) is list and len(row) == n and set(map(type, row)) <= {int, float}
+        for row in matrix
+    )
+    if not square or not np.isfinite(np.asarray(matrix, dtype=float)).all():
+        raise ValueError(f"{source} {key} must be a list of {n} lists of {n} finite numbers")
+    return matrix
+
+
 def _check_lags_fit(config: dict, truth: dict) -> int:
     """The incident's window count; ValueError if the lags need more windows than that.
 
@@ -318,11 +331,11 @@ def stage_ingest(config: dict) -> tuple:
     truth = read_ground_truth(paths["ground_truth"])
     n_windows = _check_lags_fit(config, truth)
     os.makedirs(config["paths"]["out_dir"], exist_ok=True)
+    # read_logs_jsonl decodes a block of lines at a time and parse_templates keeps
+    # only each block's events, so the record dicts of the whole file are never
+    # alive at once: they would otherwise set the run's peak memory
     records = logs_mod.read_logs_jsonl(paths["logs"])
     vocabulary, events = logs_mod.parse_templates(records)
-    # free the record dicts before windowing: the windows.jsonl text would
-    # otherwise stack on them and set the run's peak memory
-    del records
     windows = logs_mod.window_sequences(
         events, vocabulary, config["window_size"], truth["n_entities"], n_windows
     )
@@ -433,18 +446,24 @@ def stage_localize(config: dict, handed=None) -> None:
     """Fuse the graphs into fused_graph.json and rank the root causes into ranking.json.
 
     handed is learn's ((A_log, A_metric, node_names), (a_log, a_metric)); None
-    reads them from adjacency.json and attention.json; a file that is not an
-    object with string node names and number weights raises ValueError naming it.
+    reads them from adjacency.json and attention.json. A file that is not an
+    object with string node names, n x n matrices of finite numbers (n node
+    names) and number weights raises ValueError naming it and the field.
     """
     paths = _paths(config)
     if handed is None:
         adjacency, attention = map(_read_json_object, (paths["adjacency"], paths["attention"]))
-        a_log, a_metric, node_names = (adjacency[k] for k in ("A_log", "A_metric", "node_names"))
-        weights = (attention["a_log"], attention["a_metric"])
+        node_names = get_field(adjacency, "node_names", paths["adjacency"])
         check_type(f"{paths['adjacency']} node_names", node_names, list)
         for name in node_names:
             check_type(f"{paths['adjacency']} node name", name, str)
-        for key, weight in zip(("a_log", "a_metric"), weights):
+        a_log, a_metric = (
+            _read_matrix(adjacency, key, len(node_names), paths["adjacency"])
+            for key in ("A_log", "A_metric")
+        )
+        keys = ("a_log", "a_metric")
+        weights = tuple(get_field(attention, key, paths["attention"]) for key in keys)
+        for key, weight in zip(keys, weights):
             check_type(f"{paths['attention']} {key}", weight, float)
     else:
         # fuse reads the learner's float32 adjacencies in float64, which gives

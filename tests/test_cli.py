@@ -13,6 +13,17 @@ def write_config(tmp_path, payload) -> str:
     return str(path)
 
 
+def without(payload: dict, key: str) -> dict:
+    return {name: value for name, value in payload.items() if name != key}
+
+
+def with_entry(matrix: list, value) -> list:
+    """A copy of matrix with entry [0][1] set to value."""
+    copied = [list(row) for row in matrix]
+    copied[0][1] = value
+    return copied
+
+
 def rename_the_last_id(vocabulary: dict) -> dict:
     """The vocabulary.json payload with its last id renamed to id + 5, which leaves a gap."""
     last = str(len(vocabulary) - 1)
@@ -289,10 +300,30 @@ class TestStageCommands:
              "a_log must be a number; str '0.5'"),
             ("attention.json", lambda payload: {**payload, "a_log": None},
              "a_log must be a number; NoneType None"),
+            ("attention.json", lambda payload: without(payload, "a_metric"),
+             "is missing field 'a_metric'"),
+            ("adjacency.json", lambda payload: without(payload, "A_log"),
+             "is missing field 'A_log'"),
+            ("adjacency.json", lambda payload: {**payload, "A_log": with_entry(
+                payload["A_log"], None)}, "A_log must be a list of 4 lists of 4 finite numbers"),
+            ("adjacency.json", lambda payload: {**payload, "A_metric": with_entry(
+                payload["A_metric"], float("nan"))},
+             "A_metric must be a list of 4 lists of 4 finite numbers"),
+            ("adjacency.json", lambda payload: {**payload, "A_metric": with_entry(
+                payload["A_metric"], True)},
+             "A_metric must be a list of 4 lists of 4 finite numbers"),
+            ("adjacency.json", lambda payload: {**payload, "A_metric": payload["A_metric"][:3]},
+             "A_metric must be a list of 4 lists of 4 finite numbers"),
+            ("adjacency.json", lambda payload: {**payload, "A_log": [
+                row[:3] for row in payload["A_log"]]},
+             "A_log must be a list of 4 lists of 4 finite numbers"),
+            ("adjacency.json", lambda payload: {**payload, "A_log": 0.5},
+             "A_log must be a list of 4 lists of 4 finite numbers"),
         ],
         ids=[
             "adjacency-list", "attention-list", "node-names-int", "node-name-int",
-            "a-log-string", "a-log-null",
+            "a-log-string", "a-log-null", "a-metric-missing", "A-log-missing", "A-log-null",
+            "A-metric-nan", "A-metric-bool", "A-metric-short", "A-log-ragged", "A-log-number",
         ],
     )
     def test_localize_rejects_a_malformed_input_and_writes_nothing(
@@ -306,6 +337,38 @@ class TestStageCommands:
         assert self.run(tmp_path, "localize", out) == 1
         assert f"stage rca failed: {path} {named}" in capsys.readouterr().err
         for written in ("fused_graph.json", "ranking.json"):
+            assert not (out / written).exists(), written
+
+    @pytest.mark.parametrize(
+        "name,corrupt,named",
+        [
+            ("ground_truth.json", lambda payload: {**payload, "root_cause_name": 5},
+             "root_cause_name must be a string; int 5"),
+            ("ground_truth.json", lambda payload: {**payload, "root_cause_name": "svc-9"},
+             "root_cause_name 'svc-9' is not an entity that"),
+            ("ground_truth.json", lambda payload: without(payload, "root_cause_name"),
+             "is missing field 'root_cause_name'"),
+            ("ranking.json", lambda payload: without(payload, "ranking"),
+             "is missing field 'ranking'"),
+            ("ranking.json", lambda payload: {**payload, "ranking": [{"rank": 1}]},
+             "ranking entry 1 is missing field 'entity'"),
+            ("ranking.json", lambda payload: {**payload, "ranking": [{"entity": 0}]},
+             "ranking entry 1 entity must be a string; int 0"),
+        ],
+        ids=["root-int", "root-unranked", "root-missing", "ranking-missing",
+             "entity-missing", "entity-int"],
+    )
+    def test_evaluate_rejects_a_malformed_input_and_writes_nothing(
+        self, tmp_path, capsys, name, corrupt, named
+    ):
+        out = tmp_path / "out"
+        for command in ("simulate", "parse", "encode", "learn", "localize"):
+            assert self.run(tmp_path, command, out) == 0, command
+        path = (tmp_path / "data" if name == "ground_truth.json" else out) / name
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        assert self.run(tmp_path, "evaluate", out) == 1
+        assert f"stage metrics failed: {path} {named}" in capsys.readouterr().err
+        for written in ("metrics_report.json", "metrics_report.txt"):
             assert not (out / written).exists(), written
 
     def test_the_simulator_writes_the_metric_kind_that_the_pipeline_reads(self, tmp_path):

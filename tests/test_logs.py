@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mmrca import logs
 from mmrca.logs import (
     DEFAULT_GOLDEN_SIGNALS,
     EMPTY_TEMPLATE_ID,
@@ -334,6 +335,88 @@ class TestMasking:
         assert not any(ch.isdigit() for ch in masked)
 
 
+def oracle_parse(messages):
+    """The vocabulary and template ids of masking each message on its own."""
+    by_pattern = {}
+    ids = [by_pattern.setdefault(oracle_mask(m), len(by_pattern)) for m in messages]
+    return list(by_pattern), ids
+
+
+def parsed(messages):
+    vocab, events = parse_templates(records(*[(i, 0, m) for i, m in enumerate(messages)]))
+    return vocab, events[:, 2].tolist()
+
+
+class TestDigitSkeletons:
+    """parse_templates masks each digit skeleton once, and must give every message
+    the template that masking it alone gives."""
+
+    def test_messages_that_share_a_skeleton_get_their_own_templates(self):
+        messages = [
+            "GET /api took 42 ms", "GET /api took 97 ms", "peer 10.2.3.4 left",
+            "peer 10.9.8.7 left", "req 0x2fa3 done", "req 0x9bc8 done",
+            "job 223e4567-e89b-42d3-a456-426614174999 done",
+            "job 923e4567-e89b-82d3-a456-826614174555 done", "trace 7f3a9c21 held",
+            "trace 2f3a9c28 held", "GET /api took 11 ms", "peer 10.1.1.1 left",
+        ]
+        assert parsed(messages) == oracle_parse(messages)
+
+    @pytest.mark.parametrize(
+        "messages",
+        [
+            ["release v1.2 up", "release v7.2 up", "release v9.9 up", "release v1.1 up"],
+            ["a1g b", "a7g b", "a2g b", "a1g b"],
+            ["id 0x1f", "id 1x1f", "id 0x9f", "id 9x9f", "id 1X1f", "id 0X1f"],
+            ["sum \u0661\u0662 ok", "sum \u0661\u0663 ok", "sum x\u06623 ok", "sum x\u06627 ok"],
+            ["", "", "7", "1", ""],
+            ["a 12\nb 34", "a 56\nb 78", "a1\nb", "a5\nb", "\n", "4\n4"],
+            ["10.1.2.3.4", "10.9.2.3.4", "1.2.3", "1.2.3.9", "99.1.1.1", "1-2", "9-9"],
+        ],
+        ids=["dotted", "word", "hex-prefix", "non-ascii", "empty", "newline", "ip-like"],
+    )
+    def test_digits_that_survive_masking_keep_their_own_value(self, messages):
+        assert parsed(messages) == oracle_parse(messages)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_messages_with_their_digits_redrawn(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        messages = []
+        for _ in range(30):
+            message = random_message(rng)
+            messages.append(message)
+            for _ in range(3):  # the same skeleton, other nonzero digits
+                messages.append(
+                    "".join(str(rng.integers(1, 10)) if c in "123456789" else c for c in message)
+                )
+        assert parsed(messages) == oracle_parse(messages)
+
+    def test_a_40_entity_incident_stream(self):
+        spec = sample_scenario(40, "metric_only", horizon_T=300, noise_std=0.1, seed=0)
+        raw = generate_incident(spec).raw_logs
+        vocab, events = parse_templates(raw)
+        assert len(raw) > 2 * logs._BLOCK_LINES
+        assert (vocab, events[:, 2].tolist()) == oracle_parse([r["msg"] for r in raw])
+        assert events[:, :2].tolist() == [[r["ts"], r["entity"]] for r in raw]
+
+    def test_messages_that_differ_only_in_nonzero_digits_are_masked_once(self, monkeypatch):
+        calls = []
+
+        def counting(message):
+            calls.append(message)
+            return mask_message(message)
+
+        monkeypatch.setattr(logs, "mask_message", counting)
+        vocab, ids = parsed(["took 42 ms", "took 97 ms", "took 33 ms", "took 58 ms"])
+        assert (vocab, ids) == (["took <*> ms"], [0, 0, 0, 0])
+        assert calls == ["took 11 ms"]
+        calls.clear()
+        assert parsed(["req 0x2f ok", "req 0x9f ok"]) == (["req <*> ok"], [0, 0])
+        assert calls == ["req 0x1f ok"]  # a 0 stays, so a 0x-hex field is masked with it
+        calls.clear()
+        assert parsed(["v2.5", "v7.5"]) == (["v2.<*>", "v7.<*>"], [0, 1])
+        assert calls == ["v1.1", "v2.5", "v7.5"]  # a surviving 1 masks the message itself
+
+
 class TestParseTemplates:
     def test_variants_collapse_to_one_template(self):
         vocab, events = parse_templates(
@@ -625,7 +708,43 @@ class TestLogsFile:
 
     def test_reads_every_non_blank_line(self, tmp_path):
         path = self.write(tmp_path, [self.good(0), "", "   ", self.good(1)])
-        assert read_logs_jsonl(path) == [json.loads(self.good(0)), json.loads(self.good(1))]
+        assert list(read_logs_jsonl(path)) == [json.loads(self.good(0)), json.loads(self.good(1))]
+
+    def test_reads_every_block(self, tmp_path):
+        n = 2 * logs._BLOCK_LINES + 3
+        lines = [self.good(i) for i in range(n)]
+        lines[logs._BLOCK_LINES - 1] = ""
+        path = self.write(tmp_path, lines)
+        expected = [json.loads(line) for line in lines if line]
+        assert list(read_logs_jsonl(path)) == expected
+        vocab, events = parse_templates(read_logs_jsonl(path))
+        assert vocab == ["tick <*>"]
+        assert events.tolist() == [[r["ts"], 0, 0] for r in expected]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2, logs._BLOCK_LINES + 7])
+    def test_a_bad_line_after_the_first_block_is_named(self, tmp_path, offset):
+        lines = [self.good(i) for i in range(2 * logs._BLOCK_LINES + 10)]
+        lines[3] = ""  # blank lines count as lines, not as records
+        number = logs._BLOCK_LINES + offset  # 1-based
+        lines[number - 1] = '{"ts": 1'
+        path = self.write(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line {number} is not valid"):
+            parse_templates(read_logs_jsonl(path))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2, logs._BLOCK_LINES + 7])
+    def test_a_bad_record_after_the_first_block_is_named_by_its_index(self, tmp_path, offset):
+        lines = [self.good(i) for i in range(2 * logs._BLOCK_LINES + 10)]
+        lines[3] = ""  # a blank line is no record, so the index is one less than the line's
+        number = logs._BLOCK_LINES + offset  # 1-based
+        lines[number - 1] = json.dumps({"entity": 0, "ts": 1})
+        with pytest.raises(ValueError, match=rf"^log record {number - 2} is missing field 'msg'"):
+            parse_templates(read_logs_jsonl(self.write(tmp_path, lines)))
+        lines[number - 1] = json.dumps({"entity": "0", "msg": "a", "ts": 1})
+        with pytest.raises(ValueError, match=rf"^log record {number - 2} field 'entity' must be"):
+            parse_templates(read_logs_jsonl(self.write(tmp_path, lines)))
+        lines[number - 1] = json.dumps({"entity": 0, "msg": "a", "ts": 2**64})
+        with pytest.raises(ValueError, match=rf"^log record {number - 2} field 'ts' does not fit"):
+            parse_templates(read_logs_jsonl(self.write(tmp_path, lines)))
 
     @pytest.mark.parametrize(
         "bad",
@@ -637,12 +756,12 @@ class TestLogsFile:
         lines[5] = bad
         path = self.write(tmp_path, lines)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 6 is not valid JSON"):
-            read_logs_jsonl(path)
+            list(read_logs_jsonl(path))
 
     def test_a_value_split_over_two_lines_is_rejected(self, tmp_path):
         lines = [self.good(0), '{"entity": 0, "msg": "a", "ts": 1, "x": [', '1]}', self.good(2)]
         with pytest.raises(ValueError, match="line 2 is not valid JSON"):
-            read_logs_jsonl(self.write(tmp_path, lines))
+            list(read_logs_jsonl(self.write(tmp_path, lines)))
 
 
 def test_a_template_id_is_its_position_in_the_vocabulary():
