@@ -64,7 +64,7 @@ def _dispatch(command: str, config: dict) -> None:
 
 
 def _is_validation_failure(exc: Exception) -> bool:
-    return isinstance(exc, (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError))
+    return isinstance(exc, (ValueError, FileNotFoundError, KeyError))
 
 
 def main(argv=None) -> int:

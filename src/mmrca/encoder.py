@@ -47,16 +47,13 @@ by arithmetic.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_open
-from .logs import EMPTY_TEMPLATE_ID, WindowTable, vocabulary_to_json
+from .logs import EMPTY_TEMPLATE_ID, WindowTable
 from .nn import (
     Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax,
 )
@@ -442,7 +439,7 @@ def log_series(
 
     The encoder trains on the windows' labels; when every window has one label
     none is built and every cell scores 0.5 (see the module docstring).
-    Returns the panel and the training record that save_encoder writes:
+    Returns the panel and the training record that encoder_manifest.json holds:
     epochs_run and final_loss (0 and None without an encoder), and
     diagnostics, which count the truncated windows and the distinct (token
     sequence, label) rows.
@@ -492,25 +489,3 @@ def reduce_to_series(
     values[-1] = kpi
     return ModalityPanel(values, entity_names)
 
-
-# --- persistence ----------------------------------------------------------------
-
-
-def vocabulary_hash(vocabulary: list[str]) -> str:
-    return hashlib.sha256(vocabulary_to_json(vocabulary).encode()).hexdigest()
-
-
-def save_encoder(
-    config: EncoderConfig, vocabulary: list[str], training: dict, manifest_path
-) -> None:
-    """Write encoder_manifest.json: the config, the vocabulary's size and sha256,
-    and log_series's training record."""
-    manifest = {
-        "config": config.__dict__,
-        "vocab_size": len(vocabulary),
-        "vocabulary_sha256": vocabulary_hash(vocabulary),
-        **training,
-    }
-    with atomic_open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

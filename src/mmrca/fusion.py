@@ -7,8 +7,6 @@ blended with those weights into one causal graph.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .panel import ModalityPanel
@@ -91,13 +89,3 @@ def fuse(
     np.fill_diagonal(fused, 0.0)
     return fused
 
-
-def graph_to_json(adjacency: np.ndarray, weights: tuple[float, float], node_names: list[str]) -> str:
-    """fused_graph.json: fuse's adjacency with the weights and node names it fused."""
-    payload = {
-        "a_log": weights[0],
-        "a_metric": weights[1],
-        "node_names": node_names,
-        "adjacency": [[float(v) for v in row] for row in adjacency],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import check_type, load_json_object
+from .nn import check_type
 
 WILDCARD = "<*>"
 
@@ -364,23 +364,6 @@ def _decode_json_lines(lines: list[str], source, first_number: int = 1) -> list:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{source} line {number} is not valid JSON: {exc}") from None
     raise AssertionError("every line decodes alone, so the joined decode cannot fail")
-
-
-def vocabulary_to_json(vocabulary: list[str]) -> str:
-    payload = {str(template_id): pattern for template_id, pattern in enumerate(vocabulary)}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def vocabulary_from_json(text: str, source="vocabulary.json") -> list[str]:
-    """The patterns vocabulary_to_json wrote, in template id order; ValueError naming
-    source unless the text is a JSON object mapping exactly "0".."n-1" to strings."""
-    payload = load_json_object(text, source)
-    ids = list(map(str, range(len(payload))))
-    if set(payload) != set(ids):
-        raise ValueError(f"{source} must map exactly the template ids 0..{len(ids) - 1}")
-    for template_id in ids:
-        check_type(f"{source} template {template_id}", payload[template_id], str)
-    return [payload[template_id] for template_id in ids]
 
 
 def windows_to_jsonl(windows: WindowTable) -> str:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import check_type, get_field, load_json_object
+from .atomic import read_json_object
+from .nn import check_type, get_field
 
 
 @dataclass
@@ -97,13 +98,11 @@ def case_from_files(ranking_path, truth_path) -> EvaluationCase | None:
     ranking entry must name its entity by a string; else ValueError names the
     file and the field.
     """
-    with open(truth_path) as fh:
-        root = get_field(load_json_object(fh.read(), truth_path), "root_cause_name", truth_path)
+    root = get_field(read_json_object(truth_path), "root_cause_name", truth_path)
     if root is None:
         return None
     check_type(f"{truth_path} root_cause_name", root, str)
-    with open(ranking_path) as fh:
-        entries = get_field(load_json_object(fh.read(), ranking_path), "ranking", ranking_path)
+    entries = get_field(read_json_object(ranking_path), "ranking", ranking_path)
     check_type(f"{ranking_path} ranking", entries, list)
     predicted = []
     for rank, entry in enumerate(entries, start=1):

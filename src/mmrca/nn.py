@@ -15,7 +15,6 @@ moments and work arrays take the dtype of the parameters they update.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 import typing
@@ -50,16 +49,6 @@ def check_type(name: str, value, kind: type) -> None:
         raise ValueError(
             f"{name} must be {wanted}; {type(value).__name__} {value!r} is not supported"
         )
-
-
-def load_json_object(text: str, source) -> dict:
-    """The JSON object text holds; ValueError naming source if it holds anything else."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source} is not valid JSON: {exc}") from None
-    check_type(str(source), payload, dict)
-    return payload
 
 
 def get_field(payload: dict, key: str, source):

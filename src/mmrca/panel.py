@@ -64,19 +64,18 @@ class ModalityPanel:
 def aggregate_windows(panel: ModalityPanel, window_size: int) -> ModalityPanel:
     """Average a panel over consecutive fixed windows (last window may be short).
 
-    With window_size=1 the panel is returned unchanged (same resolution as the
-    raw timeline); larger windows align a timestep-resolution panel with
+    With window_size=1 each window is one step, so the values come back
+    unchanged; larger windows align a timestep-resolution panel with
     window-resolution log series.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    if window_size == 1:
-        return ModalityPanel(panel.values.copy(), list(panel.entity_names))
     n, t = panel.values.shape
-    n_windows = -(-t // window_size)
-    out = np.empty((n, n_windows))
-    for w in range(n_windows):
-        out[:, w] = panel.values[:, w * window_size:(w + 1) * window_size].mean(axis=1)
+    full = t // window_size
+    out = np.empty((n, -(-t // window_size)))
+    out[:, :full] = panel.values[:, :full * window_size].reshape(n, full, window_size).mean(axis=2)
+    if full < out.shape[1]:
+        out[:, full] = panel.values[:, full * window_size:].mean(axis=1)
     return ModalityPanel(out, list(panel.entity_names))
 
 

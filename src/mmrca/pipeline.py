@@ -12,6 +12,14 @@ a .partial file that is renamed onto the final name once complete, so a
 failed write leaves the earlier artifact intact and a .partial behind), and
 a manifest records the resolved config hash, seed and stage timings.
 
+Every JSON file is written by atomic.write_json, the one place that turns a
+payload into JSON text, and loaded by atomic.read_json_object, the one
+reader, which names a file that is not one JSON object. Each stage builds
+the payload of each JSON artifact it writes and checks the fields of each
+it reads back, so those schemas live here and the models return arrays, not
+files. ground_truth.json's writer and checked reader (read_ground_truth)
+live in simulate.
+
 Every stage runs through run_stage, which sets each OpenBLAS library that
 numpy bundles to one thread for the stage and restores the previous
 counts afterwards. This is a fixed policy, not an option, for two reasons.
@@ -70,8 +78,8 @@ from . import logs as logs_mod
 from . import metrics as metrics_mod
 from . import rca as rca_mod
 from . import structure as structure_mod
-from .atomic import atomic_open
-from .nn import check_type, get_field, load_json_object
+from .atomic import atomic_open, read_json_object, write_json
+from .nn import check_type, get_field
 from .panel import ModalityPanel, aggregate_windows, read_panel_csv, write_panel_csv
 from .simulate import (
     FAULT_TYPES,
@@ -141,7 +149,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def _reject_unknown_keys(override, defaults: dict, prefix: str = "") -> None:
     """ValueError naming the first section or field of override that defaults lacks."""
     if not isinstance(override, dict):
-        raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
+        raise ValueError(f"config {prefix.rstrip('.')} must be a JSON object")
     for key, value in override.items():
         if key not in defaults:
             raise ValueError(f"unknown config key {prefix + key!r}")
@@ -166,8 +174,7 @@ def load_config(
     environ = os.environ if environ is None else environ
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path) as fh:
-            loaded = json.load(fh)
+        loaded = read_json_object(path)
         _reject_unknown_keys(loaded, DEFAULT_CONFIG)
         config = _deep_merge(config, loaded)
     if environ.get(ENV_DATA_DIR):
@@ -243,11 +250,6 @@ def learner_config_from(config: dict) -> structure_mod.LearnerConfig:
 # --- artifact helpers ----------------------------------------------------------------
 
 
-def _write_text(path: str, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
-
-
 def _paths(config: dict) -> dict:
     data_dir = config["paths"]["data_dir"]
     out_dir = config["paths"]["out_dir"]
@@ -275,9 +277,16 @@ def _read_metric_panel(config: dict) -> ModalityPanel:
     return aggregate_windows(native, config["window_size"])
 
 
-def _read_json_object(path: str) -> dict:
-    with open(path) as fh:
-        return load_json_object(fh.read(), path)
+def _read_vocabulary(path) -> list[str]:
+    """The patterns of vocabulary.json, in template id order; ValueError naming path
+    unless it is a JSON object mapping exactly "0".."n-1" to strings."""
+    payload = read_json_object(path)
+    ids = list(map(str, range(len(payload))))
+    if set(payload) != set(ids):
+        raise ValueError(f"{path} must map exactly the template ids 0..{len(ids) - 1}")
+    for template_id in ids:
+        check_type(f"{path} template {template_id}", payload[template_id], str)
+    return [payload[template_id] for template_id in ids]
 
 
 def _read_matrix(payload: dict, key: str, n: int, source) -> list:
@@ -340,8 +349,9 @@ def stage_ingest(config: dict) -> tuple:
         events, vocabulary, config["window_size"], truth["n_entities"], n_windows
     )
     windows = logs_mod.label_windows(windows, vocabulary)
-    _write_text(paths["vocabulary"], logs_mod.vocabulary_to_json(vocabulary))
-    _write_text(paths["windows"], logs_mod.windows_to_jsonl(windows))
+    write_json(paths["vocabulary"], {str(i): pattern for i, pattern in enumerate(vocabulary)})
+    with atomic_open(paths["windows"]) as fh:
+        fh.write(logs_mod.windows_to_jsonl(windows))
     return vocabulary, windows
 
 
@@ -354,8 +364,7 @@ def stage_encode(config: dict, handed=None) -> tuple:
     """
     paths = _paths(config)
     if handed is None:
-        with open(paths["vocabulary"]) as fh:
-            vocabulary = logs_mod.vocabulary_from_json(fh.read(), paths["vocabulary"])
+        vocabulary = _read_vocabulary(paths["vocabulary"])
         with open(paths["windows"]) as fh:
             windows = logs_mod.windows_from_jsonl(fh.read(), paths["windows"])
     else:
@@ -375,7 +384,14 @@ def stage_encode(config: dict, handed=None) -> tuple:
     log_panel, training = encoder_mod.log_series(
         windows, len(vocabulary), encoder_config, metric_panel.kpi, truth["entity_names"],
     )
-    encoder_mod.save_encoder(encoder_config, vocabulary, training, paths["encoder_manifest"])
+    with open(paths["vocabulary"], "rb") as fh:
+        vocabulary_sha256 = hashlib.sha256(fh.read()).hexdigest()
+    write_json(paths["encoder_manifest"], {
+        "config": dataclasses.asdict(encoder_config),
+        "vocab_size": len(vocabulary),
+        "vocabulary_sha256": vocabulary_sha256,
+        **training,
+    })
     write_panel_csv(log_panel, paths["log_panel"], "log_score")
     return metric_panel, log_panel
 
@@ -415,22 +431,14 @@ def stage_learn(config: dict, handed=None) -> tuple:
     a_log, a_metric = fusion_mod.modality_attention(
         score_log, score_metric, k=min(config["fusion"]["top_k"], len(score_log))
     )
-    _write_text(
-        paths["attention"],
-        json.dumps(
-            {
-                "a_log": a_log,
-                "a_metric": a_metric,
-                "scores_log": score_log.tolist(),
-                "scores_metric": score_metric.tolist(),
-                "max_lag": max_lag,
-                "top_k": config["fusion"]["top_k"],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    write_json(paths["attention"], {
+        "a_log": a_log,
+        "a_metric": a_metric,
+        "scores_log": score_log.tolist(),
+        "scores_metric": score_metric.tolist(),
+        "max_lag": max_lag,
+        "top_k": config["fusion"]["top_k"],
+    })
 
     learner_config = learner_config_from(config)
     fits = {
@@ -438,7 +446,17 @@ def stage_learn(config: dict, handed=None) -> tuple:
         "log": structure_mod.fit(log_panel, learner_config),
     }
     node_names = metric_panel.node_names
-    _write_text(paths["adjacency"], structure_mod.adjacency_to_json(fits, node_names))
+    write_json(paths["adjacency"], {
+        "node_names": node_names,
+        # every modality's final acyclicity penalty is at most H_TOL
+        "converged": all(result.h <= structure_mod.H_TOL for result in fits.values()),
+        "final_losses": {
+            modality: {key: values[-1] for key, values in result.loss_history.items()}
+            for modality, result in fits.items()
+        },
+        **{f"A_{modality}": result.A.tolist() for modality, result in fits.items()},
+        **{f"h_{modality}": result.h for modality, result in fits.items()},
+    })
     return (fits["log"].A, fits["metric"].A, node_names), (a_log, a_metric)
 
 
@@ -452,7 +470,7 @@ def stage_localize(config: dict, handed=None) -> None:
     """
     paths = _paths(config)
     if handed is None:
-        adjacency, attention = map(_read_json_object, (paths["adjacency"], paths["attention"]))
+        adjacency, attention = map(read_json_object, (paths["adjacency"], paths["attention"]))
         node_names = get_field(adjacency, "node_names", paths["adjacency"])
         check_type(f"{paths['adjacency']} node_names", node_names, list)
         for name in node_names:
@@ -472,7 +490,12 @@ def stage_localize(config: dict, handed=None) -> None:
     truth = read_ground_truth(paths["ground_truth"])
 
     fused = fusion_mod.fuse(a_log, a_metric, weights, node_names)
-    _write_text(paths["fused_graph"], fusion_mod.graph_to_json(fused, weights, node_names))
+    write_json(paths["fused_graph"], {
+        "a_log": weights[0],
+        "a_metric": weights[1],
+        "node_names": node_names,
+        "adjacency": fused.tolist(),
+    })
 
     transition = rca_mod.transition_matrix(fused, beta=config["rca"]["beta"])
     p0 = np.zeros(len(node_names))
@@ -485,8 +508,15 @@ def stage_localize(config: dict, handed=None) -> None:
         max_iter=config["rca"]["max_iter"],
     )
     ranked = rca_mod.rank_root_causes(walk.scores, node_names, k=len(node_names) - 1)
-    incident_id = f"incident-{truth['seed']}"
-    _write_text(paths["ranking"], rca_mod.ranking_to_json(ranked, walk, incident_id))
+    write_json(paths["ranking"], {
+        "incident_id": f"incident-{truth['seed']}",
+        "ranking": [
+            {"entity": name, "score": score, "rank": rank}
+            for rank, (name, score) in enumerate(ranked.ranking, start=1)
+        ],
+        "converged": walk.converged,
+        "iterations": walk.iterations,
+    })
 
 
 def stage_evaluate(config: dict) -> dict:
@@ -498,8 +528,9 @@ def stage_evaluate(config: dict) -> dict:
         report = {"n_cases": 0}
     else:
         report = metrics_mod.evaluate_cases([case], config["evaluation"]["k_values"])
-    _write_text(paths["report"], json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_text(paths["report_txt"], metrics_mod.format_report(report))
+    write_json(paths["report"], report)
+    with atomic_open(paths["report_txt"]) as fh:
+        fh.write(metrics_mod.format_report(report))
     return report
 
 
@@ -598,5 +629,5 @@ def run_pipeline(config: dict) -> dict:
         "seed": config["seed"],
         "stages": timings,
     }
-    _write_text(paths["manifest"], json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(paths["manifest"], manifest)
     return manifest

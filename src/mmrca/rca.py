@@ -7,7 +7,6 @@ distribution ranks candidate root causes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,17 +96,3 @@ def rank_root_causes(scores: np.ndarray, node_names: list[str], k: int) -> Ranke
     ranking = [(node_names[i], float(entity_scores[i])) for i in order[:k]]
     return RankedRootCauses(ranking=ranking)
 
-
-def ranking_to_json(ranked: RankedRootCauses, walk: RwrResult, incident_id: str) -> str:
-    """Serialize a ranking in the exported JSON schema, with the convergence of the
-    walk that scored it."""
-    payload = {
-        "incident_id": incident_id,
-        "ranking": [
-            {"entity": name, "score": score, "rank": rank}
-            for rank, (name, score) in enumerate(ranked.ranking, start=1)
-        ],
-        "converged": walk.converged,
-        "iterations": walk.iterations,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -20,14 +20,14 @@ changing how logs are drawn never changes metrics.csv or ground_truth.json.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_json_object, write_json
+from .nn import check_type, get_field
 from .panel import ModalityPanel, write_panel_csv
 
 FAULT_TYPES = ("none", "metric_only", "log_only", "both")
@@ -336,17 +336,16 @@ def write_incident(dataset: IncidentDataset, directory, metric_name: str) -> dic
             f'{{"entity": {r["entity"]}, "msg": {encode_basestring_ascii(r["msg"])}, "ts": {r["ts"]}}}\n'
             for r in dataset.raw_logs
         )
-    with atomic_open(paths["ground_truth"]) as fh:
-        fh.write(ground_truth_to_json(dataset))
+    write_json(paths["ground_truth"], ground_truth_payload(dataset))
     return paths
 
 
-def ground_truth_to_json(dataset: IncidentDataset) -> str:
-    """The incident's ground truth as JSON. A "none" incident planted no fault, so
-    its root_cause and root_cause_name are null, whatever entity the spec drew."""
+def ground_truth_payload(dataset: IncidentDataset) -> dict:
+    """ground_truth.json's payload. A "none" incident planted no fault, so its
+    root_cause and root_cause_name are null, whatever entity the spec drew."""
     spec, names = dataset.ground_truth, dataset.metric_panel.entity_names
     root = None if spec.fault_type == "none" else spec.root_cause
-    payload = {
+    return {
         "n_entities": spec.n_entities,
         "entity_names": names,
         "ground_truth_dag": spec.ground_truth_dag.tolist(),
@@ -362,9 +361,25 @@ def ground_truth_to_json(dataset: IncidentDataset) -> str:
         "shock_magnitude": dataset.shock_magnitude,
         "generator_matrix": dataset.generator_matrix.tolist(),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def read_ground_truth(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """ground_truth.json's payload, with the fields the stages read checked.
+
+    n_entities and horizon_T must be ints >= 1, entity_names a list of
+    n_entities distinct strings and seed an int; else ValueError names the
+    file and the field.
+    """
+    truth = read_json_object(path)
+    for key in ("n_entities", "horizon_T", "seed"):
+        check_type(f"{path} {key}", get_field(truth, key, path), int)
+    for key in ("n_entities", "horizon_T"):
+        if truth[key] < 1:
+            raise ValueError(f"{path} {key} must be >= 1; {truth[key]!r} is not")
+    names = get_field(truth, "entity_names", path)
+    check_type(f"{path} entity_names", names, list)
+    for name in names:
+        check_type(f"{path} entity name", name, str)
+    if len(names) != truth["n_entities"] or len(set(names)) != len(names):
+        raise ValueError(f"{path} entity_names must be {truth['n_entities']} distinct strings")
+    return truth

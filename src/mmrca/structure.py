@@ -26,7 +26,6 @@ a numpy float64 scalar would silently upcast a float32 array.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,22 +102,20 @@ _THETA13 = 5.371920351148152
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of each (n, n) matrix of a (..., n, n) stack, in a's dtype.
+    """Matrix exponential of an (n, n) matrix, in its dtype.
 
     Pade(13) approximant with scaling and squaring (Higham, SIAM J. Matrix
-    Anal. Appl. 26(4), 2005): each matrix is scaled by its own 2^-s, the least
-    that brings its 1-norm to theta_13 or below, and its approximant is
-    squared s times, so one matrix of a stack never changes another's rounding.
+    Anal. Appl. 26(4), 2005): the matrix is scaled by 2^-s, the least that
+    brings its 1-norm to theta_13 or below, and its approximant is squared s
+    times.
     """
     a = np.asarray(a)
-    n = a.shape[-1]
-    x = a.reshape(-1, n, n)
     # s = ceil(log2(norm / theta_13)), at least 0; frexp gives norm / theta_13 = m 2^e, m in [0.5, 1)
-    mantissa, exponent = np.frexp(np.abs(x).sum(axis=-2).max(axis=-1) / _THETA13)
-    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
-    x = x * np.ldexp(np.ones((), a.dtype), -squarings)[:, None, None]
+    mantissa, exponent = np.frexp((np.abs(a).sum(axis=0) / _THETA13).max())
+    squarings = max(int(exponent - (mantissa == 0.5)), 0)
+    x = a * np.ldexp(np.ones((), a.dtype), -squarings)
     b = _PADE13
-    eye = np.eye(n, dtype=a.dtype)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
@@ -127,23 +124,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     # (V - U)^-1 (V + U), written so that an exact zero input gives exactly I
     e = np.linalg.solve(v - u, 2.0 * u)
     e += eye
-    for k in range(int(squarings.max(initial=0))):
-        todo = squarings > k
-        e[todo] = e[todo] @ e[todo]
-    return e.reshape(a.shape)
+    for _ in range(squarings):
+        e = e @ e
+    return e
 
 
 def acyclicity(adjacency: np.ndarray):
     """Trace-exponential penalty h, zero exactly when the weighted graph is acyclic.
 
-    Returns (h, expm(A * A)), one h per leading index, in the adjacency's
+    Returns (h, expm(A * A)): h a float, the exponential in the adjacency's
     dtype; the gradient 2 A * expm(A * A)^T reuses the exponential.
     """
     a = np.asarray(adjacency)
     if not np.all(np.isfinite(a)):
         raise ValueError("adjacency entries must be finite")
     e = expm(a * a)
-    return np.trace(e, axis1=-2, axis2=-1) - a.shape[-1], e
+    return float(np.trace(e) - a.shape[0]), e
 
 
 # --- full objective ---------------------------------------------------------------
@@ -166,8 +162,8 @@ def objective_gradients(params: dict, z: np.ndarray, y: np.ndarray, config: Lear
     breakdown = {
         "var": config.lambda1 * float((residual**2).sum() / m),
         "sparsity": config.lambda5 * float(adj.sum()),
-        "acyclicity": multiplier * float(h),
-        "h": float(h), "multiplier": multiplier,
+        "acyclicity": multiplier * h,
+        "h": h, "multiplier": multiplier,
     }
     breakdown["total"] = breakdown["var"] + breakdown["sparsity"] + breakdown["acyclicity"]
 
@@ -211,25 +207,5 @@ def fit(panel: ModalityPanel, config: LearnerConfig) -> ModalityFit:
         optimizer.step(grads)
 
     adj = adjacency_from_lags(params["w"])
-    return ModalityFit(adj, params["w"], history, float(acyclicity(adj)[0]))
+    return ModalityFit(adj, params["w"], history, acyclicity(adj)[0])
 
-
-# --- adjacency.json ----------------------------------------------------------------
-
-
-def converged(fits: dict) -> bool:
-    """Whether every modality's final acyclicity penalty is at most H_TOL."""
-    return all(result.h <= H_TOL for result in fits.values())
-
-
-def adjacency_to_json(fits: dict, node_names: list[str]) -> str:
-    """adjacency.json of {modality: ModalityFit}: A_<modality>, h_<modality>,
-    final_losses[<modality>] (each term's last value), node_names and converged."""
-    payload = {"node_names": node_names, "converged": converged(fits), "final_losses": {}}
-    for modality, result in fits.items():
-        payload[f"A_{modality}"] = result.A.tolist()
-        payload[f"h_{modality}"] = result.h
-        payload["final_losses"][modality] = {
-            key: values[-1] for key, values in result.loss_history.items()
-        }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -65,6 +65,12 @@ class TestConfigKeys:
         with pytest.raises(ValueError, match="must be a JSON object"):
             pipeline.load_config(write_config(tmp_path, payload), environ={})
 
+    def test_a_config_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 3,')
+        assert cli.main(["--config", str(path), "run-pipeline"]) == 1
+        assert f"invalid configuration: {path} is not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload,named",
         [
@@ -168,7 +174,9 @@ class TestStageCommands:
         for name in names:
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
-    def test_run_pipeline_reads_back_only_the_ranking_it_wrote(self, tmp_path, monkeypatch):
+    def test_run_pipeline_reads_back_only_the_vocabulary_bytes_and_the_ranking(
+        self, tmp_path, monkeypatch
+    ):
         out = tmp_path / "out"
         assert self.run(tmp_path, "simulate", out) == 0
 
@@ -178,8 +186,8 @@ class TestStageCommands:
 
             return call
 
-        for name in ("windows_from_jsonl", "vocabulary_from_json"):
-            monkeypatch.setattr(pipeline.logs_mod, name, refuse(name))
+        monkeypatch.setattr(pipeline.logs_mod, "windows_from_jsonl", refuse("windows_from_jsonl"))
+        monkeypatch.setattr(pipeline, "_read_vocabulary", refuse("_read_vocabulary"))
         panels_read = []
         read_panel_csv = pipeline.read_panel_csv
 
@@ -200,9 +208,10 @@ class TestStageCommands:
         assert self.run(tmp_path, "run-pipeline", out) == 0
         monkeypatch.undo()
         assert panels_read == [str(tmp_path / "data" / "metrics.csv")]
+        # encode hashes the bytes of vocabulary.json for encoder_manifest.json, and
         # evaluate scores ranking.json; localize reads neither adjacency.json nor attention.json
         read_from_out = [path for path in files_read if os.path.dirname(path) == str(out)]
-        assert read_from_out == [str(out / "ranking.json")]
+        assert read_from_out == [str(out / "vocabulary.json"), str(out / "ranking.json")]
 
     def test_learn_names_the_file_entity_and_timestamp_of_a_missing_panel_row(
         self, tmp_path, capsys
@@ -370,6 +379,65 @@ class TestStageCommands:
         assert f"stage metrics failed: {path} {named}" in capsys.readouterr().err
         for written in ("metrics_report.json", "metrics_report.txt"):
             assert not (out / written).exists(), written
+
+    @pytest.mark.parametrize(
+        "corrupt,named",
+        [
+            (lambda truth: [1, 2], "must be a JSON object; list [1, 2]"),
+            (lambda truth: {**truth, "n_entities": "3"}, "n_entities must be an int; str '3'"),
+            (lambda truth: {**truth, "n_entities": 0}, "n_entities must be >= 1; 0 is not"),
+            (lambda truth: without(truth, "entity_names"), "is missing field 'entity_names'"),
+            (lambda truth: {**truth, "entity_names": "svc-0"},
+             "entity_names must be a list; str 'svc-0'"),
+            (lambda truth: {**truth, "entity_names": ["svc-0", 1, "svc-2"]},
+             "entity name must be a string; int 1"),
+            (lambda truth: {**truth, "entity_names": ["svc-0", "svc-1"]},
+             "entity_names must be 3 distinct strings"),
+            (lambda truth: {**truth, "entity_names": ["svc-0", "svc-0", "svc-2"]},
+             "entity_names must be 3 distinct strings"),
+            (lambda truth: without(truth, "horizon_T"), "is missing field 'horizon_T'"),
+            (lambda truth: {**truth, "horizon_T": 40.0}, "horizon_T must be an int; float 40.0"),
+            (lambda truth: {**truth, "horizon_T": 0}, "horizon_T must be >= 1; 0 is not"),
+            (lambda truth: {**truth, "seed": None}, "seed must be an int; NoneType None"),
+            (lambda truth: without(truth, "seed"), "is missing field 'seed'"),
+        ],
+        ids=["list", "n-entities-string", "n-entities-zero", "names-missing", "names-string",
+             "name-int", "names-short", "names-repeated", "horizon-missing", "horizon-float",
+             "horizon-zero", "seed-null", "seed-missing"],
+    )
+    def test_each_stage_that_reads_a_bad_ground_truth_rejects_it_and_writes_nothing(
+        self, tmp_path, capsys, corrupt, named
+    ):
+        out = tmp_path / "out"
+        for command in ("simulate", "parse", "encode", "learn"):
+            assert self.run(tmp_path, command, out) == 0, command
+        truth = tmp_path / "data" / "ground_truth.json"
+        truth.write_text(json.dumps(corrupt(json.loads(truth.read_text()))))
+        capsys.readouterr()
+        # each stage runs with its inputs in place and its outputs removed
+        for command, stage, written in (
+            ("localize", "rca", ("fused_graph.json", "ranking.json")),
+            ("encode", "log_encoder", ("encoder_manifest.json", "log_panel.csv")),
+            ("parse", "log_ingest", ("vocabulary.json", "windows.jsonl")),
+        ):
+            for name in written:
+                (out / name).unlink(missing_ok=True)
+            assert self.run(tmp_path, command, out) == 1, command
+            assert f"stage {stage} failed: {truth} {named}" in capsys.readouterr().err
+            for name in written:
+                assert not (out / name).exists(), (command, name)
+
+    def test_run_pipeline_rejects_a_null_seed_in_the_ground_truth_before_any_artifact(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        truth = tmp_path / "data" / "ground_truth.json"
+        truth.write_text(json.dumps({**json.loads(truth.read_text()), "seed": None}))
+        assert self.run(tmp_path, "run-pipeline", out) == 1
+        named = f"{truth} seed must be an int; NoneType None is not supported"
+        assert f"stage log_ingest failed: {named}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_the_simulator_writes_the_metric_kind_that_the_pipeline_reads(self, tmp_path):
         out = tmp_path / "out"

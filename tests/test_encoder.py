@@ -1,4 +1,3 @@
-import json
 import warnings
 from collections import namedtuple
 
@@ -19,10 +18,8 @@ from mmrca.encoder import (
     log_series,
     n_tokens,
     reduce_to_series,
-    save_encoder,
     tokenize,
     train_log_encoder,
-    vocabulary_hash,
 )
 from mmrca.logs import EMPTY_TEMPLATE_ID, WindowTable
 from mmrca.nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax
@@ -805,21 +802,3 @@ class TestReduceToSeries:
         kpi, names = (kpi[:-1], names) if cut == "kpi" else (kpi, names[:-1])
         with pytest.raises(ValueError, match="the windows cover 3 entities x 8 windows"):
             reduce_to_series(scores, windows, kpi, names)
-
-
-class TestPersistence:
-    def test_manifest_records_the_config_the_vocabulary_and_the_training(self, tmp_path):
-        config = toy_config(epochs=2)
-        vocabulary = [f"pattern {chr(97 + i)}" for i in range(4)]
-        training = {"epochs_run": 2, "final_loss": 0.25, "diagnostics": {"truncated_windows": 0}}
-        save_encoder(config, vocabulary, training, tmp_path / "encoder_manifest.json")
-        assert json.loads((tmp_path / "encoder_manifest.json").read_text()) == {
-            "config": config.__dict__,
-            "vocab_size": 4,
-            "vocabulary_sha256": vocabulary_hash(vocabulary),
-            **training,
-        }
-
-    def test_vocabulary_hash_changes_with_content(self):
-        a, b = ["x"], ["y"]
-        assert vocabulary_hash(a) != vocabulary_hash(b)

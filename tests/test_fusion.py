@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from mmrca.fusion import (
     cross_correlation_scores,
     fuse,
-    graph_to_json,
     modality_attention,
 )
 from mmrca.panel import ModalityPanel
@@ -180,14 +177,3 @@ class TestFuse:
         n = len(names)
         with pytest.raises(ValueError, match=f"both adjacencies must be {n} x {n}"):
             fuse(np.zeros(log_shape), np.zeros(metric_shape), (0.5, 0.5), names)
-
-
-class TestExports:
-    def test_json_is_valid(self):
-        a_log = np.array([[0.0, 0.9], [0.05, 0.0]])
-        a_metric = np.array([[0.0, 0.5], [0.1, 0.0]])
-        fused = fuse(a_log, a_metric, (0.25, 0.75), ["e0", "kpi"])
-        payload = json.loads(graph_to_json(fused, (0.25, 0.75), ["e0", "kpi"]))
-        assert payload == {
-            "a_log": 0.25, "a_metric": 0.75, "adjacency": fused.tolist(), "node_names": ["e0", "kpi"]
-        }

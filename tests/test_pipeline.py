@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -11,10 +14,12 @@ import pytest
 import mmrca
 from mmrca import cli, pipeline
 from mmrca import encoder as encoder_mod
+from mmrca import fusion as fusion_mod
+from mmrca import logs as logs_mod
 from mmrca import structure as structure_mod
-from mmrca.logs import vocabulary_from_json, windows_from_jsonl
+from mmrca.logs import windows_from_jsonl
 from mmrca.nn import sigmoid
-from mmrca.panel import ModalityPanel, read_panel_csv, write_panel_csv
+from mmrca.panel import ModalityPanel, aggregate_windows, read_panel_csv, write_panel_csv
 
 
 def thread_counts(controls):
@@ -186,6 +191,42 @@ class TestReadPanel:
         assert read_panel_csv(path, "cpu").values.tolist() == [[1.0], [2.0]]
 
 
+def loop_aggregate(values: np.ndarray, window_size: int) -> np.ndarray:
+    """The per-window loop that aggregate_windows replaced: the reference."""
+    n_windows = -(-values.shape[1] // window_size)
+    out = np.empty((values.shape[0], n_windows))
+    for w in range(n_windows):
+        out[:, w] = values[:, w * window_size:(w + 1) * window_size].mean(axis=1)
+    return out
+
+
+class TestAggregateWindows:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_loop_it_replaced(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n, t = int(rng.integers(1, 6)), int(rng.integers(1, 120))
+            window_size = int(rng.integers(1, 40))
+            names = [f"e{i}" for i in range(n)]
+            panel = ModalityPanel(rng.standard_normal((n + 1, t)) * 100.0, names)
+            got = aggregate_windows(panel, window_size)
+            assert np.array_equal(got.values, loop_aggregate(panel.values, window_size))
+            assert got.entity_names == panel.entity_names
+
+    def test_one_step_windows_keep_the_values(self):
+        panel = ModalityPanel(np.arange(6.0).reshape(2, 3) / 7.0, ["e0"])
+        assert np.array_equal(aggregate_windows(panel, 1).values, panel.values)
+
+    def test_the_last_window_may_be_short(self):
+        panel = ModalityPanel([[1.0, 2.0, 3.0, 4.0, 6.0], [0.0, 0.0, 0.0, 0.0, 1.0]], ["e0"])
+        assert aggregate_windows(panel, 2).values.tolist() == [[1.5, 3.5, 6.0], [0.0, 0.0, 1.0]]
+        assert aggregate_windows(panel, 9).values.tolist() == [[3.2], [0.2]]
+
+    def test_a_window_below_one_step_is_rejected(self):
+        with pytest.raises(ValueError, match="window_size must be >= 1"):
+            aggregate_windows(ModalityPanel(np.zeros((2, 3)), ["e0"]), 0)
+
+
 class TestLogSeries:
     TINY = {"encoder": {"epochs": 2, "d_model": 8}, "learner": {"epochs": 2}}
 
@@ -210,7 +251,7 @@ class TestLogSeries:
         """The encoder config and vocabulary size of the run, and the windows' token table."""
         config = pipeline.load_config(str(tmp_path / "config.json"), seed=3, environ={})
         encoder_config = pipeline.encoder_config_from(config)
-        vocab_size = len(vocabulary_from_json((tmp_path / "out" / "vocabulary.json").read_text()))
+        vocab_size = len(pipeline._read_vocabulary(tmp_path / "out" / "vocabulary.json"))
         tokens, offsets, truncated = encoder_mod.tokenize(windows, vocab_size, encoder_config)
         return encoder_config, vocab_size, tokens, offsets, truncated
 
@@ -308,3 +349,171 @@ class TestLearn:
         (a_other, a_metric_again, _), _ = pipeline.stage_learn(config, (metric, other_log))
         assert a_metric_again.tobytes() == a_metric.tobytes()
         assert not np.array_equal(a_other, a_log)
+
+
+def payload(path):
+    return json.loads(path.read_text())
+
+
+class TestArtifacts:
+    """The JSON files of one run, checked against what the stages compute."""
+
+    TINY = {
+        "scenario": {"n_entities": 3, "horizon_T": 40, "fault_type": "both"},
+        "encoder": {"epochs": 2, "d_model": 8},
+        "learner": {"epochs": 2},
+    }
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("run")
+        paths = {"data_dir": str(root / "data"), "out_dir": str(root / "out")}
+        (root / "config.json").write_text(json.dumps(dict(self.TINY, paths=paths)))
+        config = pipeline.load_config(str(root / "config.json"), seed=3, environ={})
+        pipeline.stage_simulate(config)
+        pipeline.run_pipeline(config)
+        return config, root / "data", root / "out"
+
+    def panels(self, config, out):
+        metric = pipeline._read_metric_panel(config)
+        return metric, read_panel_csv(out / "log_panel.csv", metric_name="log_score")
+
+    def test_every_json_file_has_the_one_format(self, artifacts):
+        _, data, out = artifacts
+        names = sorted(path.name for path in out.iterdir() if path.suffix == ".json")
+        assert names == [
+            "adjacency.json", "attention.json", "encoder_manifest.json", "fused_graph.json",
+            "manifest.json", "metrics_report.json", "ranking.json", "vocabulary.json",
+        ]
+        for path in [out / name for name in names] + [data / "ground_truth.json"]:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+    def test_vocabulary_maps_each_template_id_to_its_pattern(self, artifacts):
+        _, data, out = artifacts
+        vocabulary, _ = logs_mod.parse_templates(logs_mod.read_logs_jsonl(data / "logs.jsonl"))
+        assert len(vocabulary) > 1
+        assert payload(out / "vocabulary.json") == {
+            str(i): pattern for i, pattern in enumerate(vocabulary)
+        }
+        assert pipeline._read_vocabulary(out / "vocabulary.json") == vocabulary
+
+    def test_encoder_manifest_records_the_config_the_vocabulary_and_the_training(self, artifacts):
+        config, _, out = artifacts
+        manifest = payload(out / "encoder_manifest.json")
+        assert set(manifest) == {
+            "config", "vocab_size", "vocabulary_sha256", "epochs_run", "final_loss", "diagnostics",
+        }
+        assert manifest["config"] == dataclasses.asdict(pipeline.encoder_config_from(config))
+        assert manifest["config"]["seed"] == 4
+        vocabulary = (out / "vocabulary.json").read_bytes()
+        assert manifest["vocab_size"] == len(json.loads(vocabulary))
+        assert manifest["vocabulary_sha256"] == hashlib.sha256(vocabulary).hexdigest()
+        assert manifest["epochs_run"] == 2 and isinstance(manifest["final_loss"], float)
+        assert set(manifest["diagnostics"]) == {"truncated_windows", "unique_sequences"}
+
+    def test_attention_records_the_weights_and_the_scores_behind_them(self, artifacts):
+        config, _, out = artifacts
+        metric, log = self.panels(config, out)
+        attention = payload(out / "attention.json")
+        p, top_k = config["learner"]["p"], config["fusion"]["top_k"]
+        scores_log = fusion_mod.cross_correlation_scores(log, p)
+        scores_metric = fusion_mod.cross_correlation_scores(metric, p)
+        a_log, a_metric = fusion_mod.modality_attention(
+            scores_log, scores_metric, k=min(top_k, len(scores_log))
+        )
+        assert attention == {
+            "a_log": a_log, "a_metric": a_metric, "scores_log": scores_log.tolist(),
+            "scores_metric": scores_metric.tolist(), "max_lag": p, "top_k": top_k,
+        }
+
+    def test_adjacency_keeps_both_graphs_and_splits_the_final_losses(self, artifacts):
+        config, _, out = artifacts
+        adjacency = payload(out / "adjacency.json")
+        assert set(adjacency) == {
+            "node_names", "A_metric", "A_log", "h_metric", "h_log", "converged", "final_losses",
+        }
+        metric, log = self.panels(config, out)
+        assert adjacency["node_names"] == metric.node_names
+        for modality, panel in (("metric", metric), ("log", log)):
+            with pipeline._one_blas_thread():
+                result = structure_mod.fit(panel, pipeline.learner_config_from(config))
+            assert adjacency[f"A_{modality}"] == result.A.astype(float).tolist()
+            assert adjacency[f"h_{modality}"] == result.h
+            assert adjacency["final_losses"][modality] == {
+                term: values[-1] for term, values in result.loss_history.items()
+            }
+        h_max = max(adjacency["h_metric"], adjacency["h_log"])
+        assert adjacency["converged"] is (h_max <= structure_mod.H_TOL)
+
+    @pytest.mark.parametrize("h_log,converged", [(1e-3, True), (2e-3, False)])
+    def test_converged_needs_every_modality_within_h_tol(
+        self, artifacts, tmp_path, monkeypatch, h_log, converged
+    ):
+        config, _, out = artifacts
+        metric, log = self.panels(config, out)
+        fit = structure_mod.fit
+
+        def fit_with_h(panel, learner_config):
+            result = fit(panel, learner_config)
+            result.h = h_log if panel is log else 0.0
+            return result
+
+        monkeypatch.setattr(structure_mod, "fit", fit_with_h)
+        config = copy.deepcopy(config)
+        config["paths"]["out_dir"] = str(tmp_path)
+        pipeline.stage_learn(config, (metric, log))
+        adjacency = payload(tmp_path / "adjacency.json")
+        assert (adjacency["h_metric"], adjacency["h_log"]) == (0.0, h_log)
+        assert adjacency["converged"] is converged
+
+    def test_fused_graph_is_the_attention_weighted_blend_it_names(self, artifacts):
+        _, _, out = artifacts
+        adjacency, attention = payload(out / "adjacency.json"), payload(out / "attention.json")
+        weights = (attention["a_log"], attention["a_metric"])
+        names = adjacency["node_names"]
+        fused = fusion_mod.fuse(adjacency["A_log"], adjacency["A_metric"], weights, names)
+        assert payload(out / "fused_graph.json") == {
+            "a_log": weights[0], "a_metric": weights[1], "node_names": names,
+            "adjacency": fused.tolist(),
+        }
+
+    def test_ranking_lists_every_entity_once_with_the_walk_that_scored_it(self, artifacts):
+        _, data, out = artifacts
+        ranking, truth = payload(out / "ranking.json"), payload(data / "ground_truth.json")
+        assert set(ranking) == {"incident_id", "ranking", "converged", "iterations"}
+        assert ranking["incident_id"] == f"incident-{truth['seed']}" == "incident-3"
+        entries = ranking["ranking"]
+        assert [set(entry) for entry in entries] == [{"entity", "score", "rank"}] * 3
+        assert [entry["rank"] for entry in entries] == [1, 2, 3]
+        assert sorted(entry["entity"] for entry in entries) == truth["entity_names"]
+        scores = [entry["score"] for entry in entries]
+        assert scores == sorted(scores, reverse=True)
+        assert ranking["converged"] is True and ranking["iterations"] > 1
+
+    def test_ranking_says_when_the_walk_stopped_short(self, artifacts, tmp_path):
+        config, _, out = artifacts
+        config = copy.deepcopy(config)
+        config["paths"]["out_dir"] = str(tmp_path)
+        config["rca"]["max_iter"] = 1
+        for name in ("adjacency.json", "attention.json"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        pipeline.stage_localize(config)
+        ranking = payload(tmp_path / "ranking.json")
+        assert (ranking["converged"], ranking["iterations"]) == (False, 1)
+        assert [entry["rank"] for entry in ranking["ranking"]] == [1, 2, 3]
+
+    def test_the_reports_record_the_run(self, artifacts):
+        config, _, out = artifacts
+        report = payload(out / "metrics_report.json")
+        k_values = config["evaluation"]["k_values"]
+        assert set(report) == {"n_cases", "mrr"} | {
+            f"{metric}@{k}" for metric in ("pr", "map") for k in k_values
+        }
+        assert report["n_cases"] == 1
+        manifest = payload(out / "manifest.json")
+        assert set(manifest) == {"config_hash", "seed", "stages"}
+        assert manifest["config_hash"] == pipeline.config_hash(config)
+        assert manifest["seed"] == 3
+        stages = [name for name, _ in pipeline.PIPELINE_STAGES]
+        assert [stage["name"] for stage in manifest["stages"]] == stages

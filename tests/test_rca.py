@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmrca.rca import RwrResult, rank_root_causes, ranking_to_json, rwr, transition_matrix
+from mmrca.rca import RwrResult, rank_root_causes, rwr, transition_matrix
 
 
 def solve_fixed_point(p, p0, c):
@@ -168,14 +168,3 @@ class TestRanking:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             rank_root_causes(np.array([0.6, 0.4]), ["a", "kpi"], k=0)
-
-    def test_json_schema(self):
-        import json
-
-        ranked = rank_root_causes(np.array([0.5, 0.3, 0.2]), ["e0", "e1", "kpi"], k=2)
-        walk = RwrResult(scores=np.array([0.5, 0.3, 0.2]), converged=False, iterations=7)
-        payload = json.loads(ranking_to_json(ranked, walk, "incident-1"))
-        assert payload["incident_id"] == "incident-1"
-        assert payload["ranking"][0] == {"entity": "e0", "rank": 1, "score": 0.5}
-        assert set(payload) == {"incident_id", "ranking", "converged", "iterations"}
-        assert (payload["converged"], payload["iterations"]) == (False, 7)

@@ -12,7 +12,7 @@ from mmrca.simulate import (
     IncidentDataset,
     ScenarioSpec,
     generate_incident,
-    ground_truth_to_json,
+    ground_truth_payload,
     kpi_parents,
     read_ground_truth,
     sample_scenario,
@@ -162,7 +162,7 @@ class TestDeterminismAndShapes:
         assert len(sparse.raw_logs) < len(dense.raw_logs)
         assert np.array_equal(dense.metric_panel.values, sparse.metric_panel.values)
         assert np.array_equal(dense.generator_matrix, sparse.generator_matrix)
-        assert ground_truth_to_json(dense) == ground_truth_to_json(sparse)
+        assert ground_truth_payload(dense) == ground_truth_payload(sparse)
 
     def test_different_seeds_differ(self):
         a = generate_incident(chain_spec(seed=1))
