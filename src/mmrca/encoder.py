@@ -8,8 +8,9 @@ maps a [CLS] state to an anomaly score in (0, 1), and the score of each
 (entity, window) cell is the entity's log series (reduce_to_series). When
 every window carries the same label there is nothing to regress, and
 log_series builds no encoder: it scores every cell exactly 0.5, the score
-that an untrained encoder's zero head gives any [CLS] state. The result is a
-constant series that says the logs hold no evidence.
+that an untrained encoder's zero head gives any [CLS] state, and tokenizes
+nothing. The result is a constant series that says the logs hold no
+evidence.
 
 Training and embedding run the network once per distinct (token sequence,
 label) row, in length groups: batches whose sequences all have one token
@@ -30,7 +31,8 @@ projections of l rows plus one row of the rest, not the whole layer at l rows.
 
 log_series, the encode stage's one call, tokenizes every cell of a
 logs.WindowTable into one flat token table and groups its distinct rows once
-(group_sequences).
+(group_sequences). A window without events holds no template in the table;
+tokenize alone gives it the empty token.
 
 The network is plain numpy with hand-derived gradients so that training is
 bit-deterministic and the analytic gradients can be checked against finite
@@ -53,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logs import EMPTY_TEMPLATE_ID, WindowTable
+from .logs import WindowTable
 from .nn import (
     Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax,
 )
@@ -61,7 +63,7 @@ from .panel import ModalityPanel
 
 # token id 0 is reserved (tok_emb keeps its row) but never emitted: nothing is padded
 CLS_TOKEN = 1
-EMPTY_TOKEN = 2
+EMPTY_TOKEN = 2  # stands for the template of a window without events
 N_RESERVED = 3
 
 FFN_MULT = 2  # feed-forward width relative to d_model
@@ -111,6 +113,13 @@ def n_tokens(vocab_size: int, config: EncoderConfig) -> int:
     return N_RESERVED + config.freq_buckets + vocab_size
 
 
+def _check_template_ids(templates: np.ndarray, vocab_size: int) -> None:
+    """ValueError naming the first template id outside [0, vocab_size)."""
+    outside = (templates < 0) | (templates >= vocab_size)
+    if outside.any():
+        raise ValueError(f"template id {templates[outside][0]} outside the vocabulary")
+
+
 def tokenize(windows: WindowTable, vocab_size: int, config: EncoderConfig):
     """The token sequence of every cell of the table, as one flat table.
 
@@ -118,34 +127,30 @@ def tokenize(windows: WindowTable, vocab_size: int, config: EncoderConfig):
     tokens[offsets[c]:offsets[c + 1]], and truncated[c] says whether it was
     cut. A cell's sequence is [CLS] and then, per template in the cell's
     order, the template token and its frequency's bucket token. A cell
-    holding only the empty template gets the empty token and bucket 0. Pairs
+    without events counts as one pair: the empty token and bucket 0. Pairs
     past (max_len - 1) // 2 are cut. A template id outside the vocabulary
     raises ValueError naming the first one, whether cut or not.
     """
     templates, offsets = windows.templates, windows.offsets
-    outside = (templates != EMPTY_TEMPLATE_ID) & ((templates < 0) | (templates >= vocab_size))
-    if outside.any():
-        raise ValueError(f"template id {templates[outside][0]} outside the vocabulary")
-    template_tokens = N_RESERVED + config.freq_buckets + templates
-    template_tokens[templates == EMPTY_TEMPLATE_ID] = EMPTY_TOKEN
+    _check_template_ids(templates, vocab_size)
     buckets = freq_bucket(windows.frequencies, config.freq_buckets)
     lengths = np.diff(offsets)
-    # a cell that holds only the empty template takes bucket 0
-    empty = lengths == 1
-    empty[empty] = templates[offsets[:-1][empty]] == EMPTY_TEMPLATE_ID
-    buckets[np.repeat(empty, lengths)] = 0
+    pairs = np.maximum(lengths, 1)
 
     # the kept pairs of each cell, placed after its [CLS] token
-    kept = np.minimum(lengths, (config.max_len - 1) // 2)
+    kept = np.minimum(pairs, (config.max_len - 1) // 2)
     rank = np.arange(len(templates)) - np.repeat(offsets[:-1], lengths)
     keep = rank < np.repeat(kept, lengths)
     starts = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(1 + 2 * kept, out=starts[1:])
     tokens = np.full(starts[-1], CLS_TOKEN, dtype=np.int64)
     slots = np.repeat(starts[:-1], lengths)[keep] + 1 + 2 * rank[keep]
-    tokens[slots] = template_tokens[keep]
+    tokens[slots] = N_RESERVED + config.freq_buckets + templates[keep]
     tokens[slots + 1] = N_RESERVED + buckets[keep]
-    return tokens, starts, lengths > kept
+    empty = starts[:-1][(lengths == 0) & (kept > 0)] + 1
+    tokens[empty] = EMPTY_TOKEN
+    tokens[empty + 1] = N_RESERVED  # bucket 0
+    return tokens, starts, pairs > kept
 
 
 class SequenceGroups(NamedTuple):
@@ -437,24 +442,26 @@ def log_series(
 ) -> tuple[ModalityPanel, dict]:
     """Score every window of the table and place the scores into the log panel.
 
-    The encoder trains on the windows' labels; when every window has one label
-    none is built and every cell scores 0.5 (see the module docstring).
-    Returns the panel and the training record that encoder_manifest.json holds:
-    epochs_run and final_loss (0 and None without an encoder), and
-    diagnostics, which count the truncated windows and the distinct (token
-    sequence, label) rows.
+    The encoder trains on the windows' labels. When every window has one label
+    the windows are not tokenized, no encoder is built and every cell scores
+    0.5 (see the module docstring). Returns the panel and the training record
+    that encoder_manifest.json holds: epochs_run and final_loss (0 and None
+    without an encoder) and, when an encoder trained, diagnostics, which count
+    the truncated windows and the distinct (token sequence, label) rows. A
+    template id outside the vocabulary raises ValueError either way.
     """
+    if len(set(windows.labels.tolist())) <= 1:
+        _check_template_ids(windows.templates, vocab_size)
+        scores = np.full(windows.n_cells, 0.5)
+        training = {"epochs_run": 0, "final_loss": None}
+        return reduce_to_series(scores, windows, kpi, entity_names), training
     tokens, offsets, truncated = tokenize(windows, vocab_size, config)
     groups = group_sequences(tokens, offsets, windows.labels)
-    if len(set(windows.labels.tolist())) > 1:
-        encoder = train_log_encoder(groups, windows.labels, config, vocab_size)
-        scores = encoder.score(embed_windows(encoder, groups))
-        losses = encoder.history
-    else:
-        scores, losses = np.full(windows.n_cells, 0.5), []
+    encoder = train_log_encoder(groups, windows.labels, config, vocab_size)
+    scores = encoder.score(embed_windows(encoder, groups))
     training = {
-        "epochs_run": len(losses),
-        "final_loss": losses[-1] if losses else None,
+        "epochs_run": len(encoder.history),
+        "final_loss": encoder.history[-1],
         "diagnostics": {
             "truncated_windows": int(truncated.sum()),
             "unique_sequences": len(groups.counts),

@@ -12,8 +12,9 @@ skeleton is then the message's template, unless a 1 survives the masking and
 may stand for another digit; such a message is masked itself.
 Events are then partitioned into fixed windows per entity, keeping the unique
 templates in first-appearance order together with their in-window
-frequencies. A window's anomaly label is the frequency-weighted fraction of
-events whose template carries a golden-signal keyword.
+frequencies. A window without events holds no template and is labelled 0.
+A window's anomaly label is the frequency-weighted fraction of events whose
+template carries a golden-signal keyword.
 
 The data is columnar from the parse on: parse_templates returns the events as
 one int array, and the windows are one WindowTable, every cell of the
@@ -43,11 +44,6 @@ import numpy as np
 from .nn import check_type
 
 WILDCARD = "<*>"
-
-# Windows with no events get a reserved template so the downstream encoder
-# sees a value at every (entity, window).
-EMPTY_TEMPLATE_ID = -1
-EMPTY_PATTERN = "<empty>"
 
 # Golden-signal keywords marking a log template as abnormal. Keywords that
 # contain digits cannot survive masking and are omitted.
@@ -103,7 +99,7 @@ class WindowTable:
     c // n_windows. Its unique templates, in first-appearance order, are
     templates[offsets[c]:offsets[c + 1]], their in-window counts sit at the
     same positions of frequencies, and labels[c] is its label. A cell with no
-    events holds the reserved empty template with frequency 1. Construction
+    events holds no entry: offsets[c] == offsets[c + 1]. Construction
     checks every cell: unique templates, frequencies aligned with them and
     positive, and a label in [0, 1]; a failure names the first offending cell.
     """
@@ -268,10 +264,9 @@ def window_sequences(
     ascending order of their first event, the events taken in a stable sort
     by ts, with their occurrence counts. Every cell of the n_entities x
     n_windows grid is emitted, so the windows cover the full horizon even
-    after the last event; cells with no events carry the reserved empty
-    template with frequency 1. The first event in ts order whose template is
-    not in the vocabulary, or whose entity or window falls outside the grid,
-    raises ValueError.
+    after the last event; a cell with no events holds no entry. The first
+    event in ts order whose template is not in the vocabulary, or whose
+    entity or window falls outside the grid, raises ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -299,18 +294,13 @@ def window_sequences(
     keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
     cells = keys // span
     order = np.lexsort((first, cells))
-    cells, ids, counts = cells[order], keys[order] % span, counts[order]
 
     n_cells = n_entities * n_windows
-    per_cell = np.bincount(cells, minlength=n_cells)
     offsets = np.zeros(n_cells + 1, dtype=np.int64)
-    np.cumsum(np.maximum(per_cell, 1), out=offsets[1:])  # an empty cell holds one entry
-    templates = np.full(offsets[-1], EMPTY_TEMPLATE_ID, dtype=np.int64)
-    frequencies = np.ones(offsets[-1], dtype=np.int64)
-    rank = np.arange(len(cells)) - (np.cumsum(per_cell) - per_cell)[cells]
-    templates[offsets[cells] + rank] = ids
-    frequencies[offsets[cells] + rank] = counts
-    return WindowTable(n_entities, n_windows, offsets, templates, frequencies, np.zeros(n_cells))
+    np.cumsum(np.bincount(cells, minlength=n_cells), out=offsets[1:])
+    return WindowTable(
+        n_entities, n_windows, offsets, keys[order] % span, counts[order], np.zeros(n_cells)
+    )
 
 
 def label_windows(windows: WindowTable, vocabulary: list[str]) -> WindowTable:

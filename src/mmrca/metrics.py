@@ -6,6 +6,7 @@ Predictions shorter than K are treated as padded with misses.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ def structural_hamming(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(np.triu(differs, k=1)))
 
 
-def evaluate_cases(cases: list[EvaluationCase], k_values: list[int]) -> dict:
+def evaluate_cases(cases: list[EvaluationCase], k_values: Sequence[int]) -> dict:
     """Compute PR@K and MAP@K for each K plus MRR over all cases."""
     report = {"n_cases": len(cases), "mrr": mrr(cases)}
     for k in k_values:
@@ -116,16 +117,3 @@ def case_from_files(ranking_path, truth_path) -> EvaluationCase | None:
         )
     return EvaluationCase(predicted=predicted, truth={root})
 
-
-def format_report(report: dict) -> str:
-    """Plain-text table for a metrics report dict. A report without cases comes
-    from an incident with no planted fault, and says so."""
-    lines = [f"{'metric':<10} value", "-" * 18]
-    for key in sorted(report):
-        if key == "n_cases":
-            continue
-        lines.append(f"{key:<10} {report[key]:.4f}")
-    lines.append(f"{'cases':<10} {report['n_cases']}")
-    if not report["n_cases"]:
-        lines.append("no fault was planted: no case was scored")
-    return "\n".join(lines) + "\n"

@@ -6,7 +6,8 @@ over window_size steps; encode, and learn run alone, build it from there.
 Stage order: ingest logs -> score every window with the log encoder's
 regression head and place the scores into one series per entity
 (encoder.log_series) -> KPI-aware attention -> one structure fit per
-modality panel -> fuse -> random walk -> rank -> evaluate. Every stage
+modality panel -> fuse -> random walk -> rank -> evaluate, whose one
+artifact is metrics_report.json (mmrca evaluate also prints it). Every stage
 writes each of its artifacts atomically (atomic.atomic_open: the bytes go to
 a .partial file that is renamed onto the final name once complete, so a
 failed write leaves the earlier artifact intact and a .partial behind), and
@@ -42,10 +43,12 @@ hold float64 values. The trained parameters are not written.
 
 The log data moves between the stages in columns. Ingest parses the records
 into one event array and windows and labels them into a logs.WindowTable,
-which windows.jsonl holds one line per cell. Encode makes one call on that
-table, encoder.log_series, which tokenizes the cells into one token table,
-trains and embeds on its distinct rows, and places the scores into the log
-panel in the table's entity-major cell order. Panels go to and from disk
+which windows.jsonl holds one line per cell; a window without events holds no
+template, and its line lists none. Encode makes one call on that table,
+encoder.log_series, which tokenizes the cells into one token table, trains
+and embeds on its distinct rows, and places the scores into the log panel in
+the table's entity-major cell order. When every label is the same it does
+none of that and scores each cell 0.5. Panels go to and from disk
 through panel.write_panel_csv and panel.read_panel_csv.
 
 Within run-pipeline each stage hands its result in memory to the next: the
@@ -118,9 +121,8 @@ DEFAULT_CONFIG: dict = {
     # the trained models' defaults live in their config classes
     "encoder": _defaults(encoder_mod.EncoderConfig),
     "learner": _defaults(structure_mod.LearnerConfig),
-    "fusion": {"top_k": 3, "edge_threshold": 0.3},
+    "fusion": {"edge_threshold": 0.3},
     "rca": {"beta": 0.1, "restart": 0.15, "tol": 1e-10, "max_iter": 10000},
-    "evaluation": {"k_values": [1, 3, 5]},
 }
 
 
@@ -199,12 +201,8 @@ def load_config(
 
 def _check_stage_settings(config: dict) -> None:
     """ValueError naming the first of seed, window_size, metric_kind and the scenario,
-    fusion, rca and evaluation fields that has the wrong type or lies out of range."""
+    fusion and rca fields that has the wrong type or lies out of range."""
     scenario, fusion, rca = config["scenario"], config["fusion"], config["rca"]
-    k_values = config["evaluation"]["k_values"]
-    if not isinstance(k_values, list):
-        got = f"{type(k_values).__name__} {k_values!r}"
-        raise ValueError(f"evaluation.k_values must be a list; {got} is not supported")
     checks = [
         ("seed", config["seed"], int, lambda v: v >= 0, ">= 0"),
         ("window_size", config["window_size"], int, lambda v: v >= 1, ">= 1"),
@@ -218,15 +216,11 @@ def _check_stage_settings(config: dict) -> None:
         ("scenario.log_lag", scenario["log_lag"], int, lambda v: v >= 1, ">= 1"),
         ("scenario.fault_type", scenario["fault_type"], str,
          lambda v: v in FAULT_TYPES, f"one of {FAULT_TYPES}"),
-        ("fusion.top_k", fusion["top_k"], int, lambda v: v >= 1, ">= 1"),
         ("fusion.edge_threshold", fusion["edge_threshold"], float, math.isfinite, "finite"),
         ("rca.beta", rca["beta"], float, lambda v: 0 <= v <= 1, "in [0, 1]"),
         ("rca.restart", rca["restart"], float, lambda v: 0 < v <= 1, "in (0, 1]"),
         ("rca.tol", rca["tol"], float, lambda v: v > 0, "positive"),
         ("rca.max_iter", rca["max_iter"], int, lambda v: v >= 1, ">= 1"),
-    ] + [
-        (f"evaluation.k_values[{i}]", k, int, lambda v: v >= 1, ">= 1")
-        for i, k in enumerate(k_values)
     ]
     for name, value, kind, in_range, requirement in checks:
         check_type(name, value, kind)
@@ -266,7 +260,6 @@ def _paths(config: dict) -> dict:
         "fused_graph": os.path.join(out_dir, "fused_graph.json"),
         "ranking": os.path.join(out_dir, "ranking.json"),
         "report": os.path.join(out_dir, "metrics_report.json"),
-        "report_txt": os.path.join(out_dir, "metrics_report.txt"),
         "manifest": os.path.join(out_dir, "manifest.json"),
     }
 
@@ -396,6 +389,10 @@ def stage_encode(config: dict, handed=None) -> tuple:
     return metric_panel, log_panel
 
 
+# the attention scores each modality by its TOP_K strongest entities
+TOP_K = 3
+
+
 def stage_learn(config: dict, handed=None) -> tuple:
     """Fit one lag model per panel; write attention.json and adjacency.json.
 
@@ -429,7 +426,7 @@ def stage_learn(config: dict, handed=None) -> tuple:
     score_metric = fusion_mod.cross_correlation_scores(metric_panel, max_lag)
     score_log = fusion_mod.cross_correlation_scores(log_panel, max_lag)
     a_log, a_metric = fusion_mod.modality_attention(
-        score_log, score_metric, k=min(config["fusion"]["top_k"], len(score_log))
+        score_log, score_metric, k=min(TOP_K, len(score_log))
     )
     write_json(paths["attention"], {
         "a_log": a_log,
@@ -437,7 +434,7 @@ def stage_learn(config: dict, handed=None) -> tuple:
         "scores_log": score_log.tolist(),
         "scores_metric": score_metric.tolist(),
         "max_lag": max_lag,
-        "top_k": config["fusion"]["top_k"],
+        "top_k": TOP_K,
     })
 
     learner_config = learner_config_from(config)
@@ -519,18 +516,21 @@ def stage_localize(config: dict, handed=None) -> None:
     })
 
 
+# the report's PR@K and MAP@K cut-offs
+K_VALUES = (1, 3, 5)
+
+
 def stage_evaluate(config: dict) -> dict:
-    """Score the ranking against the ground truth. An incident with no planted
+    """Score the ranking against the ground truth into metrics_report.json, the
+    stage's one artifact, and return the report. An incident with no planted
     fault has no root cause to score, so its report holds no case."""
     paths = _paths(config)
     case = metrics_mod.case_from_files(paths["ranking"], paths["ground_truth"])
     if case is None:
         report = {"n_cases": 0}
     else:
-        report = metrics_mod.evaluate_cases([case], config["evaluation"]["k_values"])
+        report = metrics_mod.evaluate_cases([case], K_VALUES)
     write_json(paths["report"], report)
-    with atomic_open(paths["report_txt"]) as fh:
-        fh.write(metrics_mod.format_report(report))
     return report
 
 

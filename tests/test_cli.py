@@ -37,7 +37,8 @@ class TestConfigKeys:
         [
             ({"encoder": {"epoch": 3}}, "encoder.epoch"),
             ({"encodr": {"epochs": 3}}, "encodr"),
-            ({"fusion": {"top_k": 2}, "rca": {"restart": 0.2, "tolerance": 1e-9}}, "rca.tolerance"),
+            ({"fusion": {"edge_threshold": 0.2}, "rca": {"restart": 0.2, "tolerance": 1e-9}},
+             "rca.tolerance"),
             ({"learner": {"lambda3": 20}}, "learner.lambda3"),
             ({"scenario": {"dag": [[0]], "root_cause": 0}}, "scenario.dag"),
             ({"scenario": {"root_cause": 0}}, "scenario.root_cause"),
@@ -50,6 +51,8 @@ class TestConfigKeys:
             ({"fusion": {"max_lag": 2}}, "fusion.max_lag"),
             ({"learner": {"d1": 16}}, "learner.d1"),
             ({"learner": {"lambda2": 1.0}}, "learner.lambda2"),
+            ({"fusion": {"top_k": 3}}, "fusion.top_k"),
+            ({"evaluation": {"k_values": [1]}}, "evaluation"),
         ],
     )
     def test_unknown_key_exits_as_invalid_configuration(self, tmp_path, capsys, payload, named):
@@ -57,8 +60,7 @@ class TestConfigKeys:
         code = cli.main(["--config", config, "--out", str(tmp_path / "out"), "run-pipeline"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("invalid configuration:")
-        assert repr(named) in err
+        assert err.startswith(f"invalid configuration: unknown config key {named!r}")
 
     @pytest.mark.parametrize("payload", [{"encoder": 3}, [1, 2]])
     def test_a_section_that_is_not_an_object_is_rejected(self, tmp_path, payload):
@@ -95,13 +97,10 @@ class TestConfigKeys:
             ({"seed": 1.5}, "seed must be an int; float 1.5"),
             ({"seed": "x"}, "seed must be an int; str 'x'"),
             ({"seed": -1}, "seed must be >= 0; -1 is not"),
-            ({"fusion": {"top_k": 0}}, "fusion.top_k must be >= 1"),
             ({"rca": {"beta": "x"}}, "rca.beta must be a number; str 'x'"),
             ({"rca": {"beta": 1.5}}, "rca.beta must be in [0, 1]"),
             ({"rca": {"restart": 0}}, "rca.restart must be in (0, 1]"),
             ({"rca": {"max_iter": 0}}, "rca.max_iter must be >= 1"),
-            ({"evaluation": {"k_values": [0]}}, "evaluation.k_values[0] must be >= 1"),
-            ({"evaluation": {"k_values": 3}}, "evaluation.k_values must be a list"),
         ],
     )
     def test_a_bad_value_exits_as_invalid_configuration_before_any_stage(
@@ -168,8 +167,8 @@ class TestStageCommands:
         assert names == sorted(p.name for p in full.iterdir() if p.name != "manifest.json")
         assert names == [
             "adjacency.json", "attention.json", "encoder_manifest.json", "fused_graph.json",
-            "log_panel.csv", "metrics_report.json", "metrics_report.txt", "ranking.json",
-            "vocabulary.json", "windows.jsonl",
+            "log_panel.csv", "metrics_report.json", "ranking.json", "vocabulary.json",
+            "windows.jsonl",
         ]
         for name in names:
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
@@ -377,8 +376,7 @@ class TestStageCommands:
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
         assert self.run(tmp_path, "evaluate", out) == 1
         assert f"stage metrics failed: {path} {named}" in capsys.readouterr().err
-        for written in ("metrics_report.json", "metrics_report.txt"):
-            assert not (out / written).exists(), written
+        assert not (out / "metrics_report.json").exists()
 
     @pytest.mark.parametrize(
         "corrupt,named",
@@ -455,7 +453,6 @@ class TestStageCommands:
         truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
         assert truth["root_cause"] is None and truth["root_cause_name"] is None
         assert json.loads((out / "metrics_report.json").read_text()) == {"n_cases": 0}
-        assert "no fault was planted" in (out / "metrics_report.txt").read_text()
         capsys.readouterr()
         assert self.run(tmp_path, "evaluate", out, scenario=scenario) == 0
         assert json.loads(capsys.readouterr().out) == {"n_cases": 0}
@@ -537,6 +534,30 @@ class TestStageCommands:
         windows.write_text("\n".join(lines) + "\n")
         assert self.run(tmp_path, "encode", out) == 1
         assert f"stage log_encoder failed: {windows} line 7 is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault_type", ["both", "metric_only"])
+    def test_a_window_that_holds_template_id_minus_one_is_a_validation_failure(
+        self, tmp_path, capsys, fault_type
+    ):
+        # a window without events lists no template, so -1 is no template id
+        out = tmp_path / "out"
+        scenario = dict(self.TINY["scenario"], fault_type=fault_type)
+        for command in ("simulate", "parse"):
+            assert self.run(tmp_path, command, out, scenario=scenario) == 0, command
+        windows = out / "windows.jsonl"
+        lines = windows.read_text().splitlines()
+        assert any('"templates": []' in line for line in lines)
+        k = next(k for k, line in enumerate(lines) if '"templates": []' not in line)
+        row = json.loads(lines[k])
+        row["templates"].append(-1)
+        row["frequencies"].append(1)
+        lines[k] = json.dumps(row, sort_keys=True)
+        windows.write_text("\n".join(lines) + "\n")
+        assert self.run(tmp_path, "encode", out, scenario=scenario) == 1
+        err = capsys.readouterr().err
+        assert "stage log_encoder failed: template id -1 outside the vocabulary" in err
+        assert not (out / "encoder_manifest.json").exists()
+        assert not (out / "log_panel.csv").exists()
 
     @pytest.mark.parametrize(
         "settings,named",

@@ -21,7 +21,7 @@ from mmrca.encoder import (
     tokenize,
     train_log_encoder,
 )
-from mmrca.logs import EMPTY_TEMPLATE_ID, WindowTable
+from mmrca.logs import WindowTable
 from mmrca.nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax
 
 
@@ -79,9 +79,7 @@ def train(windows, config, vocab_size=None):
     """train_log_encoder on windows tokenized and grouped as the pipeline does; by
     default the vocabulary is the templates the windows use."""
     if vocab_size is None:
-        vocab_size = 1 + max(
-            (t for w in windows for t in w.templates if t != EMPTY_TEMPLATE_ID), default=-1
-        )
+        vocab_size = 1 + max((t for w in windows for t in w.templates), default=-1)
     tokens, offsets, _ = tokenize(table(windows), vocab_size, config)
     labels = np.array([w.label for w in windows])
     return train_log_encoder(group_sequences(tokens, offsets, labels), labels, config, vocab_size)
@@ -130,8 +128,9 @@ class TestTokenizer:
         assert seq == [CLS_TOKEN, template_token(1, cfg), bucket_token(1)]
 
     def test_empty_window_uses_reserved_tokens(self):
-        seq = tokens_of(window([EMPTY_TEMPLATE_ID], [1]), 4, toy_config())
+        seq = tokens_of(window([], []), 4, toy_config())
         assert seq == [CLS_TOKEN, EMPTY_TOKEN, bucket_token(0)]
+
 
     def test_frequencies_interleaved(self):
         cfg = toy_config()
@@ -152,18 +151,20 @@ class TestTokenizer:
         seq = tokens_of(window([0, 6], [3, 9]), 7, cfg)
         assert all(0 <= t < n_tokens(7, cfg) for t in seq)
 
-    def test_unknown_template_rejected(self):
-        with pytest.raises(ValueError):
-            tokens_of(window([5], [1]), 3, toy_config())
+    @pytest.mark.parametrize("templates,named", [([5], 5), ([2, -1], -1)])
+    def test_unknown_template_rejected(self, templates, named):
+        # -1 included: a window without events lists no template
+        with pytest.raises(ValueError, match=f"template id {named} outside the vocabulary"):
+            tokens_of(window(templates, [1] * len(templates)), 3, toy_config())
 
 
 def oracle_tokens(config, w):
     """The per-window tokenize that the table's tokenizer replaced: (tokens, truncated)."""
-    if list(w.templates) == [EMPTY_TEMPLATE_ID]:
+    if not w.templates:
         pairs = [(EMPTY_TOKEN, N_RESERVED)]
     else:
         pairs = [
-            (EMPTY_TOKEN if t == EMPTY_TEMPLATE_ID else N_RESERVED + config.freq_buckets + t,
+            (N_RESERVED + config.freq_buckets + t,
              N_RESERVED + min(config.freq_buckets - 1, int(f).bit_length()))
             for t, f in zip(w.templates, w.frequencies)
         ]
@@ -177,16 +178,11 @@ class TestTokenizeTable:
         rng = np.random.default_rng(seed)
         windows = []
         for _ in range(40):
-            kind = rng.integers(0, 4)
-            if kind == 0:
-                windows.append(window([EMPTY_TEMPLATE_ID], [1]))
-            elif kind == 1:
+            if rng.integers(0, 4) == 0:
                 windows.append(window([], []))
             else:
                 n = int(rng.integers(1, 12))
                 templates = rng.permutation(20)[:n].tolist()
-                if kind == 2 and n > 1:
-                    templates[int(rng.integers(0, n))] = EMPTY_TEMPLATE_ID
                 frequencies = 2 ** rng.integers(0, 40, n) + rng.integers(0, 3, n)
                 windows.append(window(templates, frequencies.tolist()))
         config = toy_config(max_len=int(rng.integers(1, 20)), freq_buckets=int(rng.integers(1, 20)))
@@ -226,9 +222,9 @@ def oracle_length_groups(sequences):
 
 def random_windows(rng, n):
     """n windows drawn from a small pool, so sequences repeat, each under a random label."""
-    pool = [window([], []), window([EMPTY_TEMPLATE_ID], [1])]
-    for _ in range(10):
-        k = int(rng.integers(1, 7))
+    pool = [window([], [])]
+    for i in range(10):
+        k = 1 + i % 6  # every template count, so every token length up to max_len 9
         pool.append(window(rng.permutation(12)[:k].tolist(), rng.integers(1, 9, k).tolist()))
     picks = rng.integers(0, len(pool), n)
     labels = rng.choice([0.0, 0.25, 1.0], n)
@@ -315,26 +311,37 @@ class TestTraining:
         assert training["epochs_run"] == 2  # trained and embedded
         assert training["diagnostics"] == {"truncated_windows": 3, "unique_sequences": 6}
 
-    @pytest.mark.parametrize("label", [0.0, 1.0])
-    def test_constant_labels_score_one_half_without_an_encoder(self, monkeypatch, label):
+    @staticmethod
+    def refuse_to_tokenize_or_train(monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("an encoder was built for constant labels")
+            raise AssertionError("constant labels were tokenized or trained on")
 
-        monkeypatch.setattr(encoder_mod, "LogSequenceEncoder", refuse)
-        monkeypatch.setattr(encoder_mod, "train_log_encoder", refuse)
+        for name in ("tokenize", "group_sequences", "LogSequenceEncoder", "train_log_encoder"):
+            monkeypatch.setattr(encoder_mod, name, refuse)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_constant_labels_score_one_half_without_tokens_or_an_encoder(
+        self, monkeypatch, label
+    ):
+        self.refuse_to_tokenize_or_train(monkeypatch)
         windows = [window(list(range(10)), [1] * 10, label=label) for i in range(2)]
-        windows += [window([i % 3], [1], label=label) for i in range(4)]
+        windows += [window([i % 3], [1], label=label) for i in range(4)] + [window([], [], label)]
         kpi = np.arange(len(windows), dtype=float)
         panel, training = log_series(table(windows), 10, toy_config(max_len=8, epochs=2),
                                      kpi=kpi, entity_names=["e0"])
         assert panel.entity_names == ["e0"]
         assert np.array_equal(panel.values[0], np.full(len(windows), 0.5))
         assert np.array_equal(panel.values[-1], kpi)
-        assert training == {
-            "epochs_run": 0,
-            "final_loss": None,
-            "diagnostics": {"truncated_windows": 2, "unique_sequences": 4},
-        }
+        assert training == {"epochs_run": 0, "final_loss": None}
+
+    @pytest.mark.parametrize("template_id", [-1, 10])
+    def test_constant_labels_still_reject_a_template_outside_the_vocabulary(
+        self, monkeypatch, template_id
+    ):
+        self.refuse_to_tokenize_or_train(monkeypatch)
+        windows = table([window([0], [1]), window([3, template_id], [1, 2])])
+        with pytest.raises(ValueError, match=f"template id {template_id} outside the vocabulary"):
+            log_series(windows, 10, toy_config(), kpi=np.zeros(2), entity_names=["e0"])
 
     def test_same_seed_identical_parameters(self):
         windows = separable_corpus(10)
@@ -552,7 +559,7 @@ class TestGradients:
             window([0, 1, 2], [1, 4, 9], label=0.3),
             window([1], [2], label=0.9),
             window([2, 0], [5, 1], label=0.1),
-            window([EMPTY_TEMPLATE_ID], [1], label=0.0),
+            window([], [], label=0.0),
             window([0], [3], label=0.6),
             window([1, 2], [1, 1], label=0.45),
         ]
@@ -575,7 +582,7 @@ class TestPrecision:
         window([0, 1, 2], [1, 4, 9], label=0.3),
         window([1], [2], label=0.9),
         window([2, 0], [5, 1], label=0.1),
-        window([EMPTY_TEMPLATE_ID], [1], label=0.0),
+        window([], [], label=0.0),
         window([0], [3], label=0.6),
         window([1, 2], [1, 1], label=0.45),
     ]
@@ -733,7 +740,7 @@ class TestEmbeddings:
             window([0], [1]),
             window([1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
             window([0], [1]),
-            window([EMPTY_TEMPLATE_ID], [1]),
+            window([], []),
             window([3, 2], [9, 1]),
             window([1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
             window(list(range(8)), [1] * 8),
@@ -751,7 +758,7 @@ class TestEmbeddings:
 
     def test_a_window_embeds_the_same_beside_a_longer_one(self):
         enc = LogSequenceEncoder(toy_config(seed=4), vocab_size=8)
-        short = [window([0], [1]), window([3, 2], [9, 1]), window([EMPTY_TEMPLATE_ID], [1])]
+        short = [window([0], [1]), window([3, 2], [9, 1]), window([], [])]
         longest = window(list(range(8)), [1] * 8)
         for w in short:
             beside = embed_windows(enc, groups_of(enc, [w, longest]))[0]
@@ -770,8 +777,7 @@ class TestReduceToSeries:
         n_entities, n_windows = 3, 8
         n_cells = n_entities * n_windows
         windows = WindowTable(
-            n_entities, n_windows, np.arange(n_cells + 1),
-            np.full(n_cells, EMPTY_TEMPLATE_ID), np.ones(n_cells), np.zeros(n_cells),
+            n_entities, n_windows, np.zeros(n_cells + 1), [], [], np.zeros(n_cells),
         )
         scores = rng.standard_normal(n_cells)
         kpi = rng.standard_normal(n_windows)

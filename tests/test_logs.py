@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from mmrca import logs
+from mmrca.encoder import CLS_TOKEN, EMPTY_TOKEN, N_RESERVED, EncoderConfig, tokenize
 from mmrca.logs import (
     DEFAULT_GOLDEN_SIGNALS,
-    EMPTY_TEMPLATE_ID,
     WindowTable,
     label_windows,
     mask_message,
@@ -100,7 +100,7 @@ def oracle_windows(events, vocabulary, window_size, n_entities, n_windows):
                 flagged = sum(f for t, f in zip(templates, frequencies) if flags[t])
                 label = flagged / sum(frequencies)
             else:
-                templates, frequencies, label = [EMPTY_TEMPLATE_ID], [1], 0.0
+                templates, frequencies, label = [], [], 0.0
             windows.append(
                 {"entity": entity, "window_index": w, "templates": templates,
                  "frequencies": frequencies, "label": label}
@@ -226,13 +226,13 @@ class TestAgainstReference:
         assert windows_to_jsonl(table) == oracle_jsonl(expected)
 
     def test_label_5e_05_is_written_like_json_dumps(self):
-        table = table_of([([0, 1], [1, 19999], 5e-05), ([EMPTY_TEMPLATE_ID], [1], 1 / 3)])
+        table = table_of([([0, 1], [1, 19999], 5e-05), ([], [], 1 / 3)])
         line = windows_to_jsonl(table).splitlines()[0]
         assert '"label": 5e-05' in line
         assert windows_to_jsonl(table) == oracle_jsonl(
             [{"entity": 0, "window_index": 0, "templates": [0, 1], "frequencies": [1, 19999],
               "label": 5e-05},
-             {"entity": 0, "window_index": 1, "templates": [-1], "frequencies": [1],
+             {"entity": 0, "window_index": 1, "templates": [], "frequencies": [],
               "label": 1 / 3}]
         )
 
@@ -513,14 +513,20 @@ class TestWindowSequences:
     def test_cells_are_entity_major(self):
         vocab, events = parse_templates(records((0, 1, "one"), (1, 0, "zero")))
         windows = window_sequences(events, vocab, window_size=1, n_entities=2, n_windows=2)
-        empty = ([EMPTY_TEMPLATE_ID], [1])
+        empty = ([], [])
         assert cells(windows) == [empty, ([1], [1]), ([0], [1]), empty]
 
-    def test_empty_cells_get_reserved_template(self):
+    def test_an_empty_cell_holds_no_entry(self):
         vocab, events = parse_templates(records((0, 0, "only entity zero")))
         windows = window_sequences(events, vocab, window_size=5, n_entities=2, n_windows=2)
         assert windows.n_cells == 4
-        assert cells(windows)[1:] == [([EMPTY_TEMPLATE_ID], [1])] * 3
+        assert cells(windows)[1:] == [([], [])] * 3
+        assert windows_to_jsonl(windows).splitlines()[1] == (
+            '{"entity": 0, "frequencies": [], "label": 0.0, "templates": [], "window_index": 1}'
+        )
+        # the tokenizer alone stands in the empty token for the missing template
+        tokens, offsets, _ = tokenize(windows, len(vocab), EncoderConfig())
+        assert tokens[offsets[1]:offsets[2]].tolist() == [CLS_TOKEN, EMPTY_TOKEN, N_RESERVED]
 
     @pytest.mark.parametrize("template_id", [1, 99, -2])
     def test_unknown_template_id_rejected(self, template_id):
@@ -546,7 +552,7 @@ class TestWindowSequences:
         )
         vocab, events = parse_templates(recs)
         windows = window_sequences(events, vocab, window_size=7, n_entities=3, n_windows=8)
-        assert windows.frequencies[windows.templates != EMPTY_TEMPLATE_ID].sum() == len(events)
+        assert windows.frequencies.sum() == len(events)
 
 
 def label(window, vocab):
@@ -570,7 +576,7 @@ class TestLabelAnomaly:
         assert label(([0, 1], [3, 1]), self.vocab()) == pytest.approx(0.25)
 
     def test_empty_window_is_zero(self):
-        assert label(([EMPTY_TEMPLATE_ID], [1]), self.vocab()) == 0.0
+        assert label(([], []), self.vocab()) == 0.0
 
     def test_case_insensitive(self):
         vocab, _ = parse_templates(records((0, 0, "CRITICAL failure in pump")))
@@ -587,7 +593,7 @@ class TestLabelAnomaly:
         expected = [label(cell, vocab) for cell in cells(windows)]
         labelled = label_windows(windows, vocab)
         assert labelled.labels.tolist() == expected
-        assert ([EMPTY_TEMPLATE_ID], [1]) in cells(windows)
+        assert ([], []) in cells(windows)
         assert 0.0 < max(expected) and len(set(expected)) > 2
 
     def test_default_signals_have_no_digits(self):

@@ -4,9 +4,11 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,8 +265,14 @@ class TestLogSeries:
         assert manifest["epochs_run"] == 2
 
         # training is deterministic: the same call gives the encoder that encode trained
-        encoder_config, vocab_size, tokens, offsets, _ = self.encoder_inputs(tmp_path, windows)
+        encoder_config, vocab_size, tokens, offsets, truncated = self.encoder_inputs(
+            tmp_path, windows
+        )
         groups = encoder_mod.group_sequences(tokens, offsets, windows.labels)
+        assert manifest["diagnostics"] == {
+            "truncated_windows": int(truncated.sum()),
+            "unique_sequences": len(groups.counts),
+        }
         with pipeline._one_blas_thread():
             encoder = encoder_mod.train_log_encoder(
                 groups, windows.labels, encoder_config, vocab_size
@@ -282,7 +290,7 @@ class TestLogSeries:
         assert len(values_of) < windows.n_cells
         assert all(len(values) == 1 for values in values_of.values())
 
-    def test_constant_labels_train_nothing_and_give_a_constant_series(
+    def test_constant_labels_tokenize_nothing_and_give_a_constant_series(
         self, tmp_path, monkeypatch
     ):
         def refuse(name):
@@ -291,32 +299,27 @@ class TestLogSeries:
 
             return call
 
-        embed_windows, encoder_class = encoder_mod.embed_windows, encoder_mod.LogSequenceEncoder
-        for name in ("LogSequenceEncoder", "train_log_encoder", "embed_windows"):
+        for name in ("tokenize", "group_sequences", "LogSequenceEncoder", "train_log_encoder",
+                     "embed_windows"):
             monkeypatch.setattr(encoder_mod, name, refuse(name))
         for command in ("simulate", "parse", "encode"):
             assert self.run(tmp_path, "metric_only", command) == 0, command
+        monkeypatch.undo()
         windows, panel, manifest = self.outputs(tmp_path)
         assert len(set(windows.labels)) == 1
         for row in panel.values[:-1]:
             assert np.all(row == row[0])
+        assert "diagnostics" not in manifest
         assert manifest["epochs_run"] == 0
         assert manifest["final_loss"] is None
 
         out = tmp_path / "out"
-        encoder_config, vocab_size, tokens, offsets, truncated = self.encoder_inputs(
-            tmp_path, windows
-        )
-        sequences = {tuple(tokens[a:b]) for a, b in zip(offsets[:-1], offsets[1:])}
-        assert manifest["diagnostics"] == {
-            "truncated_windows": int(truncated.sum()),
-            "unique_sequences": len(sequences),
-        }
+        encoder_config, vocab_size, tokens, offsets, _ = self.encoder_inputs(tmp_path, windows)
         # reference: the panel that embedding every window with an untrained encoder gives
-        encoder = encoder_class(encoder_config, vocab_size)
+        encoder = encoder_mod.LogSequenceEncoder(encoder_config, vocab_size)
         with pipeline._one_blas_thread():
             groups = encoder_mod.group_sequences(tokens, offsets, windows.labels)
-            scores = encoder.score(embed_windows(encoder, groups))
+            scores = encoder.score(encoder_mod.embed_windows(encoder, groups))
         truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
         reference = encoder_mod.reduce_to_series(
             scores,
@@ -328,6 +331,85 @@ class TestLogSeries:
         assert (out / "log_panel.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         for command in ("learn", "localize", "evaluate"):
             assert self.run(tmp_path, "metric_only", command) == 0, command
+
+
+class TestInvariance:
+    """A ranking must not depend on a metric series' units or on the entities' names."""
+
+    def incident(self, tmp_path, fault_type, seed):
+        config = pipeline.load_config(seed=seed, environ={})
+        config["scenario"].update(n_entities=5, horizon_T=80, fault_type=fault_type)
+        config["encoder"].update(epochs=3, d_model=8)
+        config["learner"].update(epochs=24, acyclicity_every=4)
+        config["paths"] = {"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path / "out")}
+        pipeline.stage_simulate(config)
+        return config
+
+    @staticmethod
+    def ranking(config, edit, name) -> list:
+        """(entity, score) pairs of ranking.json after edit rewrote a copy of the data."""
+        config = copy.deepcopy(config)
+        root = Path(config["paths"]["data_dir"]).parent
+        data, out = root / f"data-{name}", root / f"out-{name}"
+        shutil.copytree(config["paths"]["data_dir"], data)
+        edit(data)
+        config["paths"] = {"data_dir": str(data), "out_dir": str(out)}
+        pipeline.run_pipeline(config)
+        ranking = payload(out / "ranking.json")["ranking"]
+        return [(entry["entity"], entry["score"]) for entry in ranking]
+
+    @staticmethod
+    def rewrite_metrics(data, rewrite_row) -> None:
+        header, *rows = (data / "metrics.csv").read_text().splitlines()
+        rows = [",".join(rewrite_row(row.split(","))) for row in rows]
+        (data / "metrics.csv").write_text("\n".join([header] + rows) + "\n")
+
+    @pytest.mark.parametrize(
+        "fault_type,seed", [("metric_only", 11), ("both", 12), ("log_only", 13)]
+    )
+    def test_rescaling_one_metric_series_keeps_the_ranking(self, tmp_path, fault_type, seed):
+        config = self.incident(tmp_path, fault_type, seed)
+        truth = payload(tmp_path / "data" / "ground_truth.json")
+        root = truth["root_cause_name"]
+
+        def rescale(data):
+            def row(fields):
+                t, entity, metric, value = fields
+                return [t, entity, metric, repr(float(value) * 1000.0 + 50.0) if entity == root
+                        else value]
+
+            self.rewrite_metrics(data, row)
+
+        base = self.ranking(config, lambda data: None, "base")
+        scores = [score for _, score in base]
+        assert min(a - b for a, b in zip(scores, scores[1:])) > 1e-9  # no near-ties to flip
+        rescaled = self.ranking(config, rescale, "rescaled")
+        assert [entity for entity, _ in rescaled] == [entity for entity, _ in base]
+        for (_, got), (_, want) in zip(rescaled, base):
+            assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "fault_type,seed", [("metric_only", 11), ("both", 12), ("log_only", 13)]
+    )
+    def test_renaming_the_entities_renames_the_ranking(self, tmp_path, fault_type, seed):
+        config = self.incident(tmp_path, fault_type, seed)
+        names = payload(tmp_path / "data" / "ground_truth.json")["entity_names"]
+        # a new name sorts against the old order, so no order can come from the names
+        renamed = {name: f"host-{chr(ord('z') - i)}" for i, name in enumerate(names)}
+
+        def rename(data):
+            self.rewrite_metrics(data, lambda fields: [
+                fields[0], renamed.get(fields[1], fields[1]), *fields[2:]
+            ])
+            truth = payload(data / "ground_truth.json")
+            truth["entity_names"] = [renamed[name] for name in truth["entity_names"]]
+            truth["root_cause_name"] = renamed[truth["root_cause_name"]]
+            (data / "ground_truth.json").write_text(json.dumps(truth))
+
+        base = self.ranking(config, lambda data: None, "base")
+        assert self.ranking(config, rename, "renamed") == [
+            (renamed[entity], score) for entity, score in base
+        ]
 
 
 class TestLearn:
@@ -416,7 +498,7 @@ class TestArtifacts:
         config, _, out = artifacts
         metric, log = self.panels(config, out)
         attention = payload(out / "attention.json")
-        p, top_k = config["learner"]["p"], config["fusion"]["top_k"]
+        p, top_k = config["learner"]["p"], pipeline.TOP_K
         scores_log = fusion_mod.cross_correlation_scores(log, p)
         scores_metric = fusion_mod.cross_correlation_scores(metric, p)
         a_log, a_metric = fusion_mod.modality_attention(
@@ -506,9 +588,8 @@ class TestArtifacts:
     def test_the_reports_record_the_run(self, artifacts):
         config, _, out = artifacts
         report = payload(out / "metrics_report.json")
-        k_values = config["evaluation"]["k_values"]
         assert set(report) == {"n_cases", "mrr"} | {
-            f"{metric}@{k}" for metric in ("pr", "map") for k in k_values
+            f"{metric}@{k}" for metric in ("pr", "map") for k in pipeline.K_VALUES
         }
         assert report["n_cases"] == 1
         manifest = payload(out / "manifest.json")
