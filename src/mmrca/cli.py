@@ -64,7 +64,7 @@ def _dispatch(command: str, config: dict) -> None:
 
 
 def _is_validation_failure(exc: Exception) -> bool:
-    return isinstance(exc, (ValueError, FileNotFoundError, KeyError))
+    return isinstance(exc, (ValueError, FileNotFoundError))
 
 
 def main(argv=None) -> int:

@@ -86,6 +86,8 @@ class EncoderConfig:
         for name in ("d_model", "n_layers", "n_heads", "max_len", "epochs", "freq_buckets"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.max_len < 3:
+            raise ValueError("max_len must be at least 3: [CLS] and one template and bucket pair")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.d_model % self.n_heads != 0:

@@ -91,6 +91,14 @@ _SKELETON = str.maketrans("23456789", "11111111")
 _BLOCK_LINES = 4096
 
 
+class _CellError(ValueError):
+    """A WindowTable check that failed on one cell; cell is the cell's index."""
+
+    def __init__(self, message: str, cell):
+        super().__init__(message)
+        self.cell = int(cell)
+
+
 @dataclass(eq=False)
 class WindowTable:
     """The log windows of every cell of an n_entities x n_windows grid.
@@ -134,17 +142,16 @@ class WindowTable:
         by_cell, by_template = cells[order], self.templates[order]
         repeated = (by_cell[1:] == by_cell[:-1]) & (by_template[1:] == by_template[:-1])
         if repeated.any():
-            where = self._cell_name(by_cell[np.argmax(repeated)])
-            raise ValueError(f"window templates must be unique: {where}")
+            cell = by_cell[np.argmax(repeated)]
+            raise _CellError(f"window templates must be unique: {self._cell_name(cell)}", cell)
         if np.any(self.frequencies < 1):
-            where = self._cell_name(cells[np.argmax(self.frequencies < 1)])
-            raise ValueError(f"frequencies must be positive: {where}")
+            cell = cells[np.argmax(self.frequencies < 1)]
+            raise _CellError(f"frequencies must be positive: {self._cell_name(cell)}", cell)
         out_of_range = ~((self.labels >= 0.0) & (self.labels <= 1.0))
         if out_of_range.any():
             cell = int(np.argmax(out_of_range))
-            raise ValueError(
-                f"label must lie in [0, 1]: {self._cell_name(cell)} has {self.labels[cell]!r}"
-            )
+            where = f"{self._cell_name(cell)} has {self.labels[cell].item()!r}"
+            raise _CellError(f"label must lie in [0, 1]: {where}", cell)
 
     @property
     def n_cells(self) -> int:
@@ -217,23 +224,21 @@ def parse_templates(raw_logs) -> tuple[list[str], np.ndarray]:
 
 def _parse_block(records: list, start: int, by_skeleton: dict, by_pattern: dict) -> np.ndarray:
     """The events of records, which begin at record start of the stream."""
+    events = np.empty((len(records), 3), dtype=np.int64)
     try:
         ts, entities, messages = (
             [record[name] for record in records] for name in ("ts", "entity", "msg")
         )
-        well_typed = (
+        if not (
             set(map(type, ts)) | set(map(type, entities)) <= {int}
             and set(map(type, messages)) <= {str}
-        )
-    except (KeyError, TypeError):
-        well_typed = False
-    if not well_typed:
-        _check_records(records, start)
-    events = np.empty((len(records), 3), dtype=np.int64)
-    try:
+        ):
+            raise TypeError("a field of the wrong type")
         events[:, 0], events[:, 1] = ts, entities
-    except OverflowError:
+    except (KeyError, TypeError, OverflowError):
         _check_records(records, start)
+        # every field passed, so they are int and str subclasses such as numpy ints
+        events[:, 0], events[:, 1] = ts, entities
 
     # one translate over the joined messages, each skeleton sliced out by length:
     # a translate call per message would cost about as much as the masking saves
@@ -404,8 +409,8 @@ def windows_from_jsonl(text: str, source="windows.jsonl") -> WindowTable:
     The lines must hold the cells of a full entity-major grid in order; the
     grid's size is read from the largest entity and window index. The first
     line that is not JSON, lacks a field, holds one of the wrong type or lies
-    out of place raises ValueError naming source and the line's number, and
-    the table's own checks follow.
+    out of place raises ValueError naming source and the line's number. The
+    table's own checks follow, and their errors name source and the line too.
     """
     rows = _decode_json_lines(text.split("\n"), source)
     try:
@@ -448,7 +453,10 @@ def windows_from_jsonl(text: str, source="windows.jsonl") -> WindowTable:
         )
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    return WindowTable(n_entities, n_windows, offsets, flat_templates, flat_frequencies, labels)
+    try:
+        return WindowTable(n_entities, n_windows, offsets, flat_templates, flat_frequencies, labels)
+    except _CellError as exc:  # cell k is the k-th line
+        raise ValueError(f"{source} line {_line_number(text, exc.cell)}: {exc}") from None
 
 
 def _line_number(text: str, k: int) -> int:

@@ -104,21 +104,36 @@ def write_panel_csv(panel: ModalityPanel, path, metric_name: str) -> None:
             fh.write("".join(rows))
 
 
-def _int64(text: str) -> int:
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(f"{value} does not fit in 64 bits")
-    return value
-
-
-def _first_rejected(convert, texts) -> int:
-    """Index of the first of texts that convert rejects with ValueError."""
-    for i, text in enumerate(texts):
+def _first_bad_row(path, rows, width: int, t_col: int, e_col: int, v_col: int) -> ValueError:
+    """The error of the first of rows that has fewer than width fields, a timestamp
+    that is not a 64-bit int, the (timestamp, entity) cell of an earlier row or a
+    value that is not a number, checked in that order; rows must hold one."""
+    seen = set()
+    for row in rows:
+        if len(row) < width:
+            return ValueError(f"{path} has a row with fewer fields than its header: {row}")
+        entity = row[e_col]
         try:
-            convert(text)
+            stamp = int(row[t_col])
+            np.int64(stamp)  # OverflowError beyond 64 bits
+        except (ValueError, OverflowError):
+            return ValueError(
+                f"{path} has timestamp {row[t_col]!r} for entity {entity!r}, "
+                "which is not a 64-bit int"
+            )
+        if (stamp, entity) in seen:
+            return ValueError(
+                f"{path} has more than one row for entity {entity!r} at timestamp {stamp}"
+            )
+        seen.add((stamp, entity))
+        try:
+            float(row[v_col])
         except ValueError:
-            return i
-    raise AssertionError("convert accepts every text")
+            return ValueError(
+                f"{path} has value {row[v_col]!r} for entity {entity!r} "
+                f"at timestamp {stamp}, which is not a number"
+            )
+    raise AssertionError("the bulk pass fails only on a bad row")
 
 
 def read_panel_csv(path, metric_name: str) -> ModalityPanel:
@@ -133,6 +148,9 @@ def read_panel_csv(path, metric_name: str) -> ModalityPanel:
     not a number. Then a file without KPI rows, and then the first missing
     cell, series by series, raise ValueError. Each error names the file, and
     a cell's error the entity and the timestamp.
+
+    The rows are converted and placed in one bulk pass; only when that fails
+    are they checked one by one, to name the first bad row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -148,58 +166,34 @@ def read_panel_csv(path, metric_name: str) -> ModalityPanel:
             if row and (len(row) < width or row[e_col] == KPI_ENTITY or row[m_col] == metric_name)
         ]
 
-    # each check reads only the rows before the first row that an earlier check rejects
-    end = next((i for i, row in enumerate(rows) if len(row) < width), len(rows))
-    if end < len(rows):
-        problem = f"{path} has a row with fewer fields than its header: {rows[end]}"
-    entities = [row[e_col] for row in rows[:end]]
-    stamp_texts = [row[t_col] for row in rows[:end]]
-    try:
-        stamps = np.array(list(map(int, stamp_texts)), dtype=np.int64)
-    except (ValueError, OverflowError):
-        end = _first_rejected(_int64, stamp_texts)
-        problem = (
-            f"{path} has timestamp {stamp_texts[end]!r} for entity {entities[end]!r}, "
-            "which is not a 64-bit int"
-        )
-        stamps = np.array(list(map(int, stamp_texts[:end])), dtype=np.int64)
     index_of: dict[str, int] = {}
-    ids = np.array([index_of.setdefault(e, len(index_of)) for e in entities[:end]], dtype=np.int64)
-    order = np.lexsort((stamps, ids))  # stable: a repeated cell's later rows follow its first
-    sorted_ids, sorted_stamps = ids[order], stamps[order]
-    repeats = order[1:][
-        (sorted_ids[1:] == sorted_ids[:-1]) & (sorted_stamps[1:] == sorted_stamps[:-1])
-    ]
-    if len(repeats):
-        end = int(repeats.min())
-        problem = (
-            f"{path} has more than one row for entity {entities[end]!r} "
-            f"at timestamp {stamps[end]}"
-        )
-    value_texts = [row[v_col] for row in rows[:end]]
     try:
-        cells = np.array(list(map(float, value_texts)))
-    except ValueError:
-        end = _first_rejected(float, value_texts)
-        problem = (
-            f"{path} has value {value_texts[end]!r} for entity {entities[end]!r} "
-            f"at timestamp {stamps[end]}, which is not a number"
-        )
-    if end < len(rows):
-        raise ValueError(problem)
+        if min(map(len, rows), default=width) < width:
+            raise ValueError("a short row")
+        ids = [index_of.setdefault(row[e_col], len(index_of)) for row in rows]
+        stamps = np.array([int(row[t_col]) for row in rows], dtype=np.int64)
+        cells = np.array([float(row[v_col]) for row in rows])
+        timestamps, column = np.unique(stamps, return_inverse=True)
+        # each row's cell of the (series, timestamp) grid, series in first-row order
+        cell = np.array(ids, dtype=np.int64) * len(timestamps) + column
+        counts = np.bincount(cell, minlength=len(index_of) * len(timestamps))
+        if np.any(counts > 1):
+            raise ValueError("a repeated cell")
+    except (ValueError, OverflowError):
+        raise _first_bad_row(path, rows, width, t_col, e_col, v_col) from None
 
     if KPI_ENTITY not in index_of:
         raise ValueError(f"no KPI rows found in {path}")
     entity_order = [name for name in index_of if name != KPI_ENTITY]
-    series_row = np.empty(len(index_of), dtype=np.int64)
-    series_row[[index_of[name] for name in entity_order + [KPI_ENTITY]]] = np.arange(len(index_of))
-    timestamps, column = np.unique(stamps, return_inverse=True)
-    values = np.empty((len(index_of), len(timestamps)))
-    filled = np.zeros(values.shape, dtype=bool)
-    values[series_row[ids], column] = cells
-    filled[series_row[ids], column] = True
-    if not filled.all():
-        row, col = np.argwhere(~filled)[0]
-        name = (entity_order + [KPI_ENTITY])[row]
-        raise ValueError(f"{path} has no row for entity {name!r} at timestamp {timestamps[col]}")
+    series_names = entity_order + [KPI_ENTITY]
+    series = [index_of[name] for name in series_names]
+    grid = np.empty(len(counts))
+    grid[cell] = cells
+    values = grid.reshape(len(index_of), len(timestamps))[series]
+    missing = counts.reshape(values.shape)[series] == 0
+    if missing.any():
+        row, col = np.argwhere(missing)[0]
+        raise ValueError(
+            f"{path} has no row for entity {series_names[row]!r} at timestamp {timestamps[col]}"
+        )
     return ModalityPanel(values, entity_order)

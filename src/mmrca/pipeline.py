@@ -138,27 +138,6 @@ class StageError(Exception):
 # --- configuration -----------------------------------------------------------------
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if key in merged and isinstance(merged[key], dict) and isinstance(value, dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
-def _reject_unknown_keys(override, defaults: dict, prefix: str = "") -> None:
-    """ValueError naming the first section or field of override that defaults lacks."""
-    if not isinstance(override, dict):
-        raise ValueError(f"config {prefix.rstrip('.')} must be a JSON object")
-    for key, value in override.items():
-        if key not in defaults:
-            raise ValueError(f"unknown config key {prefix + key!r}")
-        if isinstance(defaults[key], dict):
-            _reject_unknown_keys(value, defaults[key], f"{prefix}{key}.")
-
-
 def load_config(
     path=None, seed: int | None = None, out_dir: str | None = None, environ=None
 ) -> dict:
@@ -175,10 +154,20 @@ def load_config(
     """
     environ = os.environ if environ is None else environ
     config = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        loaded = read_json_object(path)
-        _reject_unknown_keys(loaded, DEFAULT_CONFIG)
-        config = _deep_merge(config, loaded)
+    loaded = read_json_object(path) if path is not None else {}
+    # DEFAULT_CONFIG has two levels: settings, and sections of settings
+    for key, value in loaded.items():
+        if key not in config:
+            raise ValueError(f"unknown config key {key!r}")
+        if not isinstance(config[key], dict):
+            config[key] = value
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config {key} must be a JSON object")
+        for field, field_value in value.items():
+            if field not in config[key]:
+                raise ValueError(f"unknown config key {key + '.' + field!r}")
+            config[key][field] = field_value
     if environ.get(ENV_DATA_DIR):
         config["paths"]["data_dir"] = environ[ENV_DATA_DIR]
     if environ.get(ENV_OUT_DIR):
@@ -373,18 +362,11 @@ def stage_encode(config: dict, handed=None) -> tuple:
             f"metrics list {metric_panel.entity_names}, the logs {truth['entity_names']}"
         )
 
-    encoder_config = encoder_config_from(config)
     log_panel, training = encoder_mod.log_series(
-        windows, len(vocabulary), encoder_config, metric_panel.kpi, truth["entity_names"],
+        windows, len(vocabulary), encoder_config_from(config), metric_panel.kpi,
+        truth["entity_names"],
     )
-    with open(paths["vocabulary"], "rb") as fh:
-        vocabulary_sha256 = hashlib.sha256(fh.read()).hexdigest()
-    write_json(paths["encoder_manifest"], {
-        "config": dataclasses.asdict(encoder_config),
-        "vocab_size": len(vocabulary),
-        "vocabulary_sha256": vocabulary_sha256,
-        **training,
-    })
+    write_json(paths["encoder_manifest"], training)
     write_panel_csv(log_panel, paths["log_panel"], "log_score")
     return metric_panel, log_panel
 

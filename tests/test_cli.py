@@ -62,7 +62,7 @@ class TestConfigKeys:
         assert code == 1
         assert err.startswith(f"invalid configuration: unknown config key {named!r}")
 
-    @pytest.mark.parametrize("payload", [{"encoder": 3}, [1, 2]])
+    @pytest.mark.parametrize("payload", [{"encoder": 3}, {"scenario": "x"}, [1, 2]])
     def test_a_section_that_is_not_an_object_is_rejected(self, tmp_path, payload):
         with pytest.raises(ValueError, match="must be a JSON object"):
             pipeline.load_config(write_config(tmp_path, payload), environ={})
@@ -79,6 +79,8 @@ class TestConfigKeys:
             ({"learner": {"lr": 0}}, "lr must be positive"),
             ({"learner": {"epochs": 0}}, "epochs must be >= 1"),
             ({"encoder": {"epochs": 0}}, "epochs must be positive"),
+            ({"encoder": {"max_len": 2}}, "max_len must be at least 3"),
+            ({"encoder": {"max_len": 1}}, "max_len must be at least 3"),
             ({"learner": {"lr": "fast"}}, "not supported"),
             ({"learner": {"epochs": 2.5}}, "epochs must be an int; float 2.5"),
             ({"encoder": {"d_model": 8.0}}, "d_model must be an int; float 8.0"),
@@ -173,9 +175,7 @@ class TestStageCommands:
         for name in names:
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
-    def test_run_pipeline_reads_back_only_the_vocabulary_bytes_and_the_ranking(
-        self, tmp_path, monkeypatch
-    ):
+    def test_run_pipeline_reads_back_only_the_ranking(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         assert self.run(tmp_path, "simulate", out) == 0
 
@@ -207,10 +207,10 @@ class TestStageCommands:
         assert self.run(tmp_path, "run-pipeline", out) == 0
         monkeypatch.undo()
         assert panels_read == [str(tmp_path / "data" / "metrics.csv")]
-        # encode hashes the bytes of vocabulary.json for encoder_manifest.json, and
-        # evaluate scores ranking.json; localize reads neither adjacency.json nor attention.json
+        # evaluate scores ranking.json; encode reads no vocabulary.json and localize
+        # neither adjacency.json nor attention.json
         read_from_out = [path for path in files_read if os.path.dirname(path) == str(out)]
-        assert read_from_out == [str(out / "vocabulary.json"), str(out / "ranking.json")]
+        assert read_from_out == [str(out / "ranking.json")]
 
     def test_learn_names_the_file_entity_and_timestamp_of_a_missing_panel_row(
         self, tmp_path, capsys
@@ -535,6 +535,24 @@ class TestStageCommands:
         assert self.run(tmp_path, "encode", out) == 1
         assert f"stage log_encoder failed: {windows} line 7 is not valid JSON" in capsys.readouterr().err
 
+    def test_a_repeated_window_template_names_the_windows_file_and_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        assert self.run(tmp_path, "parse", out) == 0
+        windows = out / "windows.jsonl"
+        lines = windows.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if '"templates": []' not in line)
+        row = json.loads(lines[k])
+        row["templates"].append(row["templates"][0])
+        row["frequencies"].append(1)
+        lines[k] = json.dumps(row, sort_keys=True)
+        windows.write_text("\n".join(lines) + "\n")
+        assert self.run(tmp_path, "encode", out) == 1
+        where = f"entity {row['entity']}, window {row['window_index']}"
+        named = f"{windows} line {k + 1}: window templates must be unique: {where}"
+        assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
+        assert not (out / "encoder_manifest.json").exists()
+
     @pytest.mark.parametrize("fault_type", ["both", "metric_only"])
     def test_a_window_that_holds_template_id_minus_one_is_a_validation_failure(
         self, tmp_path, capsys, fault_type
@@ -640,3 +658,16 @@ class TestStageCommands:
         monkeypatch.setattr(pipeline.structure_mod, "fit", diverge)
         assert self.run(tmp_path, "run-pipeline", out) == 2
         assert "stage causal_learner failed: loss is NaN" in capsys.readouterr().err
+
+    def test_a_key_error_in_a_stage_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        # every checked reader turns a missing field into ValueError, so a KeyError
+        # is a fault of the program, not of its input
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+
+        def lookup(*args, **kwargs):
+            raise KeyError("a_log")
+
+        monkeypatch.setattr(pipeline.fusion_mod, "fuse", lookup)
+        assert self.run(tmp_path, "run-pipeline", out) == 2
+        assert "stage rca failed: 'a_log'" in capsys.readouterr().err

@@ -94,6 +94,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EncoderConfig(epochs=0)
 
+    @pytest.mark.parametrize("max_len", [1, 2])
+    def test_max_len_holds_cls_and_one_pair(self, max_len):
+        # below 3 every window would tokenize to [CLS] alone
+        with pytest.raises(ValueError, match="max_len must be at least 3"):
+            EncoderConfig(max_len=max_len)
+        assert EncoderConfig(max_len=3).max_len == 3
+
 
 class TestFreqBuckets:
     def test_frequency_one_maps_to_bucket_one(self):
@@ -185,7 +192,7 @@ class TestTokenizeTable:
                 templates = rng.permutation(20)[:n].tolist()
                 frequencies = 2 ** rng.integers(0, 40, n) + rng.integers(0, 3, n)
                 windows.append(window(templates, frequencies.tolist()))
-        config = toy_config(max_len=int(rng.integers(1, 20)), freq_buckets=int(rng.integers(1, 20)))
+        config = toy_config(max_len=int(rng.integers(3, 20)), freq_buckets=int(rng.integers(1, 20)))
         tokens, offsets, truncated = tokenize(table(windows), 20, config)
         assert tokens.dtype == offsets.dtype == np.int64
         cells = zip(offsets[:-1], offsets[1:], truncated)

@@ -466,6 +466,12 @@ class TestParseTemplates:
         with pytest.raises(ValueError, match="log record 1 field 'ts' does not fit in 64 bits"):
             parse_templates(records((0, 0, "ok"), (2**70, 0, "ok")))
 
+    def test_a_missing_field_before_an_overflow_is_named(self):
+        bad = records((0, 0, "ok"), (1, 0, "ok"), (2**70, 0, "ok"))
+        del bad[1]["msg"]
+        with pytest.raises(ValueError, match=r"^log record 1 is missing field 'msg'$"):
+            parse_templates(bad)
+
     def test_deterministic_and_reparse_stable(self):
         recs = records((0, 0, "GET /x took 5 ms"), (1, 1, "peer 10.0.0.1 left"))
         vocab1, events1 = parse_templates(recs)
@@ -675,6 +681,24 @@ class TestWindowsFile:
 
         with pytest.raises(ValueError, match=named):
             windows_from_jsonl(self.edited(edit), "out/windows.jsonl")
+
+    @pytest.mark.parametrize(
+        "changes,problem",
+        [
+            ({"label": 1.5}, "label must lie in [0, 1]: entity 0, window 1 has 1.5"),
+            ({"templates": [0, 0], "frequencies": [1, 1]},
+             "window templates must be unique: entity 0, window 1"),
+            ({"frequencies": [0]}, "frequencies must be positive: entity 0, window 1"),
+        ],
+    )
+    def test_a_table_check_names_the_file_and_line(self, changes, problem):
+        def edit(lines):
+            lines.insert(0, "")  # blank lines count in the line number
+            lines[2] = json.dumps(dict(json.loads(lines[2]), **changes))
+
+        with pytest.raises(ValueError) as got:
+            windows_from_jsonl(self.edited(edit), "out/windows.jsonl")
+        assert str(got.value) == f"out/windows.jsonl line 3: {problem}"
 
     def test_a_missing_field_names_the_line(self):
         def edit(lines):

@@ -1,6 +1,4 @@
 import copy
-import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -184,6 +182,39 @@ class TestReadPanel:
     def test_a_short_row_is_rejected(self, tmp_path):
         path = self.write_rows(tmp_path, [(0, "e0", "cpu", 1.0), (0, "kpi", "kpi")])
         with pytest.raises(ValueError, match="has a row with fewer fields than its header"):
+            read_panel_csv(path, "cpu")
+
+    def test_a_row_short_of_only_the_metric_name_is_rejected(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("timestamp,entity,value,metric_name\n0,e0,1.0,cpu\n0,kpi,2.0\n")
+        named = f"{path} has a row with fewer fields than its header: ['0', 'kpi', '2.0']"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_panel_csv(path, "cpu")
+
+    def test_the_columns_come_from_the_header(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(
+            "note,value,metric_name,entity,timestamp\n"
+            "a,1.0,cpu,e0,0\nb,2.0,kpi,kpi,0\nc,3.0,cpu,e0,1\nd,4.0,kpi,kpi,1\n"
+        )
+        panel = read_panel_csv(path, "cpu")
+        assert panel.entity_names == ["e0"]
+        assert panel.values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    def test_a_row_with_a_bad_timestamp_and_value_names_the_timestamp(self, tmp_path):
+        path = self.write_rows(tmp_path, [(0, "e0", "cpu", 1.0), ("t", "kpi", "kpi", "v")])
+        named = f"{path} has timestamp 't' for entity 'kpi', which is not a 64-bit int"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_panel_csv(path, "cpu")
+
+    def test_timestamps_span_the_64_bit_range(self, tmp_path):
+        path = self.write_rows(tmp_path, [
+            (-(2**63), "e0", "cpu", 1.0), (-(2**63), "kpi", "kpi", 2.0),
+            (2**63 - 1, "e0", "cpu", 3.0), (2**63 - 1, "kpi", "kpi", 4.0),
+        ])
+        assert read_panel_csv(path, "cpu").values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        self.write_rows(tmp_path, [(0, "e0", "cpu", 1.0), (-(2**63) - 1, "kpi", "kpi", 2.0)])
+        with pytest.raises(ValueError, match=f"timestamp '{-(2**63) - 1}' for entity 'kpi'"):
             read_panel_csv(path, "cpu")
 
     def test_rows_of_another_metric_are_skipped(self, tmp_path):
@@ -480,17 +511,10 @@ class TestArtifacts:
         }
         assert pipeline._read_vocabulary(out / "vocabulary.json") == vocabulary
 
-    def test_encoder_manifest_records_the_config_the_vocabulary_and_the_training(self, artifacts):
-        config, _, out = artifacts
+    def test_encoder_manifest_records_only_the_training(self, artifacts):
+        _, _, out = artifacts
         manifest = payload(out / "encoder_manifest.json")
-        assert set(manifest) == {
-            "config", "vocab_size", "vocabulary_sha256", "epochs_run", "final_loss", "diagnostics",
-        }
-        assert manifest["config"] == dataclasses.asdict(pipeline.encoder_config_from(config))
-        assert manifest["config"]["seed"] == 4
-        vocabulary = (out / "vocabulary.json").read_bytes()
-        assert manifest["vocab_size"] == len(json.loads(vocabulary))
-        assert manifest["vocabulary_sha256"] == hashlib.sha256(vocabulary).hexdigest()
+        assert set(manifest) == {"epochs_run", "final_loss", "diagnostics"}
         assert manifest["epochs_run"] == 2 and isinstance(manifest["final_loss"], float)
         assert set(manifest["diagnostics"]) == {"truncated_windows", "unique_sequences"}
 
