@@ -56,9 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .logs import WindowTable
-from .nn import (
-    Adam, check_field_types, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax,
-)
+from .nn import Adam, gelu, gelu_grad, layer_norm, layer_norm_backward, sigmoid, softmax
 from .panel import ModalityPanel
 
 # token id 0 is reserved (tok_emb keeps its row) but never emitted: nothing is padded
@@ -72,6 +70,8 @@ LABEL_SMOOTHING = 0.01  # keeps regression targets off the sigmoid boundary
 
 @dataclass
 class EncoderConfig:
+    """The encoder's settings, which pipeline.load_config checks; building one checks nothing."""
+
     d_model: int = 64
     n_layers: int = 2
     n_heads: int = 4
@@ -80,18 +80,6 @@ class EncoderConfig:
     epochs: int = 150
     freq_buckets: int = 16
     seed: int = 0
-
-    def __post_init__(self):
-        check_field_types(self)
-        for name in ("d_model", "n_layers", "n_heads", "max_len", "epochs", "freq_buckets"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_len < 3:
-            raise ValueError("max_len must be at least 3: [CLS] and one template and bucket pair")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
 
 
 def freq_bucket(frequency, n_buckets: int):

@@ -109,7 +109,8 @@ class WindowTable:
     same positions of frequencies, and labels[c] is its label. A cell with no
     events holds no entry: offsets[c] == offsets[c + 1]. Construction
     checks every cell: unique templates, frequencies aligned with them and
-    positive, and a label in [0, 1]; a failure names the first offending cell.
+    positive, and a label in [0, 1]; a failure names the lowest offending cell
+    and, of its failed checks, the first in that order.
     """
 
     n_entities: int
@@ -141,17 +142,17 @@ class WindowTable:
         order = np.lexsort((self.templates, cells))
         by_cell, by_template = cells[order], self.templates[order]
         repeated = (by_cell[1:] == by_cell[:-1]) & (by_template[1:] == by_template[:-1])
-        if repeated.any():
-            cell = by_cell[np.argmax(repeated)]
-            raise _CellError(f"window templates must be unique: {self._cell_name(cell)}", cell)
-        if np.any(self.frequencies < 1):
-            cell = cells[np.argmax(self.frequencies < 1)]
-            raise _CellError(f"frequencies must be positive: {self._cell_name(cell)}", cell)
-        out_of_range = ~((self.labels >= 0.0) & (self.labels <= 1.0))
-        if out_of_range.any():
-            cell = int(np.argmax(out_of_range))
-            where = f"{self._cell_name(cell)} has {self.labels[cell].item()!r}"
-            raise _CellError(f"label must lie in [0, 1]: {where}", cell)
+        # a row per cell and a column per check, in the order a cell is checked
+        bad = np.zeros((n_cells, 3), dtype=bool)
+        bad[by_cell[1:][repeated], 0] = True
+        bad[cells[self.frequencies < 1], 1] = True
+        bad[:, 2] = ~((self.labels >= 0.0) & (self.labels <= 1.0))
+        if bad.any():
+            cell, check = divmod(int(np.argmax(bad)), 3)
+            message = ("window templates must be unique", "frequencies must be positive",
+                       "label must lie in [0, 1]")[check]
+            label = f" has {self.labels[cell].item()!r}" if check == 2 else ""
+            raise _CellError(f"{message}: {self._cell_name(cell)}{label}", cell)
 
     @property
     def n_cells(self) -> int:

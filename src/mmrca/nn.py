@@ -1,5 +1,5 @@
-"""Small numpy building blocks shared by the trained models, and the type checks
-of their config fields and of the JSON files the stages read.
+"""Small numpy building blocks shared by the trained models, and check_type and
+get_field, which the config check and the readers of JSON files call.
 
 Everything here is functional: forward passes return caches and the matching
 backward functions consume them so gradients stay hand-derived and checkable
@@ -14,10 +14,8 @@ moments and work arrays take the dtype of the parameters they update.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
-import typing
 
 import numpy as np
 
@@ -56,13 +54,6 @@ def get_field(payload: dict, key: str, source):
     if key not in payload:
         raise ValueError(f"{source} is missing field {key!r}")
     return payload[key]
-
-
-def check_field_types(config) -> None:
-    """Raise ValueError naming the first field of a config dataclass whose value has the wrong type."""
-    hints = typing.get_type_hints(type(config))
-    for field in dataclasses.fields(config):
-        check_type(field.name, getattr(config, field.name), hints[field.name])
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,9 @@ On disk a panel is a long CSV (timestamp, entity, metric_name, value), one
 row per cell, timestamp-major. write_panel_csv formats the rows itself,
 with the bytes csv.writer gives them, and read_panel_csv parses them with
 csv.reader and assembles the grid with numpy; neither handles one cell at a
-time in Python beyond the number conversions. A value or timestamp that is
-not a number, a missing cell and a repeated cell each raise ValueError
-naming the file, the entity and the timestamp.
+time in Python beyond the number conversions. A value that is not a finite
+number, a timestamp that is not an int, a missing cell and a repeated cell
+each raise ValueError naming the file, the entity and the timestamp.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def write_panel_csv(panel: ModalityPanel, path, metric_name: str) -> None:
 def _first_bad_row(path, rows, width: int, t_col: int, e_col: int, v_col: int) -> ValueError:
     """The error of the first of rows that has fewer than width fields, a timestamp
     that is not a 64-bit int, the (timestamp, entity) cell of an earlier row or a
-    value that is not a number, checked in that order; rows must hold one."""
+    value that is not a finite number, checked in that order; rows must hold one."""
     seen = set()
     for row in rows:
         if len(row) < width:
@@ -127,11 +127,13 @@ def _first_bad_row(path, rows, width: int, t_col: int, e_col: int, v_col: int) -
             )
         seen.add((stamp, entity))
         try:
-            float(row[v_col])
+            problem = None if np.isfinite(float(row[v_col])) else "finite"
         except ValueError:
+            problem = "a number"
+        if problem:
             return ValueError(
                 f"{path} has value {row[v_col]!r} for entity {entity!r} "
-                f"at timestamp {stamp}, which is not a number"
+                f"at timestamp {stamp}, which is not {problem}"
             )
     raise AssertionError("the bulk pass fails only on a bad row")
 
@@ -145,9 +147,9 @@ def read_panel_csv(path, metric_name: str) -> ModalityPanel:
     timestamp that any series has. The first of these rows in file order
     raises ValueError: one with fewer fields than the header, a timestamp
     that is not an int, a repeated (timestamp, entity) cell, a value that is
-    not a number. Then a file without KPI rows, and then the first missing
-    cell, series by series, raise ValueError. Each error names the file, and
-    a cell's error the entity and the timestamp.
+    not a finite number (such as nan or inf). Then a file without KPI rows,
+    and then the first missing cell, series by series, raise ValueError. Each
+    error names the file, and a cell's error the entity and the timestamp.
 
     The rows are converted and placed in one bulk pass; only when that fails
     are they checked one by one, to name the first bad row.
@@ -177,8 +179,8 @@ def read_panel_csv(path, metric_name: str) -> ModalityPanel:
         # each row's cell of the (series, timestamp) grid, series in first-row order
         cell = np.array(ids, dtype=np.int64) * len(timestamps) + column
         counts = np.bincount(cell, minlength=len(index_of) * len(timestamps))
-        if np.any(counts > 1):
-            raise ValueError("a repeated cell")
+        if np.any(counts > 1) or not np.isfinite(cells).all():
+            raise ValueError("a repeated cell or a value that is not finite")
     except (ValueError, OverflowError):
         raise _first_bad_row(path, rows, width, t_col, e_col, v_col) from None
 

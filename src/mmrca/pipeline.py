@@ -58,6 +58,10 @@ still writes all of its artifacts, which the stage commands (mmrca parse,
 encode, learn, localize, evaluate) read instead, with the same checks. A
 stage has one body for both: only where its inputs come from differs, and
 both give it the same values, so both paths write the same bytes.
+
+load_config and run_pipeline check each of the 29 settable values against its
+one row of _SETTINGS; the config classes of the two models only hold values,
+and the stages check only what depends on the incident and the files they read.
 """
 
 from __future__ import annotations
@@ -147,10 +151,11 @@ def load_config(
     name raises ValueError. Environment variables override only paths and the
     seed. The global seed is the only seed a config sets: the scenario draws
     from it and the encoder from seed+1, so one flag reseeds the whole
-    pipeline; the learner draws nothing. The settings the stages read besides the
-    encoder and learner sections are checked by _check_stage_settings, and
-    those two sections by building their config classes, so a bad value fails
-    here, before any stage runs.
+    pipeline; the learner draws nothing. Every value is then checked against
+    its row of _SETTINGS (_check_config), so a bad value fails here, before
+    any stage runs or any directory is made; the messages start with the
+    value's dotted key. Only learner.p's fit to the incident's horizon waits
+    for the incident (_check_lags_fit).
     """
     environ = os.environ if environ is None else environ
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -182,39 +187,69 @@ def load_config(
     if out_dir is not None:
         config["paths"]["out_dir"] = out_dir
 
-    _check_stage_settings(config)
-    encoder_config_from(config)
-    learner_config_from(config)
+    _check_config(config)
     return config
 
 
-def _check_stage_settings(config: dict) -> None:
-    """ValueError naming the first of seed, window_size, metric_kind and the scenario,
-    fusion and rca fields that has the wrong type or lies out of range."""
-    scenario, fusion, rca = config["scenario"], config["fusion"], config["rca"]
-    checks = [
-        ("seed", config["seed"], int, lambda v: v >= 0, ">= 0"),
-        ("window_size", config["window_size"], int, lambda v: v >= 1, ">= 1"),
-        ("metric_kind", config["metric_kind"], str, bool, "non-empty"),
-        ("scenario.n_entities", scenario["n_entities"], int, lambda v: v >= 1, ">= 1"),
-        ("scenario.horizon_T", scenario["horizon_T"], int,
-         lambda v: v >= 4 * LAG_ORDER, f">= {4 * LAG_ORDER}"),
-        ("scenario.noise_std", scenario["noise_std"], float,
-         lambda v: 0 <= v < math.inf, "finite and >= 0"),
-        ("scenario.edge_prob", scenario["edge_prob"], float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-        ("scenario.log_lag", scenario["log_lag"], int, lambda v: v >= 1, ">= 1"),
-        ("scenario.fault_type", scenario["fault_type"], str,
-         lambda v: v in FAULT_TYPES, f"one of {FAULT_TYPES}"),
-        ("fusion.edge_threshold", fusion["edge_threshold"], float, math.isfinite, "finite"),
-        ("rca.beta", rca["beta"], float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-        ("rca.restart", rca["restart"], float, lambda v: 0 < v <= 1, "in (0, 1]"),
-        ("rca.tol", rca["tol"], float, lambda v: v > 0, "positive"),
-        ("rca.max_iter", rca["max_iter"], int, lambda v: v >= 1, ">= 1"),
-    ]
-    for name, value, kind, in_range, requirement in checks:
-        check_type(name, value, kind)
-        if not in_range(value):
-            raise ValueError(f"{name} must be {requirement}; {value!r} is not")
+# Every settable value: its dotted key, the test its value must pass and the words
+# that describe that test. A key's type is the type of its DEFAULT_CONFIG default:
+# an int default takes an int, and a float default any real number, ints
+# included, which must also be finite.
+_SETTINGS = {
+    "paths.data_dir": (bool, "non-empty"),
+    "paths.out_dir": (bool, "non-empty"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "window_size": (lambda v: v >= 1, ">= 1"),
+    "metric_kind": (bool, "non-empty"),
+    "scenario.n_entities": (lambda v: v >= 1, ">= 1"),
+    "scenario.fault_type": (lambda v: v in FAULT_TYPES, f"one of {FAULT_TYPES}"),
+    "scenario.horizon_T": (lambda v: v >= 4 * LAG_ORDER, f">= {4 * LAG_ORDER}"),
+    "scenario.noise_std": (lambda v: v >= 0, "finite and >= 0"),
+    "scenario.edge_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "scenario.log_lag": (lambda v: v >= 1, ">= 1"),
+    "encoder.d_model": (lambda v: v >= 1, ">= 1"),
+    "encoder.n_layers": (lambda v: v >= 1, ">= 1"),
+    "encoder.n_heads": (lambda v: v >= 1, ">= 1"),
+    # [CLS] and one (template, bucket) pair: below 3 every window is [CLS] alone
+    "encoder.max_len": (lambda v: v >= 3, ">= 3"),
+    "encoder.lr": (lambda v: v > 0, "positive"),
+    "encoder.epochs": (lambda v: v >= 1, ">= 1"),
+    "encoder.freq_buckets": (lambda v: v >= 1, ">= 1"),
+    "learner.p": (lambda v: v >= 1, ">= 1"),
+    "learner.lambda1": (lambda v: v >= 0, ">= 0"),
+    "learner.lambda5": (lambda v: v >= 0, ">= 0"),
+    "learner.lr": (lambda v: v > 0, "positive"),
+    "learner.epochs": (lambda v: v >= 1, ">= 1"),
+    "learner.acyclicity_every": (lambda v: v >= 1, ">= 1"),
+    "fusion.edge_threshold": (lambda v: True, "any number"),
+    "rca.beta": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "rca.restart": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "rca.tol": (lambda v: v > 0, "positive"),
+    "rca.max_iter": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def _setting(config: dict, key: str):
+    section, _, field = key.rpartition(".")
+    return (config[section] if section else config)[field]
+
+
+def _check_config(config: dict) -> None:
+    """ValueError naming the first key of _SETTINGS whose value has the wrong type, is
+    a float that is NaN or infinite, or fails its test; then the one rule across
+    keys, that encoder.n_heads divides encoder.d_model."""
+    for key, (passes, requirement) in _SETTINGS.items():
+        value, kind = _setting(config, key), type(_setting(DEFAULT_CONFIG, key))
+        check_type(key, value, kind)
+        if kind is float and not -math.inf < value < math.inf:
+            raise ValueError(f"{key} must be finite; {value!r} is not")
+        if not passes(value):
+            raise ValueError(f"{key} must be {requirement}; {value!r} is not")
+    d_model, n_heads = config["encoder"]["d_model"], config["encoder"]["n_heads"]
+    if d_model % n_heads:
+        raise ValueError(
+            f"encoder.d_model must be divisible by encoder.n_heads {n_heads}; {d_model} is not"
+        )
 
 
 def config_hash(config: dict) -> str:
@@ -596,8 +631,10 @@ def run_pipeline(config: dict) -> dict:
     of the artifacts this run writes only ranking.json is read back, by
     evaluate. Every artifact is still written, with the bytes the stage
     commands give. Only the latest result is held: the log windows are freed
-    once encode returns.
+    once encode returns. Callers edit the config that load_config returns, so it
+    is checked again: a bad value raises ValueError before anything is written.
     """
+    _check_config(config)
     paths = _paths(config)
     os.makedirs(config["paths"]["out_dir"], exist_ok=True)
     timings = []

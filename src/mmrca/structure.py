@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Adam, check_field_types
+from .nn import Adam
 from .panel import ModalityPanel
 
 # a modality whose final acyclicity penalty exceeds this is flagged non-converged
@@ -39,26 +39,14 @@ H_TOL = 1e-3
 
 @dataclass
 class LearnerConfig:
+    """The learner's settings, which pipeline.load_config checks; building one checks nothing."""
+
     p: int = 3
     lambda1: float = 50.0
     lambda5: float = 0.1
     lr: float = 0.02
     epochs: int = 600
     acyclicity_every: int = 100
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.p < 1:
-            raise ValueError("lag order p must be >= 1")
-        for name in ("lambda1", "lambda5"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.acyclicity_every < 1:
-            raise ValueError("acyclicity_every must be >= 1")
 
 
 @dataclass

@@ -7,6 +7,14 @@ import pytest
 from mmrca import atomic, cli, pipeline
 
 
+# every setting whose default is a float
+FLOAT_KEYS = [
+    ("scenario", "noise_std"), ("scenario", "edge_prob"), ("encoder", "lr"),
+    ("learner", "lambda1"), ("learner", "lambda5"), ("learner", "lr"),
+    ("fusion", "edge_threshold"), ("rca", "beta"), ("rca", "restart"), ("rca", "tol"),
+]
+
+
 def write_config(tmp_path, payload) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
@@ -76,15 +84,23 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "payload,named",
         [
-            ({"learner": {"lr": 0}}, "lr must be positive"),
-            ({"learner": {"epochs": 0}}, "epochs must be >= 1"),
-            ({"encoder": {"epochs": 0}}, "epochs must be positive"),
-            ({"encoder": {"max_len": 2}}, "max_len must be at least 3"),
-            ({"encoder": {"max_len": 1}}, "max_len must be at least 3"),
-            ({"learner": {"lr": "fast"}}, "not supported"),
-            ({"learner": {"epochs": 2.5}}, "epochs must be an int; float 2.5"),
-            ({"encoder": {"d_model": 8.0}}, "d_model must be an int; float 8.0"),
-            ({"learner": {"lr": True}}, "lr must be a number; bool True"),
+            ({"learner": {"lr": 0}}, "learner.lr must be positive; 0 is not"),
+            ({"learner": {"lr": -0.02}}, "learner.lr must be positive; -0.02 is not"),
+            ({"learner": {"epochs": 0}}, "learner.epochs must be >= 1; 0 is not"),
+            ({"learner": {"p": 0}}, "learner.p must be >= 1; 0 is not"),
+            ({"learner": {"lambda1": -1.0}}, "learner.lambda1 must be >= 0; -1.0 is not"),
+            ({"learner": {"lambda5": -1.0}}, "learner.lambda5 must be >= 0; -1.0 is not"),
+            ({"learner": {"acyclicity_every": 0}}, "learner.acyclicity_every must be >= 1"),
+            ({"encoder": {"lr": 0}}, "encoder.lr must be positive; 0 is not"),
+            ({"encoder": {"epochs": 0}}, "encoder.epochs must be >= 1; 0 is not"),
+            ({"encoder": {"max_len": 2}}, "encoder.max_len must be >= 3; 2 is not"),
+            ({"encoder": {"max_len": 1}}, "encoder.max_len must be >= 3; 1 is not"),
+            ({"encoder": {"d_model": 10, "n_heads": 4}},
+             "encoder.d_model must be divisible by encoder.n_heads 4; 10 is not"),
+            ({"learner": {"lr": "fast"}}, "learner.lr must be a number; str 'fast' is not"),
+            ({"learner": {"epochs": 2.5}}, "learner.epochs must be an int; float 2.5"),
+            ({"encoder": {"d_model": 8.0}}, "encoder.d_model must be an int; float 8.0"),
+            ({"learner": {"lr": True}}, "learner.lr must be a number; bool True"),
             ({"window_size": 0}, "window_size must be >= 1; 0 is not"),
             ({"window_size": 2.0}, "window_size must be an int; float 2.0"),
             ({"metric_kind": ""}, "metric_kind must be non-empty"),
@@ -103,19 +119,43 @@ class TestConfigKeys:
             ({"rca": {"beta": 1.5}}, "rca.beta must be in [0, 1]"),
             ({"rca": {"restart": 0}}, "rca.restart must be in (0, 1]"),
             ({"rca": {"max_iter": 0}}, "rca.max_iter must be >= 1"),
+            # the walk stopped after one step and reported converged
+            ({"rca": {"tol": float("inf")}}, "rca.tol must be finite; inf is not"),
+            ({"paths": {"data_dir": 5}}, "paths.data_dir must be a string; int 5"),
+            ({"paths": {"data_dir": None}}, "paths.data_dir must be a string; NoneType None"),
+            ({"paths": {"data_dir": ""}}, "paths.data_dir must be non-empty; '' is not"),
+            ({"paths": {"out_dir": 5}}, "paths.out_dir must be a string; int 5"),
+            ({"paths": {"out_dir": None}}, "paths.out_dir must be a string; NoneType None"),
+            ({"paths": {"out_dir": ""}}, "paths.out_dir must be non-empty; '' is not"),
+            *(
+                ({section: {field: value}}, f"{section}.{field} must be finite; {value!r} is not")
+                for section, field in FLOAT_KEYS
+                for value in (float("nan"), float("inf"), float("-inf"))
+            ),
         ],
     )
     def test_a_bad_value_exits_as_invalid_configuration_before_any_stage(
-        self, tmp_path, capsys, payload, named
+        self, tmp_path, monkeypatch, capsys, payload, named
     ):
+        monkeypatch.chdir(tmp_path)  # a relative path that got past the check lands here
         paths = {"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path / "out")}
+        paths.update(payload.get("paths", {}))
         config = write_config(tmp_path, dict(payload, paths=paths))
         code = cli.main(["--config", config, "run-pipeline"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("invalid configuration:")
-        assert named in err
+        assert err.startswith(f"invalid configuration: {named}")
         assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
+
+    def test_every_setting_has_one_row_and_its_default_passes(self):
+        leaves = {}
+        for key, value in pipeline.DEFAULT_CONFIG.items():
+            fields = value if isinstance(value, dict) else {None: value}
+            leaves.update({key if f is None else f"{key}.{f}": v for f, v in fields.items()})
+        assert set(pipeline._SETTINGS) == set(leaves) and len(leaves) == 29
+        pipeline._check_config(pipeline.DEFAULT_CONFIG)
+        floats = {key for key, value in leaves.items() if type(value) is float}
+        assert floats == {f"{section}.{field}" for section, field in FLOAT_KEYS}
 
     def test_an_int_is_a_valid_float(self, tmp_path):
         payload = {"learner": {"lambda1": 50}, "encoder": {"lr": 1}}
@@ -242,6 +282,16 @@ class TestStageCommands:
         # the panels are checked before the attention or either fit writes anything
         for name in ("attention.json", "adjacency.json"):
             assert not (out / name).exists(), name
+
+    def test_learn_names_a_log_panel_value_that_is_not_finite(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        panel, (header, first, *rest) = self.encoded_log_panel(tmp_path, out)
+        assert first.split(",")[:2] == ["0", "svc-0"]
+        panel.write_text("\n".join([header, first.rsplit(",", 1)[0] + ",nan", *rest]) + "\n")
+        assert self.run(tmp_path, "learn", out) == 1
+        named = f"{panel} has value 'nan' for entity 'svc-0' at timestamp 0, which is not finite"
+        assert f"stage causal_learner failed: {named}" in capsys.readouterr().err
+        assert not (out / "attention.json").exists()
 
     def test_learn_rejects_a_log_panel_in_another_entity_order(self, tmp_path, capsys):
         out = tmp_path / "out"

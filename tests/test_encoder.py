@@ -85,23 +85,6 @@ def train(windows, config, vocab_size=None):
     return train_log_encoder(group_sequences(tokens, offsets, labels), labels, config, vocab_size)
 
 
-class TestConfigValidation:
-    def test_heads_must_divide_d_model(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(d_model=10, n_heads=4)
-
-    def test_positive_fields(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(epochs=0)
-
-    @pytest.mark.parametrize("max_len", [1, 2])
-    def test_max_len_holds_cls_and_one_pair(self, max_len):
-        # below 3 every window would tokenize to [CLS] alone
-        with pytest.raises(ValueError, match="max_len must be at least 3"):
-            EncoderConfig(max_len=max_len)
-        assert EncoderConfig(max_len=3).max_len == 3
-
-
 class TestFreqBuckets:
     def test_frequency_one_maps_to_bucket_one(self):
         assert freq_bucket(1, 16) == 1

@@ -625,6 +625,21 @@ class TestWindowValidation:
         with pytest.raises(ValueError, match=r"label must lie in \[0, 1\]: entity 0, window 0"):
             table_of([([1], [1], value)])
 
+    @pytest.mark.parametrize(
+        "windows,named",
+        [
+            # the lowest bad cell, though a later cell fails an earlier check
+            ([([1], [1], 1.5), ([1, 1], [1, 1])], r"label must lie in \[0, 1\]: entity 0, window 0"),
+            ([([1], [0]), ([1, 1], [1, 1])], "frequencies must be positive: entity 0, window 0"),
+            # within one cell: templates, then frequencies, then the label
+            ([([1], [1]), ([1, 1], [0, 1], 1.5)], "templates must be unique: entity 0, window 1"),
+            ([([1], [1]), ([1], [0], 1.5)], "frequencies must be positive: entity 0, window 1"),
+        ],
+    )
+    def test_the_lowest_bad_cell_is_named_with_its_first_failed_check(self, windows, named):
+        with pytest.raises(ValueError, match=named):
+            table_of(windows)
+
     def test_offsets_must_cover_the_grid(self):
         with pytest.raises(ValueError, match="window offsets"):
             WindowTable(1, 2, [0, 1], [1], [1], [0.0, 0.0])
@@ -699,6 +714,17 @@ class TestWindowsFile:
         with pytest.raises(ValueError) as got:
             windows_from_jsonl(self.edited(edit), "out/windows.jsonl")
         assert str(got.value) == f"out/windows.jsonl line 3: {problem}"
+
+    def test_the_first_bad_line_is_named(self):
+        def edit(lines):
+            lines[0] = json.dumps(dict(json.loads(lines[0]), label=1.5))
+            lines[1] = json.dumps(dict(json.loads(lines[1]), templates=[0, 0], frequencies=[1, 1]))
+
+        with pytest.raises(ValueError) as got:
+            windows_from_jsonl(self.edited(edit), "out/windows.jsonl")
+        assert str(got.value) == (
+            "out/windows.jsonl line 1: label must lie in [0, 1]: entity 0, window 0 has 1.5"
+        )
 
     def test_a_missing_field_names_the_line(self):
         def edit(lines):

@@ -109,6 +109,20 @@ class TestDefaults:
         assert config_class(**pipeline.DEFAULT_CONFIG[section], **seed) == config_class()
 
 
+class TestRunPipelineConfig:
+    def test_a_bad_value_set_after_load_config_raises_before_any_file(self, tmp_path):
+        config = pipeline.load_config(environ={})
+        config["paths"] = {"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path / "out")}
+        config["scenario"].update(n_entities=3, horizon_T=40)
+        pipeline.stage_simulate(config)
+        data = sorted(path.name for path in (tmp_path / "data").iterdir())
+        config["rca"]["tol"] = float("inf")
+        with pytest.raises(ValueError, match=r"^rca\.tol must be finite; inf is not$"):
+            pipeline.run_pipeline(config)
+        assert not (tmp_path / "out").exists()
+        assert sorted(path.name for path in (tmp_path / "data").iterdir()) == data
+
+
 class TestAtomicWrites:
     def test_failed_panel_write_leaves_the_earlier_panel_and_a_partial(self, tmp_path):
         path = tmp_path / "log_panel.csv"
@@ -158,6 +172,19 @@ class TestReadPanel:
         ])
         named = f"{path} has value 'abc' for entity 'e0' at timestamp 1, which is not a number"
         with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_panel_csv(path, "cpu")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_value_that_is_not_finite_is_named_in_file_order(self, tmp_path, value):
+        rows = [(0, "e0", "cpu", 1.0), (0, "kpi", "kpi", 2.0), (1, "e0", "cpu", value),
+                (1, "kpi", "kpi", "abc")]
+        path = self.write_rows(tmp_path, rows)
+        named = f"{path} has value {value!r} for entity 'e0' at timestamp 1, which is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_panel_csv(path, "cpu")
+        # a value that is not a number, earlier in the file, is named first
+        self.write_rows(tmp_path, rows[:2] + rows[3:] + rows[2:3])
+        with pytest.raises(ValueError, match="value 'abc' for entity 'kpi' at timestamp 1, which"):
             read_panel_csv(path, "cpu")
 
     def test_a_timestamp_that_is_not_an_int_names_the_file_and_entity(self, tmp_path):

@@ -345,23 +345,3 @@ class TestFit:
     def test_a_panel_shorter_than_twice_the_lag_order_rejected(self):
         with pytest.raises(ValueError, match="at least twice the lag order"):
             fit(random_panel(t_len=5), LearnerConfig(p=3, epochs=1))
-
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("field", ["lambda1", "lambda5"])
-    def test_negative_lambda_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
-            LearnerConfig(**{field: -1.0})
-
-    def test_lag_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LearnerConfig(p=0)
-
-    @pytest.mark.parametrize("field,value", [("lr", 0.0), ("lr", -0.02), ("epochs", 0)])
-    def test_learning_rate_and_epochs_must_be_positive(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            LearnerConfig(**{field: value})
-
-    def test_a_period_below_one_rejected(self):
-        with pytest.raises(ValueError, match="acyclicity_every must be >= 1"):
-            LearnerConfig(acyclicity_every=0)
