@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, doc in (
         ("simulate", "generate a synthetic incident into the data directory"),
         ("parse", "mine log templates, window and label the sequences"),
-        ("encode", "train the log encoder and emit the log modality panel"),
+        ("encode", "parse the logs as parse does, then train the log encoder and emit "
+                   "the log modality panel"),
         ("learn", "compute modality attention and fit the causal structure"),
         ("localize", "fuse the graphs and rank root causes by random walk"),
         ("evaluate", "score the ranking against the ground truth"),

@@ -19,16 +19,16 @@ template carries a golden-signal keyword.
 The data is columnar from the parse on: parse_templates returns the events as
 one int array, and the windows are one WindowTable, every cell of the
 entity-major (entity, window) grid with per-cell offsets into flat template
-and frequency arrays and one label per cell. Windowing, labelling, the
-windows.jsonl round trip and the encoder's tokenizer work on these arrays,
-not on one Python object per record or window, and give the same values and
-bytes as the per-record code they replaced (tests/test_logs.py keeps that
-code as the reference).
+and frequency arrays and one label per cell. Windowing, labelling, writing
+windows.jsonl and the encoder's tokenizer work on these arrays, not on one
+Python object per record or window, and give the same values and bytes as
+the per-record code they replaced (tests/test_logs.py keeps that code as the
+reference). windows.jsonl is a report: no stage reads it back.
 
-The JSON-lines files are decoded as one JSON array over their non-blank
-lines: windows.jsonl whole, and logs.jsonl a block of lines at a time, so
-that only one block of record dicts is alive. A line that is not one JSON
-value raises ValueError naming the file and the line's 1-based number.
+logs.jsonl is decoded a block of lines at a time, each block as one JSON
+array over its non-blank lines, so that only one block of record dicts is
+alive. A line that is not one JSON value raises ValueError naming the file
+and the line's 1-based number.
 """
 
 from __future__ import annotations
@@ -91,14 +91,6 @@ _SKELETON = str.maketrans("23456789", "11111111")
 _BLOCK_LINES = 4096
 
 
-class _CellError(ValueError):
-    """A WindowTable check that failed on one cell; cell is the cell's index."""
-
-    def __init__(self, message: str, cell):
-        super().__init__(message)
-        self.cell = int(cell)
-
-
 @dataclass(eq=False)
 class WindowTable:
     """The log windows of every cell of an n_entities x n_windows grid.
@@ -151,16 +143,13 @@ class WindowTable:
             cell, check = divmod(int(np.argmax(bad)), 3)
             message = ("window templates must be unique", "frequencies must be positive",
                        "label must lie in [0, 1]")[check]
+            where = f"entity {cell // self.n_windows}, window {cell % self.n_windows}"
             label = f" has {self.labels[cell].item()!r}" if check == 2 else ""
-            raise _CellError(f"{message}: {self._cell_name(cell)}{label}", cell)
+            raise ValueError(f"{message}: {where}{label}")
 
     @property
     def n_cells(self) -> int:
         return self.n_entities * self.n_windows
-
-    def _cell_name(self, cell) -> str:
-        return f"entity {cell // self.n_windows}, window {cell % self.n_windows}"
-
 
 
 def mask_message(message: str) -> str:
@@ -336,7 +325,7 @@ def label_windows(windows: WindowTable, vocabulary: list[str]) -> WindowTable:
 # --- persistence -----------------------------------------------------------
 
 
-def _decode_json_lines(lines: list[str], source, first_number: int = 1) -> list:
+def _decode_json_lines(lines: list[str], source, first_number: int) -> list:
     """The JSON value of each non-blank line, in order; lines[0] is line first_number
     of source.
 
@@ -379,91 +368,6 @@ def windows_to_jsonl(windows: WindowTable) -> str:
             f'"window_index": {window}}}'
         )
     return "\n".join(lines) + "\n"
-
-
-_WINDOW_FIELDS = ("entity", "window_index", "templates", "frequencies", "label")
-
-
-def _window_line_problem(row) -> str | None:
-    """What is wrong with one decoded windows.jsonl line, or None."""
-    if not isinstance(row, dict):
-        return "is not a JSON object"
-    for name in _WINDOW_FIELDS:
-        if name not in row:
-            return f"is missing field {name!r}"
-    for name in ("entity", "window_index"):
-        if type(row[name]) is not int:
-            return f"field {name!r} must be an int"
-    for name in ("templates", "frequencies"):
-        if type(row[name]) is not list or not set(map(type, row[name])) <= {int}:
-            return f"field {name!r} must be a list of ints"
-    if type(row["label"]) not in (int, float):
-        return "field 'label' must be a number"
-    if len(row["templates"]) != len(row["frequencies"]):
-        return "frequencies must align with templates"
-    return None
-
-
-def windows_from_jsonl(text: str, source="windows.jsonl") -> WindowTable:
-    """Rebuild the table from the lines windows_to_jsonl writes.
-
-    The lines must hold the cells of a full entity-major grid in order; the
-    grid's size is read from the largest entity and window index. The first
-    line that is not JSON, lacks a field, holds one of the wrong type or lies
-    out of place raises ValueError naming source and the line's number. The
-    table's own checks follow, and their errors name source and the line too.
-    """
-    rows = _decode_json_lines(text.split("\n"), source)
-    try:
-        entities, windows, templates, frequencies, labels = (
-            [row[name] for row in rows] for name in _WINDOW_FIELDS
-        )
-        flat_templates = [t for cell in templates for t in cell]
-        flat_frequencies = [f for cell in frequencies for f in cell]
-        lengths = list(map(len, templates))
-        well_formed = (
-            set(map(type, entities)) | set(map(type, windows)) <= {int}
-            and set(map(type, templates)) | set(map(type, frequencies)) <= {list}
-            and set(map(type, flat_templates)) | set(map(type, flat_frequencies)) <= {int}
-            and set(map(type, labels)) <= {int, float}
-            and lengths == list(map(len, frequencies))
-        )
-    except (KeyError, TypeError):
-        well_formed = False
-    if not well_formed:
-        for k, row in enumerate(rows):
-            problem = _window_line_problem(row)
-            if problem is not None:
-                raise ValueError(f"{source} line {_line_number(text, k)} {problem}")
-
-    n_entities = max(entities, default=-1) + 1
-    n_windows = max(windows, default=-1) + 1
-    expected_entity, expected_window = np.divmod(np.arange(len(rows)), max(n_windows, 1))
-    misplaced = (np.asarray(entities) != expected_entity) | (np.asarray(windows) != expected_window)
-    if misplaced.any():
-        k = int(np.argmax(misplaced))
-        raise ValueError(
-            f"{source} line {_line_number(text, k)} holds entity {entities[k]}, window "
-            f"{windows[k]} where the entity-major grid has entity {expected_entity[k]}, "
-            f"window {expected_window[k]}"
-        )
-    if len(rows) != n_entities * n_windows:
-        raise ValueError(
-            f"{source} has {len(rows)} windows, not the {n_entities * n_windows} cells of "
-            f"its {n_entities} x {n_windows} grid"
-        )
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    try:
-        return WindowTable(n_entities, n_windows, offsets, flat_templates, flat_frequencies, labels)
-    except _CellError as exc:  # cell k is the k-th line
-        raise ValueError(f"{source} line {_line_number(text, exc.cell)}: {exc}") from None
-
-
-def _line_number(text: str, k: int) -> int:
-    """The 1-based number of the k-th (from 0) non-blank line of text."""
-    nonblank = (number for number, line in enumerate(text.split("\n"), 1) if line.strip())
-    return next(number for i, number in enumerate(nonblank) if i == k)
 
 
 def read_logs_jsonl(path):

@@ -43,21 +43,26 @@ hold float64 values. The trained parameters are not written.
 
 The log data moves between the stages in columns. Ingest parses the records
 into one event array and windows and labels them into a logs.WindowTable,
-which windows.jsonl holds one line per cell; a window without events holds no
-template, and its line lists none. Encode makes one call on that table,
-encoder.log_series, which tokenizes the cells into one token table, trains
-and embeds on its distinct rows, and places the scores into the log panel in
-the table's entity-major cell order. When every label is the same it does
+which it also writes to windows.jsonl, one line per cell; a window without
+events holds no template, and its line lists none. Encode makes one call on
+that table, encoder.log_series, which tokenizes the cells into one token
+table, trains and embeds on its distinct rows, and places the scores into the
+log panel in the table's entity-major cell order. When every label is the same it does
 none of that and scores each cell 0.5. Panels go to and from disk
 through panel.write_panel_csv and panel.read_panel_csv.
 
 Within run-pipeline each stage hands its result in memory to the next: the
-vocabulary and the window table to encode, the two panels to learn, the two
-learned adjacencies and the attention weights to localize. Every stage
-still writes all of its artifacts, which the stage commands (mmrca parse,
-encode, learn, localize, evaluate) read instead, with the same checks. A
-stage has one body for both: only where its inputs come from differs, and
-both give it the same values, so both paths write the same bytes.
+vocabulary, the window table and the entity names to encode, the two panels
+to learn, the two learned adjacencies and the attention weights to localize.
+Every stage still writes all of its artifacts. The stage commands read files
+instead, with the same checks: parse reads logs.jsonl and ground_truth.json;
+encode runs the ingest stage itself, which parses the logs again and rewrites
+vocabulary.json and windows.jsonl, and reads metrics.csv; learn reads
+metrics.csv and log_panel.csv; localize reads adjacency.json and
+attention.json, and no ground truth; evaluate reads ranking.json and
+ground_truth.json. So no stage reads vocabulary.json or windows.jsonl back. A
+stage has one body for both paths: only where its inputs come from differs,
+and both give it the same values, so both paths write the same bytes.
 
 load_config and run_pipeline check each of the 29 settable values against its
 one row of _SETTINGS; the config classes of the two models only hold values,
@@ -191,6 +196,11 @@ def load_config(
     return config
 
 
+# Both models train in float32, so a step size or a loss weight beyond its range
+# would overflow in the first epoch
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_IN_FLOAT32 = f"at most {_FLOAT32_MAX!r}, float32's largest finite value"
+
 # Every settable value: its dotted key, the test its value must pass and the words
 # that describe that test. A key's type is the type of its DEFAULT_CONFIG default:
 # an int default takes an int, and a float default any real number, ints
@@ -212,13 +222,13 @@ _SETTINGS = {
     "encoder.n_heads": (lambda v: v >= 1, ">= 1"),
     # [CLS] and one (template, bucket) pair: below 3 every window is [CLS] alone
     "encoder.max_len": (lambda v: v >= 3, ">= 3"),
-    "encoder.lr": (lambda v: v > 0, "positive"),
+    "encoder.lr": (lambda v: 0 < v <= _FLOAT32_MAX, f"positive and {_IN_FLOAT32}"),
     "encoder.epochs": (lambda v: v >= 1, ">= 1"),
     "encoder.freq_buckets": (lambda v: v >= 1, ">= 1"),
     "learner.p": (lambda v: v >= 1, ">= 1"),
-    "learner.lambda1": (lambda v: v >= 0, ">= 0"),
-    "learner.lambda5": (lambda v: v >= 0, ">= 0"),
-    "learner.lr": (lambda v: v > 0, "positive"),
+    "learner.lambda1": (lambda v: 0 <= v <= _FLOAT32_MAX, f">= 0 and {_IN_FLOAT32}"),
+    "learner.lambda5": (lambda v: 0 <= v <= _FLOAT32_MAX, f">= 0 and {_IN_FLOAT32}"),
+    "learner.lr": (lambda v: 0 < v <= _FLOAT32_MAX, f"positive and {_IN_FLOAT32}"),
     "learner.epochs": (lambda v: v >= 1, ">= 1"),
     "learner.acyclicity_every": (lambda v: v >= 1, ">= 1"),
     "fusion.edge_threshold": (lambda v: True, "any number"),
@@ -294,21 +304,9 @@ def _read_metric_panel(config: dict) -> ModalityPanel:
     return aggregate_windows(native, config["window_size"])
 
 
-def _read_vocabulary(path) -> list[str]:
-    """The patterns of vocabulary.json, in template id order; ValueError naming path
-    unless it is a JSON object mapping exactly "0".."n-1" to strings."""
-    payload = read_json_object(path)
-    ids = list(map(str, range(len(payload))))
-    if set(payload) != set(ids):
-        raise ValueError(f"{path} must map exactly the template ids 0..{len(ids) - 1}")
-    for template_id in ids:
-        check_type(f"{path} template {template_id}", payload[template_id], str)
-    return [payload[template_id] for template_id in ids]
-
-
 def _read_matrix(payload: dict, key: str, n: int, source) -> list:
     """payload[key]; ValueError naming source and key unless it is an n x n list of
-    lists of finite numbers."""
+    lists of finite numbers, none negative: a learned adjacency is sum_k |W_k|."""
     matrix = get_field(payload, key, source)
     square = type(matrix) is list and len(matrix) == n and all(
         type(row) is list and len(row) == n and set(map(type, row)) <= {int, float}
@@ -316,6 +314,8 @@ def _read_matrix(payload: dict, key: str, n: int, source) -> list:
     )
     if not square or not np.isfinite(np.asarray(matrix, dtype=float)).all():
         raise ValueError(f"{source} {key} must be a list of {n} lists of {n} finite numbers")
+    if (np.asarray(matrix, dtype=float) < 0).any():
+        raise ValueError(f"{source} {key} entries must be non-negative")
     return matrix
 
 
@@ -324,8 +324,8 @@ def _check_lags_fit(config: dict, truth: dict) -> int:
 
     The panel must be at least twice learner.p long, which also keeps the
     attention's lags 0..p below its length. This depends on the incident's
-    horizon, so load_config cannot check it; the ingest and encode stages
-    check it before they write anything.
+    horizon, so load_config cannot check it; the ingest stage, which the
+    encode command runs too, checks it before it writes anything.
     """
     n_windows = -(-truth["horizon_T"] // config["window_size"])
     p = config["learner"]["p"]
@@ -350,8 +350,8 @@ def stage_simulate(config: dict) -> dict:
 def stage_ingest(config: dict) -> tuple:
     """Window and label the logs; write vocabulary.json and windows.jsonl.
 
-    Returns (vocabulary, windows), the template list and the logs.WindowTable,
-    for the encode stage.
+    Returns (vocabulary, windows, entity_names), the template list, the
+    logs.WindowTable and ground_truth.json's entity names, for the encode stage.
     """
     paths = _paths(config)
     truth = read_ground_truth(paths["ground_truth"])
@@ -369,37 +369,30 @@ def stage_ingest(config: dict) -> tuple:
     write_json(paths["vocabulary"], {str(i): pattern for i, pattern in enumerate(vocabulary)})
     with atomic_open(paths["windows"]) as fh:
         fh.write(logs_mod.windows_to_jsonl(windows))
-    return vocabulary, windows
+    return vocabulary, windows, truth["entity_names"]
 
 
 def stage_encode(config: dict, handed=None) -> tuple:
     """Score the log windows (encoder.log_series), write encoder_manifest.json and
     log_panel.csv; return (metric_panel, log_panel).
 
-    handed is ingest's (vocabulary, windows); None reads them from
-    vocabulary.json and windows.jsonl.
+    handed is ingest's (vocabulary, windows, entity_names); None runs the ingest
+    stage first, as the encode command does: it parses the logs again and
+    rewrites vocabulary.json and windows.jsonl.
     """
     paths = _paths(config)
-    if handed is None:
-        vocabulary = _read_vocabulary(paths["vocabulary"])
-        with open(paths["windows"]) as fh:
-            windows = logs_mod.windows_from_jsonl(fh.read(), paths["windows"])
-    else:
-        vocabulary, windows = handed
-    truth = read_ground_truth(paths["ground_truth"])
-    _check_lags_fit(config, truth)
+    vocabulary, windows, entity_names = stage_ingest(config) if handed is None else handed
     metric_panel = _read_metric_panel(config)
     # stage_learn checks this too, since learn can run alone; checking here
-    # fails the run before the encoder trains or any artifact is written
-    if metric_panel.entity_names != truth["entity_names"]:
+    # fails the run before the encoder trains or encode writes anything
+    if metric_panel.entity_names != entity_names:
         raise ValueError(
             "metric and log panels must list the same nodes in the same order: the "
-            f"metrics list {metric_panel.entity_names}, the logs {truth['entity_names']}"
+            f"metrics list {metric_panel.entity_names}, the logs {entity_names}"
         )
 
     log_panel, training = encoder_mod.log_series(
-        windows, len(vocabulary), encoder_config_from(config), metric_panel.kpi,
-        truth["entity_names"],
+        windows, len(vocabulary), encoder_config_from(config), metric_panel.kpi, entity_names
     )
     write_json(paths["encoder_manifest"], training)
     write_panel_csv(log_panel, paths["log_panel"], "log_score")
@@ -479,8 +472,9 @@ def stage_localize(config: dict, handed=None) -> None:
 
     handed is learn's ((A_log, A_metric, node_names), (a_log, a_metric)); None
     reads them from adjacency.json and attention.json. A file that is not an
-    object with string node names, n x n matrices of finite numbers (n node
-    names) and number weights raises ValueError naming it and the field.
+    object with string node names, n x n matrices of finite non-negative
+    numbers (n node names) and number weights raises ValueError naming it and
+    the field.
     """
     paths = _paths(config)
     if handed is None:
@@ -501,7 +495,6 @@ def stage_localize(config: dict, handed=None) -> None:
         # fuse reads the learner's float32 adjacencies in float64, which gives
         # the values adjacency.json holds
         (a_log, a_metric, node_names), weights = handed
-    truth = read_ground_truth(paths["ground_truth"])
 
     fused = fusion_mod.fuse(a_log, a_metric, weights, node_names)
     write_json(paths["fused_graph"], {
@@ -523,7 +516,6 @@ def stage_localize(config: dict, handed=None) -> None:
     )
     ranked = rca_mod.rank_root_causes(walk.scores, node_names, k=len(node_names) - 1)
     write_json(paths["ranking"], {
-        "incident_id": f"incident-{truth['seed']}",
         "ranking": [
             {"entity": name, "score": score, "rank": rank}
             for rank, (name, score) in enumerate(ranked.ranking, start=1)

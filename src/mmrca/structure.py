@@ -171,7 +171,8 @@ def fit(panel: ModalityPanel, config: LearnerConfig) -> ModalityFit:
     """Full-batch Adam on one panel's objective from W = 0; deterministic.
 
     Rows are z-scored so no scale dominates the squared error; a constant row
-    z-scores to 0.
+    z-scores to 0. A run that diverges raises FloatingPointError naming the
+    epoch: its objective, or the adjacency its step leaves, is not finite.
     """
     if panel.n_timesteps < 2 * config.p:
         raise ValueError("panel length must be at least twice the lag order")
@@ -193,6 +194,12 @@ def fit(panel: ModalityPanel, config: LearnerConfig) -> ModalityFit:
         for key, value in breakdown.items():
             history.setdefault(key, []).append(value)
         optimizer.step(grads)
+        # a diverging step can leave every weight finite and their sum over the
+        # lags not; the check expects that overflow, so it does not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            diverged = not np.isfinite(adjacency_from_lags(params["w"])).all()
+        if diverged:
+            raise FloatingPointError(f"the learned adjacency became non-finite at epoch {epoch}")
 
     adj = adjacency_from_lags(params["w"])
     return ModalityFit(adj, params["w"], history, acyclicity(adj)[0])

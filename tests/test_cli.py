@@ -2,6 +2,7 @@ import builtins
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mmrca import atomic, cli, pipeline
@@ -32,11 +33,8 @@ def with_entry(matrix: list, value) -> list:
     return copied
 
 
-def rename_the_last_id(vocabulary: dict) -> dict:
-    """The vocabulary.json payload with its last id renamed to id + 5, which leaves a gap."""
-    last = str(len(vocabulary) - 1)
-    renamed = {key: pattern for key, pattern in vocabulary.items() if key != last}
-    return dict(renamed, **{str(int(last) + 5): vocabulary[last]})
+# the words of the settings that the float32 models use directly
+IN_FLOAT32 = "at most 3.4028234663852886e+38, float32's largest finite value"
 
 
 class TestConfigKeys:
@@ -84,14 +82,27 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "payload,named",
         [
-            ({"learner": {"lr": 0}}, "learner.lr must be positive; 0 is not"),
-            ({"learner": {"lr": -0.02}}, "learner.lr must be positive; -0.02 is not"),
+            ({"learner": {"lr": 0}}, f"learner.lr must be positive and {IN_FLOAT32}; 0 is not"),
+            ({"learner": {"lr": -0.02}},
+             f"learner.lr must be positive and {IN_FLOAT32}; -0.02 is not"),
             ({"learner": {"epochs": 0}}, "learner.epochs must be >= 1; 0 is not"),
             ({"learner": {"p": 0}}, "learner.p must be >= 1; 0 is not"),
-            ({"learner": {"lambda1": -1.0}}, "learner.lambda1 must be >= 0; -1.0 is not"),
-            ({"learner": {"lambda5": -1.0}}, "learner.lambda5 must be >= 0; -1.0 is not"),
+            ({"learner": {"lambda1": -1.0}},
+             f"learner.lambda1 must be >= 0 and {IN_FLOAT32}; -1.0 is not"),
+            ({"learner": {"lambda5": -1.0}},
+             f"learner.lambda5 must be >= 0 and {IN_FLOAT32}; -1.0 is not"),
             ({"learner": {"acyclicity_every": 0}}, "learner.acyclicity_every must be >= 1"),
-            ({"encoder": {"lr": 0}}, "encoder.lr must be positive; 0 is not"),
+            ({"encoder": {"lr": 0}}, f"encoder.lr must be positive and {IN_FLOAT32}; 0 is not"),
+            # finite in float64, but the models train in float32
+            *(
+                ({section: {field: value}},
+                 f"{section}.{field} must be {floor} and {IN_FLOAT32}; {value!r} is not")
+                for section, field, floor in (
+                    ("encoder", "lr", "positive"), ("learner", "lr", "positive"),
+                    ("learner", "lambda1", ">= 0"), ("learner", "lambda5", ">= 0"),
+                )
+                for value in (1e300, 3.5e38, 2**128)
+            ),
             ({"encoder": {"epochs": 0}}, "encoder.epochs must be >= 1; 0 is not"),
             ({"encoder": {"max_len": 2}}, "encoder.max_len must be >= 3; 2 is not"),
             ({"encoder": {"max_len": 1}}, "encoder.max_len must be >= 3; 1 is not"),
@@ -157,6 +168,13 @@ class TestConfigKeys:
         floats = {key for key, value in leaves.items() if type(value) is float}
         assert floats == {f"{section}.{field}" for section, field in FLOAT_KEYS}
 
+    def test_float32s_largest_finite_value_is_a_valid_step_and_weight(self, tmp_path):
+        largest = float(np.finfo(np.float32).max)
+        payload = {"encoder": {"lr": largest}, "learner": dict.fromkeys(
+            ("lr", "lambda1", "lambda5"), largest)}
+        config = pipeline.load_config(write_config(tmp_path, payload), environ={})
+        assert config["learner"]["lr"] == config["encoder"]["lr"] == largest
+
     def test_an_int_is_a_valid_float(self, tmp_path):
         payload = {"learner": {"lambda1": 50}, "encoder": {"lr": 1}}
         config = pipeline.load_config(write_config(tmp_path, payload), environ={})
@@ -219,14 +237,6 @@ class TestStageCommands:
         out = tmp_path / "out"
         assert self.run(tmp_path, "simulate", out) == 0
 
-        def refuse(name):
-            def call(*args, **kwargs):
-                raise AssertionError(f"run-pipeline called {name}")
-
-            return call
-
-        monkeypatch.setattr(pipeline.logs_mod, "windows_from_jsonl", refuse("windows_from_jsonl"))
-        monkeypatch.setattr(pipeline, "_read_vocabulary", refuse("_read_vocabulary"))
         panels_read = []
         read_panel_csv = pipeline.read_panel_csv
 
@@ -247,10 +257,62 @@ class TestStageCommands:
         assert self.run(tmp_path, "run-pipeline", out) == 0
         monkeypatch.undo()
         assert panels_read == [str(tmp_path / "data" / "metrics.csv")]
-        # evaluate scores ranking.json; encode reads no vocabulary.json and localize
-        # neither adjacency.json nor attention.json
+        # evaluate scores ranking.json; localize reads neither adjacency.json nor
+        # attention.json
         read_from_out = [path for path in files_read if os.path.dirname(path) == str(out)]
         assert read_from_out == [str(out / "ranking.json")]
+
+    # what the ingest stage writes, and what the encode stage writes
+    ENCODE_ALONE = ["encoder_manifest.json", "log_panel.csv", "vocabulary.json", "windows.jsonl"]
+
+    def test_encode_without_parse_writes_both_stages_files_with_run_pipelines_bytes(
+        self, tmp_path
+    ):
+        alone, full = tmp_path / "alone", tmp_path / "full"
+        assert self.run(tmp_path, "simulate", full) == 0
+        assert self.run(tmp_path, "run-pipeline", full) == 0
+        assert self.run(tmp_path, "encode", alone) == 0
+        assert sorted(path.name for path in alone.iterdir()) == self.ENCODE_ALONE
+        for name in self.ENCODE_ALONE:
+            assert (alone / name).read_bytes() == (full / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "name,corrupt",
+        [
+            ("windows.jsonl", lambda lines: ["{" + lines[0]] + lines[1:]),
+            ("windows.jsonl", lambda lines: [line.replace('"label": 0.0', '"label": 1.0')
+                                             for line in lines]),
+            ("windows.jsonl", lambda lines: lines[:-1]),
+            ("vocabulary.json", lambda lines: ["[]"]),
+        ],
+        ids=["windows-not-json", "windows-relabelled", "windows-short", "vocabulary-list"],
+    )
+    def test_encode_ignores_an_edited_ingest_file_and_rewrites_it(self, tmp_path, name, corrupt):
+        out, full = tmp_path / "out", tmp_path / "full"
+        assert self.run(tmp_path, "simulate", full) == 0
+        assert self.run(tmp_path, "run-pipeline", full) == 0
+        assert self.run(tmp_path, "parse", out) == 0
+        path = out / name
+        edited = "\n".join(corrupt(path.read_text().splitlines())) + "\n"
+        assert edited != path.read_text()
+        path.write_text(edited)
+        assert self.run(tmp_path, "encode", out) == 0
+        for written in self.ENCODE_ALONE:
+            assert (out / written).read_bytes() == (full / written).read_bytes(), written
+
+    def test_localize_reads_no_ground_truth(self, tmp_path):
+        out, full = tmp_path / "out", tmp_path / "full"
+        assert self.run(tmp_path, "simulate", full) == 0
+        assert self.run(tmp_path, "run-pipeline", full) == 0
+        for command in ("encode", "learn"):
+            assert self.run(tmp_path, command, out) == 0, command
+        truth = tmp_path / "data" / "ground_truth.json"
+        truth.rename(tmp_path / "ground_truth.json")
+        assert self.run(tmp_path, "localize", out) == 0
+        ranking = json.loads((out / "ranking.json").read_text())
+        assert set(ranking) == {"ranking", "converged", "iterations"}
+        for name in ("fused_graph.json", "ranking.json"):
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_learn_names_the_file_entity_and_timestamp_of_a_missing_panel_row(
         self, tmp_path, capsys
@@ -324,28 +386,6 @@ class TestStageCommands:
         assert not (out / "ranking.json").exists()
 
     @pytest.mark.parametrize(
-        "corrupt,named",
-        [
-            (lambda vocabulary: [], "must be a JSON object; list []"),
-            (rename_the_last_id, "must map exactly the template ids"),
-            (lambda vocabulary: {**vocabulary, "0": 7}, "template 0 must be a string; int 7"),
-        ],
-        ids=["list", "id-gap", "non-string-pattern"],
-    )
-    def test_encode_rejects_a_malformed_vocabulary_and_writes_nothing(
-        self, tmp_path, capsys, corrupt, named
-    ):
-        out = tmp_path / "out"
-        for command in ("simulate", "parse"):
-            assert self.run(tmp_path, command, out) == 0, command
-        vocabulary = out / "vocabulary.json"
-        vocabulary.write_text(json.dumps(corrupt(json.loads(vocabulary.read_text()))))
-        assert self.run(tmp_path, "encode", out) == 1
-        assert f"stage log_encoder failed: {vocabulary} {named}" in capsys.readouterr().err
-        for name in ("encoder_manifest.json", "log_panel.csv"):
-            assert not (out / name).exists(), name
-
-    @pytest.mark.parametrize(
         "name,corrupt,named",
         [
             ("adjacency.json", lambda payload: [1, 2], "must be a JSON object; list [1, 2]"),
@@ -377,11 +417,19 @@ class TestStageCommands:
              "A_log must be a list of 4 lists of 4 finite numbers"),
             ("adjacency.json", lambda payload: {**payload, "A_log": 0.5},
              "A_log must be a list of 4 lists of 4 finite numbers"),
+            # every learned adjacency is a sum of absolute lag weights
+            ("adjacency.json", lambda payload: {**payload, "A_log": with_entry(
+                payload["A_log"], -0.05)}, "A_log entries must be non-negative"),
+            ("adjacency.json", lambda payload: {**payload, "A_metric": with_entry(
+                payload["A_metric"], -5.0)}, "A_metric entries must be non-negative"),
+            ("adjacency.json", lambda payload: {**payload, "A_metric": with_entry(
+                payload["A_metric"], -1)}, "A_metric entries must be non-negative"),
         ],
         ids=[
             "adjacency-list", "attention-list", "node-names-int", "node-name-int",
             "a-log-string", "a-log-null", "a-metric-missing", "A-log-missing", "A-log-null",
             "A-metric-nan", "A-metric-bool", "A-metric-short", "A-log-ragged", "A-log-number",
+            "A-log-negative", "A-metric-negative", "A-metric-negative-int",
         ],
     )
     def test_localize_rejects_a_malformed_input_and_writes_nothing(
@@ -462,10 +510,11 @@ class TestStageCommands:
         truth = tmp_path / "data" / "ground_truth.json"
         truth.write_text(json.dumps(corrupt(json.loads(truth.read_text()))))
         capsys.readouterr()
-        # each stage runs with its inputs in place and its outputs removed
+        # each stage runs with its inputs in place and its outputs removed; encode
+        # runs the ingest stage first, so it writes neither ingest's files nor its own
         for command, stage, written in (
-            ("localize", "rca", ("fused_graph.json", "ranking.json")),
-            ("encode", "log_encoder", ("encoder_manifest.json", "log_panel.csv")),
+            ("encode", "log_encoder", ("encoder_manifest.json", "log_panel.csv",
+                                       "vocabulary.json", "windows.jsonl")),
             ("parse", "log_ingest", ("vocabulary.json", "windows.jsonl")),
         ):
             for name in written:
@@ -574,59 +623,6 @@ class TestStageCommands:
         assert self.run(tmp_path, "run-pipeline", out) == 1
         assert f"stage log_ingest failed: {logs} line 5 is not valid JSON" in capsys.readouterr().err
 
-    def test_a_windows_line_that_is_not_json_is_a_validation_failure(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert self.run(tmp_path, "simulate", out) == 0
-        assert self.run(tmp_path, "parse", out) == 0
-        windows = out / "windows.jsonl"
-        lines = windows.read_text().splitlines()
-        lines[6] = "{" + lines[6]
-        windows.write_text("\n".join(lines) + "\n")
-        assert self.run(tmp_path, "encode", out) == 1
-        assert f"stage log_encoder failed: {windows} line 7 is not valid JSON" in capsys.readouterr().err
-
-    def test_a_repeated_window_template_names_the_windows_file_and_line(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert self.run(tmp_path, "simulate", out) == 0
-        assert self.run(tmp_path, "parse", out) == 0
-        windows = out / "windows.jsonl"
-        lines = windows.read_text().splitlines()
-        k = next(k for k, line in enumerate(lines) if '"templates": []' not in line)
-        row = json.loads(lines[k])
-        row["templates"].append(row["templates"][0])
-        row["frequencies"].append(1)
-        lines[k] = json.dumps(row, sort_keys=True)
-        windows.write_text("\n".join(lines) + "\n")
-        assert self.run(tmp_path, "encode", out) == 1
-        where = f"entity {row['entity']}, window {row['window_index']}"
-        named = f"{windows} line {k + 1}: window templates must be unique: {where}"
-        assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
-        assert not (out / "encoder_manifest.json").exists()
-
-    @pytest.mark.parametrize("fault_type", ["both", "metric_only"])
-    def test_a_window_that_holds_template_id_minus_one_is_a_validation_failure(
-        self, tmp_path, capsys, fault_type
-    ):
-        # a window without events lists no template, so -1 is no template id
-        out = tmp_path / "out"
-        scenario = dict(self.TINY["scenario"], fault_type=fault_type)
-        for command in ("simulate", "parse"):
-            assert self.run(tmp_path, command, out, scenario=scenario) == 0, command
-        windows = out / "windows.jsonl"
-        lines = windows.read_text().splitlines()
-        assert any('"templates": []' in line for line in lines)
-        k = next(k for k, line in enumerate(lines) if '"templates": []' not in line)
-        row = json.loads(lines[k])
-        row["templates"].append(-1)
-        row["frequencies"].append(1)
-        lines[k] = json.dumps(row, sort_keys=True)
-        windows.write_text("\n".join(lines) + "\n")
-        assert self.run(tmp_path, "encode", out, scenario=scenario) == 1
-        err = capsys.readouterr().err
-        assert "stage log_encoder failed: template id -1 outside the vocabulary" in err
-        assert not (out / "encoder_manifest.json").exists()
-        assert not (out / "log_panel.csv").exists()
-
     @pytest.mark.parametrize(
         "settings,named",
         [
@@ -642,12 +638,10 @@ class TestStageCommands:
         assert self.run(tmp_path, "run-pipeline", out, **settings) == 1
         assert f"stage log_ingest failed: {named}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
-        # the encode stage, run on its own, also fails before the encoder trains
-        assert self.run(tmp_path, "parse", out) == 0
+        # the encode command, which runs the ingest stage itself, also fails first
         assert self.run(tmp_path, "encode", out, **settings) == 1
         assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
-        assert not (out / "encoder_manifest.json").exists()
-        assert not (out / "log_panel.csv").exists()
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command,artifact",
@@ -708,6 +702,16 @@ class TestStageCommands:
         monkeypatch.setattr(pipeline.structure_mod, "fit", diverge)
         assert self.run(tmp_path, "run-pipeline", out) == 2
         assert "stage causal_learner failed: loss is NaN" in capsys.readouterr().err
+
+    def test_a_diverging_learner_is_a_runtime_failure(self, tmp_path, capsys):
+        # 3e38 is finite in float32, but after the first step the sum of the
+        # absolute weights over the lags is not
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        assert self.run(tmp_path, "run-pipeline", out, learner={"epochs": 2, "lr": 3e38}) == 2
+        named = "the learned adjacency became non-finite at epoch 0"
+        assert f"stage causal_learner failed: {named}" in capsys.readouterr().err
+        assert not (out / "adjacency.json").exists()
 
     def test_a_key_error_in_a_stage_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys):
         # every checked reader turns a missing field into ValueError, so a KeyError

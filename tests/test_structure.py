@@ -342,6 +342,13 @@ class TestFit:
         others = [a[i, j] for i in range(4) for j in range(4) if i != j and (i, j) not in true_edges]
         assert min(a[edge] for edge in true_edges) > max(others)
 
+    def test_a_diverging_step_raises_naming_the_epoch(self):
+        # one step moves each weight by about lr, which float32 holds, but the
+        # sum of two such weights over the lags overflows
+        with pytest.raises(FloatingPointError, match="^the learned adjacency became non-finite "
+                           "at epoch 0$"):
+            fit(random_panel(), LearnerConfig(p=2, epochs=5, lr=3e38))
+
     def test_a_panel_shorter_than_twice_the_lag_order_rejected(self):
         with pytest.raises(ValueError, match="at least twice the lag order"):
             fit(random_panel(t_len=5), LearnerConfig(p=3, epochs=1))
