@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import pipeline
 
-# subcommand -> name of its stage in pipeline.PIPELINE_STAGES
-_STAGE_OF_COMMAND = {
-    "parse": "log_ingest",
-    "encode": "log_encoder",
-    "learn": "causal_learner",
-    "localize": "rca",
-    "evaluate": "metrics",
+# subcommand -> the first and the last stage it runs of pipeline.PIPELINE_STAGES;
+# run-pipeline runs them all
+_STAGES_OF_COMMAND = {
+    "parse": ("log_ingest", "log_ingest"),
+    "encode": ("log_ingest", "log_encoder"),
+    "learn": ("causal_learner", "causal_learner"),
+    "localize": ("causal_learner", "rca"),
+    "evaluate": ("metrics", "metrics"),
 }
 
 
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("encode", "parse the logs as parse does, then train the log encoder and emit "
                    "the log modality panel"),
         ("learn", "compute modality attention and fit the causal structure"),
-        ("localize", "fuse the graphs and rank root causes by random walk"),
+        ("localize", "fit the graphs as learn does, then fuse them and rank root causes"),
         ("evaluate", "score the ranking against the ground truth"),
         ("run-pipeline", "run parse through evaluate with a manifest"),
     ):
@@ -58,9 +58,8 @@ def _dispatch(command: str, config: dict) -> None:
         manifest = pipeline.run_pipeline(config)
         print(json.dumps(manifest, indent=2, sort_keys=True))
     else:
-        os.makedirs(config["paths"]["out_dir"], exist_ok=True)
-        result = pipeline.run_stage(_STAGE_OF_COMMAND[command], config)
-        if command == "evaluate" and result is not None:
+        result, _ = pipeline.run_stages(config, *_STAGES_OF_COMMAND[command])
+        if command == "evaluate":
             print(json.dumps(result, indent=2, sort_keys=True))
 
 

@@ -16,10 +16,11 @@ a manifest records the resolved config hash, seed and stage timings.
 Every JSON file is written by atomic.write_json, the one place that turns a
 payload into JSON text, and loaded by atomic.read_json_object, the one
 reader, which names a file that is not one JSON object. Each stage builds
-the payload of each JSON artifact it writes and checks the fields of each
-it reads back, so those schemas live here and the models return arrays, not
-files. ground_truth.json's writer and checked reader (read_ground_truth)
-live in simulate.
+the payload of each JSON artifact it writes, so those schemas live here and
+the models return arrays, not files. The two JSON files a stage reads have
+checked readers that name a bad field: ground_truth.json's, beside its
+writer in simulate (read_ground_truth), and ranking.json's, in metrics
+(case_from_files).
 
 Every stage runs through run_stage, which sets each OpenBLAS library that
 numpy bundles to one thread for the stage and restores the previous
@@ -51,18 +52,22 @@ log panel in the table's entity-major cell order. When every label is the same i
 none of that and scores each cell 0.5. Panels go to and from disk
 through panel.write_panel_csv and panel.read_panel_csv.
 
-Within run-pipeline each stage hands its result in memory to the next: the
-vocabulary, the window table and the entity names to encode, the two panels
-to learn, the two learned adjacencies and the attention weights to localize.
-Every stage still writes all of its artifacts. The stage commands read files
-instead, with the same checks: parse reads logs.jsonl and ground_truth.json;
-encode runs the ingest stage itself, which parses the logs again and rewrites
-vocabulary.json and windows.jsonl, and reads metrics.csv; learn reads
-metrics.csv and log_panel.csv; localize reads adjacency.json and
-attention.json, and no ground truth; evaluate reads ranking.json and
-ground_truth.json. So no stage reads vocabulary.json or windows.jsonl back. A
-stage has one body for both paths: only where its inputs come from differs,
-and both give it the same values, so both paths write the same bytes.
+Every command runs a contiguous slice of PIPELINE_STAGES through one loop,
+run_stages: parse runs ingest, encode runs ingest and encode, learn runs
+learn, localize runs learn and localize, evaluate runs evaluate, and
+run-pipeline runs all five and then writes the manifest. Within a slice each
+stage hands its result in memory to the next: the vocabulary, the window
+table and the entity names to encode, the two panels to learn, the two
+learned adjacencies and the attention weights to localize. Every stage still
+writes all of its artifacts, the same bytes in any slice. A slice starts
+from the data directory (ingest), from the one checkpoint log_panel.csv
+(learn, which reads it with metrics.csv) or from ranking.json (evaluate,
+which reads it with ground_truth.json). log_panel.csv is the one checkpoint
+because what it saves is costly: training the encoder takes seconds at the
+default config, while learn fits both graphs in a fraction of a second, so
+localize fits them again rather than read adjacency.json and attention.json.
+No stage reads vocabulary.json, windows.jsonl, encoder_manifest.json,
+attention.json, adjacency.json or fused_graph.json back: they are reports.
 
 load_config and run_pipeline check each of the 29 settable values against its
 one row of _SETTINGS; the config classes of the two models only hold values,
@@ -91,7 +96,7 @@ from . import metrics as metrics_mod
 from . import rca as rca_mod
 from . import structure as structure_mod
 from .atomic import atomic_open, read_json_object, write_json
-from .nn import check_type, get_field
+from .nn import check_type
 from .panel import ModalityPanel, aggregate_windows, read_panel_csv, write_panel_csv
 from .simulate import (
     FAULT_TYPES,
@@ -304,28 +309,13 @@ def _read_metric_panel(config: dict) -> ModalityPanel:
     return aggregate_windows(native, config["window_size"])
 
 
-def _read_matrix(payload: dict, key: str, n: int, source) -> list:
-    """payload[key]; ValueError naming source and key unless it is an n x n list of
-    lists of finite numbers, none negative: a learned adjacency is sum_k |W_k|."""
-    matrix = get_field(payload, key, source)
-    square = type(matrix) is list and len(matrix) == n and all(
-        type(row) is list and len(row) == n and set(map(type, row)) <= {int, float}
-        for row in matrix
-    )
-    if not square or not np.isfinite(np.asarray(matrix, dtype=float)).all():
-        raise ValueError(f"{source} {key} must be a list of {n} lists of {n} finite numbers")
-    if (np.asarray(matrix, dtype=float) < 0).any():
-        raise ValueError(f"{source} {key} entries must be non-negative")
-    return matrix
-
-
 def _check_lags_fit(config: dict, truth: dict) -> int:
     """The incident's window count; ValueError if the lags need more windows than that.
 
     The panel must be at least twice learner.p long, which also keeps the
     attention's lags 0..p below its length. This depends on the incident's
-    horizon, so load_config cannot check it; the ingest stage, which the
-    encode command runs too, checks it before it writes anything.
+    horizon, so load_config cannot check it; the ingest stage checks it
+    before it writes anything.
     """
     n_windows = -(-truth["horizon_T"] // config["window_size"])
     p = config["learner"]["p"]
@@ -356,7 +346,6 @@ def stage_ingest(config: dict) -> tuple:
     paths = _paths(config)
     truth = read_ground_truth(paths["ground_truth"])
     n_windows = _check_lags_fit(config, truth)
-    os.makedirs(config["paths"]["out_dir"], exist_ok=True)
     # read_logs_jsonl decodes a block of lines at a time and parse_templates keeps
     # only each block's events, so the record dicts of the whole file are never
     # alive at once: they would otherwise set the run's peak memory
@@ -372,16 +361,14 @@ def stage_ingest(config: dict) -> tuple:
     return vocabulary, windows, truth["entity_names"]
 
 
-def stage_encode(config: dict, handed=None) -> tuple:
+def stage_encode(config: dict, handed: tuple) -> tuple:
     """Score the log windows (encoder.log_series), write encoder_manifest.json and
     log_panel.csv; return (metric_panel, log_panel).
 
-    handed is ingest's (vocabulary, windows, entity_names); None runs the ingest
-    stage first, as the encode command does: it parses the logs again and
-    rewrites vocabulary.json and windows.jsonl.
+    handed is ingest's (vocabulary, windows, entity_names).
     """
     paths = _paths(config)
-    vocabulary, windows, entity_names = stage_ingest(config) if handed is None else handed
+    vocabulary, windows, entity_names = handed
     metric_panel = _read_metric_panel(config)
     # stage_learn checks this too, since learn can run alone; checking here
     # fails the run before the encoder trains or encode writes anything
@@ -409,10 +396,11 @@ def stage_learn(config: dict, handed=None) -> tuple:
     Returns ((A_log, A_metric, node_names), (a_log, a_metric)), the two
     learned adjacencies with their node names and the attention weights.
 
-    handed is encode's (metric_panel, log_panel); None builds them from
-    metrics.csv and log_panel.csv. Row i of each panel must be the same
-    entity, so the panels must name the same nodes in the same order and
-    share n and T; this is checked before anything is written.
+    handed is encode's (metric_panel, log_panel); None, when learn starts a
+    slice, builds them from metrics.csv and log_panel.csv. Row i of each
+    panel must be the same entity, so the panels must name the same nodes in
+    the same order and share n and T; this is checked before anything is
+    written.
     """
     paths = _paths(config)
     if handed is None:
@@ -467,35 +455,15 @@ def stage_learn(config: dict, handed=None) -> tuple:
     return (fits["log"].A, fits["metric"].A, node_names), (a_log, a_metric)
 
 
-def stage_localize(config: dict, handed=None) -> None:
+def stage_localize(config: dict, handed: tuple) -> None:
     """Fuse the graphs into fused_graph.json and rank the root causes into ranking.json.
 
-    handed is learn's ((A_log, A_metric, node_names), (a_log, a_metric)); None
-    reads them from adjacency.json and attention.json. A file that is not an
-    object with string node names, n x n matrices of finite non-negative
-    numbers (n node names) and number weights raises ValueError naming it and
-    the field.
+    handed is learn's ((A_log, A_metric, node_names), (a_log, a_metric)).
     """
     paths = _paths(config)
-    if handed is None:
-        adjacency, attention = map(read_json_object, (paths["adjacency"], paths["attention"]))
-        node_names = get_field(adjacency, "node_names", paths["adjacency"])
-        check_type(f"{paths['adjacency']} node_names", node_names, list)
-        for name in node_names:
-            check_type(f"{paths['adjacency']} node name", name, str)
-        a_log, a_metric = (
-            _read_matrix(adjacency, key, len(node_names), paths["adjacency"])
-            for key in ("A_log", "A_metric")
-        )
-        keys = ("a_log", "a_metric")
-        weights = tuple(get_field(attention, key, paths["attention"]) for key in keys)
-        for key, weight in zip(keys, weights):
-            check_type(f"{paths['attention']} {key}", weight, float)
-    else:
-        # fuse reads the learner's float32 adjacencies in float64, which gives
-        # the values adjacency.json holds
-        (a_log, a_metric, node_names), weights = handed
-
+    # fuse reads the learner's float32 adjacencies in float64, which gives the
+    # values adjacency.json holds
+    (a_log, a_metric, node_names), weights = handed
     fused = fusion_mod.fuse(a_log, a_metric, weights, node_names)
     write_json(paths["fused_graph"], {
         "a_log": weights[0],
@@ -602,11 +570,10 @@ def _one_blas_thread():
 def run_stage(name: str, config: dict, handed=None):
     """Run the stage called name in PIPELINE_STAGES on one BLAS thread; return its result.
 
-    handed is the previous stage's result, which the stage uses in place of
-    that stage's artifacts; None, as for a stage command, makes the stage read
-    them from disk. A stage that takes nothing from its predecessor (ingest,
-    evaluate) is called without it. The stage is looked up at call time. Any
-    failure is raised as StageError.
+    handed is the previous stage's result. A stage that takes nothing from its
+    predecessor (ingest, evaluate) or starts a slice (learn, from
+    log_panel.csv) is called without it. The stage is looked up at call time.
+    Any failure is raised as StageError.
     """
     stage = dict(PIPELINE_STAGES)[name]
     try:
@@ -616,29 +583,40 @@ def run_stage(name: str, config: dict, handed=None):
         raise StageError(name, exc) from exc
 
 
-def run_pipeline(config: dict) -> dict:
-    """Run ingest -> encode -> learn -> localize -> evaluate, with a manifest.
+def run_stages(config: dict, first: str, last: str) -> tuple:
+    """Run the stages of PIPELINE_STAGES from first through last; return (the last
+    stage's result, a {"name", "seconds"} timing per stage).
 
-    Each stage's result goes straight to the next stage through run_stage, so
-    of the artifacts this run writes only ranking.json is read back, by
-    evaluate. Every artifact is still written, with the bytes the stage
-    commands give. Only the latest result is held: the log windows are freed
-    once encode returns. Callers edit the config that load_config returns, so it
-    is checked again: a bad value raises ValueError before anything is written.
+    This one loop serves every command (see the module docstring). Each stage's
+    result goes straight to the next through run_stage, so a slice reads from
+    disk only what its first stage reads. The table is looked up at call time.
     """
-    _check_config(config)
-    paths = _paths(config)
+    names = [name for name, _ in PIPELINE_STAGES]
     os.makedirs(config["paths"]["out_dir"], exist_ok=True)
-    timings = []
-    handed = None
-    for name, _ in PIPELINE_STAGES:
+    handed, timings = None, []
+    for name in names[names.index(first) : names.index(last) + 1]:
         start = time.perf_counter()
         handed = run_stage(name, config, handed)
         timings.append({"name": name, "seconds": time.perf_counter() - start})
+    return handed, timings
+
+
+def run_pipeline(config: dict) -> dict:
+    """Run ingest -> encode -> learn -> localize -> evaluate, with a manifest.
+
+    The whole slice of run_stages: of the artifacts this run writes only
+    ranking.json is read back, by evaluate, and each artifact has the bytes the
+    stage commands write. Only the latest result is held: the log windows are
+    freed once encode returns. Callers edit the config that load_config
+    returns, so it is checked again: a bad value raises ValueError before
+    anything is written.
+    """
+    _check_config(config)
+    _, timings = run_stages(config, PIPELINE_STAGES[0][0], PIPELINE_STAGES[-1][0])
     manifest = {
         "config_hash": config_hash(config),
         "seed": config["seed"],
         "stages": timings,
     }
-    write_json(paths["manifest"], manifest)
+    write_json(_paths(config)["manifest"], manifest)
     return manifest

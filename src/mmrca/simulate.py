@@ -366,14 +366,12 @@ def ground_truth_payload(dataset: IncidentDataset) -> dict:
 def read_ground_truth(path) -> dict:
     """ground_truth.json's payload, with the fields the stages read checked.
 
-    n_entities and horizon_T must be ints >= 1, entity_names a list of
-    n_entities distinct strings and seed an int; else ValueError names the
-    file and the field.
+    n_entities and horizon_T must be ints >= 1 and entity_names a list of
+    n_entities distinct strings; else ValueError names the file and the field.
     """
     truth = read_json_object(path)
-    for key in ("n_entities", "horizon_T", "seed"):
-        check_type(f"{path} {key}", get_field(truth, key, path), int)
     for key in ("n_entities", "horizon_T"):
+        check_type(f"{path} {key}", get_field(truth, key, path), int)
         if truth[key] < 1:
             raise ValueError(f"{path} {key} must be >= 1; {truth[key]!r} is not")
     names = get_field(truth, "entity_names", path)

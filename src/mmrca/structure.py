@@ -186,20 +186,23 @@ def fit(panel: ModalityPanel, config: LearnerConfig) -> ModalityFit:
     params = {"w": np.zeros((config.p, panel.n_nodes, panel.n_nodes), np.float32)}
     optimizer = Adam(params, lr=config.lr)
     history: dict[str, list] = {}
-    for epoch in range(config.epochs):
-        multiplier = 2.0 ** (epoch // config.acyclicity_every)
-        total, breakdown, grads = objective_gradients(params, z, y, config, multiplier)
-        if not np.isfinite(total):
-            raise FloatingPointError(f"objective became non-finite at epoch {epoch}")
-        for key, value in breakdown.items():
-            history.setdefault(key, []).append(value)
-        optimizer.step(grads)
-        # a diverging step can leave every weight finite and their sum over the
-        # lags not; the check expects that overflow, so it does not warn of it
-        with np.errstate(over="ignore", invalid="ignore"):
-            diverged = not np.isfinite(adjacency_from_lags(params["w"])).all()
-        if diverged:
-            raise FloatingPointError(f"the learned adjacency became non-finite at epoch {epoch}")
+    # a diverging run overflows: in the objective, in expm, or in the sum of the
+    # absolute weights over the lags, which a step can leave non-finite with every
+    # weight finite. The two checks expect that overflow and name the epoch, so
+    # it does not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            multiplier = 2.0 ** (epoch // config.acyclicity_every)
+            total, breakdown, grads = objective_gradients(params, z, y, config, multiplier)
+            if not np.isfinite(total):
+                raise FloatingPointError(f"objective became non-finite at epoch {epoch}")
+            for key, value in breakdown.items():
+                history.setdefault(key, []).append(value)
+            optimizer.step(grads)
+            if not np.isfinite(adjacency_from_lags(params["w"])).all():
+                raise FloatingPointError(
+                    f"the learned adjacency became non-finite at epoch {epoch}"
+                )
 
     adj = adjacency_from_lags(params["w"])
     return ModalityFit(adj, params["w"], history, acyclicity(adj)[0])

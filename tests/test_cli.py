@@ -33,6 +33,11 @@ def with_entry(matrix: list, value) -> list:
     return copied
 
 
+def edited_json(edit):
+    """A corruption of a JSON file's text: edit applied to its payload."""
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
 # the words of the settings that the float32 models use directly
 IN_FLOAT32 = "at most 3.4028234663852886e+38, float32's largest finite value"
 
@@ -233,34 +238,44 @@ class TestStageCommands:
         for name in names:
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
-    def test_run_pipeline_reads_back_only_the_ranking(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        assert self.run(tmp_path, "simulate", out) == 0
-
-        panels_read = []
-        read_panel_csv = pipeline.read_panel_csv
+    def reads(self, tmp_path, monkeypatch, command, out) -> tuple:
+        """(the panel files that read_panel_csv reads, the files of out opened for
+        reading) in one run of command, which must succeed."""
+        panels_read, files_read = [], []
+        read_panel_csv, real_open = pipeline.read_panel_csv, builtins.open
 
         def recording_read_panel_csv(path, *args, **kwargs):
             panels_read.append(str(path))
             return read_panel_csv(path, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "read_panel_csv", recording_read_panel_csv)
-        files_read = []
-        real_open = builtins.open
 
         def recording_open(file, mode="r", *args, **kwargs):
             if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
                 files_read.append(os.path.abspath(file))
             return real_open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(builtins, "open", recording_open)
-        assert self.run(tmp_path, "run-pipeline", out) == 0
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "read_panel_csv", recording_read_panel_csv)
+            patch.setattr(builtins, "open", recording_open)
+            assert self.run(tmp_path, command, out) == 0, command
+        return panels_read, [path for path in files_read if os.path.dirname(path) == str(out)]
+
+    def test_run_pipeline_reads_back_only_the_ranking(self, tmp_path, monkeypatch):
+        out, staged = tmp_path / "out", tmp_path / "staged"
+        assert self.run(tmp_path, "simulate", out) == 0
+        panels_read, read_from_out = self.reads(tmp_path, monkeypatch, "run-pipeline", out)
         assert panels_read == [str(tmp_path / "data" / "metrics.csv")]
-        # evaluate scores ranking.json; localize reads neither adjacency.json nor
-        # attention.json
-        read_from_out = [path for path in files_read if os.path.dirname(path) == str(out)]
         assert read_from_out == [str(out / "ranking.json")]
+        # stage by stage, learn and localize start from the log panel, and
+        # evaluate scores ranking.json
+        for command, read in (
+            ("parse", []),
+            ("encode", []),
+            ("learn", ["log_panel.csv"]),
+            ("localize", ["log_panel.csv"]),
+            ("evaluate", ["ranking.json"]),
+        ):
+            _, read_from_out = self.reads(tmp_path, monkeypatch, command, staged)
+            assert read_from_out == [str(staged / name) for name in read], command
 
     # what the ingest stage writes, and what the encode stage writes
     ENCODE_ALONE = ["encoder_manifest.json", "log_panel.csv", "vocabulary.json", "windows.jsonl"]
@@ -372,78 +387,75 @@ class TestStageCommands:
         panel.write_text("\n".join(lines[:-4]) + "\n")
         self.assert_learn_rejects(tmp_path, out, capsys, "share n and T")
 
-    def test_localize_on_a_truncated_adjacency_file_is_a_validation_failure(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "out"
-        for command in ("simulate", "parse", "encode", "learn"):
-            assert self.run(tmp_path, command, out) == 0, command
-        adjacency = out / "adjacency.json"
-        text = adjacency.read_text()
-        adjacency.write_text(text[: len(text) // 2])
-        assert self.run(tmp_path, "localize", out) == 1
-        assert f"stage rca failed: {adjacency} is not valid JSON" in capsys.readouterr().err
-        assert not (out / "ranking.json").exists()
+    # what the learn stage writes, and what the localize stage writes
+    LOCALIZE_ALONE = ["adjacency.json", "attention.json", "fused_graph.json", "ranking.json"]
 
+    def test_localize_without_learn_writes_both_stages_files_with_run_pipelines_bytes(
+        self, tmp_path
+    ):
+        out, full = tmp_path / "out", tmp_path / "full"
+        assert self.run(tmp_path, "simulate", full) == 0
+        assert self.run(tmp_path, "run-pipeline", full) == 0
+        assert self.run(tmp_path, "encode", out) == 0
+        assert self.run(tmp_path, "localize", out) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            self.ENCODE_ALONE + self.LOCALIZE_ALONE
+        )
+        for name in self.LOCALIZE_ALONE:
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+    # every edit that localize rejected while it read these files
     @pytest.mark.parametrize(
-        "name,corrupt,named",
+        "name,corrupt",
         [
-            ("adjacency.json", lambda payload: [1, 2], "must be a JSON object; list [1, 2]"),
-            ("attention.json", lambda payload: [0.5], "must be a JSON object; list [0.5]"),
-            ("adjacency.json", lambda payload: {**payload, "node_names": 5},
-             "node_names must be a list; int 5"),
-            ("adjacency.json", lambda payload: {**payload, "node_names": ["svc-0", 1, 2, 3]},
-             "node name must be a string; int 1"),
-            ("attention.json", lambda payload: {**payload, "a_log": "0.5"},
-             "a_log must be a number; str '0.5'"),
-            ("attention.json", lambda payload: {**payload, "a_log": None},
-             "a_log must be a number; NoneType None"),
-            ("attention.json", lambda payload: without(payload, "a_metric"),
-             "is missing field 'a_metric'"),
-            ("adjacency.json", lambda payload: without(payload, "A_log"),
-             "is missing field 'A_log'"),
-            ("adjacency.json", lambda payload: {**payload, "A_log": with_entry(
-                payload["A_log"], None)}, "A_log must be a list of 4 lists of 4 finite numbers"),
-            ("adjacency.json", lambda payload: {**payload, "A_metric": with_entry(
-                payload["A_metric"], float("nan"))},
-             "A_metric must be a list of 4 lists of 4 finite numbers"),
-            ("adjacency.json", lambda payload: {**payload, "A_metric": with_entry(
-                payload["A_metric"], True)},
-             "A_metric must be a list of 4 lists of 4 finite numbers"),
-            ("adjacency.json", lambda payload: {**payload, "A_metric": payload["A_metric"][:3]},
-             "A_metric must be a list of 4 lists of 4 finite numbers"),
-            ("adjacency.json", lambda payload: {**payload, "A_log": [
-                row[:3] for row in payload["A_log"]]},
-             "A_log must be a list of 4 lists of 4 finite numbers"),
-            ("adjacency.json", lambda payload: {**payload, "A_log": 0.5},
-             "A_log must be a list of 4 lists of 4 finite numbers"),
-            # every learned adjacency is a sum of absolute lag weights
-            ("adjacency.json", lambda payload: {**payload, "A_log": with_entry(
-                payload["A_log"], -0.05)}, "A_log entries must be non-negative"),
-            ("adjacency.json", lambda payload: {**payload, "A_metric": with_entry(
-                payload["A_metric"], -5.0)}, "A_metric entries must be non-negative"),
-            ("adjacency.json", lambda payload: {**payload, "A_metric": with_entry(
-                payload["A_metric"], -1)}, "A_metric entries must be non-negative"),
+            ("adjacency.json", lambda text: text[: len(text) // 2]),
+            ("adjacency.json", edited_json(lambda payload: [1, 2])),
+            ("attention.json", edited_json(lambda payload: [0.5])),
+            ("adjacency.json", edited_json(lambda payload: {**payload, "node_names": 5})),
+            ("adjacency.json", edited_json(
+                lambda payload: {**payload, "node_names": ["svc-0", 1, 2, 3]})),
+            ("attention.json", edited_json(lambda payload: {**payload, "a_log": "0.5"})),
+            ("attention.json", edited_json(lambda payload: {**payload, "a_log": None})),
+            ("attention.json", edited_json(lambda payload: without(payload, "a_metric"))),
+            ("adjacency.json", edited_json(lambda payload: without(payload, "A_log"))),
+            ("adjacency.json", edited_json(
+                lambda payload: {**payload, "A_log": with_entry(payload["A_log"], None)})),
+            ("adjacency.json", edited_json(lambda payload: {
+                **payload, "A_metric": with_entry(payload["A_metric"], float("nan"))})),
+            ("adjacency.json", edited_json(
+                lambda payload: {**payload, "A_metric": with_entry(payload["A_metric"], True)})),
+            ("adjacency.json", edited_json(
+                lambda payload: {**payload, "A_metric": payload["A_metric"][:3]})),
+            ("adjacency.json", edited_json(
+                lambda payload: {**payload, "A_log": [row[:3] for row in payload["A_log"]]})),
+            ("adjacency.json", edited_json(lambda payload: {**payload, "A_log": 0.5})),
+            ("adjacency.json", edited_json(
+                lambda payload: {**payload, "A_log": with_entry(payload["A_log"], -0.05)})),
+            ("adjacency.json", edited_json(
+                lambda payload: {**payload, "A_metric": with_entry(payload["A_metric"], -5.0)})),
+            ("adjacency.json", edited_json(
+                lambda payload: {**payload, "A_metric": with_entry(payload["A_metric"], -1)})),
         ],
         ids=[
-            "adjacency-list", "attention-list", "node-names-int", "node-name-int",
-            "a-log-string", "a-log-null", "a-metric-missing", "A-log-missing", "A-log-null",
-            "A-metric-nan", "A-metric-bool", "A-metric-short", "A-log-ragged", "A-log-number",
-            "A-log-negative", "A-metric-negative", "A-metric-negative-int",
+            "adjacency-truncated", "adjacency-list", "attention-list", "node-names-int",
+            "node-name-int", "a-log-string", "a-log-null", "a-metric-missing", "A-log-missing",
+            "A-log-null", "A-metric-nan", "A-metric-bool", "A-metric-short", "A-log-ragged",
+            "A-log-number", "A-log-negative", "A-metric-negative", "A-metric-negative-int",
         ],
     )
-    def test_localize_rejects_a_malformed_input_and_writes_nothing(
-        self, tmp_path, capsys, name, corrupt, named
-    ):
-        out = tmp_path / "out"
-        for command in ("simulate", "parse", "encode", "learn"):
+    def test_localize_ignores_an_edited_learn_file_and_rewrites_it(self, tmp_path, name, corrupt):
+        out, full = tmp_path / "out", tmp_path / "full"
+        assert self.run(tmp_path, "simulate", full) == 0
+        assert self.run(tmp_path, "run-pipeline", full) == 0
+        for command in ("encode", "learn"):
             assert self.run(tmp_path, command, out) == 0, command
         path = out / name
-        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-        assert self.run(tmp_path, "localize", out) == 1
-        assert f"stage rca failed: {path} {named}" in capsys.readouterr().err
-        for written in ("fused_graph.json", "ranking.json"):
-            assert not (out / written).exists(), written
+        edited = corrupt(path.read_text())
+        assert edited != path.read_text()
+        path.write_text(edited)
+        assert self.run(tmp_path, "localize", out) == 0
+        for written in self.LOCALIZE_ALONE:
+            assert (out / written).read_bytes() == (full / written).read_bytes(), written
 
     @pytest.mark.parametrize(
         "name,corrupt,named",
@@ -494,12 +506,10 @@ class TestStageCommands:
             (lambda truth: without(truth, "horizon_T"), "is missing field 'horizon_T'"),
             (lambda truth: {**truth, "horizon_T": 40.0}, "horizon_T must be an int; float 40.0"),
             (lambda truth: {**truth, "horizon_T": 0}, "horizon_T must be >= 1; 0 is not"),
-            (lambda truth: {**truth, "seed": None}, "seed must be an int; NoneType None"),
-            (lambda truth: without(truth, "seed"), "is missing field 'seed'"),
         ],
         ids=["list", "n-entities-string", "n-entities-zero", "names-missing", "names-string",
              "name-int", "names-short", "names-repeated", "horizon-missing", "horizon-float",
-             "horizon-zero", "seed-null", "seed-missing"],
+             "horizon-zero"],
     )
     def test_each_stage_that_reads_a_bad_ground_truth_rejects_it_and_writes_nothing(
         self, tmp_path, capsys, corrupt, named
@@ -513,8 +523,8 @@ class TestStageCommands:
         # each stage runs with its inputs in place and its outputs removed; encode
         # runs the ingest stage first, so it writes neither ingest's files nor its own
         for command, stage, written in (
-            ("encode", "log_encoder", ("encoder_manifest.json", "log_panel.csv",
-                                       "vocabulary.json", "windows.jsonl")),
+            ("encode", "log_ingest", ("encoder_manifest.json", "log_panel.csv",
+                                      "vocabulary.json", "windows.jsonl")),
             ("parse", "log_ingest", ("vocabulary.json", "windows.jsonl")),
         ):
             for name in written:
@@ -524,17 +534,23 @@ class TestStageCommands:
             for name in written:
                 assert not (out / name).exists(), (command, name)
 
-    def test_run_pipeline_rejects_a_null_seed_in_the_ground_truth_before_any_artifact(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "out"
-        assert self.run(tmp_path, "simulate", out) == 0
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda truth: {**truth, "seed": None}, lambda truth: without(truth, "seed")],
+        ids=["seed-null", "seed-missing"],
+    )
+    def test_run_pipeline_reads_no_seed_from_the_ground_truth(self, tmp_path, corrupt):
+        out, full = tmp_path / "out", tmp_path / "full"
+        assert self.run(tmp_path, "simulate", full) == 0
+        assert self.run(tmp_path, "run-pipeline", full) == 0
         truth = tmp_path / "data" / "ground_truth.json"
-        truth.write_text(json.dumps({**json.loads(truth.read_text()), "seed": None}))
-        assert self.run(tmp_path, "run-pipeline", out) == 1
-        named = f"{truth} seed must be an int; NoneType None is not supported"
-        assert f"stage log_ingest failed: {named}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        truth.write_text(json.dumps(corrupt(json.loads(truth.read_text()))))
+        assert self.run(tmp_path, "run-pipeline", out) == 0
+        names = sorted(path.name for path in full.iterdir())
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            if name != "manifest.json":  # it holds the stage timings
+                assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_the_simulator_writes_the_metric_kind_that_the_pipeline_reads(self, tmp_path):
         out = tmp_path / "out"
@@ -640,7 +656,7 @@ class TestStageCommands:
         assert list(out.iterdir()) == []
         # the encode command, which runs the ingest stage itself, also fails first
         assert self.run(tmp_path, "encode", out, **settings) == 1
-        assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
+        assert f"stage log_ingest failed: {named}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -635,9 +635,8 @@ class TestArtifacts:
         config = copy.deepcopy(config)
         config["paths"]["out_dir"] = str(tmp_path)
         config["rca"]["max_iter"] = 1
-        for name in ("adjacency.json", "attention.json"):
-            (tmp_path / name).write_bytes((out / name).read_bytes())
-        pipeline.stage_localize(config)
+        (tmp_path / "log_panel.csv").write_bytes((out / "log_panel.csv").read_bytes())
+        pipeline.run_stages(config, "causal_learner", "rca")
         ranking = payload(tmp_path / "ranking.json")
         assert (ranking["converged"], ranking["iterations"]) == (False, 1)
         assert [entry["rank"] for entry in ranking["ranking"]] == [1, 2, 3]

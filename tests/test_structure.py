@@ -349,6 +349,12 @@ class TestFit:
                            "at epoch 0$"):
             fit(random_panel(), LearnerConfig(p=2, epochs=5, lr=3e38))
 
+    def test_an_overflowing_objective_raises_naming_the_epoch_without_a_warning(self):
+        # weights of about 1e30 are finite, but their squares in expm and the
+        # squared error are not; a RuntimeWarning fails this test
+        with pytest.raises(FloatingPointError, match="^objective became non-finite at epoch 1$"):
+            fit(random_panel(n_entities=3, t_len=40), LearnerConfig(p=1, epochs=5, lr=1e30))
+
     def test_a_panel_shorter_than_twice_the_lag_order_rejected(self):
         with pytest.raises(ValueError, match="at least twice the lag order"):
             fit(random_panel(t_len=5), LearnerConfig(p=3, epochs=1))
