@@ -83,7 +83,7 @@ class EncoderConfig:
 
 
 def freq_bucket(frequency, n_buckets: int):
-    """Log2 quantization of an int or an int array; bucket 0 is reserved for the
+    """Log2 quantization of a positive int or int array; bucket 0 is reserved for the
     empty-window marker.
 
     Bucket b >= 1 holds the frequencies in [2**(b-1), 2**b), so a frequency's
@@ -91,8 +91,6 @@ def freq_bucket(frequency, n_buckets: int):
     2**0 .. 2**(n_buckets - 2) that it reaches, exact for every int64.
     """
     frequency = np.asarray(frequency, dtype=np.int64)
-    if np.any(frequency < 1):
-        raise ValueError("frequencies must be positive")
     powers = 2 ** np.arange(min(n_buckets - 1, 63), dtype=np.int64)
     return np.searchsorted(powers, frequency, side="right")
 
@@ -103,14 +101,7 @@ def n_tokens(vocab_size: int, config: EncoderConfig) -> int:
     return N_RESERVED + config.freq_buckets + vocab_size
 
 
-def _check_template_ids(templates: np.ndarray, vocab_size: int) -> None:
-    """ValueError naming the first template id outside [0, vocab_size)."""
-    outside = (templates < 0) | (templates >= vocab_size)
-    if outside.any():
-        raise ValueError(f"template id {templates[outside][0]} outside the vocabulary")
-
-
-def tokenize(windows: WindowTable, vocab_size: int, config: EncoderConfig):
+def tokenize(windows: WindowTable, config: EncoderConfig):
     """The token sequence of every cell of the table, as one flat table.
 
     Returns (tokens, offsets, truncated): cell c's sequence is the int64 ids
@@ -118,11 +109,11 @@ def tokenize(windows: WindowTable, vocab_size: int, config: EncoderConfig):
     cut. A cell's sequence is [CLS] and then, per template in the cell's
     order, the template token and its frequency's bucket token. A cell
     without events counts as one pair: the empty token and bucket 0. Pairs
-    past (max_len - 1) // 2 are cut. A template id outside the vocabulary
-    raises ValueError naming the first one, whether cut or not.
+    past (max_len - 1) // 2 are cut. A template's token is its id past the
+    reserved and bucket tokens; window_sequences keeps every id within the
+    vocabulary, so every token is below n_tokens.
     """
     templates, offsets = windows.templates, windows.offsets
-    _check_template_ids(templates, vocab_size)
     buckets = freq_bucket(windows.frequencies, config.freq_buckets)
     lengths = np.diff(offsets)
     pairs = np.maximum(lengths, 1)
@@ -377,10 +368,6 @@ def train_log_encoder(
     the returned encoder's parameters are float32.
     """
     labels = np.asarray(labels, dtype=float)
-    if not len(labels):
-        raise ValueError("no windows to train on")
-    if len(labels) != len(groups.rows) or np.any(labels[groups.first][groups.rows] != labels):
-        raise ValueError("the groups must hold the windows' (token sequence, label) rows")
     row_labels = labels[groups.first]
     encoder = LogSequenceEncoder(config, vocab_size)
     weights = groups.counts.astype(float)
@@ -437,15 +424,13 @@ def log_series(
     0.5 (see the module docstring). Returns the panel and the training record
     that encoder_manifest.json holds: epochs_run and final_loss (0 and None
     without an encoder) and, when an encoder trained, diagnostics, which count
-    the truncated windows and the distinct (token sequence, label) rows. A
-    template id outside the vocabulary raises ValueError either way.
+    the truncated windows and the distinct (token sequence, label) rows.
     """
     if len(set(windows.labels.tolist())) <= 1:
-        _check_template_ids(windows.templates, vocab_size)
         scores = np.full(windows.n_cells, 0.5)
         training = {"epochs_run": 0, "final_loss": None}
         return reduce_to_series(scores, windows, kpi, entity_names), training
-    tokens, offsets, truncated = tokenize(windows, vocab_size, config)
+    tokens, offsets, truncated = tokenize(windows, config)
     groups = group_sequences(tokens, offsets, windows.labels)
     encoder = train_log_encoder(groups, windows.labels, config, vocab_size)
     scores = encoder.score(embed_windows(encoder, groups))
@@ -469,13 +454,12 @@ def reduce_to_series(
     """Place one anomaly score per (entity, window) cell and assemble the log panel.
 
     scores holds one score per cell of the windows' entity-major grid, which
-    must be one row per entity name by one column per KPI value. The KPI
-    series becomes the last panel row.
+    must be one row per entity name by one column per KPI value, else
+    ValueError: a metrics.csv shorter than the incident reaches this check.
+    The KPI series becomes the last panel row.
     """
     scores = np.asarray(scores, dtype=float)
     kpi = np.asarray(kpi, dtype=float)
-    if scores.shape != (windows.n_cells,):
-        raise ValueError(f"{len(scores)} scores do not align with the {windows.n_cells} windows")
     if (windows.n_entities, windows.n_windows) != (len(entity_names), len(kpi)):
         raise ValueError(
             f"the windows cover {windows.n_entities} entities x {windows.n_windows} windows, "

@@ -99,10 +99,10 @@ class WindowTable:
     c // n_windows. Its unique templates, in first-appearance order, are
     templates[offsets[c]:offsets[c + 1]], their in-window counts sit at the
     same positions of frequencies, and labels[c] is its label. A cell with no
-    events holds no entry: offsets[c] == offsets[c + 1]. Construction
-    checks every cell: unique templates, frequencies aligned with them and
-    positive, and a label in [0, 1]; a failure names the lowest offending cell
-    and, of its failed checks, the first in that order.
+    events holds no entry: offsets[c] == offsets[c + 1]. window_sequences
+    and label_windows build the only tables: each cell's templates are unique,
+    its frequencies positive and its label in [0, 1]. Construction only casts
+    the arrays to their dtypes and checks nothing.
     """
 
     n_entities: int
@@ -117,35 +117,6 @@ class WindowTable:
         self.templates = np.asarray(self.templates, dtype=np.int64)
         self.frequencies = np.asarray(self.frequencies, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=float)
-        n_cells, n_entries = self.n_cells, len(self.templates)
-        offsets = self.offsets
-        if (
-            offsets.shape != (n_cells + 1,)
-            or offsets[0] != 0
-            or offsets[-1] != n_entries
-            or np.any(offsets[1:] < offsets[:-1])
-        ):
-            raise ValueError(f"window offsets must rise from 0 to {n_entries} over {n_cells} cells")
-        if len(self.frequencies) != n_entries:
-            raise ValueError("frequencies must align with templates")
-        if self.labels.shape != (n_cells,):
-            raise ValueError(f"labels must hold one value for each of the {n_cells} cells")
-        cells = np.repeat(np.arange(n_cells), np.diff(offsets))
-        order = np.lexsort((self.templates, cells))
-        by_cell, by_template = cells[order], self.templates[order]
-        repeated = (by_cell[1:] == by_cell[:-1]) & (by_template[1:] == by_template[:-1])
-        # a row per cell and a column per check, in the order a cell is checked
-        bad = np.zeros((n_cells, 3), dtype=bool)
-        bad[by_cell[1:][repeated], 0] = True
-        bad[cells[self.frequencies < 1], 1] = True
-        bad[:, 2] = ~((self.labels >= 0.0) & (self.labels <= 1.0))
-        if bad.any():
-            cell, check = divmod(int(np.argmax(bad)), 3)
-            message = ("window templates must be unique", "frequencies must be positive",
-                       "label must lie in [0, 1]")[check]
-            where = f"entity {cell // self.n_windows}, window {cell % self.n_windows}"
-            label = f" has {self.labels[cell].item()!r}" if check == 2 else ""
-            raise ValueError(f"{message}: {where}{label}")
 
     @property
     def n_cells(self) -> int:
@@ -263,8 +234,6 @@ def window_sequences(
     event in ts order whose template is not in the vocabulary, or whose
     entity or window falls outside the grid, raises ValueError.
     """
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
     events = np.asarray(events, dtype=np.int64).reshape(-1, 3)
     ts, entity, template = events[np.argsort(events[:, 0], kind="stable")].T
     window = ts // window_size

@@ -1,7 +1,9 @@
 """Ranking metrics for root-cause localization: PR@K, MAP@K, MRR.
 
 A case pairs one ordered prediction list with the set of true root causes.
-Predictions shorter than K are treated as padded with misses.
+Predictions shorter than K are treated as padded with misses. Each metric
+takes a non-empty list of cases and K >= 1: the evaluate stage passes its one
+case and pipeline.K_VALUES.
 """
 
 from __future__ import annotations
@@ -36,19 +38,11 @@ def _case_precision_at(case: EvaluationCase, k: int) -> float:
 
 def precision_at_k(cases: list[EvaluationCase], k: int) -> float:
     """Mean over cases of (#hits in the first K) / min(K, #true causes)."""
-    if k < 1:
-        raise ValueError("K must be >= 1")
-    if not cases:
-        raise ValueError("no evaluation cases given")
     return float(np.mean([_case_precision_at(c, k) for c in cases]))
 
 
 def map_at_k(cases: list[EvaluationCase], k: int) -> float:
     """Mean over j=1..K of the per-case prefix precision, averaged over cases."""
-    if k < 1:
-        raise ValueError("K must be >= 1")
-    if not cases:
-        raise ValueError("no evaluation cases given")
     per_case = [
         np.mean([_case_precision_at(c, j) for j in range(1, k + 1)]) for c in cases
     ]
@@ -57,8 +51,6 @@ def map_at_k(cases: list[EvaluationCase], k: int) -> float:
 
 def mrr(cases: list[EvaluationCase]) -> float:
     """Mean reciprocal rank of the first correct prediction; a full miss counts 0."""
-    if not cases:
-        raise ValueError("no evaluation cases given")
     total = 0.0
     for case in cases:
         for rank, p in enumerate(case.predicted, start=1):

@@ -66,10 +66,8 @@ def aggregate_windows(panel: ModalityPanel, window_size: int) -> ModalityPanel:
 
     With window_size=1 each window is one step, so the values come back
     unchanged; larger windows align a timestep-resolution panel with
-    window-resolution log series.
+    window-resolution log series. window_size must be at least 1.
     """
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
     n, t = panel.values.shape
     full = t // window_size
     out = np.empty((n, -(-t // window_size)))

@@ -22,14 +22,13 @@ checked readers that name a bad field: ground_truth.json's, beside its
 writer in simulate (read_ground_truth), and ranking.json's, in metrics
 (case_from_files).
 
-Every stage runs through run_stage, which sets each OpenBLAS library that
-numpy bundles to one thread for the stage and restores the previous
-counts afterwards. This is a fixed policy, not an option, for two reasons.
-The matrices are small (n x n adjacencies and (p n) x n lag weights with
-n <= 41, an encoder of width d_model), so a second thread costs more than
-it saves. And a product split across threads sums in another order, so with
-the library default the artifacts of the same seed changed with the
-machine's core count.
+run_stages runs every stage with each OpenBLAS library that numpy bundles
+set to one thread, and restores the previous counts afterwards. This is a
+fixed policy, not an option, for two reasons. The matrices are small (n x n
+adjacencies and (p n) x n lag weights with n <= 41, an encoder of width
+d_model), so a second thread costs more than it saves. And a product split
+across threads sums in another order, so with the library default the
+artifacts of the same seed changed with the machine's core count.
 
 Precision is also a fixed policy: the two trained models, the log encoder
 (encoder.train_log_encoder) and the structure learner (structure.fit), train
@@ -69,9 +68,22 @@ localize fits them again rather than read adjacency.json and attention.json.
 No stage reads vocabulary.json, windows.jsonl, encoder_manifest.json,
 attention.json, adjacency.json or fused_graph.json back: they are reports.
 
-load_config and run_pipeline check each of the 29 settable values against its
-one row of _SETTINGS; the config classes of the two models only hold values,
-and the stages check only what depends on the incident and the files they read.
+Every outside input is checked once, where it enters, and a value that the
+program computed from checked input is not checked again. load_config and
+run_pipeline check each of the 29 settable values against its one row of
+_SETTINGS; the config classes of the two models only hold values. The
+readers check the files: read_ground_truth, logs.read_logs_jsonl and
+logs.parse_templates, panel.read_panel_csv, metrics.case_from_files. The
+stages check only what ties the inputs together: the lags against the
+incident's horizon (ingest), the log events against the grid
+(logs.window_sequences), the metric panel's names and length against the
+logs (encode), and, when learn starts a slice, its two panels against each
+other and against the lags. The models take what these checks let through
+and do not check their arguments again; a caller that builds its own
+arguments must keep to what their docstrings state. Only arithmetic that
+overflows on finite input is still caught where it happens: the two models'
+divergence checks, and the attention's check that the correlation scores are
+finite.
 """
 
 from __future__ import annotations
@@ -141,11 +153,11 @@ DEFAULT_CONFIG: dict = {
 
 
 class StageError(Exception):
-    """Wraps a stage failure with the stage name for error routing."""
+    """A stage failure: the message names the stage, and cause is the exception
+    that the command's exit code is chosen by."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage} failed: {cause}")
-        self.stage = stage
         self.cause = cause
 
 
@@ -164,8 +176,8 @@ def load_config(
     pipeline; the learner draws nothing. Every value is then checked against
     its row of _SETTINGS (_check_config), so a bad value fails here, before
     any stage runs or any directory is made; the messages start with the
-    value's dotted key. Only learner.p's fit to the incident's horizon waits
-    for the incident (_check_lags_fit).
+    value's dotted key. Only learner.p's fit to the panel length waits for
+    the incident or the panels (_check_lags_fit).
     """
     environ = os.environ if environ is None else environ
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -309,23 +321,21 @@ def _read_metric_panel(config: dict) -> ModalityPanel:
     return aggregate_windows(native, config["window_size"])
 
 
-def _check_lags_fit(config: dict, truth: dict) -> int:
-    """The incident's window count; ValueError if the lags need more windows than that.
+def _check_lags_fit(config: dict, n_windows: int, source: str) -> None:
+    """ValueError if learner.p's lags need more than the n_windows windows of source.
 
-    The panel must be at least twice learner.p long, which also keeps the
-    attention's lags 0..p below its length. This depends on the incident's
-    horizon, so load_config cannot check it; the ingest stage checks it
-    before it writes anything.
+    A panel must be at least twice learner.p long, which also keeps the
+    attention's lags 0..p below its length. This depends on the incident, so
+    load_config cannot check it. A slice checks it where its panels' length is
+    first known, before it writes anything: ingest from the incident's
+    horizon, learn from log_panel.csv.
     """
-    n_windows = -(-truth["horizon_T"] // config["window_size"])
     p = config["learner"]["p"]
     if n_windows < 2 * p:
         raise ValueError(
             f"learner.p {p} needs at least {2 * p} windows, more than the {n_windows} "
-            f"windows of the incident (horizon_T {truth['horizon_T']}, "
-            f"window_size {config['window_size']})"
+            f"windows of {source}"
         )
-    return n_windows
 
 
 # --- stages ------------------------------------------------------------------------
@@ -345,7 +355,11 @@ def stage_ingest(config: dict) -> tuple:
     """
     paths = _paths(config)
     truth = read_ground_truth(paths["ground_truth"])
-    n_windows = _check_lags_fit(config, truth)
+    n_windows = -(-truth["horizon_T"] // config["window_size"])
+    incident = (
+        f"the incident (horizon_T {truth['horizon_T']}, window_size {config['window_size']})"
+    )
+    _check_lags_fit(config, n_windows, incident)
     # read_logs_jsonl decodes a block of lines at a time and parse_templates keeps
     # only each block's events, so the record dicts of the whole file are never
     # alive at once: they would otherwise set the run's peak memory
@@ -370,8 +384,8 @@ def stage_encode(config: dict, handed: tuple) -> tuple:
     paths = _paths(config)
     vocabulary, windows, entity_names = handed
     metric_panel = _read_metric_panel(config)
-    # stage_learn checks this too, since learn can run alone; checking here
-    # fails the run before the encoder trains or encode writes anything
+    # stage_learn checks this again when it starts a slice from log_panel.csv;
+    # checking here fails the run before the encoder trains or encode writes anything
     if metric_panel.entity_names != entity_names:
         raise ValueError(
             "metric and log panels must list the same nodes in the same order: the "
@@ -396,28 +410,29 @@ def stage_learn(config: dict, handed=None) -> tuple:
     Returns ((A_log, A_metric, node_names), (a_log, a_metric)), the two
     learned adjacencies with their node names and the attention weights.
 
-    handed is encode's (metric_panel, log_panel); None, when learn starts a
-    slice, builds them from metrics.csv and log_panel.csv. Row i of each
-    panel must be the same entity, so the panels must name the same nodes in
-    the same order and share n and T; this is checked before anything is
-    written.
+    handed is encode's (metric_panel, log_panel), which encode built on one
+    grid: row i of each is the same entity, and the panels are at least twice
+    learner.p steps long. None, when learn starts a slice, builds them from
+    metrics.csv and log_panel.csv, which are checked for the same before
+    anything is written.
     """
     paths = _paths(config)
     if handed is None:
         metric_panel = _read_metric_panel(config)
         log_panel = read_panel_csv(paths["log_panel"], metric_name="log_score")
+        if metric_panel.node_names != log_panel.node_names:
+            raise ValueError(
+                "metric and log panels must list the same nodes in the same order: "
+                f"{metric_panel.node_names} != {log_panel.node_names}"
+            )
+        if metric_panel.values.shape != log_panel.values.shape:
+            raise ValueError(
+                "metric and log panels must share n and T: the metric panel is "
+                f"{metric_panel.values.shape}, the log panel {log_panel.values.shape}"
+            )
+        _check_lags_fit(config, log_panel.n_timesteps, paths["log_panel"])
     else:
         metric_panel, log_panel = handed
-    if metric_panel.node_names != log_panel.node_names:
-        raise ValueError(
-            "metric and log panels must list the same nodes in the same order: "
-            f"{metric_panel.node_names} != {log_panel.node_names}"
-        )
-    if metric_panel.values.shape != log_panel.values.shape:
-        raise ValueError(
-            "metric and log panels must share n and T: the metric panel is "
-            f"{metric_panel.values.shape}, the log panel {log_panel.values.shape}"
-        )
 
     # the attention scans the learner's lags 0..p
     max_lag = config["learner"]["p"]
@@ -464,7 +479,7 @@ def stage_localize(config: dict, handed: tuple) -> None:
     # fuse reads the learner's float32 adjacencies in float64, which gives the
     # values adjacency.json holds
     (a_log, a_metric, node_names), weights = handed
-    fused = fusion_mod.fuse(a_log, a_metric, weights, node_names)
+    fused = fusion_mod.fuse(a_log, a_metric, weights)
     write_json(paths["fused_graph"], {
         "a_log": weights[0],
         "a_metric": weights[1],
@@ -567,36 +582,27 @@ def _one_blas_thread():
             set_(count)
 
 
-def run_stage(name: str, config: dict, handed=None):
-    """Run the stage called name in PIPELINE_STAGES on one BLAS thread; return its result.
-
-    handed is the previous stage's result. A stage that takes nothing from its
-    predecessor (ingest, evaluate) or starts a slice (learn, from
-    log_panel.csv) is called without it. The stage is looked up at call time.
-    Any failure is raised as StageError.
-    """
-    stage = dict(PIPELINE_STAGES)[name]
-    try:
-        with _one_blas_thread():
-            return stage(config) if handed is None else stage(config, handed)
-    except Exception as exc:
-        raise StageError(name, exc) from exc
-
-
 def run_stages(config: dict, first: str, last: str) -> tuple:
     """Run the stages of PIPELINE_STAGES from first through last; return (the last
     stage's result, a {"name", "seconds"} timing per stage).
 
-    This one loop serves every command (see the module docstring). Each stage's
-    result goes straight to the next through run_stage, so a slice reads from
-    disk only what its first stage reads. The table is looked up at call time.
+    This one loop serves every command (see the module docstring). Each stage
+    runs on one BLAS thread and is handed the previous stage's result, if that
+    stage returned one, so a slice reads from disk only what its first stage
+    reads. The table is looked up at call time. Any failure of a stage is
+    raised as StageError.
     """
-    names = [name for name, _ in PIPELINE_STAGES]
+    stages = PIPELINE_STAGES
+    names = [name for name, _ in stages]
     os.makedirs(config["paths"]["out_dir"], exist_ok=True)
     handed, timings = None, []
-    for name in names[names.index(first) : names.index(last) + 1]:
+    for name, stage in stages[names.index(first) : names.index(last) + 1]:
         start = time.perf_counter()
-        handed = run_stage(name, config, handed)
+        try:
+            with _one_blas_thread():
+                handed = stage(config) if handed is None else stage(config, handed)
+        except Exception as exc:
+            raise StageError(name, exc) from exc
         timings.append({"name": name, "seconds": time.perf_counter() - start})
     return handed, timings
 

@@ -121,11 +121,10 @@ def acyclicity(adjacency: np.ndarray):
     """Trace-exponential penalty h, zero exactly when the weighted graph is acyclic.
 
     Returns (h, expm(A * A)): h a float, the exponential in the adjacency's
-    dtype; the gradient 2 A * expm(A * A)^T reuses the exponential.
+    dtype; the gradient 2 A * expm(A * A)^T reuses the exponential. fit
+    raises before a non-finite adjacency reaches it.
     """
     a = np.asarray(adjacency)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("adjacency entries must be finite")
     e = expm(a * a)
     return float(np.trace(e) - a.shape[0]), e
 
@@ -171,11 +170,11 @@ def fit(panel: ModalityPanel, config: LearnerConfig) -> ModalityFit:
     """Full-batch Adam on one panel's objective from W = 0; deterministic.
 
     Rows are z-scored so no scale dominates the squared error; a constant row
-    z-scores to 0. A run that diverges raises FloatingPointError naming the
-    epoch: its objective, or the adjacency its step leaves, is not finite.
+    z-scores to 0. The panel must be longer than config.p steps; the pipeline
+    keeps it at least twice as long. A run that diverges raises
+    FloatingPointError naming the epoch: its objective, or the adjacency its
+    step leaves, is not finite.
     """
-    if panel.n_timesteps < 2 * config.p:
-        raise ValueError("panel length must be at least twice the lag order")
     mean = panel.values.mean(axis=-1)
     std = panel.values.std(axis=-1)
     std = np.where(std > 0, std, 1.0)

@@ -387,6 +387,18 @@ class TestStageCommands:
         panel.write_text("\n".join(lines[:-4]) + "\n")
         self.assert_learn_rejects(tmp_path, out, capsys, "share n and T")
 
+    def test_learn_rejects_panels_shorter_than_twice_the_lag_order(self, tmp_path, capsys):
+        # encode at lag order 2 writes panels of 5 steps, too short for learn at 3
+        out = tmp_path / "out"
+        short = {"scenario": {"n_entities": 3, "horizon_T": 5}}
+        for command in ("simulate", "parse", "encode"):
+            assert self.run(tmp_path, command, out, **short, learner={"p": 2}) == 0, command
+        assert self.run(tmp_path, "learn", out, **short, learner={"p": 3}) == 1
+        named = f"learner.p 3 needs at least 6 windows, more than the 5 windows of {out}"
+        assert f"stage causal_learner failed: {named}" in capsys.readouterr().err
+        for name in ("attention.json", "adjacency.json"):
+            assert not (out / name).exists(), name
+
     # what the learn stage writes, and what the localize stage writes
     LOCALIZE_ALONE = ["adjacency.json", "attention.json", "fused_graph.json", "ranking.json"]
 
@@ -618,6 +630,28 @@ class TestStageCommands:
         named = f"{metrics} has value 'abc' for entity 'svc-1' at timestamp 0, which is not a number"
         assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
 
+    # outside the tests numpy's overflow warnings are not errors: the run must still
+    # stop at the attention, before it writes anything
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_metric_values_near_the_float64_limit_are_a_validation_failure(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        # finite values that overflow the correlation of svc-0 with the KPI
+        metrics = tmp_path / "data" / "metrics.csv"
+        header, *rows = metrics.read_text().splitlines()
+        for i, row in enumerate(rows):
+            t, entity, name, value = row.split(",")
+            if entity in ("svc-0", "kpi"):
+                rows[i] = f"{t},{entity},{name},{float(value) * 1e300!r}"
+        metrics.write_text("\n".join([header, *rows]) + "\n")
+        assert self.run(tmp_path, "run-pipeline", out) == 1
+        named = "stage causal_learner failed: modality scores must be finite"
+        assert named in capsys.readouterr().err
+        for name in ("attention.json", "adjacency.json", "ranking.json"):
+            assert not (out / name).exists(), name
+
     def test_a_log_message_that_is_not_a_string_is_a_validation_failure(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert self.run(tmp_path, "simulate", out) == 0
@@ -638,6 +672,40 @@ class TestStageCommands:
         logs.write_text("\n".join(lines) + "\n")
         assert self.run(tmp_path, "run-pipeline", out) == 1
         assert f"stage log_ingest failed: {logs} line 5 is not valid JSON" in capsys.readouterr().err
+
+    # window_sequences is the only check of a record's place on the grid: the
+    # window table, the tokenizer and the encoder do not check it again
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("entity", 3, "entity index 3 out of range"),
+            ("ts", 40, "log event of entity 0 at ts 40 falls outside the grid of 40 windows"),
+        ],
+    )
+    def test_a_log_record_outside_the_grid_is_a_validation_failure(
+        self, tmp_path, capsys, field, value, named
+    ):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        logs = tmp_path / "data" / "logs.jsonl"
+        lines = logs.read_text().splitlines()
+        lines[1] = json.dumps(dict(json.loads(lines[1]), **{field: value}))
+        logs.write_text("\n".join(lines) + "\n")
+        assert self.run(tmp_path, "parse", out) == 1
+        assert f"stage log_ingest failed: {named}" in capsys.readouterr().err
+        assert not (out / "windows.jsonl").exists()
+
+    def test_a_metrics_file_one_timestamp_short_is_a_validation_failure(self, tmp_path, capsys):
+        # reduce_to_series is the only check that the log grid and the KPI agree
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        metrics = tmp_path / "data" / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        metrics.write_text("\n".join(line for line in lines if not line.startswith("39,")) + "\n")
+        assert self.run(tmp_path, "run-pipeline", out) == 1
+        named = "the windows cover 3 entities x 40 windows, not the 3 entities x 39 KPI steps"
+        assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
+        assert not (out / "log_panel.csv").exists()
 
     @pytest.mark.parametrize(
         "settings,named",

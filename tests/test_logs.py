@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mmrca import logs
-from mmrca.encoder import CLS_TOKEN, EMPTY_TOKEN, N_RESERVED, EncoderConfig, tokenize
+from mmrca.encoder import CLS_TOKEN, EMPTY_TOKEN, N_RESERVED, EncoderConfig, n_tokens, tokenize
 from mmrca.logs import (
     DEFAULT_GOLDEN_SIGNALS,
     WindowTable,
@@ -525,7 +525,7 @@ class TestWindowSequences:
             '{"entity": 0, "frequencies": [], "label": 0.0, "templates": [], "window_index": 1}'
         )
         # the tokenizer alone stands in the empty token for the missing template
-        tokens, offsets, _ = tokenize(windows, len(vocab), EncoderConfig())
+        tokens, offsets, _ = tokenize(windows, EncoderConfig())
         assert tokens[offsets[1]:offsets[2]].tolist() == [CLS_TOKEN, EMPTY_TOKEN, N_RESERVED]
 
     @pytest.mark.parametrize("template_id", [1, 99, -2])
@@ -601,42 +601,32 @@ class TestLabelAnomaly:
         assert all(not any(ch.isdigit() for ch in s) for s in DEFAULT_GOLDEN_SIGNALS)
 
 
-class TestWindowValidation:
-    def test_duplicate_templates_rejected(self):
-        with pytest.raises(ValueError, match="window templates must be unique: entity 0, window 1"):
-            table_of([([1], [1]), ([1, 1], [1, 1])])
+class TestBuiltTables:
+    """WindowTable checks nothing: window_sequences and label_windows, its only
+    builders, must hand every later stage a well-formed table."""
 
-    def test_misaligned_frequencies_rejected(self):
-        with pytest.raises(ValueError, match="frequencies must align with templates"):
-            WindowTable(1, 1, [0, 1], [1], [1, 2], [0.0])
-
-    def test_positive_frequencies_enforced(self):
-        with pytest.raises(ValueError, match="frequencies must be positive: entity 1, window 0"):
-            table_of([([1], [1]), ([2], [0])], n_entities=2)
-
-    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
-    def test_label_range_enforced(self, value):
-        with pytest.raises(ValueError, match=r"label must lie in \[0, 1\]: entity 0, window 0"):
-            table_of([([1], [1], value)])
-
-    @pytest.mark.parametrize(
-        "windows,named",
-        [
-            # the lowest bad cell, though a later cell fails an earlier check
-            ([([1], [1], 1.5), ([1, 1], [1, 1])], r"label must lie in \[0, 1\]: entity 0, window 0"),
-            ([([1], [0]), ([1, 1], [1, 1])], "frequencies must be positive: entity 0, window 0"),
-            # within one cell: templates, then frequencies, then the label
-            ([([1], [1]), ([1, 1], [0, 1], 1.5)], "templates must be unique: entity 0, window 1"),
-            ([([1], [1]), ([1], [0], 1.5)], "frequencies must be positive: entity 0, window 1"),
-        ],
-    )
-    def test_the_lowest_bad_cell_is_named_with_its_first_failed_check(self, windows, named):
-        with pytest.raises(ValueError, match=named):
-            table_of(windows)
-
-    def test_offsets_must_cover_the_grid(self):
-        with pytest.raises(ValueError, match="window offsets"):
-            WindowTable(1, 2, [0, 1], [1], [1], [0.0, 0.0])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_cell_is_well_formed(self, seed):
+        raw, window_size, n_entities, n_windows = random_incident(seed)
+        vocab, events = parse_templates(raw)
+        table = label_windows(
+            window_sequences(events, vocab, window_size, n_entities, n_windows), vocab
+        )
+        n_cells = n_entities * n_windows
+        assert table.n_cells == n_cells
+        assert table.offsets.shape == (n_cells + 1,) and table.offsets[0] == 0
+        assert table.offsets[-1] == len(table.templates) == len(table.frequencies)
+        assert np.all(np.diff(table.offsets) >= 0)
+        assert np.all((table.templates >= 0) & (table.templates < len(vocab)))
+        for templates, frequencies in cells(table):
+            assert len(set(templates)) == len(templates)
+            assert all(f >= 1 for f in frequencies)
+        assert table.labels.shape == (n_cells,)
+        assert np.all((table.labels >= 0.0) & (table.labels <= 1.0))
+        # so every token of the tokenizer, which checks no id, is in the vocabulary
+        config = EncoderConfig()
+        tokens, _, _ = tokenize(table, config)
+        assert np.all((tokens >= 0) & (tokens < n_tokens(len(vocab), config)))
 
     def test_templates_may_repeat_across_cells(self):
         assert cells(table_of([([1, 2], [1, 1]), ([2, 1], [3, 1])])) == [

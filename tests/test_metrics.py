@@ -53,14 +53,6 @@ class TestPrecisionAtK:
         b = case(["a", "b", "x", "y"], {"a"})
         assert precision_at_k([a], 2) == precision_at_k([b], 2)
 
-    def test_empty_cases_error(self):
-        with pytest.raises(ValueError):
-            precision_at_k([], 1)
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            precision_at_k([case(["a"], {"a"})], 0)
-
 
 class TestMapAtK:
     def test_hit_stays_counted(self):

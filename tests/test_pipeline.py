@@ -281,10 +281,6 @@ class TestAggregateWindows:
         assert aggregate_windows(panel, 2).values.tolist() == [[1.5, 3.5, 6.0], [0.0, 0.0, 1.0]]
         assert aggregate_windows(panel, 9).values.tolist() == [[3.2], [0.2]]
 
-    def test_a_window_below_one_step_is_rejected(self):
-        with pytest.raises(ValueError, match="window_size must be >= 1"):
-            aggregate_windows(ModalityPanel(np.zeros((2, 3)), ["e0"]), 0)
-
 
 class TestLogSeries:
     TINY = {"encoder": {"epochs": 2, "d_model": 8}, "learner": {"epochs": 2}}
@@ -320,7 +316,7 @@ class TestLogSeries:
         config = pipeline.load_config(str(tmp_path / "config.json"), seed=3, environ={})
         encoder_config = pipeline.encoder_config_from(config)
         vocab_size = len(payload(tmp_path / "out" / "vocabulary.json"))
-        tokens, offsets, truncated = encoder_mod.tokenize(windows, vocab_size, encoder_config)
+        tokens, offsets, truncated = encoder_mod.tokenize(windows, encoder_config)
         return encoder_config, vocab_size, tokens, offsets, truncated
 
     def test_each_cell_is_the_head_score_of_its_window(self, tmp_path):
@@ -612,7 +608,7 @@ class TestArtifacts:
         adjacency, attention = payload(out / "adjacency.json"), payload(out / "attention.json")
         weights = (attention["a_log"], attention["a_metric"])
         names = adjacency["node_names"]
-        fused = fusion_mod.fuse(adjacency["A_log"], adjacency["A_metric"], weights, names)
+        fused = fusion_mod.fuse(adjacency["A_log"], adjacency["A_metric"], weights)
         assert payload(out / "fused_graph.json") == {
             "a_log": weights[0], "a_metric": weights[1], "node_names": names,
             "adjacency": fused.tolist(),

@@ -44,10 +44,6 @@ class TestTransitionMatrix:
             p = transition_matrix(a, beta=0.1)
             assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            transition_matrix(np.array([[0.0, -1.0], [0.0, 0.0]]))
-
     @pytest.mark.parametrize("beta", [0.0, 0.1, 0.37, 1.0])
     def test_bitwise_equal_to_the_row_loop(self, beta):
         rng = np.random.default_rng(2)
@@ -127,16 +123,6 @@ class TestRwr:
                 assert np.abs(nxt - star).sum() <= (1 - c) * np.abs(vec - star).sum() + 1e-12
                 vec = nxt
 
-    def test_rejects_zero_restart(self):
-        p = np.eye(3)
-        with pytest.raises(ValueError):
-            rwr(p, np.array([1.0, 0.0, 0.0]), c=0.0)
-
-    def test_rejects_non_stochastic(self):
-        p = np.eye(3) * 0.5
-        with pytest.raises(ValueError):
-            rwr(p, np.array([1.0, 0.0, 0.0]), c=0.15)
-
     def test_reverse_tracing_on_chain(self):
         # root -> a -> b -> kpi with uniform weights: restarting at the KPI,
         # the root (an ancestor) must outscore b's non-ancestors
@@ -164,7 +150,3 @@ class TestRanking:
     def test_k_larger_than_entity_count(self):
         ranked = rank_root_causes(np.array([0.6, 0.4]), ["a", "kpi"], k=10)
         assert len(ranked.ranking) == 1
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            rank_root_causes(np.array([0.6, 0.4]), ["a", "kpi"], k=0)

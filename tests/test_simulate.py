@@ -16,7 +16,6 @@ from mmrca.simulate import (
     kpi_parents,
     read_ground_truth,
     sample_scenario,
-    topological_order,
     write_incident,
 )
 
@@ -42,33 +41,34 @@ def contains_golden_signal(message: str) -> bool:
     return any(s in low for s in DEFAULT_GOLDEN_SIGNALS)
 
 
-class TestScenarioValidation:
-    def test_cyclic_dag_rejected(self):
-        cyclic = np.array([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="acyclic"):
-            chain_spec(n_entities=2, ground_truth_dag=cyclic, root_cause=0).validate()
+def is_acyclic(dag) -> bool:
+    """A graph of n nodes has no cycle iff no walk of n edges exists: A^n is zero."""
+    dag = np.asarray(dag, dtype=float)
+    return not np.linalg.matrix_power(dag, len(dag)).any()
 
-    def test_topological_order_oracle(self):
-        assert topological_order(CHAIN) == [0, 1, 2]
-        assert topological_order(np.array([[0, 1], [1, 0]])) is None
 
-    def test_short_horizon_rejected(self):
-        with pytest.raises(ValueError, match="horizon_T"):
-            chain_spec(horizon_T=3).validate()
+class TestSampleScenario:
+    def test_the_acyclicity_oracle(self):
+        assert is_acyclic(CHAIN)
+        assert is_acyclic(np.zeros((1, 1)))
+        assert not is_acyclic(np.array([[0, 1], [1, 0]]))
+        assert not is_acyclic(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+        assert not is_acyclic(np.eye(2))
 
-    def test_bad_root_rejected(self):
-        with pytest.raises(ValueError, match="root_cause"):
-            chain_spec(root_cause=7).validate()
-
-    def test_bad_fault_type_rejected(self):
-        with pytest.raises(ValueError, match="fault_type"):
-            chain_spec(fault_type="weird").validate()
-
-    def test_sampled_scenarios_are_acyclic(self):
-        for seed in range(100):
-            spec = sample_scenario(6, "both", 40, 0.1, seed=seed)
-            assert topological_order(spec.ground_truth_dag) is not None
-            spec.validate()
+    @pytest.mark.parametrize("edge_prob", [0.0, 0.35, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 6, 17])
+    def test_draws_a_binary_dag_and_a_root_with_a_child(self, n, edge_prob):
+        for seed in range(50):
+            spec = sample_scenario(n, "both", 40, 0.1, seed=seed, edge_prob=edge_prob)
+            dag = spec.ground_truth_dag
+            assert spec.n_entities == n and dag.shape == (n, n)
+            assert np.isin(dag, (0, 1)).all()
+            assert not np.diag(dag).any()
+            assert is_acyclic(dag)
+            assert 0 <= spec.root_cause < n
+            # the fault has somewhere to propagate whenever any entity has a child
+            if dag.any():
+                assert dag[spec.root_cause].any()
 
 
 class TestNoiselessPropagation:
