@@ -453,18 +453,12 @@ def reduce_to_series(
 ) -> ModalityPanel:
     """Place one anomaly score per (entity, window) cell and assemble the log panel.
 
-    scores holds one score per cell of the windows' entity-major grid, which
-    must be one row per entity name by one column per KPI value, else
-    ValueError: a metrics.csv shorter than the incident reaches this check.
-    The KPI series becomes the last panel row.
+    scores holds one score per cell of the windows' entity-major grid, which is
+    one row per entity name by one column per KPI value (the pipeline checks
+    the metric panel against the windows before it trains). The KPI series
+    becomes the last panel row.
     """
     scores = np.asarray(scores, dtype=float)
-    kpi = np.asarray(kpi, dtype=float)
-    if (windows.n_entities, windows.n_windows) != (len(entity_names), len(kpi)):
-        raise ValueError(
-            f"the windows cover {windows.n_entities} entities x {windows.n_windows} windows, "
-            f"not the {len(entity_names)} entities x {len(kpi)} KPI steps of the panel"
-        )
     values = np.empty((windows.n_entities + 1, windows.n_windows))
     values[:-1] = scores.reshape(windows.n_entities, windows.n_windows)
     values[-1] = kpi

@@ -54,10 +54,6 @@ def modality_attention(score_log, score_metric, k: int) -> tuple[float, float]:
     """
     score_log = np.asarray(score_log, dtype=float)
     score_metric = np.asarray(score_metric, dtype=float)
-    # a panel of finite values near float64's range overflows the correlation's
-    # norms, which leaves a score NaN or -inf: metrics.csv can hold such values
-    if not (np.all(np.isfinite(score_log)) and np.all(np.isfinite(score_metric))):
-        raise ValueError("modality scores must be finite")
     sums = np.array([np.sort(score_log)[-k:].sum(), np.sort(score_metric)[-k:].sum()])
     shifted = sums - sums.max()
     weights = np.exp(shifted)

@@ -1,6 +1,7 @@
 """Ranking metrics for root-cause localization: PR@K, MAP@K, MRR.
 
-A case pairs one ordered prediction list with the set of true root causes.
+A case pairs one ordered prediction list, each entity once, with the
+non-empty set of true root causes; case_from_files builds it from the files.
 Predictions shorter than K are treated as padded with misses. Each metric
 takes a non-empty list of cases and K >= 1: the evaluate stage passes its one
 case and pipeline.K_VALUES.
@@ -21,14 +22,6 @@ from .nn import check_type, get_field
 class EvaluationCase:
     predicted: list
     truth: set
-
-    def __post_init__(self):
-        self.predicted = list(self.predicted)
-        self.truth = set(self.truth)
-        if not self.truth:
-            raise ValueError("truth set must be non-empty")
-        if len(set(self.predicted)) != len(self.predicted):
-            raise ValueError("predicted list contains duplicates")
 
 
 def _case_precision_at(case: EvaluationCase, k: int) -> float:
@@ -88,8 +81,8 @@ def case_from_files(ranking_path, truth_path) -> EvaluationCase | None:
     None when the ground truth names no root cause (no fault was planted).
 
     root_cause_name must be null or a string naming a ranked entity, and each
-    ranking entry must name its entity by a string; else ValueError names the
-    file and the field.
+    ranking entry must name its entity by a string that no earlier entry names;
+    else ValueError names the file and the field.
     """
     root = get_field(read_json_object(truth_path), "root_cause_name", truth_path)
     if root is None:
@@ -97,15 +90,17 @@ def case_from_files(ranking_path, truth_path) -> EvaluationCase | None:
     check_type(f"{truth_path} root_cause_name", root, str)
     entries = get_field(read_json_object(ranking_path), "ranking", ranking_path)
     check_type(f"{ranking_path} ranking", entries, list)
-    predicted = []
+    predicted = {}  # the ranked entities, in order: a dict as an ordered set
     for rank, entry in enumerate(entries, start=1):
         check_type(f"{ranking_path} ranking entry {rank}", entry, dict)
         entity = get_field(entry, "entity", f"{ranking_path} ranking entry {rank}")
         check_type(f"{ranking_path} ranking entry {rank} entity", entity, str)
-        predicted.append(entity)
+        if entity in predicted:
+            raise ValueError(f"{ranking_path} ranking entry {rank} repeats entity {entity!r}")
+        predicted[entity] = None
     if root not in predicted:
         raise ValueError(
             f"{truth_path} root_cause_name {root!r} is not an entity that {ranking_path} ranks"
         )
-    return EvaluationCase(predicted=predicted, truth={root})
+    return EvaluationCase(predicted=list(predicted), truth={root})
 

@@ -9,7 +9,11 @@ with the bytes csv.writer gives them, and read_panel_csv parses them with
 csv.reader and assembles the grid with numpy; neither handles one cell at a
 time in Python beyond the number conversions. A value that is not a finite
 number, a timestamp that is not an int, a missing cell and a repeated cell
-each raise ValueError naming the file, the entity and the timestamp.
+each raise ValueError naming the file, the entity and the timestamp. So does
+a value beyond sqrt(float64 max / (8 T)), T the timestamp count (2.7e152 for
+300 timestamps): the z-scoring's sums of squared deviations (structure.fit)
+and the attention's lagged dot products, over at most T values at most twice
+that bound from a mean, then stay under half of float64's largest value.
 """
 
 from __future__ import annotations
@@ -146,8 +150,9 @@ def read_panel_csv(path, metric_name: str) -> ModalityPanel:
     raises ValueError: one with fewer fields than the header, a timestamp
     that is not an int, a repeated (timestamp, entity) cell, a value that is
     not a finite number (such as nan or inf). Then a file without KPI rows,
-    and then the first missing cell, series by series, raise ValueError. Each
-    error names the file, and a cell's error the entity and the timestamp.
+    the first value in file order beyond the module docstring's bound, and
+    the first missing cell, series by series, raise ValueError. Each error
+    names the file, and a cell's error the entity and the timestamp.
 
     The rows are converted and placed in one bulk pass; only when that fails
     are they checked one by one, to name the first bad row.
@@ -184,6 +189,14 @@ def read_panel_csv(path, metric_name: str) -> ModalityPanel:
 
     if KPI_ENTITY not in index_of:
         raise ValueError(f"no KPI rows found in {path}")
+    bound = float(np.sqrt(np.finfo(float).max / (8 * len(timestamps))))
+    beyond = np.flatnonzero(np.abs(cells) > bound)
+    if len(beyond):
+        row = rows[beyond[0]]
+        raise ValueError(
+            f"{path} has value {float(row[v_col])!r} for entity {row[e_col]!r} at timestamp "
+            f"{int(row[t_col])}, beyond {bound!r}, the bound for {len(timestamps)} timestamps"
+        )
     entity_order = [name for name in index_of if name != KPI_ENTITY]
     series_names = entity_order + [KPI_ENTITY]
     series = [index_of[name] for name in series_names]

@@ -76,14 +76,14 @@ readers check the files: read_ground_truth, logs.read_logs_jsonl and
 logs.parse_templates, panel.read_panel_csv, metrics.case_from_files. The
 stages check only what ties the inputs together: the lags against the
 incident's horizon (ingest), the log events against the grid
-(logs.window_sequences), the metric panel's names and length against the
-logs (encode), and, when learn starts a slice, its two panels against each
-other and against the lags. The models take what these checks let through
-and do not check their arguments again; a caller that builds its own
-arguments must keep to what their docstrings state. Only arithmetic that
-overflows on finite input is still caught where it happens: the two models'
-divergence checks, and the attention's check that the correlation scores are
-finite.
+(logs.window_sequences), and, in the one grid check _check_grid, the metric
+panel against ingest's entities and windows (encode, before the encoder
+trains) and, when learn starts a slice, log_panel.csv against the metric
+panel, before the lags. The models take what these checks let through and do
+not check their arguments again; a caller that builds its own arguments must
+keep to what their docstrings state. Only arithmetic that can overflow on
+checked input is still caught where it happens: the two models' divergence
+checks.
 """
 
 from __future__ import annotations
@@ -321,6 +321,15 @@ def _read_metric_panel(config: dict) -> ModalityPanel:
     return aggregate_windows(native, config["window_size"])
 
 
+def _check_grid(panel: ModalityPanel, entity_names: list, n_windows: int, path, source) -> None:
+    """ValueError naming path unless its panel lists entity_names, in order, over n_windows."""
+    if panel.entity_names != entity_names or panel.n_timesteps != n_windows:
+        raise ValueError(
+            f"{path} must list the entities {entity_names} in that order over {n_windows} "
+            f"windows, as {source} does; it lists {panel.entity_names} over {panel.n_timesteps}"
+        )
+
+
 def _check_lags_fit(config: dict, n_windows: int, source: str) -> None:
     """ValueError if learner.p's lags need more than the n_windows windows of source.
 
@@ -384,14 +393,10 @@ def stage_encode(config: dict, handed: tuple) -> tuple:
     paths = _paths(config)
     vocabulary, windows, entity_names = handed
     metric_panel = _read_metric_panel(config)
-    # stage_learn checks this again when it starts a slice from log_panel.csv;
-    # checking here fails the run before the encoder trains or encode writes anything
-    if metric_panel.entity_names != entity_names:
-        raise ValueError(
-            "metric and log panels must list the same nodes in the same order: the "
-            f"metrics list {metric_panel.entity_names}, the logs {entity_names}"
-        )
-
+    # before the encoder trains or encode writes anything
+    _check_grid(
+        metric_panel, entity_names, windows.n_windows, paths["metrics"], paths["ground_truth"]
+    )
     log_panel, training = encoder_mod.log_series(
         windows, len(vocabulary), encoder_config_from(config), metric_panel.kpi, entity_names
     )
@@ -420,16 +425,8 @@ def stage_learn(config: dict, handed=None) -> tuple:
     if handed is None:
         metric_panel = _read_metric_panel(config)
         log_panel = read_panel_csv(paths["log_panel"], metric_name="log_score")
-        if metric_panel.node_names != log_panel.node_names:
-            raise ValueError(
-                "metric and log panels must list the same nodes in the same order: "
-                f"{metric_panel.node_names} != {log_panel.node_names}"
-            )
-        if metric_panel.values.shape != log_panel.values.shape:
-            raise ValueError(
-                "metric and log panels must share n and T: the metric panel is "
-                f"{metric_panel.values.shape}, the log panel {log_panel.values.shape}"
-            )
+        names, n_windows = metric_panel.entity_names, metric_panel.n_timesteps
+        _check_grid(log_panel, names, n_windows, paths["log_panel"], paths["metrics"])
         _check_lags_fit(config, log_panel.n_timesteps, paths["log_panel"])
     else:
         metric_panel, log_panel = handed

@@ -1,11 +1,12 @@
 import builtins
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from mmrca import atomic, cli, pipeline
+from mmrca import atomic, cli, encoder, pipeline
 
 
 # every setting whose default is a float
@@ -351,11 +352,9 @@ class TestStageCommands:
         panel = out / "log_panel.csv"
         return panel, panel.read_text().splitlines()
 
-    def assert_learn_rejects(self, tmp_path, out, capsys, message):
+    def assert_learn_rejects(self, tmp_path, out, capsys, named):
         assert self.run(tmp_path, "learn", out) == 1
-        assert f"stage causal_learner failed: metric and log panels must {message}" in (
-            capsys.readouterr().err
-        )
+        assert f"stage causal_learner failed: {named}" in capsys.readouterr().err
         # the panels are checked before the attention or either fit writes anything
         for name in ("attention.json", "adjacency.json"):
             assert not (out / name).exists(), name
@@ -376,7 +375,12 @@ class TestStageCommands:
         assert first.split(",")[:2] == ["0", "svc-0"] and second.split(",")[:2] == ["0", "svc-1"]
         # svc-1 now appears first, so the log panel lists it first; the metric panel does not
         panel.write_text("\n".join([header, second, first, *rest]) + "\n")
-        self.assert_learn_rejects(tmp_path, out, capsys, "list the same nodes in the same order")
+        metrics = tmp_path / "data" / "metrics.csv"
+        named = (
+            f"{panel} must list the entities ['svc-0', 'svc-1', 'svc-2'] in that order over 40 "
+            f"windows, as {metrics} does; it lists ['svc-1', 'svc-0', 'svc-2'] over 40"
+        )
+        self.assert_learn_rejects(tmp_path, out, capsys, named)
 
     def test_learn_rejects_a_log_panel_one_timestamp_short(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -385,7 +389,12 @@ class TestStageCommands:
         assert {line.split(",")[0] for line in lines[-4:]} == {"39"}
         assert lines[-5].split(",")[0] == "38"
         panel.write_text("\n".join(lines[:-4]) + "\n")
-        self.assert_learn_rejects(tmp_path, out, capsys, "share n and T")
+        metrics = tmp_path / "data" / "metrics.csv"
+        named = (
+            f"{panel} must list the entities ['svc-0', 'svc-1', 'svc-2'] in that order over 40 "
+            f"windows, as {metrics} does; it lists ['svc-0', 'svc-1', 'svc-2'] over 39"
+        )
+        self.assert_learn_rejects(tmp_path, out, capsys, named)
 
     def test_learn_rejects_panels_shorter_than_twice_the_lag_order(self, tmp_path, capsys):
         # encode at lag order 2 writes panels of 5 steps, too short for learn at 3
@@ -484,9 +493,12 @@ class TestStageCommands:
              "ranking entry 1 is missing field 'entity'"),
             ("ranking.json", lambda payload: {**payload, "ranking": [{"entity": 0}]},
              "ranking entry 1 entity must be a string; int 0"),
+            ("ranking.json", lambda payload: {**payload, "ranking": [
+                {"entity": "svc-0"}, {"entity": "svc-1"}, {"entity": "svc-0"}]},
+             "ranking entry 3 repeats entity 'svc-0'"),
         ],
         ids=["root-int", "root-unranked", "root-missing", "ranking-missing",
-             "entity-missing", "entity-int"],
+             "entity-missing", "entity-int", "entity-repeat"],
     )
     def test_evaluate_rejects_a_malformed_input_and_writes_nothing(
         self, tmp_path, capsys, name, corrupt, named
@@ -600,7 +612,12 @@ class TestStageCommands:
         # svc-1 now appears first, so the metric panel lists it first; the log panel does not
         metrics.write_text("\n".join([header, second, first, *rest]) + "\n")
         assert self.run(tmp_path, "run-pipeline", out) == 1
-        assert "same nodes in the same order" in capsys.readouterr().err
+        truth = tmp_path / "data" / "ground_truth.json"
+        named = (
+            f"{metrics} must list the entities ['svc-0', 'svc-1', 'svc-2'] in that order over 40 "
+            f"windows, as {truth} does; it lists ['svc-1', 'svc-0', 'svc-2'] over 40"
+        )
+        assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
         assert not (out / "adjacency.json").exists()
         # the encode stage fails before it trains or writes anything
         assert not (out / "encoder_manifest.json").exists()
@@ -630,27 +647,60 @@ class TestStageCommands:
         named = f"{metrics} has value 'abc' for entity 'svc-1' at timestamp 0, which is not a number"
         assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
 
-    # outside the tests numpy's overflow warnings are not errors: the run must still
-    # stop at the attention, before it writes anything
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_metric_values_near_the_float64_limit_are_a_validation_failure(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "out"
-        assert self.run(tmp_path, "simulate", out) == 0
-        # finite values that overflow the correlation of svc-0 with the KPI
+    def scaled_rows(self, tmp_path, scale) -> list:
+        """Rewrite metrics.csv with each svc-0 and KPI value multiplied by scale(entity);
+        return the rewritten rows."""
         metrics = tmp_path / "data" / "metrics.csv"
         header, *rows = metrics.read_text().splitlines()
         for i, row in enumerate(rows):
             t, entity, name, value = row.split(",")
             if entity in ("svc-0", "kpi"):
-                rows[i] = f"{t},{entity},{name},{float(value) * 1e300!r}"
+                rows[i] = f"{t},{entity},{name},{float(value) * scale(entity)!r}"
         metrics.write_text("\n".join([header, *rows]) + "\n")
+        return rows
+
+    def test_metric_values_beyond_the_readers_bound_are_a_validation_failure(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", out) == 0
+        # finite values whose squares overflow the z-scoring and the correlations
+        rows = self.scaled_rows(tmp_path, lambda entity: 1e300)
+        assert rows[0].split(",")[:2] == ["0", "svc-0"]
+        metrics = tmp_path / "data" / "metrics.csv"
+        bound = float(np.sqrt(np.finfo(float).max / (8 * 40)))
+        named = (
+            f"{metrics} has value {float(rows[0].split(',')[3])!r} for entity 'svc-0' at "
+            f"timestamp 0, beyond {bound!r}, the bound for 40 timestamps"
+        )
         assert self.run(tmp_path, "run-pipeline", out) == 1
-        named = "stage causal_learner failed: modality scores must be finite"
-        assert named in capsys.readouterr().err
-        for name in ("attention.json", "adjacency.json", "ranking.json"):
+        assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
+        for name in ("log_panel.csv", "attention.json", "adjacency.json", "ranking.json"):
             assert not (out / name).exists(), name
+
+    def test_metric_values_within_the_readers_bound_rank_as_unscaled(self, tmp_path, capsys):
+        out, full = tmp_path / "out", tmp_path / "full"
+        assert self.run(tmp_path, "simulate", out) == 0
+        assert self.run(tmp_path, "run-pipeline", full) == 0
+        metrics = tmp_path / "data" / "metrics.csv"
+        largest = {}
+        for row in metrics.read_text().splitlines()[1:]:
+            _, entity, _, value = row.split(",")
+            largest[entity] = max(largest.get(entity, 0.0), abs(float(value)))
+        # each of the two rows reaches 0.999 of the bound
+        bound = float(np.sqrt(np.finfo(float).max / (8 * 40)))
+        self.scaled_rows(tmp_path, lambda entity: 0.999 * bound / largest[entity])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run(tmp_path, "run-pipeline", out) == 0
+        assert caught == [] and capsys.readouterr().err == ""
+
+        def ranked(directory):
+            return [entry["entity"] for entry in
+                    json.loads((directory / "ranking.json").read_text())["ranking"]]
+
+        assert ranked(out) == ranked(full)
 
     def test_a_log_message_that_is_not_a_string_is_a_validation_failure(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -695,17 +745,30 @@ class TestStageCommands:
         assert f"stage log_ingest failed: {named}" in capsys.readouterr().err
         assert not (out / "windows.jsonl").exists()
 
-    def test_a_metrics_file_one_timestamp_short_is_a_validation_failure(self, tmp_path, capsys):
-        # reduce_to_series is the only check that the log grid and the KPI agree
+    def test_a_metrics_file_one_timestamp_short_fails_before_the_encoder_trains(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the encode stage checks the metric panel against ingest's grid first: the
+        # labels of this both-fault incident vary, so the encoder would train next
         out = tmp_path / "out"
         assert self.run(tmp_path, "simulate", out) == 0
         metrics = tmp_path / "data" / "metrics.csv"
         lines = metrics.read_text().splitlines()
         metrics.write_text("\n".join(line for line in lines if not line.startswith("39,")) + "\n")
+
+        def train_log_encoder(*args, **kwargs):
+            raise RuntimeError("the encoder trained")
+
+        monkeypatch.setattr(encoder, "train_log_encoder", train_log_encoder)
         assert self.run(tmp_path, "run-pipeline", out) == 1
-        named = "the windows cover 3 entities x 40 windows, not the 3 entities x 39 KPI steps"
+        truth = tmp_path / "data" / "ground_truth.json"
+        named = (
+            f"{metrics} must list the entities ['svc-0', 'svc-1', 'svc-2'] in that order over 40 "
+            f"windows, as {truth} does; it lists ['svc-0', 'svc-1', 'svc-2'] over 39"
+        )
         assert f"stage log_encoder failed: {named}" in capsys.readouterr().err
-        assert not (out / "log_panel.csv").exists()
+        for name in ("encoder_manifest.json", "log_panel.csv"):
+            assert not (out / name).exists(), name
 
     @pytest.mark.parametrize(
         "settings,named",

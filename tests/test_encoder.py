@@ -749,10 +749,3 @@ class TestReduceToSeries:
         panel = reduce_to_series(scores, windows, kpi, names)
         for cell, score in enumerate(scores):
             assert panel.values[cell // windows.n_windows, cell % windows.n_windows] == score
-
-    @pytest.mark.parametrize("cut", ["kpi", "names"])
-    def test_the_grid_must_match_the_entities_and_the_kpi(self, cut):
-        scores, windows, kpi, names = self.make_inputs()
-        kpi, names = (kpi[:-1], names) if cut == "kpi" else (kpi, names[:-1])
-        with pytest.raises(ValueError, match="the windows cover 3 entities x 8 windows"):
-            reduce_to_series(scores, windows, kpi, names)

@@ -95,10 +95,6 @@ class TestModalityAttention:
             sum_metric = np.sort(s_metric)[-k:].sum()
             assert (a_log > a_metric) == (sum_log > sum_metric)
 
-    def test_non_finite_scores_rejected(self):
-        with pytest.raises(ValueError, match="must be finite"):
-            modality_attention(self.score([1.0, np.nan]), self.score([1.0, 0.0]), k=1)
-
 
 class TestFuse:
     def test_identical_inputs_are_fixed_point(self):
@@ -144,13 +140,18 @@ class TestFuse:
     @pytest.mark.parametrize("seed", range(10))
     def test_the_attention_of_any_two_panels_is_a_weighting(self, seed):
         # fuse does not check its weights: the attention of the two panels' scores,
-        # at any lag and any k the pipeline allows, must be non-negative and sum to 1
+        # at any lag and any k the pipeline allows, must be non-negative and sum to 1,
+        # for values of any scale up to read_panel_csv's bound; an overflow in the
+        # correlations would raise its RuntimeWarning here
         rng = np.random.default_rng(seed)
         n, t_len = int(rng.integers(1, 8)), int(rng.integers(4, 40))
         max_lag = int(rng.integers(0, t_len // 2))
+        bound = np.sqrt(np.finfo(float).max / (8 * t_len))
         panels = []
         for _ in range(2):
-            rows = rng.standard_normal((n + 1, t_len)) * 10.0 ** rng.integers(-100, 100, (n + 1, 1))
+            rows = rng.standard_normal((n + 1, t_len)) * 10.0 ** rng.integers(-100, 170, (n + 1, 1))
+            # a row whose largest value passes the bound is scaled to reach it exactly
+            rows *= np.minimum(1.0, bound / np.abs(rows).max(axis=1, keepdims=True))
             rows[rng.random(n + 1) < 0.2] = 1.5  # a constant row scores 0
             panels.append(make_panel(rows))
         scores = [cross_correlation_scores(panel, max_lag) for panel in panels]

@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from mmrca.metrics import (
     EvaluationCase,
+    case_from_files,
     evaluate_cases,
     map_at_k,
     mrr,
@@ -92,14 +96,24 @@ class TestMrr:
         assert 0.0 <= mrr([case(["b", "a"], {"a"}), case(["c"], {"a"})]) <= 1.0
 
 
-class TestCaseValidation:
-    def test_empty_truth_rejected(self):
-        with pytest.raises(ValueError):
-            case(["a"], set())
+class TestCaseFromFiles:
+    def write(self, tmp_path, entities, root):
+        ranking, truth = tmp_path / "ranking.json", tmp_path / "ground_truth.json"
+        ranking.write_text(json.dumps({"ranking": [{"entity": name} for name in entities]}))
+        truth.write_text(json.dumps({"root_cause_name": root}))
+        return ranking, truth
 
-    def test_duplicate_predictions_rejected(self):
-        with pytest.raises(ValueError):
-            case(["a", "a"], {"a"})
+    def test_the_truth_set_is_the_one_root_cause_and_none_without_one(self, tmp_path):
+        built = case_from_files(*self.write(tmp_path, ["b", "a"], "a"))
+        assert built.predicted == ["b", "a"] and built.truth == {"a"}
+        # no planted fault: no case, rather than one with an empty truth set
+        assert case_from_files(*self.write(tmp_path, ["b", "a"], None)) is None
+
+    def test_a_repeated_entity_names_the_file_entry_and_entity(self, tmp_path):
+        ranking, truth = self.write(tmp_path, ["a", "b", "a"], "a")
+        named = f"{ranking} ranking entry 3 repeats entity 'a'"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            case_from_files(ranking, truth)
 
 
 def structural_hamming_loop(a, b):

@@ -186,6 +186,25 @@ class TestReadPanel:
         with pytest.raises(ValueError, match="value 'abc' for entity 'kpi' at timestamp 1, which"):
             read_panel_csv(path, "cpu")
 
+    def test_a_value_beyond_the_bound_names_the_file_entity_and_timestamp(self, tmp_path):
+        # 2 timestamps: the bound is sqrt(float64 max / 16)
+        bound = float(np.sqrt(np.finfo(float).max / 16))
+        past = float(np.nextafter(bound, np.inf))
+        rows = [(0, "e0", "cpu", 1.0), (0, "kpi", "kpi", 2.0), (1, "e0", "cpu", repr(-past)),
+                (1, "kpi", "kpi", repr(past))]
+        path = self.write_rows(tmp_path, rows)
+        named = (
+            f"{path} has value {-past!r} for entity 'e0' at timestamp 1, beyond {bound!r}, "
+            "the bound for 2 timestamps"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_panel_csv(path, "cpu")
+        # 0.999 of the bound, or the bound itself, is read as written
+        for value in (0.999 * bound, bound):
+            self.write_rows(tmp_path, rows[:2] + [(1, "e0", "cpu", repr(-value)),
+                                                  (1, "kpi", "kpi", repr(value))])
+            assert read_panel_csv(path, "cpu").values.tolist() == [[1.0, -value], [2.0, value]]
+
     def test_a_timestamp_that_is_not_an_int_names_the_file_and_entity(self, tmp_path):
         path = self.write_rows(tmp_path, [
             (0, "e0", "cpu", 1.0), (0, "kpi", "kpi", 2.0), ("1.5", "kpi", "kpi", 3.0),

@@ -351,6 +351,17 @@ class TestFit:
         assert a.any() and np.all(np.isfinite(a)) and np.all(a >= 0.0)
         assert not np.diag(a).any()
 
+    def test_rows_at_the_readers_bound_z_score_like_the_unscaled_rows(self):
+        # read_panel_csv refuses values beyond sqrt(float64 max / (8 T)); up to it the
+        # z-scoring does not overflow (a RuntimeWarning fails this test) and is
+        # blind to each row's scale
+        panel = random_panel(n_entities=3, t_len=40)
+        bound = np.sqrt(np.finfo(float).max / (8 * 40))
+        scale = np.where(np.arange(4) % 2, 1.0, bound / np.abs(panel.values).max(axis=1))
+        scaled = ModalityPanel(panel.values * scale[:, None], panel.entity_names)
+        config = LearnerConfig(p=2, epochs=20)
+        assert np.allclose(fit(scaled, config).A, fit(panel, config).A, atol=1e-5)
+
     def test_a_diverging_step_raises_naming_the_epoch(self):
         # one step moves each weight by about lr, which float32 holds, but the
         # sum of two such weights over the lags overflows
